@@ -42,22 +42,32 @@ class RecurrentCell:
 
     def step(self, x, h, c=None):
         """One timestep.  Returns h' (and c' for LSTM)."""
+        xp = (x @ self.W_i) + self.b
+        if self.kind == "gru":
+            return nm.gru_step(xp, h, self.W_h)
         H = self.hidden_size
-        pre = (x @ self.W_i) + self.b
-        hh = h @ self.W_h
-        if self.kind == "lstm":
-            i = nm.sigmoid(nm.narrow(pre, 0, H) + nm.narrow(hh, 0, H))
-            f = nm.sigmoid(nm.narrow(pre, H, H) + nm.narrow(hh, H, H))
-            g = nm.tanh(nm.narrow(pre, 2 * H, H) + nm.narrow(hh, 2 * H, H))
-            o = nm.sigmoid(nm.narrow(pre, 3 * H, H) + nm.narrow(hh, 3 * H, H))
-            c_new = f * c + i * g
-            h_new = o * nm.tanh(c_new)
-            return h_new, c_new
-        r = nm.sigmoid(nm.narrow(pre, 0, H) + nm.narrow(hh, 0, H))
-        z = nm.sigmoid(nm.narrow(pre, H, H) + nm.narrow(hh, H, H))
-        n = nm.tanh(nm.narrow(pre, 2 * H, H) + r * nm.narrow(hh, 2 * H, H))
-        one_minus_z = z * -1.0 + 1.0
-        return one_minus_z * n + z * h
+        hc = nm.lstm_step(xp, h, c, self.W_h)
+        return nm.narrow(hc, 0, H), nm.narrow(hc, H, H)
+
+    def sequence(self, x, mask, reverse=False):
+        """Every position of x [B, T, input]; pad positions (mask 0) carry.
+
+        The input projection is one GEMM over all B*T rows.  Returns the
+        states [B, T, H], the final h and, for LSTM, the final c (else None).
+        The carry makes the final state that of each row's last real token.
+        """
+        B, T, _ = x.shape
+        H = self.hidden_size
+        flat = nm.reshape(x, (B * T, self.input_size))
+        xp = nm.reshape((flat @ self.W_i) + self.b, (B, T, -1))
+        zeros = Tensor(np.zeros((B, H), dtype=self.W_h.dtype))
+        last = 0 if reverse else T - 1
+        if self.kind == "gru":
+            states = nm.gru_sequence(xp, zeros, self.W_h, mask, reverse=reverse)
+            return states, nm.reshape(nm.narrow(states, last, 1, axis=1), (B, H)), None
+        hc = nm.lstm_sequence(xp, zeros, zeros, self.W_h, mask, reverse=reverse)
+        final = nm.reshape(nm.narrow(hc, last, 1, axis=1), (B, 2 * H))
+        return nm.narrow(hc, 0, H), nm.narrow(final, 0, H), nm.narrow(final, H, H)
 
     def prune_units(self, unit_ids):
         """Zero and pin the incoming weights and bias entries of these units."""
@@ -108,12 +118,6 @@ class EncodeResult:
         """Per-token state vectors for one batch row, pad positions dropped."""
         live = self.mask[row].astype(bool)
         return self.states.data[row][live]
-
-
-def _carry(mask_col, new, prev):
-    # keep the previous state at padded positions so the final state belongs
-    # to the last real token
-    return nm.lerp(mask_col[:, None], new, prev)
 
 
 class Seq2SeqModel:
@@ -244,9 +248,6 @@ class Seq2SeqModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def _zeros(self, batch):
-        return Tensor(np.zeros((batch, self.hidden_size), dtype=self.dtype))
-
     def encode(self, source, lengths=None, rng=None, training=False):
         """Run the encoder over a padded id matrix [B, T].
 
@@ -256,7 +257,7 @@ class Seq2SeqModel:
         source = np.asarray(source)
         if source.ndim != 2 or source.shape[0] == 0:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
-        B, T = source.shape
+        T = source.shape[1]
         if lengths is None:
             lengths = (source != 0).sum(axis=1)
         mask = (np.arange(T)[None, :] < np.asarray(lengths)[:, None]).astype(self.dtype)
@@ -265,34 +266,14 @@ class Seq2SeqModel:
         if training and rng is not None:
             emb = nm.dropout(emb, self.dropout, rng, training=True)
 
-        def run(cell, order, carry_cell=False):
-            h = self._zeros(B)
-            c = self._zeros(B) if carry_cell else None
-            per_pos = [None] * T
-            for t in order:
-                x = nm.narrow(emb, t, 1, axis=1)
-                x = nm.reshape(x, (B, self.embed_size))
-                if carry_cell:
-                    h_new, c_new = cell.step(x, h, c)
-                    c = _carry(mask[:, t], c_new, c)
-                else:
-                    h_new = cell.step(x, h)
-                h = _carry(mask[:, t], h_new, h)
-                per_pos[t] = h
-            return per_pos, h, c
-
         if self.arch == "abgru":
-            fwd_states, h_fwd_final, _ = run(self.enc_fwd, range(T))
-            bwd_states, h_bwd_final, _ = run(self.enc_bwd, range(T - 1, -1, -1))
-            per_tok = [nm.concat([f, b], axis=-1) for f, b in zip(fwd_states, bwd_states)]
-            states = nm.stack(per_tok, axis=1)            # [B, T, 2H]
+            fwd, h_fwd_final, _ = self.enc_fwd.sequence(emb, mask)
+            bwd, h_bwd_final, _ = self.enc_bwd.sequence(emb, mask, reverse=True)
+            states = nm.concat([fwd, bwd], axis=-1)       # [B, T, 2H]
             z = nm.tanh(self.enc_init(nm.concat([h_fwd_final, h_bwd_final], axis=-1)))
             return EncodeResult(states=states, z=z, cell=None, mask=mask)
 
-        carry_cell = self.arch == "lstm"
-        cell = self.enc_cell
-        per_tok, h_final, c_final = run(cell, range(T), carry_cell=carry_cell)
-        states = nm.stack(per_tok, axis=1)                # [B, T, H]
+        states, h_final, c_final = self.enc_cell.sequence(emb, mask)
         return EncodeResult(states=states, z=h_final, cell=c_final, mask=mask)
 
     def _attention_projection(self, enc_states):

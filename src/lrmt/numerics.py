@@ -4,6 +4,13 @@ Everything downstream (the recurrent cells, attention, projections) is built
 from the ops in this module.  The graph is a plain tape: each op returns a
 Tensor that remembers its parents and a closure that scatters the incoming
 gradient back to them.
+
+The GRU and LSTM recurrences are fused ops with hand-written backward passes.
+Both take the projected input ``xp = x @ W_i + b`` and the recurrent weight
+``W_h``.  ``gru_step``/``lstm_step`` advance one position (one tape node);
+``gru_sequence``/``lstm_sequence`` run a whole padded batch in one tape node,
+keep the previous state at pad positions, and do backprop through time in
+plain numpy.  Step and sequence ops share one pair of step kernels per cell.
 """
 
 import numpy as np
@@ -188,24 +195,6 @@ def mul(a, b):
     return _make(data, (a, b), backward)
 
 
-def lerp(mask, a, b):
-    """mask*a + (1-mask)*b where `mask` is a constant {0,1} ndarray.
-
-    Fused form of the carry-masking used for variable-length batches.
-    """
-    a, b = _to_tensor(a), _to_tensor(b)
-    m = np.asarray(mask)
-    data = m * a.data + (1.0 - m) * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * m, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * (1.0 - m), b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
 def matmul(a, b):
     a, b = _to_tensor(a), _to_tensor(b)
     data = a.data @ b.data
@@ -292,9 +281,13 @@ def tsum(a, axis=None, keepdims=False):
     return _make(data, (a,), backward)
 
 
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
 def sigmoid(a):
     a = _to_tensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
+    data = _sigmoid(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -343,6 +336,156 @@ def dropout(a, rate, rng, training=True):
             a._accumulate(g * mask)
 
     return _make(data, (a,), backward)
+
+
+# -- fused recurrent cells ---------------------------------------------------
+#
+# Gate columns of W_i, W_h and b: GRU [r, z, n], LSTM [i, f, g, o].  The bias
+# sits in xp only, so GRU's reset gate scales the whole of h @ W_h's n part.
+# A kernel maps (xp, state arrays, W_h) to (new state arrays, cache); its
+# backward maps (state grads, cache, W_h) to (d xp, d(h @ W_h), d state).
+# state[0] is h in both cells, so W_h's gradient is h.T @ d(h @ W_h).
+
+def _gru_forward(xp, state, W_h):
+    (h,) = state
+    H = h.shape[-1]
+    hh = h @ W_h
+    rz = _sigmoid(xp[:, :2 * H] + hh[:, :2 * H])
+    r, z = rz[:, :H], rz[:, H:]
+    hn = hh[:, 2 * H:]
+    n = np.tanh(xp[:, 2 * H:] + r * hn)
+    return ((1.0 - z) * n + z * h,), (h, hn, r, z, n)
+
+
+def _gru_backward(d_state, cache, W_h):
+    (dh,) = d_state
+    h, hn, r, z, n = cache
+    dan = dh * (1.0 - z) * (1.0 - n * n)
+    dar = dan * hn * r * (1.0 - r)
+    daz = dh * (h - n) * z * (1.0 - z)
+    dxp = np.concatenate([dar, daz, dan], axis=1)
+    dhh = np.concatenate([dar, daz, dan * r], axis=1)
+    return dxp, dhh, (dh * z + dhh @ W_h.T,)
+
+
+def _lstm_forward(xp, state, W_h):
+    h, c = state
+    H = h.shape[-1]
+    a = xp + h @ W_h
+    s = _sigmoid(a)
+    i, f, o = s[:, :H], s[:, H:2 * H], s[:, 3 * H:]
+    g = np.tanh(a[:, 2 * H:3 * H])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return (o * tc, c_new), (c, i, f, g, o, tc)
+
+
+def _lstm_backward(d_state, cache, W_h):
+    dh, dc = d_state
+    c, i, f, g, o, tc = cache
+    dc = dc + dh * o * (1.0 - tc * tc)
+    da = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
+                         dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+    return da, da, (da @ W_h.T, dc * f)
+
+
+_GRU = (_gru_forward, _gru_backward)
+_LSTM = (_lstm_forward, _lstm_backward)
+
+
+def _split_state(packed, parts):
+    H = packed.shape[-1] // parts
+    return [packed[..., k * H:(k + 1) * H] for k in range(parts)]
+
+
+def _cell_step(kernel, xp, state, W_h):
+    forward, backward_kernel = kernel
+    xp, W_h = _to_tensor(xp), _to_tensor(W_h)
+    state = [_to_tensor(s) for s in state]
+    new, cache = forward(xp.data, [s.data for s in state], W_h.data)
+
+    def backward(g):
+        dxp, dhh, d_state = backward_kernel(_split_state(g, len(state)), cache, W_h.data)
+        if xp.requires_grad:
+            xp._accumulate(dxp)
+        for s, ds in zip(state, d_state):
+            if s.requires_grad:
+                s._accumulate(ds)
+        if W_h.requires_grad:
+            W_h._accumulate(state[0].data.T @ dhh)
+
+    return _make(np.concatenate(new, axis=-1), (xp, *state, W_h), backward)
+
+
+def _cell_sequence(kernel, xp, state, W_h, mask, reverse):
+    forward, backward_kernel = kernel
+    xp, W_h = _to_tensor(xp), _to_tensor(W_h)
+    state = [_to_tensor(s) for s in state]
+    B, T, _ = xp.data.shape
+    H = W_h.data.shape[0]
+    live = np.asarray(mask).astype(bool)[:, :, None]      # [B, T, 1]
+    if live.shape[:2] != (B, T):
+        raise ValueError("mask shape %s does not match xp %s" % (live.shape[:2], (B, T)))
+    order = range(T - 1, -1, -1) if reverse else range(T)
+    out = np.empty((B, T, len(state) * H), dtype=xp.data.dtype)
+    h_in = np.empty((B, T, H), dtype=xp.data.dtype)        # h entering each step
+    caches = [None] * T
+    cur = [s.data for s in state]
+    for t in order:
+        h_in[:, t] = cur[0]
+        new, caches[t] = forward(xp.data[:, t], cur, W_h.data)
+        cur = [np.where(live[:, t], n, prev) for n, prev in zip(new, cur)]
+        for k, s in enumerate(cur):
+            out[:, t, k * H:(k + 1) * H] = s
+
+    def backward(g):
+        g_state = _split_state(g, len(state))
+        dxp = np.empty_like(xp.data)
+        dhh = np.empty_like(xp.data)
+        d = [np.zeros_like(gk[:, 0]) for gk in g_state]
+        for t in reversed(order):
+            m = live[:, t]
+            d = [dk + gk[:, t] for dk, gk in zip(d, g_state)]
+            dxp[:, t], dhh[:, t], d_step = backward_kernel([dk * m for dk in d],
+                                                           caches[t], W_h.data)
+            # a pad position passed its state through unchanged
+            d = [np.where(m, ds, dk) for ds, dk in zip(d_step, d)]
+        if xp.requires_grad:
+            xp._accumulate(dxp)
+        for s, ds in zip(state, d):
+            if s.requires_grad:
+                s._accumulate(ds)
+        if W_h.requires_grad:
+            W_h._accumulate(h_in.reshape(B * T, H).T @ dhh.reshape(B * T, -1))
+
+    return _make(out, (xp, *state, W_h), backward)
+
+
+def gru_step(xp, h, W_h):
+    """One GRU step.  xp [B, 3H] is x @ W_i + b; returns h' [B, H]."""
+    return _cell_step(_GRU, xp, (h,), W_h)
+
+
+def lstm_step(xp, h, c, W_h):
+    """One LSTM step.  xp [B, 4H] is x @ W_i + b; returns [h'; c'] as [B, 2H]."""
+    return _cell_step(_LSTM, xp, (h, c), W_h)
+
+
+def gru_sequence(xp, h0, W_h, mask, reverse=False):
+    """GRU over every position of xp [B, T, 3H], starting from h0 [B, H].
+
+    Positions where the {0,1} `mask` [B, T] is 0 keep the previous state, so
+    the state at the last position visited (T-1, or 0 when `reverse`) is the
+    state after each row's last real token.  Returns the state after every
+    position, [B, T, H], in input order.
+    """
+    return _cell_sequence(_GRU, xp, (h0,), W_h, mask, reverse)
+
+
+def lstm_sequence(xp, h0, c0, W_h, mask, reverse=False):
+    """LSTM counterpart of `gru_sequence`; xp is [B, T, 4H] and the result
+    packs [h; c] after every position as [B, T, 2H]."""
+    return _cell_sequence(_LSTM, xp, (h0, c0), W_h, mask, reverse)
 
 
 # -- softmax / loss ----------------------------------------------------------

@@ -15,7 +15,6 @@ RESERVED = [PAD_TOKEN, SOS_TOKEN, EOS_TOKEN, UNK_TOKEN]
 # case already folded.
 CONTRACTIONS = {
     "won't": "will not",
-    "can't": "can not",
     "shan't": "shall not",
     "ain't": "is not",
     "can't": "cannot",

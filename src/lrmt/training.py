@@ -314,6 +314,10 @@ def fit_with_early_stopping(model, train, valid, config, lang_token=None,
             vbatches = make_batches(valid, model.src_vocab, model.tgt_vocab,
                                     config.batch_size, seed=0, lang_token=lang_token)
             valid_loss = evaluate_loss(model, vbatches)
+            if not np.isfinite(valid_loss):
+                raise FloatingPointError(
+                    "non-finite validation loss (%r) in stage %r, epoch %d"
+                    % (valid_loss, stage_label, epoch))
             history.append({"stage": stage_label, "epoch": epoch,
                             "train_loss": train_loss, "valid_loss": valid_loss})
             if metrics_fh:

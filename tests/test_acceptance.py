@@ -27,7 +27,7 @@ from lrmt.xray import (ActivationDataset, SentenceActivations,
                        capture_activations, change_in_mass,
                        knowledge_abstraction, mass_matrices, select_prune_set)
 
-from conftest import relative_gradient_error
+from gradcheck import relative_gradient_error
 
 
 def _report(number, name, passed, detail=""):

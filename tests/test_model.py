@@ -10,7 +10,7 @@ from lrmt.model import RecurrentCell, Seq2SeqModel
 from lrmt.numerics import Tensor, cross_entropy_masked
 from lrmt.text import EOS, SOS, Batch, ParallelCorpus, build_vocab, encode
 
-from conftest import relative_gradient_error
+from gradcheck import relative_gradient_error
 
 
 def _tiny_vocab(words):

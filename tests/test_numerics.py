@@ -11,7 +11,7 @@ from lrmt.numerics import (Adam, AdamState, Parameter, Tensor, adam_step,
                            clip_grad_norm, cross_entropy_masked, masked_softmax,
                            softmax)
 
-from conftest import relative_gradient_error
+from gradcheck import relative_gradient_error
 
 
 # -- softmax ------------------------------------------------------------------

@@ -52,6 +52,13 @@ def test_fit_stops_early_and_keeps_best(tmp_path):
     assert len(lines) == len(history)
 
 
+def test_fit_raises_named_error_on_nan_validation_loss(monkeypatch):
+    monkeypatch.setattr(training, "evaluate_loss", lambda model, batches: float("nan"))
+    cfg = TrainConfig(arch="gru", seed=1, **TINY)
+    with pytest.raises(FloatingPointError, match="stage 'pretrain', epoch 1"):
+        pretrain_copy(_data()["train"], cfg)
+
+
 # -- config validation --------------------------------------------------------------
 
 def test_train_config_defaults_are_full_scale():
