@@ -1,5 +1,6 @@
 """Corpus-level cumulative BLEU-4 and greedy-decoding evaluation."""
 
+import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from math import exp, log
@@ -82,3 +83,14 @@ def dump_translations_tsv(report, path):
         lines.append("%s\t%s\t%s" % (" ".join(src), " ".join(ref), " ".join(hyp)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_bleu_csv(path, rows):
+    """bleu.csv with LF line endings: one line per (stage, label, BleuReport)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["stage", "label", "score", "p1", "p2", "p3", "p4", "bp"])
+        for stage, label, rep in rows:
+            writer.writerow([stage, label, "%.6f" % rep.score]
+                            + ["%.6f" % p for p in rep.precisions]
+                            + ["%.6f" % rep.brevity_penalty])

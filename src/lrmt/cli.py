@@ -120,16 +120,6 @@ def _load_data(cfg, need_dataset=True):
     return corpora, dataset
 
 
-def _write_bleu_csv(path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("stage,label,score,p1,p2,p3,p4,bp\n")
-        for stage, label, rep in rows:
-            fh.write("%d,%s,%.6f,%s,%.6f\n"
-                     % (stage, label, rep.score,
-                        ",".join("%.6f" % p for p in rep.precisions),
-                        rep.brevity_penalty))
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -156,7 +146,7 @@ def _finalize(ckpt, out, label, test, config):
     ckpt.save(out / ("%s.lrmt" % label))
     if test is not None and test.pairs:
         rep = bleu.evaluate_corpus(ckpt.to_model(), test, max_len=config.max_len)
-        _write_bleu_csv(out / "bleu.csv", [(0, label, rep)])
+        bleu.write_bleu_csv(out / "bleu.csv", [(0, label, rep)])
         bleu.dump_translations_tsv(rep, out / "translations.tsv")
 
 
@@ -229,6 +219,11 @@ def cmd_sequential(args, cfg, out):
         if entry["dataset"] not in corpora:
             raise ConfigError("'plan.stages'[%d] names unknown dataset %r"
                               % (i, entry["dataset"]))
+        if (i and entry.get("prune_mode", "none") != "none"
+                and not corpora[stages_cfg[i - 1]["dataset"]].get("test")):
+            raise ConfigError("'plan.stages'[%d] prunes, but 'plan.stages'[%d] "
+                              "(dataset %r) has no test split to measure neurons on"
+                              % (i, i - 1, stages_cfg[i - 1]["dataset"]))
         stages.append(StageSpec(dataset_id=entry["dataset"],
                                 freeze_encoder=entry.get("freeze_encoder", True),
                                 prune_mode=entry.get("prune_mode", "none"),
@@ -240,18 +235,10 @@ def cmd_sequential(args, cfg, out):
     rows = [(r["stage"], r["label"], r["bleu"]) for r in results
             if r["bleu"] is not None]
     if rows:
-        _write_bleu_csv(out / "bleu.csv", rows)
-    bundle = report.AnalysisBundle()
-    for r in results:
-        model = r["checkpoint"].to_model()
-        test = corpora[stages[r["stage"]].dataset_id].get("test")
-        if test is None or not test.pairs:
-            continue
-        if r["stage"] == 0:
-            test = training.copy_corpus([s for s, _ in test.pairs], split="test")
-        mass = xray.mass_matrices(xray.capture_activations(model, test))
-        bundle.add(report.StageAnalysis(label=r["label"], mass=mass,
-                                        bleu=r["bleu"]))
+        bleu.write_bleu_csv(out / "bleu.csv", rows)
+    bundle = report.AnalysisBundle([
+        report.StageAnalysis(label=r["label"], mass=r["mass"], bleu=r["bleu"])
+        for r in results if r["mass"] is not None])
     if bundle.stages:
         report.export_analysis(bundle, out / "report")
     return 0
@@ -305,7 +292,7 @@ def cmd_evaluate(args, cfg, out):
     max_len = cfg.get("data.max_len", 50)
     rep = bleu.evaluate_corpus(model, corpus, max_len=max_len)
     label = ckpt.provenance.get("stage_label", "eval")
-    _write_bleu_csv(out / "bleu.csv", [(0, label, rep)])
+    bleu.write_bleu_csv(out / "bleu.csv", [(0, label, rep)])
     bleu.dump_translations_tsv(rep, out / "translations.tsv")
     return 0
 

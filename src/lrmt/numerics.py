@@ -116,19 +116,27 @@ class Tensor:
 class Parameter(Tensor):
     """A trainable tensor with freeze and prune bookkeeping.
 
-    ``frozen`` parameters are skipped entirely by the optimizer.  ``pruned``
-    holds flat indices into ``data`` whose values are pinned at exactly 0
-    (used for neuron-knowledge pruning of incoming weights).
+    ``frozen`` is ``not requires_grad``: a frozen parameter is not recorded
+    on the tape, so backward never reaches it, its ``grad`` stays None, and
+    the optimizer and clipping skip it.  ``pruned`` holds flat indices into
+    ``data`` whose values are pinned at exactly 0 (used for neuron-knowledge
+    pruning of incoming weights).
     """
 
-    __slots__ = ("name", "trainable", "frozen", "pruned")
+    __slots__ = ("name", "pruned")
 
     def __init__(self, data, name=""):
         super().__init__(np.asarray(data), requires_grad=True)
         self.name = name
-        self.trainable = True
-        self.frozen = False
         self.pruned = None  # flat int64 indices, or None
+
+    @property
+    def frozen(self):
+        return not self.requires_grad
+
+    @frozen.setter
+    def frozen(self, value):
+        self.requires_grad = not value
 
     def add_pruned(self, flat_indices):
         flat_indices = np.asarray(flat_indices, dtype=np.int64).reshape(-1)
@@ -580,7 +588,7 @@ def clip_grad_norm(params, max_norm):
     """Scale gradients so the global L2 norm over live params is <= max_norm."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    live = [p for p in params if p.trainable and not p.frozen and p.grad is not None]
+    live = [p for p in params if not p.frozen and p.grad is not None]
     if not live:
         return 1.0
     total = 0.0
@@ -605,7 +613,7 @@ def adam_step(params, states, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, l2=0.0):
         raise ValueError("learning rate must be positive")
     b1, b2 = betas
     for p in params:
-        if not p.trainable or p.frozen:
+        if p.frozen:
             continue
         st = states[id(p)] if isinstance(states, dict) else states
         g = p.grad if p.grad is not None else np.zeros_like(p.data)

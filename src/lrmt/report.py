@@ -4,7 +4,6 @@ Every byte written here is a pure function of the inputs: no timestamps, no
 dict-ordering hazards, so identical runs produce identical files.
 """
 
-import csv
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -13,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import xray
+from .bleu import write_bleu_csv
 
 
 @dataclass
@@ -142,16 +142,9 @@ def export_analysis(bundle, out_dir):
             json.dumps(records, indent=2, sort_keys=True), encoding="utf-8")
         _register("analysis.json")
 
-        with (out / "bleu.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stage", "label", "score", "p1", "p2", "p3", "p4", "bp"])
-            for i, stage in enumerate(bundle.stages):
-                if stage.bleu is None:
-                    continue
-                b = stage.bleu
-                writer.writerow([i, stage.label, "%.6f" % b.score]
-                                + ["%.6f" % p for p in b.precisions]
-                                + ["%.6f" % b.brevity_penalty])
+        write_bleu_csv(out / "bleu.csv", [(i, s.label, s.bleu)
+                                          for i, s in enumerate(bundle.stages)
+                                          if s.bleu is not None])
         _register("bleu.csv")
 
         for i, stage in enumerate(bundle.stages):

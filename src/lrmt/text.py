@@ -130,7 +130,6 @@ class Batch:
     source: np.ndarray       # [B, Ts] int64
     source_lengths: np.ndarray
     target: np.ndarray       # [B, Tt] int64
-    lang_token: int = None   # optional control-token id inserted after sos
 
 
 def load_tsv(path, pair, split, max_len=50, truncate=False):
@@ -216,12 +215,8 @@ def _pad_rows(rows):
     return out
 
 
-def make_batches(corpus, src_vocab, tgt_vocab, batch_size, seed, lang_token=None):
-    """Seeded shuffle, encode, and pad into batches of at most `batch_size`.
-
-    When `lang_token` is given (multi-task mode) its id is inserted right
-    after sos on the source side of every row.
-    """
+def make_batches(corpus, src_vocab, tgt_vocab, batch_size, seed):
+    """Seeded shuffle, encode, and pad into batches of at most `batch_size`."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus.pairs))
     batches = []
@@ -230,13 +225,10 @@ def make_batches(corpus, src_vocab, tgt_vocab, batch_size, seed, lang_token=None
         src_rows, tgt_rows = [], []
         for i in chunk:
             src, tgt = corpus.pairs[i]
-            ids = encode(src, src_vocab)
-            if lang_token is not None:
-                ids = [ids[0], src_vocab.id_of(lang_token)] + ids[1:]
-            src_rows.append(ids)
+            src_rows.append(encode(src, src_vocab))
             tgt_rows.append(encode(tgt, tgt_vocab))
         src_mat = _pad_rows(src_rows)
         lengths = np.array([len(r) for r in src_rows], dtype=np.int64)
         batches.append(Batch(source=src_mat, source_lengths=lengths,
-                             target=_pad_rows(tgt_rows), lang_token=lang_token))
+                             target=_pad_rows(tgt_rows)))
     return batches

@@ -157,7 +157,7 @@ class Checkpoint:
     def rng(self):
         rng = np.random.default_rng(0)
         if self.rng_state:
-            rng.bit_generator.state = _rng_from_jsonable(self.rng_state)
+            rng.bit_generator.state = self.rng_state
         return rng
 
     # -- binary round trip ---------------------------------------------------
@@ -230,10 +230,6 @@ def _jsonable_rng(state):
     return conv(state)
 
 
-def _rng_from_jsonable(state):
-    return state
-
-
 def save_checkpoint(model, path, config, rng=None, provenance=None):
     ckpt = Checkpoint.from_model(model, config, rng=rng, provenance=provenance)
     ckpt.save(path)
@@ -276,43 +272,51 @@ def evaluate_loss(model, batches):
     return float(np.mean(losses)) if losses else 0.0
 
 
-def early_stopping_trace(losses, patience):
-    """The bare stopping rule: returns (epochs run, best 1-based epoch)."""
+def _stopping_rule(losses, patience):
+    """Improve iff loss < best; stop after `patience` epochs without improving.
+
+    Yields (epoch, loss, improved) and takes no loss past the stop, so a lazy
+    `losses` trains no extra epoch."""
     best = float("inf")
-    best_epoch = 0
     since = 0
     for epoch, loss in enumerate(losses, start=1):
-        if loss < best:
-            best, best_epoch, since = loss, epoch, 0
+        improved = loss < best
+        if improved:
+            best, since = loss, 0
         else:
             since += 1
+        yield epoch, loss, improved
         if since >= patience:
-            return epoch, best_epoch
-    return len(losses), best_epoch
+            return
 
 
-def fit_with_early_stopping(model, train, valid, config, lang_token=None,
-                            metrics_path=None, stage_label=""):
+def early_stopping_trace(losses, patience):
+    """The bare stopping rule: returns (epochs run, best 1-based epoch)."""
+    epochs = best_epoch = 0
+    for epochs, _, improved in _stopping_rule(losses, patience):
+        if improved:
+            best_epoch = epochs
+    return epochs, best_epoch
+
+
+def fit_with_early_stopping(model, train, valid, config, metrics_path=None,
+                            stage_label=""):
     """Train with per-epoch validation; keep and return the best checkpoint."""
     if not valid.pairs:
         raise ValueError("validation split is empty")
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.parameters(), lr=config.lr, betas=config.betas,
                      eps=config.eps, l2=config.l2)
-    best_loss = float("inf")
-    best_ckpt = None
-    since_improve = 0
     history = []
-    metrics_fh = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
-    try:
+
+    def valid_losses():
         for epoch in range(1, config.max_epochs + 1):
             started = time.monotonic()
             batches = make_batches(train, model.src_vocab, model.tgt_vocab,
-                                   config.batch_size, seed=config.seed + epoch,
-                                   lang_token=lang_token)
+                                   config.batch_size, seed=config.seed + epoch)
             train_loss = train_epoch(model, batches, config, optimizer, rng)
             vbatches = make_batches(valid, model.src_vocab, model.tgt_vocab,
-                                    config.batch_size, seed=0, lang_token=lang_token)
+                                    config.batch_size, seed=0)
             valid_loss = evaluate_loss(model, vbatches)
             if not np.isfinite(valid_loss):
                 raise FloatingPointError(
@@ -320,25 +324,20 @@ def fit_with_early_stopping(model, train, valid, config, lang_token=None,
                     % (valid_loss, stage_label, epoch))
             history.append({"stage": stage_label, "epoch": epoch,
                             "train_loss": train_loss, "valid_loss": valid_loss})
-            if metrics_fh:
+            if metrics_path:
                 # wall time goes to the log only, never into checkpoints,
                 # so identical runs stay byte-identical
                 row = dict(history[-1], seconds=time.monotonic() - started)
-                metrics_fh.write(json.dumps(row) + "\n")
-            if valid_loss < best_loss:
-                best_loss = valid_loss
-                best_ckpt = Checkpoint.from_model(model, config, rng=rng,
-                                                  provenance={"stage": stage_label,
-                                                              "epoch": epoch,
-                                                              "valid_loss": valid_loss})
-                since_improve = 0
-            else:
-                since_improve += 1
-            if since_improve >= config.patience:
-                break
-    finally:
-        if metrics_fh:
-            metrics_fh.close()
+                with open(metrics_path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(row) + "\n")
+            yield valid_loss
+
+    for epoch, valid_loss, improved in _stopping_rule(valid_losses(), config.patience):
+        if improved:
+            best_ckpt = Checkpoint.from_model(model, config, rng=rng,
+                                              provenance={"stage": stage_label,
+                                                          "epoch": epoch,
+                                                          "valid_loss": valid_loss})
     best_ckpt.provenance["history"] = history
     return best_ckpt
 
@@ -449,12 +448,21 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None,
     """Stage-by-stage transfer: prune -> freeze -> rebind -> fine-tune -> score.
 
     `corpora` maps dataset ids to {"train": ..., "valid":..., "test": ...};
-    stage 0's dataset is auto-encoded (targets = sources).  Returns a list of
-    {stage, label, checkpoint, bleu} records.
+    stage 0's dataset is auto-encoded (targets = sources).  Each stage's best
+    model is built once: it is scored and x-rayed on the stage's test split,
+    and the next stage fine-tunes it, pruning by those mass matrices.
+    Returns a list of {stage, label, checkpoint, bleu, mass} records; bleu
+    and mass are None for a stage without test pairs.
     """
-    for stage in plan.stages:
+    labels = [s.label or ("stage%d-%s" % (i, s.dataset_id))
+              for i, s in enumerate(plan.stages)]
+    for i, stage in enumerate(plan.stages):
         if stage.dataset_id not in corpora:
             raise KeyError("plan references unknown corpus %r" % stage.dataset_id)
+        if (i and stage.prune_mode != "none"
+                and not corpora[plan.stages[i - 1].dataset_id].get("test")):
+            raise ValueError("stage %r prunes by the test split of stage %r, "
+                             "which has none" % (labels[i], labels[i - 1]))
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -464,22 +472,17 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None,
     src_vocab = shared_source_vocab(all_train, config)
 
     results = []
-    ckpt = None
-    prev_test = None
-    for idx, stage in enumerate(plan.stages):
-        label = stage.label or ("stage%d-%s" % (idx, stage.dataset_id))
+    for idx, (stage, label) in enumerate(zip(plan.stages, labels)):
         splits = corpora[stage.dataset_id]
+        test = splits.get("test")
         if idx == 0:
             ckpt = pretrain_copy(splits["train"], config, src_vocab=src_vocab,
                                  metrics_path=metrics_path)
-            test = copy_corpus([s for s, _ in splits["test"].pairs], split="test") \
-                if "test" in splits else None
+            if test is not None:
+                test = copy_corpus([s for s, _ in test.pairs], split="test")
         else:
-            model = ckpt.to_model()
             if stage.prune_mode != "none":
-                acts = xray.capture_activations(model, prev_test)
-                mass = xray.mass_matrices(acts)
-                prune_set = xray.select_prune_set(mass, stage.prune_mode,
+                prune_set = xray.select_prune_set(results[-1]["mass"], stage.prune_mode,
                                                   stage.prune_percent)
                 model.prune_encoder_units(sorted(prune_set))
             if stage.freeze_encoder:
@@ -493,15 +496,15 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None,
             ckpt = fit_with_early_stopping(model, train, valid, config,
                                            metrics_path=metrics_path,
                                            stage_label=label)
-            test = splits.get("test")
         ckpt.provenance.setdefault("stage_label", label)
         ckpt.provenance["prune_mode"] = stage.prune_mode
-        bleu = None
-        if test is not None and test.pairs:
-            bleu = evaluate_corpus(ckpt.to_model(), test, max_len=max_len)
+        model = ckpt.to_model()
+        bleu = mass = None
+        if test:
+            bleu = evaluate_corpus(model, test, max_len=max_len)
+            mass = xray.mass_matrices(xray.capture_activations(model, test))
         if out_dir:
             ckpt.save(out_dir / ("%s.lrmt" % label))
         results.append({"stage": idx, "label": label, "checkpoint": ckpt,
-                        "bleu": bleu})
-        prev_test = test
+                        "bleu": bleu, "mass": mass})
     return results

@@ -52,7 +52,7 @@ def _batch(model, rows):
     for i, r in enumerate(src):
         mat[i, :len(r)] = r
     return Batch(source=mat, source_lengths=np.array([len(r) for r in src]),
-                 target=mat.copy(), lang_token=None)
+                 target=mat.copy())
 
 
 # -- 1: gradient correctness -----------------------------------------------------

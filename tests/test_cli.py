@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: config validation, exit codes, artifact layout."""
 
 import contextlib
+import csv
 import io
 import json
 import struct
@@ -142,6 +143,67 @@ def test_sequential_plan_and_report(workspace):
     for a in report["artifacts"]:
         data = (out / "report" / a["path"]).read_bytes()
         assert zlib.crc32(data) == a["crc32"]
+
+
+def test_sequential_evaluates_each_stage_once(workspace, monkeypatch):
+    from lrmt import xray
+    calls = []
+    capture = xray.capture_activations
+
+    def counting(model, corpus, *args, **kwargs):
+        calls.append(len(corpus.pairs))
+        return capture(model, corpus, *args, **kwargs)
+
+    monkeypatch.setattr(xray, "capture_activations", counting)
+    cfg = _config(workspace, **{
+        "plan.stages": [
+            {"dataset": "en-en", "label": "pretrain"},
+            {"dataset": "en-de", "label": "most25",
+             "prune_mode": "most_n", "prune_percent": 25.0},
+            {"dataset": "en-de", "label": "dead", "prune_mode": "dead"}]})
+    out = workspace / "seq"
+    assert main(["sequential", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == [6, 6, 6]
+
+
+def test_sequential_bleu_csv_round_trips_label_with_comma_and_quote(workspace):
+    label = 'pre,"train'
+    cfg = _config(workspace, **{
+        "plan.stages": [{"dataset": "en-en", "label": label},
+                        {"dataset": "en-de", "label": "stage1"}]})
+    out = workspace / "seq"
+    assert main(["sequential", "--config", str(cfg), "--out", str(out)]) == 0
+    for path in (out / "bleu.csv", out / "report" / "bleu.csv"):
+        assert b"\r" not in path.read_bytes()
+        with path.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["label"] for r in rows] == [label, "stage1"]
+        for row in rows:
+            assert None not in row and None not in row.values()
+            float(row["score"])
+
+
+def test_sequential_pruning_after_stage_without_test_exits_2(workspace):
+    data = workspace / "data"
+    manifest = {"datasets": [
+        {"id": "en-en", "pair": "en-en", "train": "en-en.train.tsv",
+         "valid": "en-en.valid.tsv"},
+        {"id": "en-de", "pair": "en-de", "train": "en-de.train.tsv",
+         "valid": "en-de.valid.tsv", "test": "en-de.test.tsv"}]}
+    (data / "notest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    cfg = _config(workspace, **{
+        "data.manifest": str(data / "notest.json"),
+        "plan.stages": [{"dataset": "en-en", "label": "pretrain"},
+                        {"dataset": "en-de", "label": "stage1",
+                         "prune_mode": "dead"}]})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["sequential", "--config", str(cfg),
+                     "--out", str(workspace / "seq")])
+    assert code == 2
+    assert "'plan.stages'[1]" in err.getvalue()
+    assert "'plan.stages'[0]" in err.getvalue()
+    assert not (workspace / "seq" / "pretrain.lrmt").exists()
 
 
 def test_seed_env_fallback(workspace, monkeypatch):

@@ -32,8 +32,7 @@ def _tiny_batch(model, rows=((4, 5, 6), (5, 4))):
     for i, r in enumerate(src):
         mat[i, :len(r)] = r
     lengths = np.array([len(r) for r in src])
-    return Batch(source=mat, source_lengths=lengths, target=mat.copy(),
-                 lang_token=None)
+    return Batch(source=mat, source_lengths=lengths, target=mat.copy())
 
 
 # -- closed-form cell checks ---------------------------------------------------

@@ -119,13 +119,3 @@ def test_make_batches_pads_and_is_seed_deterministic():
     b3 = make_batches(c, sv, tv, batch_size=3, seed=8)
     assert any(not np.array_equal(x.source, y.source) for x, y in zip(b1, b3))
 
-
-def test_make_batches_inserts_language_control_token():
-    c = ParallelCorpus("en-de", [(["a", "b"], ["x"])], "train")
-    sv = build_vocab([c], side="source", extra_tokens=("<2de>",))
-    tv = build_vocab([c], side="target")
-    (batch,) = make_batches(c, sv, tv, batch_size=1, seed=0,
-                            lang_token="<2de>")
-    assert batch.source[0, 0] == SOS
-    assert batch.source[0, 1] == sv.id_of("<2de>")
-    assert sv.token_of(batch.source[0, 2]) == "a"

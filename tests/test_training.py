@@ -52,6 +52,22 @@ def test_fit_stops_early_and_keeps_best(tmp_path):
     assert len(lines) == len(history)
 
 
+@pytest.mark.parametrize("losses, patience, expected", [
+    ([3.0, 2.5, 2.0, 1.5, 1.0], 3, (5, 5)),                      # improves
+    ([3.0, 2.0, 2.0, 2.1, 2.2, 1.0], 3, (5, 2)),                 # plateaus
+    ([3.0, 2.0, 2.5, 2.4, 1.5, 1.6, 1.7, 1.8, 1.0], 3, (8, 5)),  # recovers
+], ids=["improves", "plateaus", "recovers"])
+def test_fit_follows_the_stopping_rule(monkeypatch, losses, patience, expected):
+    scripted = iter(losses)
+    monkeypatch.setattr(training, "evaluate_loss", lambda model, batches: next(scripted))
+    cfg = TrainConfig(arch="gru", seed=1, **TINY | {"max_epochs": len(losses),
+                                                    "patience": patience})
+    ckpt = pretrain_copy(_data()["train"], cfg)
+    assert early_stopping_trace(losses, patience) == expected
+    assert (len(ckpt.provenance["history"]), ckpt.provenance["epoch"]) == expected
+    assert ckpt.provenance["valid_loss"] == losses[expected[1] - 1]
+
+
 def test_fit_raises_named_error_on_nan_validation_loss(monkeypatch):
     monkeypatch.setattr(training, "evaluate_loss", lambda model, batches: float("nan"))
     cfg = TrainConfig(arch="gru", seed=1, **TINY)
@@ -92,6 +108,23 @@ def test_overfits_single_pair_to_near_zero_loss():
         loss = training.train_epoch(model, batches, cfg, opt, rng)
     assert loss < 0.01
     assert model.translate(["a", "b", "c"]) == ["c", "b", "a"]
+
+
+def test_frozen_encoder_stays_off_the_tape():
+    corpus = _data()["train"]
+    cfg = TrainConfig(arch="abgru", seed=0, **TINY)
+    sv = build_vocab([corpus], side="source")
+    tv = build_vocab([corpus], side="target")
+    model = training.build_model(cfg, sv, tv).freeze_encoder()
+    batches = make_batches(corpus, sv, tv, cfg.batch_size, seed=0)
+    training.train_epoch(model, batches, cfg, Adam(model.parameters(), lr=cfg.lr),
+                         np.random.default_rng(0))
+    encoder = {id(p) for p in model.encoder_parameters()}
+    for name, p in model.named_parameters().items():
+        if id(p) in encoder:
+            assert p.grad is None, name
+        else:
+            assert p.grad is not None, name
 
 
 # -- regimes ---------------------------------------------------------------------------
@@ -169,6 +202,23 @@ def test_sequential_plan_runs_all_stages_and_prunes(tmp_path):
     n_expect = int(10.0 / 100 * model.analysis_width)
     assert len(model.pruned_neurons()) == n_expect
     assert results[1]["bleu"] is not None
+
+
+def test_sequential_plan_rejects_pruning_after_stage_without_test(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before rejecting the plan")
+
+    monkeypatch.setattr(training, "fit_with_early_stopping", no_training)
+    cfg = TrainConfig(arch="gru", **TINY)
+    data = _data()
+    corpora = {"en-en": {"train": data["train"], "valid": data["valid"]},
+               "en-de": data}
+    plan = TransferPlan([
+        StageSpec(dataset_id="en-en", label="pretrain"),
+        StageSpec(dataset_id="en-de", prune_mode="dead", label="stage1"),
+    ])
+    with pytest.raises(ValueError, match="'stage1'.*'pretrain'"):
+        run_sequential_plan(plan, corpora, cfg)
 
 
 def test_sequential_plan_rejects_unknown_dataset():
