@@ -19,6 +19,7 @@ from .numerics import (
     default_dtype,
     init_uniform,
     masked_softmax,
+    no_grad,
     set_default_dtype,
     softmax,
 )

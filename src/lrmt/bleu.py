@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import exp, log
 
-from .text import encode
+from .text import encode, length_sorted_chunks
 
 
 @dataclass
@@ -60,19 +60,21 @@ def bleu4(candidates, references, max_n=4):
 
 
 def evaluate_corpus(model, corpus, max_len=50, sample_count=10):
-    """Greedy-decode every source sentence and score against the references."""
-    hypotheses = []
-    references = []
-    samples = []
-    for src, tgt in corpus.pairs:
-        ids = model.greedy_decode(encode(src, model.src_vocab), max_len=max_len)
-        hyp = [model.tgt_vocab.token_of(i) for i in ids]
-        hypotheses.append(hyp)
-        references.append(list(tgt))
-        if len(samples) < sample_count:
-            samples.append((list(src), list(tgt), hyp))
+    """Greedy-decode every source sentence and score against the references.
+
+    Sentences are decoded in length-sorted batches; samples keep corpus order.
+    """
+    sources = [encode(src, model.src_vocab) for src, _ in corpus.pairs]
+    decoded = [None] * len(sources)
+    for chunk in length_sorted_chunks(sources):
+        for i, ids in zip(chunk, model.greedy_decode_batch([sources[i] for i in chunk],
+                                                           max_len=max_len)):
+            decoded[i] = ids
+    hypotheses = [[model.tgt_vocab.token_of(i) for i in ids] for ids in decoded]
+    references = [list(tgt) for _, tgt in corpus.pairs]
     report = bleu4(hypotheses, references)
-    report.samples = samples
+    report.samples = [(list(src), list(tgt), hyp) for (src, tgt), hyp
+                      in zip(corpus.pairs[:sample_count], hypotheses)]
     return report
 
 

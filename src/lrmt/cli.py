@@ -142,6 +142,13 @@ def cmd_prepare_data(args, cfg, out):
     return 0
 
 
+def _fresh_metrics(out):
+    """metrics.jsonl emptied, so it holds this command's rows only."""
+    path = out / "metrics.jsonl"
+    path.write_text("", encoding="utf-8")
+    return path
+
+
 def _finalize(ckpt, out, label, test, config):
     ckpt.save(out / ("%s.lrmt" % label))
     if test is not None and test.pairs:
@@ -163,7 +170,7 @@ def cmd_train(args, cfg, out):
     model = training.build_model(config, src_vocab, tgt_vocab)
     ckpt = training.fit_with_early_stopping(
         model, train, valid, config,
-        metrics_path=out / "metrics.jsonl", stage_label="train")
+        metrics_path=_fresh_metrics(out), stage_label="train")
     _finalize(ckpt, out, "model", splits.get("test"), config)
     return 0
 
@@ -182,7 +189,7 @@ def cmd_transfer(args, cfg, out):
     config = resolve_train_config(cfg, args)
     pretrained, _ = _load_ckpt(args, cfg)
     ckpt = training.transfer_1hop(pretrained, corpora[dataset], config,
-                                  metrics_path=out / "metrics.jsonl")
+                                  metrics_path=_fresh_metrics(out))
     _finalize(ckpt, out, "transfer", corpora[dataset].get("test"), config)
     return 0
 
@@ -201,7 +208,7 @@ def cmd_multitask(args, cfg, out):
     pretrained, _ = _load_ckpt(args, cfg)
     task_corpora = {lang: corpora[ds] for lang, ds in mapping.items()}
     ckpt = training.train_multitask_joint(pretrained, task_corpora, config,
-                                          metrics_path=out / "metrics.jsonl")
+                                          metrics_path=_fresh_metrics(out))
     ckpt.save(out / "multitask.lrmt")
     return 0
 
@@ -219,6 +226,11 @@ def cmd_sequential(args, cfg, out):
         if entry["dataset"] not in corpora:
             raise ConfigError("'plan.stages'[%d] names unknown dataset %r"
                               % (i, entry["dataset"]))
+        label = str(entry.get("label", ""))
+        if training.unsafe_label(label):
+            raise ConfigError("'plan.stages'[%d] label %r holds a path separator "
+                              "or is '.' or '..'; it names the stage's files"
+                              % (i, label))
         if (i and entry.get("prune_mode", "none") != "none"
                 and not corpora[stages_cfg[i - 1]["dataset"]].get("test")):
             raise ConfigError("'plan.stages'[%d] prunes, but 'plan.stages'[%d] "
@@ -228,10 +240,10 @@ def cmd_sequential(args, cfg, out):
                                 freeze_encoder=entry.get("freeze_encoder", True),
                                 prune_mode=entry.get("prune_mode", "none"),
                                 prune_percent=entry.get("prune_percent", 0.0),
-                                label=entry.get("label", "")))
+                                label=label))
     results = training.run_sequential_plan(
         TransferPlan(stages), corpora, config,
-        out_dir=out, metrics_path=out / "metrics.jsonl")
+        out_dir=out, metrics_path=_fresh_metrics(out))
     rows = [(r["stage"], r["label"], r["bleu"]) for r in results
             if r["bleu"] is not None]
     if rows:

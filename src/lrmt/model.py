@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Parameter, Tensor
-from .text import SOS, EOS
+from .text import SOS, EOS, pad_rows
 
 ARCHITECTURES = ("lstm", "gru", "abgru")
 
@@ -357,24 +357,33 @@ class Seq2SeqModel:
             inputs = targets[:, t + 1] if use_gold else logits.data.argmax(axis=1)
         return nm.stack(step_logits, axis=1)
 
-    def greedy_decode(self, source_ids, max_len=50):
-        """Greedy decode of one encoded source sequence (list of ids with sos/eos).
+    def greedy_decode_batch(self, sources, max_len=50):
+        """Greedy decode of a list of encoded source sequences (ids with sos/eos).
 
-        Returns output ids excluding sos/eos.
+        The sources are padded into one [B, T] matrix and encoded once; the
+        decoder then steps every row until each has emitted eos or max_len
+        steps have run.  Records no tape.  Returns each row's output ids,
+        excluding sos/eos, in input order.
         """
-        source = np.asarray(source_ids, dtype=np.int64).reshape(1, -1)
-        enc = self.encode(source)
-        s, c = enc.z, enc.cell
-        out = []
-        prev = np.array([SOS])
-        for _ in range(max_len):
-            s, logits, c = self.decode_step(prev, s, enc, cell_prev=c)
-            nxt = int(logits.data.argmax(axis=1)[0])
-            if nxt == EOS:
-                break
-            out.append(nxt)
-            prev = np.array([nxt])
-        return out
+        with nm.no_grad():
+            enc = self.encode(pad_rows(sources))
+            s, c = enc.z, enc.cell
+            # column max_len stays eos, so every row has an eos to cut at
+            grid = np.full((len(sources), max_len + 1), EOS, dtype=np.int64)
+            prev = np.full(len(sources), SOS, dtype=np.int64)
+            done = np.zeros(len(sources), dtype=bool)
+            for t in range(max_len):
+                s, logits, c = self.decode_step(prev, s, enc, cell_prev=c)
+                prev = logits.data.argmax(axis=1)
+                grid[:, t] = prev
+                done |= prev == EOS
+                if done.all():
+                    break
+        return [row[:row.index(EOS)] for row in grid.tolist()]
+
+    def greedy_decode(self, source_ids, max_len=50):
+        """Greedy decode of one encoded source sequence: a batch of one."""
+        return self.greedy_decode_batch([source_ids], max_len=max_len)[0]
 
     def translate(self, tokens, max_len=50):
         """Tokens in, tokens out, through the current vocabularies."""

@@ -11,11 +11,17 @@ Both take the projected input ``xp = x @ W_i + b`` and the recurrent weight
 ``gru_sequence``/``lstm_sequence`` run a whole padded batch in one tape node,
 keep the previous state at pad positions, and do backprop through time in
 plain numpy.  Step and sequence ops share one pair of step kernels per cell.
+
+Inside ``with no_grad():`` ops record nothing: their outputs have no parents
+and no backward closure, whatever the inputs' ``requires_grad``.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
+_RECORDING = True
 
 
 def set_default_dtype(dtype):
@@ -29,6 +35,22 @@ def set_default_dtype(dtype):
 
 def default_dtype():
     return _DEFAULT_DTYPE
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block; the previous state returns on exit.
+
+    Parameters keep their ``requires_grad`` (and so ``frozen``); only the
+    recording of parents and backward closures stops.
+    """
+    global _RECORDING
+    previous = _RECORDING
+    _RECORDING = False
+    try:
+        yield
+    finally:
+        _RECORDING = previous
 
 
 class Tensor:
@@ -168,7 +190,7 @@ def _unbroadcast(grad, shape):
 
 def _make(data, parents, backward):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _RECORDING and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -219,10 +241,9 @@ def matmul(a, b):
 def concat(tensors, axis=-1):
     tensors = [_to_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         pieces = np.split(g, splits, axis=axis)
         for t, piece in zip(tensors, pieces):
             if t.requires_grad:

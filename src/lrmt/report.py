@@ -60,7 +60,7 @@ def render_knowledge_plot(bundle, path=None):
         top = margin + idx * (panel_h + margin)
         mid = top + panel_h / 2
         parts.append('<text x="%d" y="%s" font-size="12" font-family="monospace">%s</text>'
-                     % (margin, _fmt(top - 6), stage.label))
+                     % (margin, _fmt(top - 6), _escape(stage.label)))
         parts.append('<line x1="%d" y1="%s" x2="%d" y2="%s" stroke="#888"/>'
                      % (margin, _fmt(mid), margin + panel_w, _fmt(mid)))
         signed = stage.mass.signed_mass

@@ -207,12 +207,24 @@ def encode(tokens, vocab):
     return [SOS] + [vocab.id_of(t) for t in tokens] + [EOS]
 
 
-def _pad_rows(rows):
+def pad_rows(rows):
+    """Id lists as one [B, T] int64 matrix, right-padded with PAD."""
     width = max(len(r) for r in rows)
     out = np.zeros((len(rows), width), dtype=np.int64)
     for i, r in enumerate(rows):
         out[i, :len(r)] = r
     return out
+
+
+# Rows per inference batch: bounds the [rows, V] logits of one decoder step
+INFER_BATCH = 64
+
+
+def length_sorted_chunks(rows):
+    """Index lists of at most INFER_BATCH rows, shortest rows first, so a
+    padded inference batch holds rows of similar length."""
+    order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    return [order[k:k + INFER_BATCH] for k in range(0, len(order), INFER_BATCH)]
 
 
 def make_batches(corpus, src_vocab, tgt_vocab, batch_size, seed):
@@ -227,8 +239,8 @@ def make_batches(corpus, src_vocab, tgt_vocab, batch_size, seed):
             src, tgt = corpus.pairs[i]
             src_rows.append(encode(src, src_vocab))
             tgt_rows.append(encode(tgt, tgt_vocab))
-        src_mat = _pad_rows(src_rows)
+        src_mat = pad_rows(src_rows)
         lengths = np.array([len(r) for r in src_rows], dtype=np.int64)
         batches.append(Batch(source=src_mat, source_lengths=lengths,
-                             target=_pad_rows(tgt_rows)))
+                             target=pad_rows(tgt_rows)))
     return batches

@@ -89,6 +89,11 @@ class StageSpec:
     label: str = ""
 
 
+def unsafe_label(label):
+    """A stage label names files, so a path separator, "." or ".." is unsafe."""
+    return label in (".", "..") or "/" in label or "\\" in label
+
+
 @dataclass
 class TransferPlan:
     """Ordered training stages; stage 0 is the copy-pretraining stage."""
@@ -263,12 +268,13 @@ def train_epoch(model, batches, config, optimizer, rng):
 
 
 def evaluate_loss(model, batches):
-    """Validation loss: dropout off, full teacher forcing."""
+    """Validation loss: dropout off, full teacher forcing, no tape."""
     losses = []
-    for batch in batches:
-        logits = model.forward_teacher_forced(batch, tf_ratio=1.0, rng=None,
-                                              training=False)
-        losses.append(cross_entropy_masked(logits, batch.target[:, 1:]).item())
+    with nm.no_grad():
+        for batch in batches:
+            logits = model.forward_teacher_forced(batch, tf_ratio=1.0, rng=None,
+                                                  training=False)
+            losses.append(cross_entropy_masked(logits, batch.target[:, 1:]).item())
     return float(np.mean(losses)) if losses else 0.0
 
 
@@ -459,6 +465,8 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None,
     for i, stage in enumerate(plan.stages):
         if stage.dataset_id not in corpora:
             raise KeyError("plan references unknown corpus %r" % stage.dataset_id)
+        if unsafe_label(labels[i]):
+            raise ValueError("stage label %r cannot name a file" % labels[i])
         if (i and stage.prune_mode != "none"
                 and not corpora[plan.stages[i - 1].dataset_id].get("test")):
             raise ValueError("stage %r prunes by the test split of stage %r, "

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import no_grad
 from .postag import pos_tag
-from .text import encode
+from .text import encode, length_sorted_chunks, pad_rows
 
 
 @dataclass
@@ -67,12 +68,19 @@ class PosTokenDistribution:
 
 
 def capture_activations(model, corpus, provenance=None):
-    """Record the encoder's per-token state for every real token (eval mode)."""
+    """Record the encoder's per-token state for every real token (eval mode).
+
+    Sentences are encoded without a tape in padded, length-sorted batches.
+    """
+    sources = [encode(src, model.src_vocab) for src, _ in corpus.pairs]
+    matrices = [None] * len(sources)
+    with no_grad():
+        for chunk in length_sorted_chunks(sources):
+            enc = model.encode(pad_rows([sources[i] for i in chunk]))
+            for row, i in enumerate(chunk):
+                matrices[i] = enc.activations(row).astype(np.float64)
     sentences = []
-    for src, _tgt in corpus.pairs:
-        ids = encode(src, model.src_vocab)
-        enc = model.encode(np.asarray(ids, dtype=np.int64).reshape(1, -1))
-        mat = enc.activations(0).astype(np.float64)
+    for (src, _tgt), mat in zip(corpus.pairs, matrices):
         tokens = ["<sos>"] + list(src) + ["<eos>"]
         tags = ["X"] + pos_tag(src) + ["X"]
         sentences.append(SentenceActivations(tokens=tokens, tags=tags, matrix=mat))

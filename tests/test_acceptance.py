@@ -28,6 +28,7 @@ from lrmt.xray import (ActivationDataset, SentenceActivations,
                        knowledge_abstraction, mass_matrices, select_prune_set)
 
 from gradcheck import relative_gradient_error
+from reference_decode import reference_greedy_decode
 
 
 def _report(number, name, passed, detail=""):
@@ -136,6 +137,20 @@ COPY_CFG = dict(arch="abgru", embed_size=32, hidden_size=64, max_epochs=16,
                 tf_ratio=1.0, max_len=20)
 
 
+def _scored_against_reference(model, corpus, max_len):
+    """Corpus BLEU, after checking that every batched hypothesis equals the
+    per-sentence taped decoder's output for that sentence."""
+    rep = bleu.evaluate_corpus(model, corpus, max_len=max_len,
+                               sample_count=len(corpus.pairs))
+    assert len(rep.samples) == len(corpus.pairs)
+    for src, _ref, hyp in rep.samples:
+        ids = reference_greedy_decode(model, encode(src, model.src_vocab), max_len)
+        want = [model.tgt_vocab.token_of(i) for i in ids]
+        assert hyp == want, ("batched decode of %r gave %r, per-sentence decode %r"
+                             % (src, hyp, want))
+    return rep.score
+
+
 def _copy_run(seed):
     cfg = TrainConfig(seed=seed, **COPY_CFG)
     data = synthetic.splits(synthetic.copy_task, train=2000, valid=200,
@@ -143,7 +158,7 @@ def _copy_run(seed):
                             seed=seed)
     ckpt = pretrain_copy(data["train"], cfg)
     test = training.copy_corpus([s for s, _ in data["test"].pairs], split="test")
-    return bleu.evaluate_corpus(ckpt.to_model(), test, max_len=12).score
+    return _scored_against_reference(ckpt.to_model(), test, max_len=12)
 
 
 def test_criterion_3_copy_task_bleu():
@@ -175,7 +190,7 @@ def _sub_run(arch, seed, epochs=14):
     model = training.build_model(cfg, sv, tv)
     ckpt = training.fit_with_early_stopping(model, data["train"], data["valid"],
                                             cfg, stage_label=arch)
-    return bleu.evaluate_corpus(ckpt.to_model(), data["test"], max_len=10).score
+    return _scored_against_reference(ckpt.to_model(), data["test"], max_len=10)
 
 
 def test_criterion_4_architecture_ordering():
@@ -286,7 +301,10 @@ def _stage_bleu(seed, prune_mode, percent):
                   prune_percent=percent),
     ])
     results = run_sequential_plan(plan, corpora, cfg)
-    return results[-1]["bleu"].score
+    score = _scored_against_reference(results[-1]["checkpoint"].to_model(),
+                                      corpora["en-de"]["test"], max_len=cfg.max_len)
+    assert score == results[-1]["bleu"].score
+    return score
 
 
 def test_criterion_8_pruning_degradation_trend():

@@ -238,3 +238,29 @@ def test_report_command_rebuilds_from_analysis_json(workspace):
     rep = workspace / "rep"
     assert main(["report", "--config", str(rcfg), "--out", str(rep)]) == 0
     assert (rep / "knowledge.svg").exists()
+
+
+@pytest.mark.parametrize("label", ["de/fr", "de\\fr", "..", "."])
+def test_sequential_unsafe_stage_label_exits_2_before_training(workspace, label):
+    cfg = _config(workspace, **{
+        "plan.stages": [{"dataset": "en-en", "label": "pretrain"},
+                        {"dataset": "en-de", "label": label}]})
+    out = workspace / "seq"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["sequential", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "'plan.stages'[1]" in err.getvalue()
+    assert not list(workspace.rglob("*.lrmt"))
+
+
+def test_second_train_into_same_out_starts_metrics_afresh(workspace):
+    cfg = _config(workspace, **{"data.dataset": "en-en"})
+    out = workspace / "out"
+    runs = []
+    for _ in range(2):
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+        runs.append([json.loads(line) for line in lines])
+    assert runs[0] and len(runs[1]) == len(runs[0])
+    assert [row["epoch"] for row in runs[1]] == list(range(1, len(runs[1]) + 1))

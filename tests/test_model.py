@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from lrmt import numerics as nm
+from lrmt import synthetic
 from lrmt.model import RecurrentCell, Seq2SeqModel
 from lrmt.numerics import Tensor, cross_entropy_masked
 from lrmt.text import EOS, SOS, Batch, ParallelCorpus, build_vocab, encode
+from lrmt.training import TrainConfig, pretrain_copy
 
 from gradcheck import relative_gradient_error
+from reference_decode import reference_greedy_decode
 
 
 def _tiny_vocab(words):
@@ -227,3 +230,38 @@ def test_unknown_architecture_rejected():
     v = _tiny_vocab(["a"])
     with pytest.raises(ValueError):
         Seq2SeqModel("transformer", v, v)
+
+
+# -- batched greedy decoding ------------------------------------------------------
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_batched_decode_equals_each_sentence_alone(float64_mode, arch):
+    # a briefly trained copy model, so rows emit eos at different steps
+    data = synthetic.splits(synthetic.copy_task, train=60, valid=6, test=12,
+                            vocab_size=8, min_len=1, max_len=6, seed=5)
+    cfg = TrainConfig(arch=arch, embed_size=8, hidden_size=8, dropout=0.0,
+                      batch_size=10, lr=0.03, tf_ratio=1.0, max_epochs=12,
+                      patience=12, seed=5)
+    model = pretrain_copy(data["train"], cfg).to_model()
+    sources = [encode(src, model.src_vocab) for src, _ in data["test"].pairs]
+    batched = model.greedy_decode_batch(sources, max_len=9)
+    assert batched == [model.greedy_decode(ids, max_len=9) for ids in sources]
+    assert batched == [reference_greedy_decode(model, ids, max_len=9)
+                       for ids in sources]
+    assert len({len(out) for out in batched}) > 2
+
+
+def test_greedy_decode_records_no_tape(float64_mode):
+    model = _tiny_model("abgru", seed=14)
+    steps = []
+    original = model.decode_step
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        steps.append(result[1])
+        return result
+
+    model.decode_step = spy
+    model.greedy_decode(encode(["a", "b"], model.src_vocab), max_len=4)
+    assert steps and not any(logits.requires_grad for logits in steps)
+    assert all(p.requires_grad for p in model.parameters())

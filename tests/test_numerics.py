@@ -295,3 +295,32 @@ def test_backward_requires_scalar():
 def test_set_default_dtype_validates():
     with pytest.raises(ValueError):
         nm.set_default_dtype(np.int32)
+
+
+# -- no_grad -------------------------------------------------------------------
+
+def test_no_grad_records_no_parents():
+    p = Parameter(np.ones((2, 3)), name="p")
+    x = Tensor(np.full((3, 2), 0.5))
+    with nm.no_grad():
+        out = nm.tanh(nm.matmul(p, x) + 1.0)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    assert p.requires_grad and not p.frozen
+    taped = nm.tanh(nm.matmul(p, x) + 1.0)
+    assert taped.requires_grad and taped._parents
+    assert np.array_equal(out.data, taped.data)
+
+
+def test_no_grad_restores_state_after_exception_and_nests():
+    p = Parameter(np.ones(2), name="p")
+    q = Parameter(np.ones(2), name="q")
+    q.frozen = True
+    with pytest.raises(RuntimeError):
+        with nm.no_grad():
+            with nm.no_grad():
+                pass
+            assert not (p * 2.0).requires_grad
+            raise RuntimeError("boom")
+    assert (p * 2.0).requires_grad
+    assert not p.frozen and q.frozen

@@ -97,3 +97,12 @@ def test_export_is_byte_deterministic(tmp_path):
     for name in ("analysis.json", "bleu.csv", "knowledge.svg", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() \
             == (tmp_path / "two" / name).read_bytes()
+
+
+def test_knowledge_plot_escapes_stage_labels():
+    import xml.etree.ElementTree as ET
+
+    b = AnalysisBundle([StageAnalysis(label="de<fr & en", mass=_mass())])
+    root = ET.fromstring(render_knowledge_plot(b))
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["de<fr & en"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lrmt import synthetic, training
-from lrmt.numerics import Adam
+from lrmt.numerics import Adam, cross_entropy_masked
 from lrmt.text import ParallelCorpus, build_vocab, make_batches
 from lrmt.training import (Checkpoint, CheckpointChecksumError,
                            CheckpointFormatError, CheckpointVersionError,
@@ -317,3 +317,34 @@ def test_checkpoint_preserves_pruned_and_frozen_state(tmp_path):
     back = load_checkpoint(path).to_model()
     assert sorted(back.pruned_neurons().tolist()) == [0, 3]
     assert all(p.frozen for p in back.encoder_parameters())
+
+
+def test_evaluate_loss_matches_the_taped_forward_bit_for_bit():
+    corpus = _data()["valid"]
+    cfg = TrainConfig(arch="abgru", seed=2, **TINY)
+    sv = build_vocab([corpus], side="source")
+    tv = build_vocab([corpus], side="target")
+    model = training.build_model(cfg, sv, tv)
+    batches = make_batches(corpus, sv, tv, 3, seed=0)
+    taped = []
+    for batch in batches:
+        logits = model.forward_teacher_forced(batch, tf_ratio=1.0, rng=None,
+                                              training=False)
+        loss = cross_entropy_masked(logits, batch.target[:, 1:])
+        assert loss.requires_grad
+        taped.append(loss.item())
+    assert training.evaluate_loss(model, batches) == float(np.mean(taped))
+
+
+@pytest.mark.parametrize("label", ["de/fr", "de\\fr", ".", ".."])
+def test_sequential_plan_rejects_unsafe_label_before_training(monkeypatch, label):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before rejecting the plan")
+
+    monkeypatch.setattr(training, "fit_with_early_stopping", no_training)
+    cfg = TrainConfig(arch="gru", **TINY)
+    data = _data()
+    plan = TransferPlan([StageSpec(dataset_id="en-en", label="pretrain"),
+                         StageSpec(dataset_id="en-de", label=label)])
+    with pytest.raises(ValueError, match="cannot name a file"):
+        run_sequential_plan(plan, {"en-en": data, "en-de": data}, cfg)

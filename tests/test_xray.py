@@ -4,7 +4,9 @@ and the POS/token distribution rules."""
 import numpy as np
 import pytest
 
-from lrmt import xray
+from lrmt import synthetic, xray
+from lrmt.model import Seq2SeqModel
+from lrmt.text import INFER_BATCH, build_vocab, encode
 from lrmt.xray import (ActivationDataset, SentenceActivations, change_in_mass,
                        dead_neurons, knowledge_abstraction, mass_matrices,
                        pos_token_distribution, select_prune_set)
@@ -217,3 +219,27 @@ def test_analysis_export_schema():
     assert doc["knowledge"]["overall"] == (doc["knowledge"]["positive"]
                                            + doc["knowledge"]["negative"])
     assert doc["top_changed"] == [{"neuron": 2, "delta": -1.5}]
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_batched_capture_equals_per_sentence_capture(float64_mode, arch):
+    data = synthetic.splits(synthetic.copy_task, train=8, valid=2,
+                            test=INFER_BATCH + 6, vocab_size=10, min_len=1,
+                            max_len=7, seed=2)
+    corpus = data["test"]
+    vocab = build_vocab([corpus], side="source")
+    model = Seq2SeqModel(arch, vocab, vocab, embed_size=6, hidden_size=5,
+                         dropout=0.0, seed=3)
+    acts = xray.capture_activations(model, corpus)
+    per_sentence = []
+    for (src, _), sent in zip(corpus.pairs, acts.sentences):
+        ids = np.asarray(encode(src, vocab), dtype=np.int64).reshape(1, -1)
+        want = model.encode(ids).activations(0)
+        assert sent.tokens == ["<sos>"] + list(src) + ["<eos>"]
+        assert sent.matrix.shape == want.shape
+        assert np.max(np.abs(sent.matrix - want)) <= 1e-12
+        per_sentence.append(SentenceActivations(tokens=sent.tokens, tags=sent.tags,
+                                                matrix=want.astype(np.float64)))
+    alone = ActivationDataset(width=acts.width, sentences=per_sentence)
+    assert np.array_equal(mass_matrices(acts).hit_count,
+                          mass_matrices(alone).hit_count)
