@@ -21,7 +21,6 @@ from .numerics import (
     masked_softmax,
     no_grad,
     set_default_dtype,
-    softmax,
 )
 from .text import (
     Batch,

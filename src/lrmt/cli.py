@@ -149,10 +149,11 @@ def _fresh_metrics(out):
     return path
 
 
-def _finalize(ckpt, out, label, test, config):
+def _finalize(ckpt, out, label, test):
     ckpt.save(out / ("%s.lrmt" % label))
     if test is not None and test.pairs:
-        rep = bleu.evaluate_corpus(ckpt.to_model(), test, max_len=config.max_len)
+        rep = bleu.evaluate_corpus(ckpt.to_model(), test,
+                                   max_len=ckpt.train_config().max_len)
         bleu.write_bleu_csv(out / "bleu.csv", [(0, label, rep)])
         bleu.dump_translations_tsv(rep, out / "translations.tsv")
 
@@ -171,7 +172,7 @@ def cmd_train(args, cfg, out):
     ckpt = training.fit_with_early_stopping(
         model, train, valid, config,
         metrics_path=_fresh_metrics(out), stage_label="train")
-    _finalize(ckpt, out, "model", splits.get("test"), config)
+    _finalize(ckpt, out, "model", splits.get("test"))
     return 0
 
 
@@ -190,7 +191,7 @@ def cmd_transfer(args, cfg, out):
     pretrained, _ = _load_ckpt(args, cfg)
     ckpt = training.transfer_1hop(pretrained, corpora[dataset], config,
                                   metrics_path=_fresh_metrics(out))
-    _finalize(ckpt, out, "transfer", corpora[dataset].get("test"), config)
+    _finalize(ckpt, out, "transfer", corpora[dataset].get("test"))
     return 0
 
 
@@ -256,7 +257,7 @@ def cmd_sequential(args, cfg, out):
     return 0
 
 
-def _analysis_corpus(args, cfg, model):
+def _analysis_corpus(args, cfg):
     test_path = getattr(args, "test", None) or cfg.get("data.test")
     if test_path is not None:
         if not Path(test_path).exists():
@@ -278,7 +279,7 @@ def cmd_prune(args, cfg, out):
     if mode not in ("dead", "most_n", "least_n"):
         raise ConfigError("bad value for 'analysis.mode': %r" % mode)
     model = ckpt.to_model()
-    corpus = _analysis_corpus(args, cfg, model)
+    corpus = _analysis_corpus(args, cfg)
     acts = xray.capture_activations(model, corpus)
     mass = xray.mass_matrices(acts)
     try:
@@ -300,9 +301,8 @@ def cmd_prune(args, cfg, out):
 def cmd_evaluate(args, cfg, out):
     ckpt, _ = _load_ckpt(args, cfg)
     model = ckpt.to_model()
-    corpus = _analysis_corpus(args, cfg, model)
-    max_len = cfg.get("data.max_len", 50)
-    rep = bleu.evaluate_corpus(model, corpus, max_len=max_len)
+    corpus = _analysis_corpus(args, cfg)
+    rep = bleu.evaluate_corpus(model, corpus, max_len=ckpt.train_config().max_len)
     label = ckpt.provenance.get("stage_label", "eval")
     bleu.write_bleu_csv(out / "bleu.csv", [(0, label, rep)])
     bleu.dump_translations_tsv(rep, out / "translations.tsv")
@@ -312,7 +312,7 @@ def cmd_evaluate(args, cfg, out):
 def cmd_xray(args, cfg, out):
     ckpt, ckpt_path = _load_ckpt(args, cfg)
     model = ckpt.to_model()
-    corpus = _analysis_corpus(args, cfg, model)
+    corpus = _analysis_corpus(args, cfg)
     acts = xray.capture_activations(model, corpus,
                                     provenance={"checkpoint": ckpt_path.name})
     xray.dump_activations(acts, out / "activations.bin")
@@ -399,8 +399,8 @@ def main(argv=None):
                 inputs += _manifest_inputs(cfg["data.manifest"])
             except (OSError, json.JSONDecodeError, KeyError) as exc:
                 raise ConfigError("bad manifest %r: %s" % (cfg["data.manifest"], exc))
-        for key in ("ckpt", "test"):
-            val = getattr(args, key, None) or cfg.get(key)
+        for key, cfg_key in (("ckpt", "ckpt"), ("test", "data.test")):
+            val = getattr(args, key, None) or cfg.get(cfg_key)
             if val and Path(val).exists():
                 inputs.append(val)
         missing = [p for p in inputs if not Path(p).exists()]

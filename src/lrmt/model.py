@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Parameter, Tensor
-from .text import SOS, EOS, pad_rows
+from .text import PAD, SOS, EOS, pad_rows
 
 ARCHITECTURES = ("lstm", "gru", "abgru")
 
@@ -248,23 +248,19 @@ class Seq2SeqModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def encode(self, source, lengths=None, rng=None, training=False):
-        """Run the encoder over a padded id matrix [B, T].
+    def encode(self, source, rng=None):
+        """Run the encoder over a right-padded id matrix [B, T].
 
         Returns an EncodeResult with per-token states, the initial decoder
-        state z, and the pad mask.
+        state z, and the pad mask (source != PAD).  Dropout draws from `rng`
+        when one is given.
         """
         source = np.asarray(source)
         if source.ndim != 2 or source.shape[0] == 0:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
-        T = source.shape[1]
-        if lengths is None:
-            lengths = (source != 0).sum(axis=1)
-        mask = (np.arange(T)[None, :] < np.asarray(lengths)[:, None]).astype(self.dtype)
+        mask = (source != PAD).astype(self.dtype)
 
-        emb = nm.embedding(self.src_emb, source)          # [B, T, E]
-        if training and rng is not None:
-            emb = nm.dropout(emb, self.dropout, rng, training=True)
+        emb = nm.dropout(nm.embedding(self.src_emb, source), self.dropout, rng)
 
         if self.arch == "abgru":
             fwd, h_fwd_final, _ = self.enc_fwd.sequence(emb, mask)
@@ -302,15 +298,14 @@ class Seq2SeqModel:
         scores = nm.reshape(self.attn_score(flat), (B, T))
         return nm.masked_softmax(scores, mask)            # [B, T]
 
-    def decode_step(self, y_prev_ids, s_prev, enc, cell_prev=None, rng=None, training=False):
-        """One decoder step.  Returns (s_t, logits [B, V], new cell state)."""
+    def decode_step(self, y_prev_ids, s_prev, enc, cell_prev=None, rng=None):
+        """One decoder step.  Returns (s_t, logits [B, V], new cell state);
+        dropout draws from `rng` when one is given."""
         y_prev_ids = np.asarray(y_prev_ids).reshape(-1)
         B = y_prev_ids.shape[0]
         if s_prev.shape != (B, self.hidden_size):
             raise ValueError("decoder state width mismatch")
-        emb = nm.embedding(self.tgt_emb, y_prev_ids)      # [B, E]
-        if training and rng is not None:
-            emb = nm.dropout(emb, self.dropout, rng, training=True)
+        emb = nm.dropout(nm.embedding(self.tgt_emb, y_prev_ids), self.dropout, rng)
 
         if self.arch == "lstm":
             s_t, c_t = self.dec_cell.step(emb, s_prev, cell_prev)
@@ -329,20 +324,20 @@ class Seq2SeqModel:
             c_t = None
             feats = nm.concat([emb, w_t, s_t], axis=-1)
 
-        if training and rng is not None:
-            feats = nm.dropout(feats, self.dropout, rng, training=True)
-        logits = self.out(feats)
+        logits = self.out(nm.dropout(feats, self.dropout, rng))
         return s_t, logits, c_t
 
-    def forward_teacher_forced(self, batch, tf_ratio=1.0, rng=None, training=True):
+    def forward_teacher_forced(self, batch, tf_ratio=1.0, rng=None):
         """Teacher-forced decode of a batch.  Returns logits Tensor [B, Tt-1, V].
 
-        Per step the gold previous token is fed with probability tf_ratio,
-        otherwise the model's own argmax; draws come from `rng`.
+        With an `rng` (training) dropout is applied and per step the gold
+        previous token is fed with probability tf_ratio, otherwise the
+        model's own argmax.  Without one (evaluation) there is no dropout
+        and the gold token is always fed.
         """
         if not 0.0 <= tf_ratio <= 1.0:
             raise ValueError("tf_ratio must be in [0, 1]")
-        enc = self.encode(batch.source, batch.source_lengths, rng=rng, training=training)
+        enc = self.encode(batch.source, rng=rng)
         targets = batch.target
         B, Tt = targets.shape
         s = enc.z
@@ -350,8 +345,7 @@ class Seq2SeqModel:
         inputs = targets[:, 0]                            # always sos
         step_logits = []
         for t in range(Tt - 1):
-            s, logits, c = self.decode_step(inputs, s, enc, cell_prev=c,
-                                            rng=rng, training=training)
+            s, logits, c = self.decode_step(inputs, s, enc, cell_prev=c, rng=rng)
             step_logits.append(logits)
             use_gold = True if rng is None else bool(rng.random() < tf_ratio)
             inputs = targets[:, t + 1] if use_gold else logits.data.argmax(axis=1)

@@ -119,12 +119,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -351,10 +345,10 @@ def embedding(table, ids):
     return _make(data, (table,), backward)
 
 
-def dropout(a, rate, rng, training=True):
-    """Inverted dropout with a mask drawn from `rng`."""
+def dropout(a, rate, rng):
+    """Inverted dropout with a mask drawn from `rng`; identity when rng is None."""
     a = _to_tensor(a)
-    if not training or rate <= 0.0:
+    if rng is None or rate <= 0.0:
         return a
     keep = 1.0 - rate
     mask = (rng.random(a.data.shape) < keep).astype(a.data.dtype) / keep
@@ -518,18 +512,6 @@ def lstm_sequence(xp, h0, c0, W_h, mask, reverse=False):
 
 
 # -- softmax / loss ----------------------------------------------------------
-
-def softmax(v):
-    """Stabilized softmax over the last axis.  Plain function on ndarrays."""
-    v = np.asarray(v, dtype=np.float64 if np.asarray(v).dtype == np.float64 else _DEFAULT_DTYPE)
-    if v.size == 0:
-        raise ValueError("softmax of empty input")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("softmax input must be finite")
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
 
 def masked_softmax(a, mask):
     """Softmax over the last axis with positions where mask==0 forced to 0.

@@ -125,10 +125,9 @@ class ParallelCorpus:
 
 @dataclass
 class Batch:
-    """Padded id matrices with source lengths; pad id is 0."""
+    """Right-padded id matrices; pad id is 0 and no row holds it before its end."""
 
     source: np.ndarray       # [B, Ts] int64
-    source_lengths: np.ndarray
     target: np.ndarray       # [B, Tt] int64
 
 
@@ -203,8 +202,11 @@ def build_vocab(corpora, side="source", min_freq=1, extra_tokens=()):
 
 
 def encode(tokens, vocab):
-    """[sos] + mapped ids (unk for OOV) + [eos]."""
-    return [SOS] + [vocab.id_of(t) for t in tokens] + [EOS]
+    """[sos] + mapped ids (unk for OOV) + [eos].
+
+    Never PAD (a literal pad token maps to unk, PAD being 0), so the pad
+    mask of a right-padded batch is simply `ids != PAD`."""
+    return [SOS] + [vocab.id_of(t) or UNK for t in tokens] + [EOS]
 
 
 def pad_rows(rows):
@@ -239,8 +241,5 @@ def make_batches(corpus, src_vocab, tgt_vocab, batch_size, seed):
             src, tgt = corpus.pairs[i]
             src_rows.append(encode(src, src_vocab))
             tgt_rows.append(encode(tgt, tgt_vocab))
-        src_mat = pad_rows(src_rows)
-        lengths = np.array([len(r) for r in src_rows], dtype=np.int64)
-        batches.append(Batch(source=src_mat, source_lengths=lengths,
-                             target=pad_rows(tgt_rows)))
+        batches.append(Batch(source=pad_rows(src_rows), target=pad_rows(tgt_rows)))
     return batches

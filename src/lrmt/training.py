@@ -2,6 +2,7 @@
 multi-task, sequential transfer plans; early stopping and checkpointing."""
 
 import json
+import os
 import struct
 import time
 import zlib
@@ -159,12 +160,6 @@ class Checkpoint:
         cfg["betas"] = tuple(cfg.get("betas", (0.9, 0.999)))
         return TrainConfig(**cfg)
 
-    def rng(self):
-        rng = np.random.default_rng(0)
-        if self.rng_state:
-            rng.bit_generator.state = self.rng_state
-        return rng
-
     # -- binary round trip ---------------------------------------------------
 
     def save(self, path):
@@ -188,7 +183,15 @@ class Checkpoint:
             arr = self.tensors[n]
             blob += arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
         blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-        Path(path).write_bytes(bytes(blob))
+        # a sibling file renamed into place: readers see the old file or the
+        # whole new one, never a partial write
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_bytes(bytes(blob))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path):
@@ -208,21 +211,28 @@ class Checkpoint:
             raise CheckpointFormatError("corrupt header: %s" % exc)
         offset = 16 + hlen
         tensors, frozen, pruned = {}, {}, {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            dtype = np.dtype(entry["dtype"])
-            nbytes = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
-            chunk = raw[offset:offset + nbytes]
-            if len(chunk) != nbytes:
-                raise CheckpointFormatError("truncated payload in %s" % path)
-            tensors[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-            frozen[entry["name"]] = entry["frozen"]
-            pruned[entry["name"]] = entry["pruned"]
-            offset += nbytes
-        return cls(version=version, config=header["config"], arch=header["arch"],
-                   src_vocab=header["src_vocab"], tgt_vocab=header["tgt_vocab"],
-                   tensors=tensors, frozen=frozen, pruned=pruned,
-                   rng_state=header["rng_state"], provenance=header["provenance"])
+        try:
+            for entry in header["tensors"]:
+                shape = tuple(entry["shape"])
+                dtype = np.dtype(entry["dtype"])
+                nbytes = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
+                chunk = raw[offset:offset + nbytes]
+                if len(chunk) != nbytes:
+                    raise CheckpointFormatError("truncated payload in %s" % path)
+                tensors[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+                frozen[entry["name"]] = entry["frozen"]
+                pruned[entry["name"]] = entry["pruned"]
+                offset += nbytes
+            ckpt = cls(version=version, config=header["config"], arch=header["arch"],
+                       src_vocab=header["src_vocab"], tgt_vocab=header["tgt_vocab"],
+                       tensors=tensors, frozen=frozen, pruned=pruned,
+                       rng_state=header["rng_state"], provenance=header["provenance"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointFormatError("malformed header in %s: %r" % (path, exc))
+        if offset != len(raw) - 4:
+            raise CheckpointFormatError("%d stray bytes after the payload in %s"
+                                        % (len(raw) - 4 - offset, path))
+        return ckpt
 
 
 def _jsonable_rng(state):
@@ -253,8 +263,7 @@ def train_epoch(model, batches, config, optimizer, rng):
     losses = []
     for batch in batches:
         optimizer.zero_grad()
-        logits = model.forward_teacher_forced(batch, tf_ratio=config.tf_ratio,
-                                              rng=rng, training=True)
+        logits = model.forward_teacher_forced(batch, tf_ratio=config.tf_ratio, rng=rng)
         loss = cross_entropy_masked(logits, batch.target[:, 1:], ignore_index=0)
         value = loss.item()
         if not np.isfinite(value):
@@ -272,8 +281,7 @@ def evaluate_loss(model, batches):
     losses = []
     with nm.no_grad():
         for batch in batches:
-            logits = model.forward_teacher_forced(batch, tf_ratio=1.0, rng=None,
-                                                  training=False)
+            logits = model.forward_teacher_forced(batch, tf_ratio=1.0)
             losses.append(cross_entropy_masked(logits, batch.target[:, 1:]).item())
     return float(np.mean(losses)) if losses else 0.0
 
@@ -374,23 +382,20 @@ def build_model(config, src_vocab, tgt_vocab):
                         dropout=config.dropout, seed=config.seed)
 
 
-def shared_source_vocab(corpora, config, control_tokens=True):
+def shared_source_vocab(corpora, config):
     """The input vocabulary shared by every transfer regime.
 
     Control tokens for multi-task mode are reserved up front so the frozen
     source embedding can address them later.
     """
-    extra = tuple(CONTROL_TOKENS[k] for k in sorted(CONTROL_TOKENS)) if control_tokens else ()
+    extra = tuple(CONTROL_TOKENS[k] for k in sorted(CONTROL_TOKENS))
     return build_vocab(corpora, side="source", min_freq=config.min_freq,
                        extra_tokens=extra)
 
 
 def pretrain_copy(en_corpus, config, src_vocab=None, metrics_path=None):
     """Auto-encode English; this checkpoint seeds every transfer regime."""
-    if isinstance(en_corpus, ParallelCorpus):
-        train_full = copy_corpus([s for s, _ in en_corpus.pairs], pair="en-en")
-    else:
-        train_full = copy_corpus(en_corpus)
+    train_full = copy_corpus([s for s, _ in en_corpus.pairs], pair="en-en")
     train, valid = carve_validation(train_full, fraction=0.1, seed=config.seed)
     if src_vocab is None:
         src_vocab = shared_source_vocab([train], config)
@@ -400,15 +405,11 @@ def pretrain_copy(en_corpus, config, src_vocab=None, metrics_path=None):
                                    metrics_path=metrics_path, stage_label="pretrain")
 
 
-def transfer_1hop(pretrained, target_splits, config, src_vocab=None,
-                  metrics_path=None, stage_label="1hop"):
-    """Freeze the pre-trained encoder, rebind the decoder, fine-tune."""
-    if src_vocab is not None and list(src_vocab.itos) != list(pretrained.src_vocab):
-        raise VocabMismatchError("target corpus does not share the pretraining vocabulary")
-    model = pretrained.to_model()
-    model.freeze_encoder()
-    train = target_splits["train"]
-    valid = target_splits.get("valid")
+def _fine_tune(model, splits, config, metrics_path, stage_label):
+    """The fine-tuning recipe of every transfer regime: carve a validation
+    split when `splits` has none, rebind the decoder to the train split's
+    target vocabulary, fit.  Freezing and pruning are the caller's."""
+    train, valid = splits["train"], splits.get("valid")
     if valid is None:
         train, valid = carve_validation(train, seed=config.seed)
     tgt_vocab = build_vocab([train], side="target", min_freq=config.min_freq)
@@ -417,40 +418,34 @@ def transfer_1hop(pretrained, target_splits, config, src_vocab=None,
                                    metrics_path=metrics_path, stage_label=stage_label)
 
 
-def combine_multitask(corpora, insert_control=True, src_vocab=None):
+def transfer_1hop(pretrained, target_splits, config, metrics_path=None):
+    """Freeze the pre-trained encoder, rebind the decoder, fine-tune."""
+    model = pretrained.to_model().freeze_encoder()
+    return _fine_tune(model, target_splits, config, metrics_path, "1hop")
+
+
+def combine_multitask(corpora, src_vocab):
     """Concatenate {lang: splits} train corpora, tagging rows with control tokens."""
     pairs = []
     for lang in sorted(corpora):
         token = CONTROL_TOKENS.get(lang)
-        for src, tgt in corpora[lang]["train"].pairs:
-            if insert_control:
-                if src_vocab is not None and token not in src_vocab.stoi:
-                    raise VocabMismatchError(
-                        "control token %r missing from the shared vocabulary; "
-                        "pretrain with control tokens reserved" % token)
-                pairs.append(([token] + list(src), list(tgt)))
-            else:
-                pairs.append((list(src), list(tgt)))
+        if token not in src_vocab.stoi:
+            raise VocabMismatchError(
+                "control token %r missing from the shared vocabulary; "
+                "pretrain with control tokens reserved" % token)
+        pairs += [([token] + list(src), list(tgt))
+                  for src, tgt in corpora[lang]["train"].pairs]
     return ParallelCorpus("multi", pairs, "train")
 
 
-def train_multitask_joint(pretrained, corpora, config, insert_control=True,
-                          freeze_encoder=True, metrics_path=None):
+def train_multitask_joint(pretrained, corpora, config, metrics_path=None):
     """Joint fine-tuning on the concatenated union with a single loss."""
-    model = pretrained.to_model()
-    if freeze_encoder:
-        model.freeze_encoder()
-    combined = combine_multitask(corpora, insert_control=insert_control,
-                                 src_vocab=model.src_vocab)
-    train, valid = carve_validation(combined, seed=config.seed)
-    tgt_vocab = build_vocab([train], side="target", min_freq=config.min_freq)
-    model.rebind_decoder(tgt_vocab, seed=config.seed)
-    return fit_with_early_stopping(model, train, valid, config,
-                                   metrics_path=metrics_path, stage_label="multitask")
+    model = pretrained.to_model().freeze_encoder()
+    combined = combine_multitask(corpora, model.src_vocab)
+    return _fine_tune(model, {"train": combined}, config, metrics_path, "multitask")
 
 
-def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None,
-                        bleu_max_len=None):
+def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None):
     """Stage-by-stage transfer: prune -> freeze -> rebind -> fine-tune -> score.
 
     `corpora` maps dataset ids to {"train": ..., "valid":..., "test": ...};
@@ -474,7 +469,6 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None,
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    max_len = bleu_max_len or config.max_len
 
     all_train = [corpora[s.dataset_id]["train"] for s in plan.stages]
     src_vocab = shared_source_vocab(all_train, config)
@@ -495,21 +489,13 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None,
                 model.prune_encoder_units(sorted(prune_set))
             if stage.freeze_encoder:
                 model.freeze_encoder()
-            train = splits["train"]
-            valid = splits.get("valid")
-            if valid is None:
-                train, valid = carve_validation(train, seed=config.seed)
-            tgt_vocab = build_vocab([train], side="target", min_freq=config.min_freq)
-            model.rebind_decoder(tgt_vocab, seed=config.seed)
-            ckpt = fit_with_early_stopping(model, train, valid, config,
-                                           metrics_path=metrics_path,
-                                           stage_label=label)
+            ckpt = _fine_tune(model, splits, config, metrics_path, label)
         ckpt.provenance.setdefault("stage_label", label)
         ckpt.provenance["prune_mode"] = stage.prune_mode
         model = ckpt.to_model()
         bleu = mass = None
         if test:
-            bleu = evaluate_corpus(model, test, max_len=max_len)
+            bleu = evaluate_corpus(model, test, max_len=config.max_len)
             mass = xray.mass_matrices(xray.capture_activations(model, test))
         if out_dir:
             ckpt.save(out_dir / ("%s.lrmt" % label))

@@ -52,8 +52,7 @@ def _batch(model, rows):
     mat = np.zeros((len(src), width), dtype=np.int64)
     for i, r in enumerate(src):
         mat[i, :len(r)] = r
-    return Batch(source=mat, source_lengths=np.array([len(r) for r in src]),
-                 target=mat.copy())
+    return Batch(source=mat, target=mat.copy())
 
 
 # -- 1: gradient correctness -----------------------------------------------------
@@ -76,7 +75,7 @@ def test_criterion_1_gradient_correctness():
 
             def forward():
                 logits = model.forward_teacher_forced(batch, tf_ratio=1.0,
-                                                      rng=None, training=False)
+                                                      rng=None)
                 return cross_entropy_masked(logits, batch.target[:, 1:])
 
             err = relative_gradient_error(model.parameters(), forward,

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import struct
@@ -20,10 +21,10 @@ TINY_TRAIN = {"train.arch": "gru", "train.embed_size": 8, "train.hidden_size": 8
               "train.batch_size": 8, "train.max_len": 20}
 
 
-def _write_tsv(path, n, rng, translate=False):
+def _write_tsv(path, n, rng, translate=False, lengths=(2, 5)):
     lines = []
     for _ in range(n):
-        idx = rng.integers(0, len(WORDS), size=int(rng.integers(2, 5)))
+        idx = rng.integers(0, len(WORDS), size=int(rng.integers(*lengths)))
         src = " ".join(WORDS[i] for i in idx)
         tgt = " ".join(TARGET[i] for i in idx) if translate else src
         lines.append("%s\t%s" % (src, tgt))
@@ -264,3 +265,48 @@ def test_second_train_into_same_out_starts_metrics_afresh(workspace):
         runs.append([json.loads(line) for line in lines])
     assert runs[0] and len(runs[1]) == len(runs[0])
     assert [row["epoch"] for row in runs[1]] == list(range(1, len(runs[1]) + 1))
+
+
+def _bleu_row(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    return {k: row[k] for k in ("score", "p1", "p2", "p3", "p4", "bp")}
+
+
+def test_evaluate_decodes_with_the_checkpoint_max_len(workspace):
+    # copies of 6-8 words: a model that has learnt some copying decodes past
+    # train.max_len 4, while data.max_len keeps its default of 50
+    rng = np.random.default_rng(1)
+    data = workspace / "data"
+    for split, n in (("train", 60), ("valid", 6), ("test", 6)):
+        _write_tsv(data / ("long.%s.tsv" % split), n, rng, lengths=(6, 9))
+    (data / "long.json").write_text(json.dumps({"datasets": [
+        {"id": "long", "pair": "en-en", "train": "long.train.tsv",
+         "valid": "long.valid.tsv", "test": "long.test.tsv"}]}), encoding="utf-8")
+    cfg = _config(workspace, **{"data.manifest": str(data / "long.json"),
+                                "data.dataset": "long", "train.max_len": 4,
+                                "train.embed_size": 16, "train.hidden_size": 16,
+                                "train.lr": 0.01, "train.max_epochs": 20,
+                                "train.patience": 20})
+    out, ev = workspace / "out", workspace / "eval"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["evaluate", "--config", str(cfg), "--ckpt",
+                 str(out / "model.lrmt"), "--out", str(ev)]) == 0
+    assert _bleu_row(ev / "bleu.csv") == _bleu_row(out / "bleu.csv")
+    assert ((ev / "translations.tsv").read_bytes()
+            == (out / "translations.tsv").read_bytes())
+
+
+def test_run_record_lists_the_config_test_corpus(workspace):
+    cfg = _config(workspace, **{"data.dataset": "en-en"})
+    out = workspace / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    # outside the manifest, so only data.test can bring it into run.json
+    test = workspace / "held_out.tsv"
+    test.write_bytes((workspace / "data" / "en-en.test.tsv").read_bytes())
+    ecfg = _config(workspace, name="ecfg.json",
+                   **{"data.test": str(test), "ckpt": str(out / "model.lrmt")})
+    ev = workspace / "eval"
+    assert main(["evaluate", "--config", str(ecfg), "--out", str(ev)]) == 0
+    inputs = json.loads((ev / "run.json").read_text())["inputs"]
+    assert inputs[str(test)] == hashlib.sha256(test.read_bytes()).hexdigest()

@@ -34,8 +34,7 @@ def _tiny_batch(model, rows=((4, 5, 6), (5, 4))):
     mat = np.zeros((len(src), width), dtype=np.int64)
     for i, r in enumerate(src):
         mat[i, :len(r)] = r
-    lengths = np.array([len(r) for r in src])
-    return Batch(source=mat, source_lengths=lengths, target=mat.copy())
+    return Batch(source=mat, target=mat.copy())
 
 
 # -- closed-form cell checks ---------------------------------------------------
@@ -80,8 +79,7 @@ def test_full_forward_gradients(float64_mode, arch):
     params = model.parameters()
 
     def forward():
-        logits = model.forward_teacher_forced(batch, tf_ratio=1.0, rng=None,
-                                              training=False)
+        logits = model.forward_teacher_forced(batch, tf_ratio=1.0, rng=None)
         return cross_entropy_masked(logits, batch.target[:, 1:])
 
     rng = np.random.default_rng(0)
@@ -94,7 +92,7 @@ def test_full_forward_gradients(float64_mode, arch):
 def test_attention_rows_sum_to_one_with_zero_on_pads(float64_mode):
     model = _tiny_model("abgru", seed=5)
     batch = _tiny_batch(model)
-    enc = model.encode(batch.source, batch.source_lengths)
+    enc = model.encode(batch.source)
     a = model.attention_weights(enc.z, enc.states, enc.mask)
     sums = a.data.sum(axis=-1)
     assert np.max(np.abs(sums - 1.0)) < 1e-12
@@ -115,7 +113,7 @@ def test_attention_rejects_fully_padded_row(float64_mode):
 def test_gru_decoder_reinjects_identical_context_each_step(float64_mode):
     model = _tiny_model("gru", seed=6)
     batch = _tiny_batch(model, rows=((4, 5, 6, 7),))
-    enc = model.encode(batch.source, batch.source_lengths)
+    enc = model.encode(batch.source)
     z_before = enc.z.data.copy()
     s = enc.z
     for step_tok in (SOS, 4, 5):
@@ -131,7 +129,7 @@ def test_gru_decoder_reinjects_identical_context_each_step(float64_mode):
 def test_decode_step_rejects_wrong_state_width(float64_mode):
     model = _tiny_model("gru")
     batch = _tiny_batch(model)
-    enc = model.encode(batch.source, batch.source_lengths)
+    enc = model.encode(batch.source)
     with pytest.raises(ValueError):
         model.decode_step(np.array([SOS, SOS]),
                           Tensor(np.zeros((2, model.hidden_size + 1))), enc)
@@ -186,7 +184,7 @@ def test_pruned_units_stay_exactly_silent(float64_mode, arch):
     targets = [1, model.analysis_width - 1]
     model.prune_encoder_units(targets)
     batch = _tiny_batch(model)
-    enc = model.encode(batch.source, batch.source_lengths)
+    enc = model.encode(batch.source)
     for row in range(batch.source.shape[0]):
         acts = enc.activations(row)
         assert np.all(acts[:, targets] == 0.0)

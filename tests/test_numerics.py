@@ -8,8 +8,7 @@ import pytest
 
 from lrmt import numerics as nm
 from lrmt.numerics import (Adam, AdamState, Parameter, Tensor, adam_step,
-                           clip_grad_norm, cross_entropy_masked, masked_softmax,
-                           softmax)
+                           clip_grad_norm, cross_entropy_masked, masked_softmax)
 
 from gradcheck import relative_gradient_error
 
@@ -21,32 +20,6 @@ def _softmax_oracle(row):
     exps = [math.exp(float(x)) for x in row]
     total = math.fsum(exps)
     return [e / total for e in exps]
-
-
-def test_softmax_matches_direct_formula():
-    rows = np.array([[0.0, 1.0, 2.0], [-3.5, 0.25, 7.0], [5.0, 5.0, 5.0]],
-                    dtype=np.float64)
-    got = softmax(rows)
-    for r in range(rows.shape[0]):
-        want = _softmax_oracle(rows[r])
-        assert np.max(np.abs(got[r] - np.asarray(want))) < 1e-12
-
-
-def test_softmax_rows_sum_to_one_and_shift_invariant():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(20, 7)).astype(np.float64)
-    s = softmax(x)
-    assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.max(np.abs(softmax(x + 100.0) - s)) < 1e-12
-
-
-def test_softmax_rejects_bad_input():
-    with pytest.raises(ValueError):
-        softmax(np.zeros((0,)))
-    with pytest.raises(ValueError):
-        softmax(np.array([1.0, np.inf]))
-    with pytest.raises(ValueError):
-        softmax(np.array([np.nan, 0.0]))
 
 
 def test_masked_softmax_zeroes_masked_positions(float64_mode):
@@ -280,8 +253,8 @@ def test_embedding_backward_accumulates_repeated_rows(float64_mode):
 
 def test_dropout_eval_mode_is_identity_and_train_scales(float64_mode):
     x = Tensor(np.ones((4, 5)), requires_grad=True)
-    assert nm.dropout(x, 0.5, np.random.default_rng(0), training=False) is x
-    out = nm.dropout(x, 0.5, np.random.default_rng(0), training=True)
+    assert nm.dropout(x, 0.5, None) is x
+    out = nm.dropout(x, 0.5, np.random.default_rng(0))
     kept = out.data[out.data != 0]
     assert np.allclose(kept, 2.0)  # inverted scaling 1/keep
 

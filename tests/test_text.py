@@ -113,7 +113,8 @@ def test_make_batches_pads_and_is_seed_deterministic():
     for batch in b1:
         # every row: sos ... eos then pad
         assert np.all(batch.source[:, 0] == SOS)
-        for row, length in zip(batch.source, batch.source_lengths):
+        for row in batch.source:
+            length = int((row != PAD).sum())
             assert row[length - 1] == EOS
             assert np.all(row[length:] == PAD)
     b3 = make_batches(c, sv, tv, batch_size=3, seed=8)

@@ -1,5 +1,9 @@
 """Training regimes, early stopping, freezing invariance, checkpoint format."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -306,6 +310,55 @@ def test_truncated_checkpoint_rejected(tmp_path):
         load_checkpoint(trunc)
 
 
+def _rewritten(raw, header=None, trailing=b""):
+    """Checkpoint bytes with a replaced header and/or bytes appended after
+    the last tensor, under a valid CRC."""
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    head = raw[16:16 + hlen] if header is None else json.dumps(header).encode("utf-8")
+    body = (raw[:8] + struct.pack("<Q", len(head)) + head
+            + raw[16 + hlen:-4] + trailing)
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _write(path, raw):
+    path.write_bytes(raw)
+    return path
+
+
+def test_checkpoint_header_missing_a_key_is_a_format_error(tmp_path):
+    _, path = _small_ckpt(tmp_path)
+    raw = path.read_bytes()
+    header = json.loads(raw[16:16 + struct.unpack("<Q", raw[8:16])[0]])
+    del header["provenance"]
+    bad = tmp_path / "nokey.lrmt"
+    bad.write_bytes(_rewritten(raw, header=header))
+    with pytest.raises(CheckpointFormatError, match="provenance"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_bytes_after_the_payload_are_a_format_error(tmp_path):
+    _, path = _small_ckpt(tmp_path)
+    raw = path.read_bytes()
+    assert load_checkpoint(_write(tmp_path / "same.lrmt", _rewritten(raw))).tensors
+    with pytest.raises(CheckpointFormatError, match="3 stray bytes"):
+        load_checkpoint(_write(tmp_path / "stray.lrmt", _rewritten(raw, trailing=b"abc")))
+
+
+def test_checkpoint_save_replaces_the_file_whole_or_not_at_all(tmp_path, monkeypatch):
+    ckpt, path = _small_ckpt(tmp_path)
+    before = path.read_bytes()
+
+    def failed_rename(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(training.os, "replace", failed_rename)
+    ckpt.provenance["note"] = "a second save"
+    with pytest.raises(OSError, match="disk full"):
+        ckpt.save(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.lrmt"]
+
+
 def test_checkpoint_preserves_pruned_and_frozen_state(tmp_path):
     cfg = TrainConfig(arch="gru", seed=5, **TINY | {"max_epochs": 1})
     ckpt = pretrain_copy(_data()["train"], cfg)
@@ -328,8 +381,7 @@ def test_evaluate_loss_matches_the_taped_forward_bit_for_bit():
     batches = make_batches(corpus, sv, tv, 3, seed=0)
     taped = []
     for batch in batches:
-        logits = model.forward_teacher_forced(batch, tf_ratio=1.0, rng=None,
-                                              training=False)
+        logits = model.forward_teacher_forced(batch, tf_ratio=1.0, rng=None)
         loss = cross_entropy_masked(logits, batch.target[:, 1:])
         assert loss.requires_grad
         taped.append(loss.item())
