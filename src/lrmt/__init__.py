@@ -52,7 +52,6 @@ from .training import (
     load_checkpoint,
     pretrain_copy,
     run_sequential_plan,
-    save_checkpoint,
     train_multitask_joint,
     transfer_1hop,
 )

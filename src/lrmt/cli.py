@@ -149,13 +149,18 @@ def _fresh_metrics(out):
     return path
 
 
-def _finalize(ckpt, out, label, test):
-    ckpt.save(out / ("%s.lrmt" % label))
+def _score(ckpt, corpus, out):
+    """bleu.csv and translations.tsv for one checkpoint, labelled by its stage;
+    `train`, `transfer` and `evaluate` all score through here."""
+    rep = bleu.evaluate_corpus(ckpt.to_model(), corpus, max_len=ckpt.train_config().max_len)
+    bleu.write_bleu_csv(out / "bleu.csv", [(0, ckpt.provenance.get("stage", "eval"), rep)])
+    bleu.dump_translations_tsv(rep, out / "translations.tsv")
+
+
+def _finalize(ckpt, out, name, test):
+    ckpt.save(out / ("%s.lrmt" % name))
     if test is not None and test.pairs:
-        rep = bleu.evaluate_corpus(ckpt.to_model(), test,
-                                   max_len=ckpt.train_config().max_len)
-        bleu.write_bleu_csv(out / "bleu.csv", [(0, label, rep)])
-        bleu.dump_translations_tsv(rep, out / "translations.tsv")
+        _score(ckpt, test, out)
 
 
 def cmd_train(args, cfg, out):
@@ -287,10 +292,10 @@ def cmd_prune(args, cfg, out):
     except ValueError as exc:
         raise ConfigError(str(exc))
     xray.prune_neuron_knowledge(model, prune_set)
-    training.save_checkpoint(model, out / "pruned.lrmt", ckpt.train_config(),
-                             provenance={"prune_mode": mode,
-                                         "prune_percent": percent,
-                                         "pruned": sorted(prune_set)})
+    training.Checkpoint.from_model(
+        model, ckpt.train_config(),
+        provenance={"prune_mode": mode, "prune_percent": percent,
+                    "pruned": sorted(prune_set)}).save(out / "pruned.lrmt")
     (out / "prune.json").write_text(
         json.dumps({"mode": mode, "percent": percent,
                     "pruned": sorted(prune_set)}, indent=2),
@@ -300,12 +305,7 @@ def cmd_prune(args, cfg, out):
 
 def cmd_evaluate(args, cfg, out):
     ckpt, _ = _load_ckpt(args, cfg)
-    model = ckpt.to_model()
-    corpus = _analysis_corpus(args, cfg)
-    rep = bleu.evaluate_corpus(model, corpus, max_len=ckpt.train_config().max_len)
-    label = ckpt.provenance.get("stage_label", "eval")
-    bleu.write_bleu_csv(out / "bleu.csv", [(0, label, rep)])
-    bleu.dump_translations_tsv(rep, out / "translations.tsv")
+    _score(ckpt, _analysis_corpus(args, cfg), out)
     return 0
 
 
@@ -318,7 +318,7 @@ def cmd_xray(args, cfg, out):
     xray.dump_activations(acts, out / "activations.bin")
     xray.activations_to_json(acts, out / "activations.json")
     mass = xray.mass_matrices(acts)
-    stage = getattr(args, "stage", None) or ckpt.provenance.get("stage_label", "xray")
+    stage = getattr(args, "stage", None) or ckpt.provenance.get("stage", "xray")
     (out / "analysis.json").write_text(
         json.dumps(xray.analysis_export(stage, mass), indent=2, sort_keys=True),
         encoding="utf-8")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import xray
-from .bleu import write_bleu_csv
+from .bleu import dump_translations_tsv, write_bleu_csv
 
 
 @dataclass
@@ -20,7 +20,6 @@ class StageAnalysis:
     label: str
     mass: "xray.MassActivationMatrix"
     bleu: object = None                  # BleuReport, optional
-    translations: list = field(default_factory=list)  # (source, reference, hypothesis)
     top_changed: list = field(default_factory=list)   # [{"neuron": i, "delta": d}]
 
 
@@ -148,13 +147,10 @@ def export_analysis(bundle, out_dir):
         _register("bleu.csv")
 
         for i, stage in enumerate(bundle.stages):
-            if not stage.translations:
+            if stage.bleu is None:
                 continue
             name = "translations_%02d_%s.tsv" % (i, stage.label)
-            with (out / name).open("w", encoding="utf-8", newline="") as fh:
-                fh.write("source\treference\thypothesis\n")
-                for src, ref, hyp in stage.translations:
-                    fh.write("%s\t%s\t%s\n" % (src, ref, hyp))
+            dump_translations_tsv(stage.bleu, out / name)
             _register(name)
 
         render_knowledge_plot(bundle, out / "knowledge.svg")

@@ -2,42 +2,26 @@
 multi-task, sequential transfer plans; early stopping and checkpointing."""
 
 import json
-import os
-import struct
 import time
-import zlib
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
+from . import _container
 from . import numerics as nm
 from . import xray
+from ._container import (CheckpointChecksumError, CheckpointError,  # noqa: F401
+                         CheckpointFormatError, CheckpointVersionError)
 from .bleu import evaluate_corpus
 from .model import Seq2SeqModel
 from .numerics import Adam, clip_grad_norm, cross_entropy_masked
 from .text import ParallelCorpus, Vocabulary, build_vocab, make_batches
 
 CHECKPOINT_MAGIC = b"LRMT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2      # v1 also held "rng_state" and config "layers"; load ignores both
 
 CONTROL_TOKENS = {"de": "<2de>", "fr": "<2fr>", "es": "<2es>", "en": "<2en>"}
-
-
-class CheckpointError(Exception):
-    pass
-
-
-class CheckpointFormatError(CheckpointError):
-    pass
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointChecksumError(CheckpointError):
-    pass
 
 
 class VocabMismatchError(ValueError):
@@ -50,7 +34,6 @@ class TrainConfig:
 
     arch: str = "abgru"
     embed_size: int = 300
-    layers: int = 1
     hidden_size: int = 512
     max_epochs: int = 50
     patience: int = 5
@@ -67,7 +50,7 @@ class TrainConfig:
     min_freq: int = 1
 
     def __post_init__(self):
-        numeric = [self.embed_size, self.layers, self.hidden_size, self.max_epochs,
+        numeric = [self.embed_size, self.hidden_size, self.max_epochs,
                    self.patience, self.lr, self.batch_size, self.clip_norm]
         if any(v <= 0 for v in numeric):
             raise ValueError("all TrainConfig sizes and rates must be positive")
@@ -77,8 +60,6 @@ class TrainConfig:
             raise ValueError("tf_ratio must be in [0, 1]")
         if self.l2 < 0:
             raise ValueError("l2 must be non-negative")
-        if self.layers != 1:
-            raise ValueError("only single-layer models are supported")
 
 
 @dataclass
@@ -110,7 +91,6 @@ class TransferPlan:
 class Checkpoint:
     """A complete, restorable model snapshot."""
 
-    version: int
     config: dict
     arch: str
     src_vocab: list
@@ -118,11 +98,10 @@ class Checkpoint:
     tensors: dict            # name -> ndarray
     frozen: dict             # name -> bool
     pruned: dict             # name -> list of flat indices
-    rng_state: dict
     provenance: dict = field(default_factory=dict)
 
     @classmethod
-    def from_model(cls, model, config, rng=None, provenance=None):
+    def from_model(cls, model, config, provenance=None):
         tensors, frozen, pruned = {}, {}, {}
         for name, p in model.named_parameters().items():
             tensors[name] = p.data.copy()
@@ -130,12 +109,11 @@ class Checkpoint:
             pruned[name] = [] if p.pruned is None else [int(i) for i in p.pruned]
         cfg = asdict(config) if isinstance(config, TrainConfig) else dict(config)
         cfg["betas"] = list(cfg.get("betas", (0.9, 0.999)))
-        state = rng.bit_generator.state if rng is not None else {}
-        return cls(version=CHECKPOINT_VERSION, config=cfg, arch=model.arch,
+        return cls(config=cfg, arch=model.arch,
                    src_vocab=list(model.src_vocab.itos),
                    tgt_vocab=list(model.tgt_vocab.itos),
                    tensors=tensors, frozen=frozen, pruned=pruned,
-                   rng_state=_jsonable_rng(state), provenance=provenance or {})
+                   provenance=provenance or {})
 
     def to_model(self):
         cfg = self.config
@@ -160,95 +138,31 @@ class Checkpoint:
         cfg["betas"] = tuple(cfg.get("betas", (0.9, 0.999)))
         return TrainConfig(**cfg)
 
-    # -- binary round trip ---------------------------------------------------
+    # -- binary round trip (layout in `_container`) --------------------------
 
     def save(self, path):
-        names = sorted(self.tensors)
-        manifest = [{"name": n, "shape": list(self.tensors[n].shape),
-                     "dtype": str(self.tensors[n].dtype),
-                     "frozen": self.frozen.get(n, False),
-                     "pruned": self.pruned.get(n, [])} for n in names]
-        header = json.dumps({
-            "config": self.config, "arch": self.arch,
-            "src_vocab": self.src_vocab, "tgt_vocab": self.tgt_vocab,
-            "rng_state": self.rng_state, "provenance": self.provenance,
-            "tensors": manifest,
-        }, ensure_ascii=False).encode("utf-8")
-        blob = bytearray()
-        blob += CHECKPOINT_MAGIC
-        blob += struct.pack("<I", self.version)
-        blob += struct.pack("<Q", len(header))
-        blob += header
-        for n in names:
-            arr = self.tensors[n]
-            blob += arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-        blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-        # a sibling file renamed into place: readers see the old file or the
-        # whole new one, never a partial write
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            tmp.write_bytes(bytes(blob))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _container.write(
+            path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            {"config": self.config, "arch": self.arch,
+             "src_vocab": self.src_vocab, "tgt_vocab": self.tgt_vocab,
+             "provenance": self.provenance},
+            [(n, self.tensors[n], {"frozen": self.frozen.get(n, False),
+                                   "pruned": self.pruned.get(n, [])})
+             for n in sorted(self.tensors)])
 
     @classmethod
     def load(cls, path):
-        raw = Path(path).read_bytes()
-        if len(raw) < 20 or raw[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError("not a checkpoint file: %s" % path)
-        stored_crc = struct.unpack("<I", raw[-4:])[0]
-        if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
-            raise CheckpointChecksumError("checksum mismatch in %s" % path)
-        version = struct.unpack("<I", raw[4:8])[0]
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError("unsupported checkpoint version %d" % version)
-        hlen = struct.unpack("<Q", raw[8:16])[0]
-        try:
-            header = json.loads(raw[16:16 + hlen].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError("corrupt header: %s" % exc)
-        offset = 16 + hlen
-        tensors, frozen, pruned = {}, {}, {}
-        try:
-            for entry in header["tensors"]:
-                shape = tuple(entry["shape"])
-                dtype = np.dtype(entry["dtype"])
-                nbytes = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
-                chunk = raw[offset:offset + nbytes]
-                if len(chunk) != nbytes:
-                    raise CheckpointFormatError("truncated payload in %s" % path)
-                tensors[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-                frozen[entry["name"]] = entry["frozen"]
-                pruned[entry["name"]] = entry["pruned"]
-                offset += nbytes
-            ckpt = cls(version=version, config=header["config"], arch=header["arch"],
+        def build(header, tensors):
+            config = dict(header["config"])
+            config.pop("layers", None)
+            entries = header["tensors"]
+            return cls(config=config, arch=header["arch"],
                        src_vocab=header["src_vocab"], tgt_vocab=header["tgt_vocab"],
-                       tensors=tensors, frozen=frozen, pruned=pruned,
-                       rng_state=header["rng_state"], provenance=header["provenance"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointFormatError("malformed header in %s: %r" % (path, exc))
-        if offset != len(raw) - 4:
-            raise CheckpointFormatError("%d stray bytes after the payload in %s"
-                                        % (len(raw) - 4 - offset, path))
-        return ckpt
-
-
-def _jsonable_rng(state):
-    def conv(v):
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
-    return conv(state)
-
-
-def save_checkpoint(model, path, config, rng=None, provenance=None):
-    ckpt = Checkpoint.from_model(model, config, rng=rng, provenance=provenance)
-    ckpt.save(path)
-    return ckpt
+                       tensors=tensors,
+                       frozen={e["name"]: e["frozen"] for e in entries},
+                       pruned={e["name"]: e["pruned"] for e in entries},
+                       provenance=header["provenance"])
+        return _container.read(path, CHECKPOINT_MAGIC, (1, CHECKPOINT_VERSION), build)
 
 
 def load_checkpoint(path):
@@ -348,7 +262,7 @@ def fit_with_early_stopping(model, train, valid, config, metrics_path=None,
 
     for epoch, valid_loss, improved in _stopping_rule(valid_losses(), config.patience):
         if improved:
-            best_ckpt = Checkpoint.from_model(model, config, rng=rng,
+            best_ckpt = Checkpoint.from_model(model, config,
                                               provenance={"stage": stage_label,
                                                           "epoch": epoch,
                                                           "valid_loss": valid_loss})
@@ -490,7 +404,7 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None):
             if stage.freeze_encoder:
                 model.freeze_encoder()
             ckpt = _fine_tune(model, splits, config, metrics_path, label)
-        ckpt.provenance.setdefault("stage_label", label)
+        ckpt.provenance["stage"] = label
         ckpt.provenance["prune_mode"] = stage.prune_mode
         model = ckpt.to_model()
         bleu = mass = None

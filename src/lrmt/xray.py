@@ -2,12 +2,12 @@
 neuron-knowledge pruning, knowledge abstraction, and change-in-mass analysis."""
 
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import _container
 from .numerics import no_grad
 from .postag import pos_tag
 from .text import encode, length_sorted_chunks, pad_rows
@@ -196,45 +196,37 @@ def pos_token_distribution(acts, neuron, k=5):
 # -- exchange formats ----------------------------------------------------------
 
 
+ACTIVATIONS_MAGIC = b"LRMA"
+ACTIVATIONS_VERSION = 1
+
+
 def dump_activations(acts, path):
-    """Binary dump: header (width, sentence count), then per sentence the
-    token list, tag list, and a row-major float64 activation block."""
-    blob = bytearray()
-    blob += struct.pack("<II", acts.width, len(acts.sentences))
-    for sent in acts.sentences:
-        blob += struct.pack("<I", len(sent.tokens))
-        for seq in (sent.tokens, sent.tags):
-            for item in seq:
-                raw = item.encode("utf-8")
-                blob += struct.pack("<H", len(raw))
-                blob += raw
-        blob += sent.matrix.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    """One container file (layout in `_container`): width, per-sentence
+    tokens and tags and the provenance in the header, and every token's row
+    in one [total_tokens, width] float64 array."""
+    # the empty first block fixes the width and dtype, also with no sentences
+    matrix = np.concatenate([np.empty((0, acts.width))] + [s.matrix for s in acts.sentences])
+    header = {"width": acts.width, "tokens": [s.tokens for s in acts.sentences],
+              "tags": [s.tags for s in acts.sentences], "provenance": acts.provenance}
+    _container.write(path, ACTIVATIONS_MAGIC, ACTIVATIONS_VERSION, header,
+                     [("activations", matrix, {})])
 
 
 def load_activations(path):
-    raw = Path(path).read_bytes()
-    width, count = struct.unpack_from("<II", raw, 0)
-    offset = 8
-    sentences = []
-    for _ in range(count):
-        (length,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        seqs = []
-        for _s in range(2):
-            items = []
-            for _i in range(length):
-                (n,) = struct.unpack_from("<H", raw, offset)
-                offset += 2
-                items.append(raw[offset:offset + n].decode("utf-8"))
-                offset += n
-            seqs.append(items)
-        nbytes = length * width * 8
-        mat = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8")
-        mat = mat.reshape(length, width).copy()
-        offset += nbytes
-        sentences.append(SentenceActivations(tokens=seqs[0], tags=seqs[1], matrix=mat))
-    return ActivationDataset(width=width, sentences=sentences)
+    def build(header, arrays):
+        width, matrix = header["width"], arrays["activations"]
+        lengths = [len(tokens) for tokens in header["tokens"]]
+        if matrix.shape != (sum(lengths), width):
+            raise _container.CheckpointFormatError("%s: a %s matrix for %d tokens of width %r"
+                                                   % (path, matrix.shape, sum(lengths), width))
+        ends = np.cumsum(lengths, dtype=np.int64)
+        sentences = [SentenceActivations(tokens=tokens, tags=tags,
+                                         matrix=matrix[end - n:end])
+                     for tokens, tags, n, end in zip(header["tokens"], header["tags"],
+                                                     lengths, ends, strict=True)]
+        return ActivationDataset(width=width, sentences=sentences,
+                                 provenance=header["provenance"])
+    return _container.read(path, ACTIVATIONS_MAGIC, (ACTIVATIONS_VERSION,), build)
 
 
 def activations_to_json(acts, path):

@@ -5,12 +5,12 @@ import csv
 import hashlib
 import io
 import json
-import struct
 import zlib
 
 import numpy as np
 import pytest
 
+from lrmt import xray
 from lrmt.cli import main
 
 WORDS = ["sun", "moon", "star", "tree", "bird", "fish", "stone", "river"]
@@ -115,8 +115,8 @@ def test_train_evaluate_prune_xray_round_trip(workspace):
     analysis = json.loads((xr / "analysis.json").read_text())
     assert analysis["width"] == 8
     assert len(analysis["signed_mass"]) == 8
-    width, count = struct.unpack("<II", (xr / "activations.bin").read_bytes()[:8])
-    assert width == 8 and count == 6
+    acts = xray.load_activations(xr / "activations.bin")
+    assert acts.width == 8 and len(acts.sentences) == 6
 
     pr = workspace / "pr"
     assert main(["prune", "--ckpt", str(ckpt), "--mode", "most_n",
@@ -270,7 +270,7 @@ def test_second_train_into_same_out_starts_metrics_afresh(workspace):
 def _bleu_row(path):
     with open(path, encoding="utf-8", newline="") as fh:
         (row,) = list(csv.DictReader(fh))
-    return {k: row[k] for k in ("score", "p1", "p2", "p3", "p4", "bp")}
+    return {k: row[k] for k in ("label", "score", "p1", "p2", "p3", "p4", "bp")}
 
 
 def test_evaluate_decodes_with_the_checkpoint_max_len(workspace):

@@ -30,8 +30,7 @@ def _bundle(n_stages=2):
                          brevity_penalty=1.0, candidate_length=10,
                          reference_length=10,
                          samples=[("s", "r", "h")])
-        b.add(StageAnalysis(label="stage%d" % i, mass=_mass(seed=i), bleu=rep,
-                            translations=[("src", "ref", "hyp")]))
+        b.add(StageAnalysis(label="stage%d" % i, mass=_mass(seed=i), bleu=rep))
     return b
 
 

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from lrmt import synthetic, training
+from lrmt import _container, synthetic, training
 from lrmt.numerics import Adam, cross_entropy_masked
 from lrmt.text import ParallelCorpus, build_vocab, make_batches
 from lrmt.training import (Checkpoint, CheckpointChecksumError,
@@ -85,14 +85,11 @@ def test_train_config_defaults_are_full_scale():
     cfg = TrainConfig()
     assert (cfg.embed_size, cfg.hidden_size, cfg.max_epochs) == (300, 512, 50)
     assert (cfg.lr, cfg.batch_size, cfg.clip_norm, cfg.dropout) == (0.001, 40, 5.0, 0.5)
-    assert cfg.layers == 1
 
 
 def test_train_config_rejects_bad_values():
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(layers=2)
     with pytest.raises(ValueError):
         TrainConfig(hidden_size=0)
 
@@ -351,7 +348,7 @@ def test_checkpoint_save_replaces_the_file_whole_or_not_at_all(tmp_path, monkeyp
     def failed_rename(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(training.os, "replace", failed_rename)
+    monkeypatch.setattr(_container.os, "replace", failed_rename)
     ckpt.provenance["note"] = "a second save"
     with pytest.raises(OSError, match="disk full"):
         ckpt.save(path)
@@ -366,7 +363,7 @@ def test_checkpoint_preserves_pruned_and_frozen_state(tmp_path):
     model.prune_encoder_units([0, 3])
     model.freeze_encoder()
     path = tmp_path / "p.lrmt"
-    training.save_checkpoint(model, path, cfg)
+    Checkpoint.from_model(model, cfg).save(path)
     back = load_checkpoint(path).to_model()
     assert sorted(back.pruned_neurons().tolist()) == [0, 3]
     assert all(p.frozen for p in back.encoder_parameters())
