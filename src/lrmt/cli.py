@@ -1,8 +1,9 @@
 """Command-line interface driving the full pipeline.
 
 Configuration is a JSON file of flat dotted keys ("train.lr", "data.manifest",
-...); command-line flags override file values.  Every command writes all of
-its artifacts under --out, starting with a run.json provenance record.
+...); each command's flags set dotted keys over the file's values, once, in
+`main`.  Every command writes all of its artifacts under --out, starting with
+a run.json provenance record of the merged config.
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
 
@@ -10,14 +11,12 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, bleu, report, text, training, xray
-from .model import ARCHITECTURES
 from .training import StageSpec, TrainConfig, TransferPlan
 
 
@@ -25,8 +24,7 @@ class ConfigError(Exception):
     pass
 
 
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_KNOWN_KEYS = ({"train." + k for k in _TRAIN_KEYS}
+_KNOWN_KEYS = ({"train." + f.name for f in dataclasses.fields(TrainConfig)}
                | {"data.manifest", "data.dataset", "data.test", "data.max_len",
                   "plan.stages", "multitask.datasets", "ckpt",
                   "analysis.mode", "analysis.percent", "analysis.top_k",
@@ -52,20 +50,9 @@ def load_config(path):
     return cfg
 
 
-def resolve_train_config(cfg, args):
+def resolve_train_config(cfg):
     kwargs = {k.split(".", 1)[1]: v for k, v in cfg.items()
               if k.startswith("train.")}
-    if getattr(args, "arch", None):
-        kwargs["arch"] = args.arch
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = kwargs.get("seed")
-    if seed is None:
-        env = os.environ.get("LRMT_SEED")
-        seed = int(env) if env else 0
-    kwargs["seed"] = int(seed)
-    if "betas" in kwargs:
-        kwargs["betas"] = tuple(kwargs["betas"])
     try:
         return TrainConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -107,10 +94,8 @@ def _load_data(cfg, need_dataset=True):
     manifest = cfg.get("data.manifest")
     if manifest is None:
         raise ConfigError("missing config key: 'data.manifest'")
-    try:
-        corpora = text.load_manifest(manifest, max_len=cfg.get("data.max_len", 50))
-    except FileNotFoundError as exc:
-        raise ConfigError(str(exc))
+    # main has checked that the manifest and every file it names exist
+    corpora = text.load_manifest(manifest, max_len=cfg.get("data.max_len", 50))
     dataset = cfg.get("data.dataset")
     if need_dataset:
         if dataset is None:
@@ -123,9 +108,9 @@ def _load_data(cfg, need_dataset=True):
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_prepare_data(args, cfg, out):
+def cmd_prepare_data(cfg, out):
     corpora, _ = _load_data(cfg, need_dataset=False)
-    config = resolve_train_config(cfg, args)
+    config = resolve_train_config(cfg)
     summary = {}
     for ds_id, splits in sorted(corpora.items()):
         src = text.build_vocab(list(splits.values()), side="source",
@@ -163,9 +148,9 @@ def _finalize(ckpt, out, name, test):
         _score(ckpt, test, out)
 
 
-def cmd_train(args, cfg, out):
+def cmd_train(cfg, out):
     corpora, dataset = _load_data(cfg)
-    config = resolve_train_config(cfg, args)
+    config = resolve_train_config(cfg)
     splits = corpora[dataset]
     train = splits["train"]
     valid = splits.get("valid")
@@ -181,28 +166,36 @@ def cmd_train(args, cfg, out):
     return 0
 
 
-def _load_ckpt(args, cfg):
-    path = getattr(args, "ckpt", None) or cfg.get("ckpt")
+def _load_ckpt(cfg):
+    path = cfg.get("ckpt")
     if path is None:
         raise ConfigError("missing config key: 'ckpt'")
-    if not Path(path).exists():
-        raise ConfigError("checkpoint not found: %s" % path)
     return training.load_checkpoint(path), Path(path)
 
 
-def cmd_transfer(args, cfg, out):
+def _fine_tune_config(cfg, pretrained):
+    """The TrainConfig of a run fine-tuning `pretrained`, whose model shape it must keep."""
+    held = dict(pretrained.config, arch=pretrained.arch)
+    shape = {"train." + k: held[k] for k in ("arch", "embed_size", "hidden_size", "dropout")}
+    for key, value in shape.items():
+        if cfg.get(key, value) != value:
+            raise ConfigError("%r is %r, but the pretrained checkpoint has %r"
+                              % (key, cfg[key], value))
+    return resolve_train_config({**cfg, **shape})
+
+
+def cmd_transfer(cfg, out):
     corpora, dataset = _load_data(cfg)
-    config = resolve_train_config(cfg, args)
-    pretrained, _ = _load_ckpt(args, cfg)
+    pretrained, _ = _load_ckpt(cfg)
+    config = _fine_tune_config(cfg, pretrained)
     ckpt = training.transfer_1hop(pretrained, corpora[dataset], config,
                                   metrics_path=_fresh_metrics(out))
     _finalize(ckpt, out, "transfer", corpora[dataset].get("test"))
     return 0
 
 
-def cmd_multitask(args, cfg, out):
+def cmd_multitask(cfg, out):
     corpora, _ = _load_data(cfg, need_dataset=False)
-    config = resolve_train_config(cfg, args)
     mapping = cfg.get("multitask.datasets")
     if not mapping:
         raise ConfigError("missing config key: 'multitask.datasets'")
@@ -211,7 +204,8 @@ def cmd_multitask(args, cfg, out):
             raise ConfigError("unknown language in 'multitask.datasets': %r" % lang)
         if ds not in corpora:
             raise ConfigError("unknown dataset id in 'multitask.datasets': %r" % ds)
-    pretrained, _ = _load_ckpt(args, cfg)
+    pretrained, _ = _load_ckpt(cfg)
+    config = _fine_tune_config(cfg, pretrained)
     task_corpora = {lang: corpora[ds] for lang, ds in mapping.items()}
     ckpt = training.train_multitask_joint(pretrained, task_corpora, config,
                                           metrics_path=_fresh_metrics(out))
@@ -219,37 +213,23 @@ def cmd_multitask(args, cfg, out):
     return 0
 
 
-def cmd_sequential(args, cfg, out):
+def cmd_sequential(cfg, out):
     corpora, _ = _load_data(cfg, need_dataset=False)
-    config = resolve_train_config(cfg, args)
-    stages_cfg = cfg.get("plan.stages")
-    if not stages_cfg:
-        raise ConfigError("missing config key: 'plan.stages'")
+    config = resolve_train_config(cfg)
     stages = []
-    for i, entry in enumerate(stages_cfg):
-        if "dataset" not in entry:
-            raise ConfigError("'plan.stages'[%d] is missing 'dataset'" % i)
-        if entry["dataset"] not in corpora:
-            raise ConfigError("'plan.stages'[%d] names unknown dataset %r"
-                              % (i, entry["dataset"]))
-        label = str(entry.get("label", ""))
-        if training.unsafe_label(label):
-            raise ConfigError("'plan.stages'[%d] label %r holds a path separator "
-                              "or is '.' or '..'; it names the stage's files"
-                              % (i, label))
-        if (i and entry.get("prune_mode", "none") != "none"
-                and not corpora[stages_cfg[i - 1]["dataset"]].get("test")):
-            raise ConfigError("'plan.stages'[%d] prunes, but 'plan.stages'[%d] "
-                              "(dataset %r) has no test split to measure neurons on"
-                              % (i, i - 1, stages_cfg[i - 1]["dataset"]))
-        stages.append(StageSpec(dataset_id=entry["dataset"],
-                                freeze_encoder=entry.get("freeze_encoder", True),
-                                prune_mode=entry.get("prune_mode", "none"),
-                                prune_percent=entry.get("prune_percent", 0.0),
-                                label=label))
+    for i, entry in enumerate(cfg.get("plan.stages") or []):
+        try:
+            fields = dict(entry)
+            stages.append(StageSpec(dataset_id=fields.pop("dataset", None), **fields))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("'plan.stages'[%d]: %s" % (i, exc))
+    try:
+        plan = TransferPlan(stages)
+        training.check_plan(plan, corpora)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("'plan.stages': %s" % exc.args[0])
     results = training.run_sequential_plan(
-        TransferPlan(stages), corpora, config,
-        out_dir=out, metrics_path=_fresh_metrics(out))
+        plan, corpora, config, out_dir=out, metrics_path=_fresh_metrics(out))
     rows = [(r["stage"], r["label"], r["bleu"]) for r in results
             if r["bleu"] is not None]
     if rows:
@@ -262,11 +242,9 @@ def cmd_sequential(args, cfg, out):
     return 0
 
 
-def _analysis_corpus(args, cfg):
-    test_path = getattr(args, "test", None) or cfg.get("data.test")
+def _analysis_corpus(cfg):
+    test_path = cfg.get("data.test")
     if test_path is not None:
-        if not Path(test_path).exists():
-            raise ConfigError("test corpus not found: %s" % test_path)
         return text.load_tsv(test_path, "eval", "test",
                              max_len=cfg.get("data.max_len", 50), truncate=True)
     corpora, dataset = _load_data(cfg)
@@ -275,27 +253,23 @@ def _analysis_corpus(args, cfg):
     return corpora[dataset]["test"]
 
 
-def cmd_prune(args, cfg, out):
-    ckpt, _ = _load_ckpt(args, cfg)
-    mode = getattr(args, "mode", None) or cfg.get("analysis.mode", "dead")
-    percent = getattr(args, "percent", None)
-    if percent is None:
-        percent = cfg.get("analysis.percent", 0.0)
-    if mode not in ("dead", "most_n", "least_n"):
-        raise ConfigError("bad value for 'analysis.mode': %r" % mode)
+def cmd_prune(cfg, out):
+    ckpt, _ = _load_ckpt(cfg)
+    mode = cfg.get("analysis.mode", "dead")
+    percent = cfg.get("analysis.percent", 0.0)
     model = ckpt.to_model()
-    corpus = _analysis_corpus(args, cfg)
+    corpus = _analysis_corpus(cfg)
     acts = xray.capture_activations(model, corpus)
     mass = xray.mass_matrices(acts)
     try:
         prune_set = xray.select_prune_set(mass, mode, percent)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("bad 'analysis.mode'/'analysis.percent': %s" % exc)
     xray.prune_neuron_knowledge(model, prune_set)
     training.Checkpoint.from_model(
         model, ckpt.train_config(),
-        provenance={"prune_mode": mode, "prune_percent": percent,
-                    "pruned": sorted(prune_set)}).save(out / "pruned.lrmt")
+        provenance=dict(ckpt.provenance, prune_mode=mode, prune_percent=percent,
+                        pruned=sorted(prune_set))).save(out / "pruned.lrmt")
     (out / "prune.json").write_text(
         json.dumps({"mode": mode, "percent": percent,
                     "pruned": sorted(prune_set)}, indent=2),
@@ -303,25 +277,23 @@ def cmd_prune(args, cfg, out):
     return 0
 
 
-def cmd_evaluate(args, cfg, out):
-    ckpt, _ = _load_ckpt(args, cfg)
-    _score(ckpt, _analysis_corpus(args, cfg), out)
+def cmd_evaluate(cfg, out):
+    ckpt, _ = _load_ckpt(cfg)
+    _score(ckpt, _analysis_corpus(cfg), out)
     return 0
 
 
-def cmd_xray(args, cfg, out):
-    ckpt, ckpt_path = _load_ckpt(args, cfg)
+def cmd_xray(cfg, out):
+    ckpt, ckpt_path = _load_ckpt(cfg)
     model = ckpt.to_model()
-    corpus = _analysis_corpus(args, cfg)
+    corpus = _analysis_corpus(cfg)
     acts = xray.capture_activations(model, corpus,
                                     provenance={"checkpoint": ckpt_path.name})
     xray.dump_activations(acts, out / "activations.bin")
-    xray.activations_to_json(acts, out / "activations.json")
     mass = xray.mass_matrices(acts)
-    stage = getattr(args, "stage", None) or ckpt.provenance.get("stage", "xray")
     (out / "analysis.json").write_text(
-        json.dumps(xray.analysis_export(stage, mass), indent=2, sort_keys=True),
-        encoding="utf-8")
+        json.dumps(xray.analysis_export(ckpt.provenance.get("stage", "xray"), mass),
+                   indent=2, sort_keys=True), encoding="utf-8")
     neuron = cfg.get("analysis.neuron")
     if neuron is not None:
         dist = xray.pos_token_distribution(acts, int(neuron),
@@ -330,24 +302,20 @@ def cmd_xray(args, cfg, out):
     return 0
 
 
-def cmd_report(args, cfg, out):
+def cmd_report(cfg, out):
     paths = cfg.get("report.analyses")
     if not paths:
         raise ConfigError("missing config key: 'report.analyses'")
     bundle = report.AnalysisBundle()
     for p in paths:
-        if not Path(p).exists():
-            raise ConfigError("analysis file not found: %s" % p)
-        doc = json.loads(Path(p).read_text(encoding="utf-8"))
-        records = doc if isinstance(doc, list) else [doc]
-        for rec in records:
-            mass = xray.MassActivationMatrix(
-                signed_mass=np.asarray(rec["signed_mass"], dtype=np.float64),
-                magnitude_mass=np.asarray(rec["magnitude_mass"], dtype=np.float64),
-                max_mass=np.asarray(rec["max_mass"], dtype=np.float64),
-                hit_count=np.asarray(rec["hit_count"], dtype=np.int64))
-            bundle.add(report.StageAnalysis(label=str(rec["stage"]), mass=mass,
-                                            top_changed=rec.get("top_changed", [])))
+        try:
+            records = xray.load_analysis(p)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("cannot read analysis records from %s: %s: %s"
+                              % (p, type(exc).__name__, exc))
+        for stage, mass, top_changed in records:
+            bundle.add(report.StageAnalysis(label=stage, mass=mass,
+                                            top_changed=top_changed))
     report.export_analysis(bundle, out)
     return 0
 
@@ -365,49 +333,52 @@ _COMMANDS = {
 }
 
 
+# flag -> (the config key it sets, its type, the commands that read it)
+_FLAGS = {
+    "--seed": ("train.seed", int, ("train", "transfer", "multitask", "sequential")),
+    "--arch": ("train.arch", str, ("train", "sequential")),
+    "--ckpt": ("ckpt", str, ("transfer", "multitask", "prune", "evaluate", "xray")),
+    "--test": ("data.test", str, ("prune", "evaluate", "xray")),
+    "--mode": ("analysis.mode", str, ("prune",)),
+    "--percent": ("analysis.percent", float, ("prune",)),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="lrmt",
                                      description="Recurrent translation workbench")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)  # unset flags set no key
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default="out")
-        p.add_argument("--stage", default=None)
-        p.add_argument("--mode", default=None,
-                       choices=["dead", "most_n", "least_n"])
-        p.add_argument("--percent", type=float, default=None)
-        p.add_argument("--arch", default=None, choices=list(ARCHITECTURES))
-        p.add_argument("--ckpt", default=None)
-        p.add_argument("--test", default=None)
+        p.add_argument("--out", default="out", type=Path)
+        for flag, (key, kind, commands) in _FLAGS.items():
+            if name in commands:
+                p.add_argument(flag, dest=key, type=kind)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command, config_path, out = (flags.pop(k) for k in ("command", "config", "out"))
     try:
-        cfg = load_config(args.config)
-        out = Path(args.out)
-        inputs = [args.config] if args.config else []
+        cfg = {**load_config(config_path), **flags}
+        inputs = [config_path] if config_path else []
         if cfg.get("data.manifest"):
             try:
                 inputs += _manifest_inputs(cfg["data.manifest"])
             except (OSError, json.JSONDecodeError, KeyError) as exc:
                 raise ConfigError("bad manifest %r: %s" % (cfg["data.manifest"], exc))
-        for key, cfg_key in (("ckpt", "ckpt"), ("test", "data.test")):
-            val = getattr(args, key, None) or cfg.get(cfg_key)
-            if val and Path(val).exists():
-                inputs.append(val)
+        inputs += [cfg[key] for key in ("ckpt", "data.test") if cfg.get(key)]
         missing = [p for p in inputs if not Path(p).exists()]
         if missing:
             raise ConfigError("input file missing: %s" % missing[0])
-        write_run_record(out, args.command, cfg, inputs)
-        return _COMMANDS[args.command](args, cfg, out)
+        write_run_record(out, command, cfg, inputs)
+        return _COMMANDS[command](cfg, out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from . import xray
 from ._container import (CheckpointChecksumError, CheckpointError,  # noqa: F401
                          CheckpointFormatError, CheckpointVersionError)
 from .bleu import evaluate_corpus
-from .model import Seq2SeqModel
+from .model import ARCHITECTURES, Seq2SeqModel
 from .numerics import Adam, clip_grad_norm, cross_entropy_masked
 from .text import ParallelCorpus, Vocabulary, build_vocab, make_batches
 
@@ -50,6 +50,9 @@ class TrainConfig:
     min_freq: int = 1
 
     def __post_init__(self):
+        self.betas = tuple(self.betas)    # JSON holds a list
+        if self.arch not in ARCHITECTURES:
+            raise ValueError("unknown architecture %r, not one of %s" % (self.arch, ARCHITECTURES))
         numeric = [self.embed_size, self.hidden_size, self.max_epochs,
                    self.patience, self.lr, self.batch_size, self.clip_norm]
         if any(v <= 0 for v in numeric):
@@ -60,20 +63,23 @@ class TrainConfig:
             raise ValueError("tf_ratio must be in [0, 1]")
         if self.l2 < 0:
             raise ValueError("l2 must be non-negative")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer, not %r" % (self.seed,))
 
 
 @dataclass
 class StageSpec:
     dataset_id: str
     freeze_encoder: bool = True
-    prune_mode: str = "none"      # none | dead | most_n | least_n
+    prune_mode: str = "none"      # "none" or one of xray.PRUNE_MODES
     prune_percent: float = 0.0
     label: str = ""
 
-
-def unsafe_label(label):
-    """A stage label names files, so a path separator, "." or ".." is unsafe."""
-    return label in (".", "..") or "/" in label or "\\" in label
+    def __post_init__(self):
+        if self.prune_mode not in ("none",) + xray.PRUNE_MODES:
+            raise ValueError("unknown prune_mode %r" % (self.prune_mode,))
+        if not 0.0 <= self.prune_percent <= 100.0:
+            raise ValueError("prune_percent %r is outside [0, 100]" % (self.prune_percent,))
 
 
 @dataclass
@@ -85,6 +91,27 @@ class TransferPlan:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("plan needs at least one stage")
+
+
+def check_plan(plan, corpora):
+    """The stage labels, after checking every stage against `corpora`: a known dataset
+    (else KeyError), a label that can name a file and, before a pruning stage, a test split."""
+    labels = [s.label or ("stage%d-%s" % (i, s.dataset_id))
+              for i, s in enumerate(plan.stages)]
+    for i, (stage, label) in enumerate(zip(plan.stages, labels)):
+        if stage.dataset_id not in corpora:
+            raise KeyError("stage %d (%r) names unknown dataset %r"
+                           % (i, label, stage.dataset_id))
+        if label in (".", "..") or "/" in label or "\\" in label:
+            raise ValueError("stage %d label %r cannot name a file: it holds a "
+                             "path separator or is '.' or '..'" % (i, label))
+        if (i and stage.prune_mode != "none"
+                and not corpora[plan.stages[i - 1].dataset_id].get("test")):
+            raise ValueError("stage %d (%r) prunes by the test split of stage %d "
+                             "(%r, dataset %r), which has none"
+                             % (i, label, i - 1, labels[i - 1],
+                                plan.stages[i - 1].dataset_id))
+    return labels
 
 
 @dataclass
@@ -109,6 +136,9 @@ class Checkpoint:
             pruned[name] = [] if p.pruned is None else [int(i) for i in p.pruned]
         cfg = asdict(config) if isinstance(config, TrainConfig) else dict(config)
         cfg["betas"] = list(cfg.get("betas", (0.9, 0.999)))
+        # the model's own shape, so the checkpoint always rebuilds it
+        cfg.update(arch=model.arch, embed_size=model.embed_size,
+                   hidden_size=model.hidden_size, dropout=model.dropout)
         return cls(config=cfg, arch=model.arch,
                    src_vocab=list(model.src_vocab.itos),
                    tgt_vocab=list(model.tgt_vocab.itos),
@@ -134,9 +164,7 @@ class Checkpoint:
         return model
 
     def train_config(self):
-        cfg = dict(self.config)
-        cfg["betas"] = tuple(cfg.get("betas", (0.9, 0.999)))
-        return TrainConfig(**cfg)
+        return TrainConfig(**self.config)
 
     # -- binary round trip (layout in `_container`) --------------------------
 
@@ -307,7 +335,8 @@ def shared_source_vocab(corpora, config):
                        extra_tokens=extra)
 
 
-def pretrain_copy(en_corpus, config, src_vocab=None, metrics_path=None):
+def pretrain_copy(en_corpus, config, src_vocab=None, metrics_path=None,
+                  stage_label="pretrain"):
     """Auto-encode English; this checkpoint seeds every transfer regime."""
     train_full = copy_corpus([s for s, _ in en_corpus.pairs], pair="en-en")
     train, valid = carve_validation(train_full, fraction=0.1, seed=config.seed)
@@ -316,7 +345,7 @@ def pretrain_copy(en_corpus, config, src_vocab=None, metrics_path=None):
     tgt_vocab = build_vocab([train], side="target", min_freq=config.min_freq)
     model = build_model(config, src_vocab, tgt_vocab)
     return fit_with_early_stopping(model, train, valid, config,
-                                   metrics_path=metrics_path, stage_label="pretrain")
+                                   metrics_path=metrics_path, stage_label=stage_label)
 
 
 def _fine_tune(model, splits, config, metrics_path, stage_label):
@@ -369,17 +398,7 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None):
     Returns a list of {stage, label, checkpoint, bleu, mass} records; bleu
     and mass are None for a stage without test pairs.
     """
-    labels = [s.label or ("stage%d-%s" % (i, s.dataset_id))
-              for i, s in enumerate(plan.stages)]
-    for i, stage in enumerate(plan.stages):
-        if stage.dataset_id not in corpora:
-            raise KeyError("plan references unknown corpus %r" % stage.dataset_id)
-        if unsafe_label(labels[i]):
-            raise ValueError("stage label %r cannot name a file" % labels[i])
-        if (i and stage.prune_mode != "none"
-                and not corpora[plan.stages[i - 1].dataset_id].get("test")):
-            raise ValueError("stage %r prunes by the test split of stage %r, "
-                             "which has none" % (labels[i], labels[i - 1]))
+    labels = check_plan(plan, corpora)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -393,7 +412,7 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None):
         test = splits.get("test")
         if idx == 0:
             ckpt = pretrain_copy(splits["train"], config, src_vocab=src_vocab,
-                                 metrics_path=metrics_path)
+                                 metrics_path=metrics_path, stage_label=label)
             if test is not None:
                 test = copy_corpus([s for s, _ in test.pairs], split="test")
         else:
@@ -404,7 +423,6 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None):
             if stage.freeze_encoder:
                 model.freeze_encoder()
             ckpt = _fine_tune(model, splits, config, metrics_path, label)
-        ckpt.provenance["stage"] = label
         ckpt.provenance["prune_mode"] = stage.prune_mode
         model = ckpt.to_model()
         bleu = mass = None

@@ -116,12 +116,15 @@ def dead_neurons(mass):
     return set(np.flatnonzero(mass.hit_count == 0).tolist())
 
 
+PRUNE_MODES = ("dead", "most_n", "least_n")
+
+
 def select_prune_set(mass, mode, percent=0.0):
     """Pick neurons to prune: dead, or the top/bottom floor(percent% of N)."""
+    if mode not in PRUNE_MODES:
+        raise ValueError("unknown prune mode %r, not one of %s" % (mode, PRUNE_MODES))
     if mode == "dead":
         return dead_neurons(mass)
-    if mode not in ("most_n", "least_n"):
-        raise ValueError("unknown prune mode %r" % mode)
     if not 0.0 <= percent <= 100.0:
         raise ValueError("percent must be in [0, 100]")
     n = int(percent / 100.0 * mass.width)
@@ -229,13 +232,6 @@ def load_activations(path):
     return _container.read(path, ACTIVATIONS_MAGIC, (ACTIVATIONS_VERSION,), build)
 
 
-def activations_to_json(acts, path):
-    doc = {"width": acts.width, "provenance": acts.provenance,
-           "sentences": [{"tokens": s.tokens, "tags": s.tags,
-                          "activations": s.matrix.tolist()} for s in acts.sentences]}
-    Path(path).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-
-
 def analysis_export(stage, mass, knowledge=None, top_changed=None):
     """The machine-readable analysis record written by the report layer."""
     knowledge = knowledge or knowledge_abstraction(mass)
@@ -251,3 +247,17 @@ def analysis_export(stage, mass, knowledge=None, top_changed=None):
                       "overall": knowledge.overall},
         "top_changed": top_changed or [],
     }
+
+
+def load_analysis(path):
+    """The (stage, mass, top_changed) of each `analysis_export` record in the
+    JSON file at `path`, which holds one record or a list of them."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return [(str(rec["stage"]),
+             MassActivationMatrix(
+                 signed_mass=np.asarray(rec["signed_mass"], dtype=np.float64),
+                 magnitude_mass=np.asarray(rec["magnitude_mass"], dtype=np.float64),
+                 max_mass=np.asarray(rec["max_mass"], dtype=np.float64),
+                 hit_count=np.asarray(rec["hit_count"], dtype=np.int64)),
+             rec.get("top_changed", []))
+            for rec in (doc if isinstance(doc, list) else [doc])]

@@ -12,6 +12,7 @@ import pytest
 
 from lrmt import xray
 from lrmt.cli import main
+from lrmt.training import load_checkpoint
 
 WORDS = ["sun", "moon", "star", "tree", "bird", "fish", "stone", "river"]
 TARGET = ["sonne", "mond", "stern", "baum", "vogel", "fisch", "stein", "fluss"]
@@ -117,6 +118,7 @@ def test_train_evaluate_prune_xray_round_trip(workspace):
     assert len(analysis["signed_mass"]) == 8
     acts = xray.load_activations(xr / "activations.bin")
     assert acts.width == 8 and len(acts.sentences) == 6
+    assert not (xr / "activations.json").exists()
 
     pr = workspace / "pr"
     assert main(["prune", "--ckpt", str(ckpt), "--mode", "most_n",
@@ -125,7 +127,15 @@ def test_train_evaluate_prune_xray_round_trip(workspace):
                  "--out", str(pr)]) == 0
     record = json.loads((pr / "prune.json").read_text())
     assert len(record["pruned"]) == 2  # floor(25% of 8)
-    assert (pr / "pruned.lrmt").exists()
+    source = load_checkpoint(ckpt).provenance
+    assert load_checkpoint(pr / "pruned.lrmt").provenance == dict(
+        source, prune_mode="most_n", prune_percent=25.0, pruned=record["pruned"])
+
+    ev_pruned = workspace / "eval_pruned"
+    assert main(["evaluate", "--ckpt", str(pr / "pruned.lrmt"),
+                 "--test", str(workspace / "data" / "en-en.test.tsv"),
+                 "--out", str(ev_pruned)]) == 0
+    assert _bleu_row(ev_pruned / "bleu.csv")["label"] == "train"
 
 
 def test_sequential_plan_and_report(workspace):
@@ -202,18 +212,9 @@ def test_sequential_pruning_after_stage_without_test_exits_2(workspace):
         code = main(["sequential", "--config", str(cfg),
                      "--out", str(workspace / "seq")])
     assert code == 2
-    assert "'plan.stages'[1]" in err.getvalue()
-    assert "'plan.stages'[0]" in err.getvalue()
+    assert "stage 1 ('stage1')" in err.getvalue()
+    assert "stage 0 ('pretrain'" in err.getvalue()
     assert not (workspace / "seq" / "pretrain.lrmt").exists()
-
-
-def test_seed_env_fallback(workspace, monkeypatch):
-    cfg = _config(workspace, **{"data.dataset": "en-en"})
-    monkeypatch.setenv("LRMT_SEED", "17")
-    out = workspace / "env_out"
-    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-    from lrmt.training import load_checkpoint
-    assert load_checkpoint(out / "model.lrmt").config["seed"] == 17
 
 
 def test_runtime_failure_exits_1(workspace):
@@ -251,7 +252,7 @@ def test_sequential_unsafe_stage_label_exits_2_before_training(workspace, label)
     with contextlib.redirect_stderr(err):
         code = main(["sequential", "--config", str(cfg), "--out", str(out)])
     assert code == 2
-    assert "'plan.stages'[1]" in err.getvalue()
+    assert "stage 1 label" in err.getvalue()
     assert not list(workspace.rglob("*.lrmt"))
 
 
@@ -310,3 +311,114 @@ def test_run_record_lists_the_config_test_corpus(workspace):
     assert main(["evaluate", "--config", str(ecfg), "--out", str(ev)]) == 0
     inputs = json.loads((ev / "run.json").read_text())["inputs"]
     assert inputs[str(test)] == hashlib.sha256(test.read_bytes()).hexdigest()
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("prepare-data", "--seed"), ("train", "--ckpt"), ("transfer", "--arch"),
+    ("multitask", "--test"), ("sequential", "--mode"), ("prune", "--seed"),
+    ("evaluate", "--percent"), ("xray", "--stage"), ("report", "--test")])
+def test_a_flag_the_command_does_not_read_exits_2(workspace, command, flag):
+    out = workspace / "out"
+    code, err = _run([command, "--config", str(_config(workspace)),
+                      "--out", str(out), flag, "1"])
+    assert code == 2
+    assert "unrecognized arguments: %s" % flag in err
+    assert not out.exists()
+
+
+def test_run_record_holds_the_flags(workspace):
+    cfg = _config(workspace, **{"data.dataset": "en-en"})
+    hashes = []
+    for seed in (3, 4):
+        out = workspace / ("seed%d" % seed)
+        assert main(["train", "--config", str(cfg), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["config"]["train.seed"] == seed
+        assert load_checkpoint(out / "model.lrmt").config["seed"] == seed
+        hashes.append(run["config_sha256"])
+    assert hashes[0] != hashes[1]
+
+
+@pytest.mark.parametrize("stage, named", [
+    ({"prune_mod": "most_n"}, "prune_mod"),
+    ({"prune_mode": "deadd"}, "deadd"),
+    ({"prune_mode": "most_n", "prune_percent": 150}, "150")],
+    ids=["unknown-key", "bad-mode", "bad-percent"])
+def test_sequential_bad_stage_exits_2_before_training(workspace, stage, named):
+    cfg = _config(workspace, **{
+        "plan.stages": [{"dataset": "en-en", "label": "pretrain"},
+                        dict({"dataset": "en-de", "label": "stage1"}, **stage)]})
+    code, err = _run(["sequential", "--config", str(cfg),
+                      "--out", str(workspace / "seq")])
+    assert code == 2
+    assert "'plan.stages'[1]" in err and named in err
+    assert not list(workspace.rglob("*.lrmt"))
+
+
+def test_train_arch_outside_the_architectures_exits_2(workspace):
+    cfg = _config(workspace, **{"data.dataset": "en-en", "train.arch": "foo"})
+    out = workspace / "out"
+    code, err = _run(["train", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "unknown architecture 'foo'" in err
+    assert not (out / "model.lrmt").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("transfer", {"data.dataset": "en-de"}),
+    ("multitask", {"multitask.datasets": {"de": "en-de"}})])
+def test_fine_tuning_rejects_a_model_shape_other_than_the_checkpoints(
+        workspace, command, extra):
+    pre = workspace / "pre"
+    assert main(["train", "--config", str(_config(workspace, **{"data.dataset": "en-en"})),
+                 "--out", str(pre)]) == 0
+    wide = _config(workspace, name="wide.json", **{"train.hidden_size": 16}, **extra)
+    out = workspace / "wide"
+    code, err = _run([command, "--config", str(wide), "--ckpt", str(pre / "model.lrmt"),
+                      "--out", str(out)])
+    assert code == 2
+    assert "'train.hidden_size' is 16" in err
+    assert not list(out.glob("*.lrmt"))
+
+
+def test_transfer_takes_the_model_shape_from_the_checkpoint(workspace):
+    pre = workspace / "pre"
+    assert main(["train", "--config", str(_config(workspace, **{"data.dataset": "en-en"})),
+                 "--out", str(pre)]) == 0
+    # no train.arch, embed_size, hidden_size or dropout: the defaults
+    # (abgru, 300, 512, 0.5) would not fit the H=8 gru checkpoint
+    cfg = {k: v for k, v in TINY_TRAIN.items()
+           if k not in ("train.arch", "train.embed_size", "train.hidden_size",
+                        "train.dropout")}
+    cfg.update({"data.manifest": str(workspace / "data" / "manifest.json"),
+                "data.dataset": "en-de"})
+    path = workspace / "bare.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = workspace / "hop"
+    assert main(["transfer", "--config", str(path), "--ckpt", str(pre / "model.lrmt"),
+                 "--out", str(out)]) == 0
+    ckpt = load_checkpoint(out / "transfer.lrmt")
+    assert ckpt.arch == "gru"
+    assert {k: ckpt.config[k] for k in ("arch", "embed_size", "hidden_size", "dropout")} \
+        == {"arch": "gru", "embed_size": 8, "hidden_size": 8, "dropout": 0.0}
+    ckpt.to_model()
+
+
+def test_report_names_the_file_of_a_bad_analysis_record(workspace):
+    analysis = workspace / "analysis.json"
+    analysis.write_text(json.dumps({"stage": "s", "signed_mass": [1.0],
+                                    "max_mass": [1.0], "hit_count": [1]}),
+                        encoding="utf-8")
+    rcfg = workspace / "rcfg.json"
+    rcfg.write_text(json.dumps({"report.analyses": [str(analysis)]}), encoding="utf-8")
+    code, err = _run(["report", "--config", str(rcfg), "--out", str(workspace / "rep")])
+    assert code == 2
+    assert str(analysis) in err and "magnitude_mass" in err

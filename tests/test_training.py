@@ -92,6 +92,8 @@ def test_train_config_rejects_bad_values():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(hidden_size=0)
+    with pytest.raises(ValueError, match="unknown architecture 'foo'"):
+        TrainConfig(arch="foo")
 
 
 # -- optimization sanity --------------------------------------------------------------
@@ -220,6 +222,30 @@ def test_sequential_plan_rejects_pruning_after_stage_without_test(monkeypatch):
     ])
     with pytest.raises(ValueError, match="'stage1'.*'pretrain'"):
         run_sequential_plan(plan, corpora, cfg)
+
+
+def test_sequential_stage_zero_carries_the_plan_label(tmp_path):
+    cfg = TrainConfig(arch="gru", seed=1, **TINY)
+    metrics = tmp_path / "metrics.jsonl"
+    (result,) = run_sequential_plan(TransferPlan([StageSpec(dataset_id="en-en", label="copy")]),
+                                    {"en-en": _data()}, cfg, metrics_path=metrics)
+    provenance = result["checkpoint"].provenance
+    assert provenance["stage"] == "copy"
+    assert {row["stage"] for row in provenance["history"]} == {"copy"}
+    assert {json.loads(line)["stage"]
+            for line in metrics.read_text().splitlines()} == {"copy"}
+
+
+def test_checkpoint_records_the_model_shape_not_the_config():
+    data = _data()
+    pre = pretrain_copy(data["train"], TrainConfig(arch="gru", seed=1, **TINY))
+    other = TrainConfig(arch="lstm", seed=1, **TINY | {"embed_size": 4, "hidden_size": 16,
+                                                       "dropout": 0.3, "max_epochs": 1})
+    ckpt = transfer_1hop(pre, data, other)
+    assert ckpt.arch == "gru"
+    assert {k: ckpt.config[k] for k in ("arch", "embed_size", "hidden_size", "dropout")} \
+        == {"arch": "gru", "embed_size": 8, "hidden_size": 8, "dropout": 0.0}
+    ckpt.to_model()
 
 
 def test_sequential_plan_rejects_unknown_dataset():
