@@ -20,7 +20,7 @@ print("stopped after epoch %d (best: epoch %d)"
       % (len(checkpoint.provenance["history"]), checkpoint.provenance["epoch"]))
 
 model = checkpoint.to_model()
-test = training.copy_corpus([s for s, _ in data["test"].pairs], split="test")
+test = training.copy_corpus([s for s, _ in data["test"].pairs])
 report = bleu.evaluate_corpus(model, test, max_len=10)
 print("held-out BLEU-4: %.4f  (precisions %s, bp %.3f)"
       % (report.score, ["%.3f" % p for p in report.precisions],

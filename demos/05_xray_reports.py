@@ -16,8 +16,8 @@ data = synthetic.splits(synthetic.copy_task, train=400, valid=40, test=40,
 
 before_model = training.build_model(
     config,
-    *(2 * [training.shared_source_vocab([data["train"]], config)]))
-test = training.copy_corpus([s for s, _ in data["test"].pairs], split="test")
+    *(2 * [training.shared_source_vocab([data["train"]])]))
+test = training.copy_corpus([s for s, _ in data["test"].pairs])
 
 acts_before = xray.capture_activations(before_model, test)
 mass_before = xray.mass_matrices(acts_before)
@@ -41,12 +41,12 @@ for tok, tag, mean, norm in dist.top_k:
     print("  %-8s %-6s mean %+.4f  normalized %+.3f" % (tok, tag, mean, norm))
 
 out = Path(mkdtemp(prefix="lrmt-xray-"))
-bundle = report.AnalysisBundle()
-bundle.add(report.StageAnalysis(label="untrained", mass=mass_before))
-bundle.add(report.StageAnalysis(
-    label="pretrained", mass=mass_after,
-    bleu=bleu.evaluate_corpus(model, test, max_len=10),
-    top_changed=[{"neuron": int(n), "delta": float(delta[n])} for n in most]))
-report.export_analysis(bundle, out)
+stages = [
+    report.StageAnalysis(stage=0, label="untrained", mass=mass_before),
+    report.StageAnalysis(
+        stage=1, label="pretrained", mass=mass_after,
+        bleu=bleu.evaluate_corpus(model, test, max_len=10),
+        top_changed=[{"neuron": int(n), "delta": float(delta[n])} for n in most])]
+report.export_analysis(stages, out)
 report.render_pos_distribution(dist, out / "neuron.svg")
 print("report written to", out)

@@ -66,10 +66,9 @@ from .xray import (
     knowledge_abstraction,
     mass_matrices,
     pos_token_distribution,
-    prune_neuron_knowledge,
     select_prune_set,
 )
-from .report import AnalysisBundle, StageAnalysis, export_analysis
+from .report import StageAnalysis, export_analysis
 from . import synthetic
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -79,17 +79,6 @@ def write_run_record(out, command, cfg, inputs):
                                   encoding="utf-8")
 
 
-def _manifest_inputs(manifest_path):
-    doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    root = Path(manifest_path).parent
-    files = [Path(manifest_path)]
-    for entry in doc.get("datasets", []):
-        for split in ("train", "valid", "test"):
-            if split in entry:
-                files.append(root / entry[split])
-    return files
-
-
 def _load_data(cfg, need_dataset=True):
     manifest = cfg.get("data.manifest")
     if manifest is None:
@@ -105,18 +94,24 @@ def _load_data(cfg, need_dataset=True):
     return corpora, dataset
 
 
+def _train_splits(corpora, dataset, key="data.dataset"):
+    """The splits of `dataset`, which a command trains on, so it needs a train split."""
+    if dataset not in corpora:
+        raise ConfigError("unknown dataset id in %r: %r" % (key, dataset))
+    if "train" not in corpora[dataset]:
+        raise ConfigError("dataset %r in %r has no train split" % (dataset, key))
+    return corpora[dataset]
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_prepare_data(cfg, out):
     corpora, _ = _load_data(cfg, need_dataset=False)
-    config = resolve_train_config(cfg)
     summary = {}
     for ds_id, splits in sorted(corpora.items()):
-        src = text.build_vocab(list(splits.values()), side="source",
-                               min_freq=config.min_freq)
-        tgt = text.build_vocab(list(splits.values()), side="target",
-                               min_freq=config.min_freq)
+        src = text.build_vocab(list(splits.values()), side="source")
+        tgt = text.build_vocab(list(splits.values()), side="target")
         src.export_json(out / ("%s.src.vocab.json" % ds_id))
         tgt.export_json(out / ("%s.tgt.vocab.json" % ds_id))
         summary[ds_id] = {"splits": {s: len(c.pairs) for s, c in splits.items()},
@@ -151,13 +146,13 @@ def _finalize(ckpt, out, name, test):
 def cmd_train(cfg, out):
     corpora, dataset = _load_data(cfg)
     config = resolve_train_config(cfg)
-    splits = corpora[dataset]
+    splits = _train_splits(corpora, dataset)
     train = splits["train"]
     valid = splits.get("valid")
     if valid is None:
         train, valid = training.carve_validation(train, seed=config.seed)
-    src_vocab = text.build_vocab([train], side="source", min_freq=config.min_freq)
-    tgt_vocab = text.build_vocab([train], side="target", min_freq=config.min_freq)
+    src_vocab = text.build_vocab([train], side="source")
+    tgt_vocab = text.build_vocab([train], side="target")
     model = training.build_model(config, src_vocab, tgt_vocab)
     ckpt = training.fit_with_early_stopping(
         model, train, valid, config,
@@ -188,9 +183,10 @@ def cmd_transfer(cfg, out):
     corpora, dataset = _load_data(cfg)
     pretrained, _ = _load_ckpt(cfg)
     config = _fine_tune_config(cfg, pretrained)
-    ckpt = training.transfer_1hop(pretrained, corpora[dataset], config,
+    splits = _train_splits(corpora, dataset)
+    ckpt = training.transfer_1hop(pretrained, splits, config,
                                   metrics_path=_fresh_metrics(out))
-    _finalize(ckpt, out, "transfer", corpora[dataset].get("test"))
+    _finalize(ckpt, out, "transfer", splits.get("test"))
     return 0
 
 
@@ -199,16 +195,15 @@ def cmd_multitask(cfg, out):
     mapping = cfg.get("multitask.datasets")
     if not mapping:
         raise ConfigError("missing config key: 'multitask.datasets'")
-    for lang, ds in mapping.items():
-        if lang not in training.CONTROL_TOKENS:
-            raise ConfigError("unknown language in 'multitask.datasets': %r" % lang)
-        if ds not in corpora:
-            raise ConfigError("unknown dataset id in 'multitask.datasets': %r" % ds)
+    task_corpora = {lang: _train_splits(corpora, ds, "multitask.datasets")
+                    for lang, ds in mapping.items()}
     pretrained, _ = _load_ckpt(cfg)
     config = _fine_tune_config(cfg, pretrained)
-    task_corpora = {lang: corpora[ds] for lang, ds in mapping.items()}
-    ckpt = training.train_multitask_joint(pretrained, task_corpora, config,
-                                          metrics_path=_fresh_metrics(out))
+    try:
+        ckpt = training.train_multitask_joint(pretrained, task_corpora, config,
+                                              metrics_path=_fresh_metrics(out))
+    except training.VocabMismatchError as exc:
+        raise ConfigError("'multitask.datasets': %s" % exc)
     ckpt.save(out / "multitask.lrmt")
     return 0
 
@@ -234,19 +229,19 @@ def cmd_sequential(cfg, out):
             if r["bleu"] is not None]
     if rows:
         bleu.write_bleu_csv(out / "bleu.csv", rows)
-    bundle = report.AnalysisBundle([
-        report.StageAnalysis(label=r["label"], mass=r["mass"], bleu=r["bleu"])
-        for r in results if r["mass"] is not None])
-    if bundle.stages:
-        report.export_analysis(bundle, out / "report")
+    stages = [report.StageAnalysis(stage=r["stage"], label=r["label"], mass=r["mass"],
+                                   bleu=r["bleu"])
+              for r in results if r["mass"] is not None]
+    if stages:
+        report.export_analysis(stages, out / "report")
     return 0
 
 
 def _analysis_corpus(cfg):
     test_path = cfg.get("data.test")
     if test_path is not None:
-        return text.load_tsv(test_path, "eval", "test",
-                             max_len=cfg.get("data.max_len", 50), truncate=True)
+        return text.load_tsv(test_path, max_len=cfg.get("data.max_len", 50),
+                             truncate=True)
     corpora, dataset = _load_data(cfg)
     if "test" not in corpora[dataset]:
         raise ConfigError("dataset %r has no test split" % dataset)
@@ -265,15 +260,11 @@ def cmd_prune(cfg, out):
         prune_set = xray.select_prune_set(mass, mode, percent)
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad 'analysis.mode'/'analysis.percent': %s" % exc)
-    xray.prune_neuron_knowledge(model, prune_set)
+    model.prune_encoder_units(sorted(prune_set))
     training.Checkpoint.from_model(
         model, ckpt.train_config(),
         provenance=dict(ckpt.provenance, prune_mode=mode, prune_percent=percent,
                         pruned=sorted(prune_set))).save(out / "pruned.lrmt")
-    (out / "prune.json").write_text(
-        json.dumps({"mode": mode, "percent": percent,
-                    "pruned": sorted(prune_set)}, indent=2),
-        encoding="utf-8")
     return 0
 
 
@@ -306,17 +297,17 @@ def cmd_report(cfg, out):
     paths = cfg.get("report.analyses")
     if not paths:
         raise ConfigError("missing config key: 'report.analyses'")
-    bundle = report.AnalysisBundle()
+    stages = []
     for p in paths:
         try:
             records = xray.load_analysis(p)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError("cannot read analysis records from %s: %s: %s"
                               % (p, type(exc).__name__, exc))
-        for stage, mass, top_changed in records:
-            bundle.add(report.StageAnalysis(label=stage, mass=mass,
-                                            top_changed=top_changed))
-    report.export_analysis(bundle, out)
+        for label, mass, top_changed in records:
+            stages.append(report.StageAnalysis(stage=len(stages), label=label, mass=mass,
+                                               top_changed=top_changed))
+    report.export_analysis(stages, out)
     return 0
 
 
@@ -370,9 +361,11 @@ def main(argv=None):
         inputs = [config_path] if config_path else []
         if cfg.get("data.manifest"):
             try:
-                inputs += _manifest_inputs(cfg["data.manifest"])
-            except (OSError, json.JSONDecodeError, KeyError) as exc:
+                datasets = text.manifest_files(cfg["data.manifest"])
+            except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
                 raise ConfigError("bad manifest %r: %s" % (cfg["data.manifest"], exc))
+            inputs += [cfg["data.manifest"]] + [
+                fp for files in datasets.values() for fp in files.values()]
         inputs += [cfg[key] for key in ("ckpt", "data.test") if cfg.get(key)]
         missing = [p for p in inputs if not Path(p).exists()]
         if missing:

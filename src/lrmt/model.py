@@ -112,7 +112,7 @@ class EncodeResult:
     z: object                 # Tensor [B, H]; initial decoder hidden state
     cell: object              # Tensor [B, H] or None (LSTM cell state)
     mask: np.ndarray          # [B, T] {0,1}; 1 at real tokens
-    attn_proj: object = None  # cached encoder-side attention projection
+    attn_proj: object = None  # abgru: encoder-side attention energy [B, T, H]
 
     def activations(self, row):
         """Per-token state vectors for one batch row, pad positions dropped."""
@@ -124,7 +124,7 @@ class Seq2SeqModel:
     """Architecture-tagged encoder + optional attention + decoder + head."""
 
     def __init__(self, arch, src_vocab, tgt_vocab, embed_size=300, hidden_size=512,
-                 attn_size=None, dropout=0.5, seed=0, dtype=None):
+                 dropout=0.5, seed=0, dtype=None):
         if arch not in ARCHITECTURES:
             raise ValueError("unknown architecture %r" % arch)
         self.arch = arch
@@ -132,7 +132,6 @@ class Seq2SeqModel:
         self.tgt_vocab = tgt_vocab
         self.embed_size = embed_size
         self.hidden_size = hidden_size
-        self.attn_size = attn_size or hidden_size
         self.dropout = dropout
         self.dtype = dtype or nm.default_dtype()
         rng = np.random.default_rng(seed)
@@ -156,7 +155,7 @@ class Seq2SeqModel:
             self.enc_fwd = self.enc_bwd = self.enc_init = None
 
     def _build_decoder(self, rng):
-        E, H, A = self.embed_size, self.hidden_size, self.attn_size
+        E, H = self.embed_size, self.hidden_size
         V = len(self.tgt_vocab)
         self.tgt_emb = Parameter(nm.init_uniform((V, E), rng, dtype=self.dtype), name="tgt_emb")
         if self.arch == "lstm":
@@ -168,8 +167,8 @@ class Seq2SeqModel:
             self.out = Linear(E + H + H, V, rng, "out", dtype=self.dtype)
             self.attn_energy = self.attn_score = None
         else:
-            self.attn_energy = Linear(H + 2 * H, A, rng, "attn_energy", dtype=self.dtype)
-            self.attn_score = Linear(A, 1, rng, "attn_score", dtype=self.dtype)
+            self.attn_energy = Linear(H + 2 * H, H, rng, "attn_energy", dtype=self.dtype)
+            self.attn_score = Linear(H, 1, rng, "attn_score", dtype=self.dtype)
             self.dec_cell = RecurrentCell("gru", E + 2 * H, H, rng, "dec", dtype=self.dtype)
             self.out = Linear(E + 2 * H + H, V, rng, "out", dtype=self.dtype)
 
@@ -252,8 +251,9 @@ class Seq2SeqModel:
         """Run the encoder over a right-padded id matrix [B, T].
 
         Returns an EncodeResult with per-token states, the initial decoder
-        state z, and the pad mask (source != PAD).  Dropout draws from `rng`
-        when one is given.
+        state z, the pad mask (source != PAD) and, for abgru, the
+        encoder-side attention projection.  Dropout draws from `rng` when one
+        is given.
         """
         source = np.asarray(source)
         if source.ndim != 2 or source.shape[0] == 0:
@@ -267,13 +267,14 @@ class Seq2SeqModel:
             bwd, h_bwd_final, _ = self.enc_bwd.sequence(emb, mask, reverse=True)
             states = nm.concat([fwd, bwd], axis=-1)       # [B, T, 2H]
             z = nm.tanh(self.enc_init(nm.concat([h_fwd_final, h_bwd_final], axis=-1)))
-            return EncodeResult(states=states, z=z, cell=None, mask=mask)
+            return EncodeResult(states=states, z=z, cell=None, mask=mask,
+                                attn_proj=self._attention_projection(states))
 
         states, h_final, c_final = self.enc_cell.sequence(emb, mask)
         return EncodeResult(states=states, z=h_final, cell=c_final, mask=mask)
 
     def _attention_projection(self, enc_states):
-        """Encoder-side part of the additive energy, computable once per pass.
+        """Encoder-side part of the additive energy, computed once per pass.
 
         The energy layer sees [s; h]: its first H weight rows act on the
         decoder state, the remaining rows on the encoder state.
@@ -282,19 +283,19 @@ class Seq2SeqModel:
         flat = nm.reshape(enc_states, (B * T, D))
         W_enc = nm.narrow(self.attn_energy.W, self.hidden_size, D, axis=0)
         proj = nm.matmul(flat, W_enc) + self.attn_energy.b
-        return nm.reshape(proj, (B, T, self.attn_size))
+        return nm.reshape(proj, (B, T, self.hidden_size))
 
-    def attention_weights(self, s_prev, enc_states, mask, proj=None):
-        """Additive attention over source positions; pads get exactly 0 weight."""
+    def attention_weights(self, s_prev, enc_states, mask, proj):
+        """Additive attention over source positions; pads get exactly 0 weight.
+        `proj` is the encoder-side projection `encode` returns as `attn_proj`."""
         if not np.asarray(mask).any(axis=-1).all():
             raise ValueError("attention over fully padded sequence")
         B, T, D = enc_states.shape
-        if proj is None:
-            proj = self._attention_projection(enc_states)
-        W_dec = nm.narrow(self.attn_energy.W, 0, self.hidden_size, axis=0)
-        s_proj = nm.reshape(nm.matmul(s_prev, W_dec), (B, 1, self.attn_size))
-        energy = nm.tanh(proj + s_proj)                   # [B, T, A]
-        flat = nm.reshape(energy, (B * T, self.attn_size))
+        H = self.hidden_size
+        W_dec = nm.narrow(self.attn_energy.W, 0, H, axis=0)
+        s_proj = nm.reshape(nm.matmul(s_prev, W_dec), (B, 1, H))
+        energy = nm.tanh(proj + s_proj)                   # [B, T, H]
+        flat = nm.reshape(energy, (B * T, H))
         scores = nm.reshape(self.attn_score(flat), (B, T))
         return nm.masked_softmax(scores, mask)            # [B, T]
 
@@ -315,10 +316,7 @@ class Seq2SeqModel:
             c_t = None
             feats = nm.concat([emb, s_t, enc.z], axis=-1)
         else:
-            if enc.attn_proj is None:
-                enc.attn_proj = self._attention_projection(enc.states)
-            a_t = self.attention_weights(s_prev, enc.states, enc.mask,
-                                         proj=enc.attn_proj)
+            a_t = self.attention_weights(s_prev, enc.states, enc.mask, enc.attn_proj)
             w_t = nm.tsum(nm.reshape(a_t, (B, a_t.shape[1], 1)) * enc.states, axis=1)
             s_t = self.dec_cell.step(nm.concat([emb, w_t], axis=-1), s_prev)
             c_t = None

@@ -576,17 +576,6 @@ def cross_entropy_masked(logits, targets, ignore_index=0):
 
 # -- optimizer ---------------------------------------------------------------
 
-class AdamState:
-    """First/second moment buffers and step count for one parameter."""
-
-    __slots__ = ("m", "v", "t")
-
-    def __init__(self, param):
-        self.m = np.zeros_like(param.data)
-        self.v = np.zeros_like(param.data)
-        self.t = 0
-
-
 def clip_grad_norm(params, max_norm):
     """Scale gradients so the global L2 norm over live params is <= max_norm."""
     if max_norm <= 0:
@@ -606,58 +595,53 @@ def clip_grad_norm(params, max_norm):
     return scale
 
 
-def adam_step(params, states, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, l2=0.0):
-    """One Adam update with bias correction; classic L2 added to the gradient.
-
-    Frozen parameters are skipped entirely (values and moments untouched).
-    Pruned entries are re-pinned to exactly 0 after the update.
-    """
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
-    b1, b2 = betas
-    for p in params:
-        if p.frozen:
-            continue
-        st = states[id(p)] if isinstance(states, dict) else states
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if l2:
-            g = g + l2 * p.data
-        if p.pruned is not None and p.pruned.size:
-            g = g.copy()
-            g.reshape(-1)[p.pruned] = 0.0
-        st.t += 1
-        st.m = b1 * st.m + (1.0 - b1) * g
-        st.v = b2 * st.v + (1.0 - b2) * g * g
-        mhat = st.m / (1.0 - b1 ** st.t)
-        vhat = st.v / (1.0 - b2 ** st.t)
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
-        if p.pruned is not None and p.pruned.size:
-            flat = p.data.reshape(-1)
-            flat[p.pruned] = 0.0
-            st.m.reshape(-1)[p.pruned] = 0.0
-            st.v.reshape(-1)[p.pruned] = 0.0
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Convenience wrapper holding one AdamState per parameter."""
+    """Adam with bias correction; classic L2 added to the gradient.
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, l2=0.0):
+    Each parameter keeps its own moments and step count.  Frozen parameters
+    are skipped entirely (values and moments untouched).  Pruned entries are
+    re-pinned to exactly 0 after the update.
+    """
+
+    def __init__(self, params, lr=1e-3, l2=0.0):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.params = list(params)
-        self.states = {id(p): AdamState(p) for p in self.params}
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.l2 = l2
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = [0] * len(self.params)
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
 
     def step(self):
-        adam_step(self.params, self.states, lr=self.lr, betas=self.betas,
-                  eps=self.eps, l2=self.l2)
+        b1, b2 = ADAM_BETAS
+        for i, p in enumerate(self.params):
+            if p.frozen:
+                continue
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if self.l2:
+                g = g + self.l2 * p.data
+            if p.pruned is not None and p.pruned.size:
+                g = g.copy()
+                g.reshape(-1)[p.pruned] = 0.0
+            self.t[i] += 1
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            mhat = self.m[i] / (1.0 - b1 ** self.t[i])
+            vhat = self.v[i] / (1.0 - b2 ** self.t[i])
+            p.data -= (self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
+            if p.pruned is not None and p.pruned.size:
+                p.data.reshape(-1)[p.pruned] = 0.0
+                self.m[i].reshape(-1)[p.pruned] = 0.0
+                self.v[i].reshape(-1)[p.pruned] = 0.0
 
 
 def init_uniform(shape, rng, scale=0.08, dtype=None):

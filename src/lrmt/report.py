@@ -17,18 +17,11 @@ from .bleu import dump_translations_tsv, write_bleu_csv
 
 @dataclass
 class StageAnalysis:
+    stage: int                           # index of the stage in its plan
     label: str
     mass: "xray.MassActivationMatrix"
     bleu: object = None                  # BleuReport, optional
     top_changed: list = field(default_factory=list)   # [{"neuron": i, "delta": d}]
-
-
-@dataclass
-class AnalysisBundle:
-    stages: list = field(default_factory=list)
-
-    def add(self, stage):
-        self.stages.append(stage)
 
 
 def _fmt(x):
@@ -41,21 +34,21 @@ def _svg_header(width, height):
             '<rect width="%d" height="%d" fill="white"/>' % (width, height)]
 
 
-def render_knowledge_plot(bundle, path=None):
-    """Per-stage panels of signed mass per neuron: positive part in blue,
-    negative part in red, one mark per neuron."""
-    if not bundle.stages:
-        raise ValueError("empty analysis bundle")
-    width = {s.mass.width for s in bundle.stages}
+def render_knowledge_plot(stages, path=None):
+    """Per-stage panels of signed mass per neuron for a list of StageAnalysis:
+    positive part in blue, negative part in red, one mark per neuron."""
+    if not stages:
+        raise ValueError("no stages to plot")
+    width = {s.mass.width for s in stages}
     if len(width) != 1:
         raise ValueError("stages have mismatched analysis widths")
     n = width.pop()
     panel_w, panel_h, margin = 640, 160, 30
-    height = (panel_h + margin) * len(bundle.stages) + margin
+    height = (panel_h + margin) * len(stages) + margin
     parts = _svg_header(panel_w + 2 * margin, height)
-    all_abs = max(float(np.abs(s.mass.signed_mass).max()) for s in bundle.stages)
+    all_abs = max(float(np.abs(s.mass.signed_mass).max()) for s in stages)
     scale = all_abs if all_abs > 0 else 1.0
-    for idx, stage in enumerate(bundle.stages):
+    for idx, stage in enumerate(stages):
         top = margin + idx * (panel_h + margin)
         mid = top + panel_h / 2
         parts.append('<text x="%d" y="%s" font-size="12" font-family="monospace">%s</text>'
@@ -123,9 +116,11 @@ def _escape(text):
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def export_analysis(bundle, out_dir):
-    """Write all analysis artifacts plus a report.json index with a CRC32 per
-    file. An empty bundle yields an empty index and no partial files."""
+def export_analysis(stages, out_dir):
+    """Write the analysis artifacts of a list of StageAnalysis plus a
+    report.json index with a CRC32 per file.  bleu.csv and the translations
+    files come only from stages with a BleuReport, numbered by plan stage.
+    No stages yield an empty index and no partial files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
@@ -134,26 +129,23 @@ def export_analysis(bundle, out_dir):
         data = (out / name).read_bytes()
         artifacts.append({"path": name, "crc32": zlib.crc32(data)})
 
-    if bundle.stages:
+    if stages:
         records = [xray.analysis_export(s.label, s.mass, top_changed=s.top_changed)
-                   for s in bundle.stages]
+                   for s in stages]
         (out / "analysis.json").write_text(
             json.dumps(records, indent=2, sort_keys=True), encoding="utf-8")
         _register("analysis.json")
 
-        write_bleu_csv(out / "bleu.csv", [(i, s.label, s.bleu)
-                                          for i, s in enumerate(bundle.stages)
-                                          if s.bleu is not None])
-        _register("bleu.csv")
-
-        for i, stage in enumerate(bundle.stages):
-            if stage.bleu is None:
-                continue
-            name = "translations_%02d_%s.tsv" % (i, stage.label)
+        scored = [s for s in stages if s.bleu is not None]
+        if scored:
+            write_bleu_csv(out / "bleu.csv", [(s.stage, s.label, s.bleu) for s in scored])
+            _register("bleu.csv")
+        for stage in scored:
+            name = "translations_%02d_%s.tsv" % (stage.stage, stage.label)
             dump_translations_tsv(stage.bleu, out / name)
             _register(name)
 
-        render_knowledge_plot(bundle, out / "knowledge.svg")
+        render_knowledge_plot(stages, out / "knowledge.svg")
         _register("knowledge.svg")
 
     (out / "report.json").write_text(

@@ -110,14 +110,12 @@ class Vocabulary:
 class ParallelCorpus:
     """Aligned (source tokens, target tokens) pairs for one language pair."""
 
-    pair: str              # e.g. "en-de"
     pairs: list            # list of (src token list, tgt token list)
-    split: str = "train"   # train/valid/test
 
     def __post_init__(self):
-        for src, tgt in self.pairs:
+        for i, (src, tgt) in enumerate(self.pairs):
             if not src or not tgt:
-                raise ValueError("empty sentence in corpus %s" % self.pair)
+                raise ValueError("empty sentence in corpus pair %d" % i)
 
     def __len__(self):
         return len(self.pairs)
@@ -131,7 +129,7 @@ class Batch:
     target: np.ndarray       # [B, Tt] int64
 
 
-def load_tsv(path, pair, split, max_len=50, truncate=False):
+def load_tsv(path, max_len=50, truncate=False):
     """Read a Tatoeba-style TSV (source TAB target per line) into a corpus.
 
     Lines that clean to empty are dropped.  Pairs longer than `max_len` tokens
@@ -155,37 +153,59 @@ def load_tsv(path, pair, split, max_len=50, truncate=False):
                     continue
                 src, tgt = src[:max_len], tgt[:max_len]
             pairs.append((src, tgt))
-    return ParallelCorpus(pair=pair, pairs=pairs, split=split)
+    return ParallelCorpus(pairs)
 
 
-def load_manifest(path, max_len=50):
-    """Load a manifest JSON naming language pairs and their split files.
+SPLITS = ("train", "valid", "test")
 
-    Format: {"datasets": [{"id": "en-de", "pair": "en-de",
-                           "train": "...", "valid": "...", "test": "..."}]}
-    Paths are resolved relative to the manifest file.
+
+def manifest_files(path):
+    """The manifest JSON at `path`, checked: {dataset id: {split: file path}}.
+
+    Format: {"datasets": [{"id": "en-de", "train": "...", "valid": "...",
+                           "test": "..."}]}
+    Paths are resolved relative to the manifest file; a split may be left
+    out, and other keys (such as a "pair" label) are ignored.  A manifest
+    of another shape raises ValueError naming the key at fault.
     """
     path = Path(path)
     spec = json.loads(path.read_text(encoding="utf-8"))
+    datasets = spec.get("datasets") if isinstance(spec, dict) else None
+    if not isinstance(datasets, list):
+        raise ValueError("manifest %s: 'datasets' must be a list of objects" % path)
+    files = {}
+    for i, entry in enumerate(datasets):
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            raise ValueError("manifest %s: 'datasets'[%d] must be an object with "
+                             "a string 'id'" % (path, i))
+        for split in SPLITS:
+            if not isinstance(entry.get(split, ""), str):
+                raise ValueError("manifest %s: 'datasets'[%d] %r must be a file name"
+                                 % (path, i, split))
+        files[entry["id"]] = {split: path.parent / entry[split]
+                              for split in SPLITS if split in entry}
+    return files
+
+
+def load_manifest(path, max_len=50):
+    """Load every split file a manifest names (see `manifest_files`):
+    {dataset id: {split: corpus}}."""
     corpora = {}
-    for entry in spec["datasets"]:
+    for dataset, files in manifest_files(path).items():
         splits = {}
-        for split in ("train", "valid", "test"):
-            if split in entry:
-                fp = path.parent / entry[split]
-                if not fp.exists():
-                    raise FileNotFoundError("corpus file missing: %s" % fp)
-                splits[split] = load_tsv(fp, entry["pair"], split, max_len=max_len,
-                                         truncate=(split != "train"))
-        corpora[entry["id"]] = splits
+        for split, fp in files.items():
+            if not fp.exists():
+                raise FileNotFoundError("corpus file missing: %s" % fp)
+            splits[split] = load_tsv(fp, max_len=max_len, truncate=(split != "train"))
+        corpora[dataset] = splits
     return corpora
 
 
-def build_vocab(corpora, side="source", min_freq=1, extra_tokens=()):
+def build_vocab(corpora, side="source", extra_tokens=()):
     """Frequency-then-lexicographic vocabulary over one side of the corpora.
 
-    Tokens below `min_freq` are left out and encode to unk.  `extra_tokens`
-    (e.g. multi-task control tokens) are appended right after the reserved ids.
+    `extra_tokens` (e.g. multi-task control tokens) are appended right after
+    the reserved ids.
     """
     if not corpora:
         raise ValueError("no corpora given")
@@ -197,7 +217,7 @@ def build_vocab(corpora, side="source", min_freq=1, extra_tokens=()):
                 counts[tok] = counts.get(tok, 0) + 1
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     itos = list(RESERVED) + list(extra_tokens)
-    itos += [tok for tok, c in ordered if c >= min_freq and tok not in itos]
+    itos += [tok for tok, _ in ordered if tok not in itos]
     return Vocabulary(itos=itos)
 
 

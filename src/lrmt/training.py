@@ -20,6 +20,8 @@ from .text import ParallelCorpus, Vocabulary, build_vocab, make_batches
 
 CHECKPOINT_MAGIC = b"LRMT"
 CHECKPOINT_VERSION = 2      # v1 also held "rng_state" and config "layers"; load ignores both
+# TrainConfig fields that older files still hold; load drops them from the config
+OLD_CONFIG_KEYS = ("layers", "betas", "eps", "min_freq")
 
 CONTROL_TOKENS = {"de": "<2de>", "fr": "<2fr>", "es": "<2es>", "en": "<2en>"}
 
@@ -44,13 +46,9 @@ class TrainConfig:
     clip_norm: float = 5.0
     tf_ratio: float = 0.5
     seed: int = 0
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     max_len: int = 50
-    min_freq: int = 1
 
     def __post_init__(self):
-        self.betas = tuple(self.betas)    # JSON holds a list
         if self.arch not in ARCHITECTURES:
             raise ValueError("unknown architecture %r, not one of %s" % (self.arch, ARCHITECTURES))
         numeric = [self.embed_size, self.hidden_size, self.max_epochs,
@@ -95,13 +93,17 @@ class TransferPlan:
 
 def check_plan(plan, corpora):
     """The stage labels, after checking every stage against `corpora`: a known dataset
-    (else KeyError), a label that can name a file and, before a pruning stage, a test split."""
+    (else KeyError) with a train split, a label that can name a file and, before a
+    pruning stage, a test split."""
     labels = [s.label or ("stage%d-%s" % (i, s.dataset_id))
               for i, s in enumerate(plan.stages)]
     for i, (stage, label) in enumerate(zip(plan.stages, labels)):
         if stage.dataset_id not in corpora:
             raise KeyError("stage %d (%r) names unknown dataset %r"
                            % (i, label, stage.dataset_id))
+        if "train" not in corpora[stage.dataset_id]:
+            raise ValueError("stage %d (%r) trains on dataset %r, which has no train split"
+                             % (i, label, stage.dataset_id))
         if label in (".", "..") or "/" in label or "\\" in label:
             raise ValueError("stage %d label %r cannot name a file: it holds a "
                              "path separator or is '.' or '..'" % (i, label))
@@ -135,7 +137,6 @@ class Checkpoint:
             frozen[name] = bool(p.frozen)
             pruned[name] = [] if p.pruned is None else [int(i) for i in p.pruned]
         cfg = asdict(config) if isinstance(config, TrainConfig) else dict(config)
-        cfg["betas"] = list(cfg.get("betas", (0.9, 0.999)))
         # the model's own shape, so the checkpoint always rebuilds it
         cfg.update(arch=model.arch, embed_size=model.embed_size,
                    hidden_size=model.hidden_size, dropout=model.dropout)
@@ -182,7 +183,8 @@ class Checkpoint:
     def load(cls, path):
         def build(header, tensors):
             config = dict(header["config"])
-            config.pop("layers", None)
+            for dropped in OLD_CONFIG_KEYS:
+                config.pop(dropped, None)
             entries = header["tensors"]
             return cls(config=config, arch=header["arch"],
                        src_vocab=header["src_vocab"], tgt_vocab=header["tgt_vocab"],
@@ -261,8 +263,7 @@ def fit_with_early_stopping(model, train, valid, config, metrics_path=None,
     if not valid.pairs:
         raise ValueError("validation split is empty")
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(model.parameters(), lr=config.lr, betas=config.betas,
-                     eps=config.eps, l2=config.l2)
+    optimizer = Adam(model.parameters(), lr=config.lr, l2=config.l2)
     history = []
 
     def valid_losses():
@@ -309,13 +310,12 @@ def carve_validation(corpus, fraction=0.1, seed=0):
     valid_idx = set(order[:n_valid].tolist())
     train_pairs = [p for i, p in enumerate(corpus.pairs) if i not in valid_idx]
     valid_pairs = [p for i, p in enumerate(corpus.pairs) if i in valid_idx]
-    return (ParallelCorpus(corpus.pair, train_pairs, "train"),
-            ParallelCorpus(corpus.pair, valid_pairs, "valid"))
+    return ParallelCorpus(train_pairs), ParallelCorpus(valid_pairs)
 
 
-def copy_corpus(sentences, pair="en-en", split="train"):
+def copy_corpus(sentences):
     """Targets set equal to sources: the auto-encoding pretraining corpus."""
-    return ParallelCorpus(pair, [(list(s), list(s)) for s in sentences], split)
+    return ParallelCorpus([(list(s), list(s)) for s in sentences])
 
 
 def build_model(config, src_vocab, tgt_vocab):
@@ -324,25 +324,24 @@ def build_model(config, src_vocab, tgt_vocab):
                         dropout=config.dropout, seed=config.seed)
 
 
-def shared_source_vocab(corpora, config):
+def shared_source_vocab(corpora):
     """The input vocabulary shared by every transfer regime.
 
     Control tokens for multi-task mode are reserved up front so the frozen
     source embedding can address them later.
     """
     extra = tuple(CONTROL_TOKENS[k] for k in sorted(CONTROL_TOKENS))
-    return build_vocab(corpora, side="source", min_freq=config.min_freq,
-                       extra_tokens=extra)
+    return build_vocab(corpora, side="source", extra_tokens=extra)
 
 
 def pretrain_copy(en_corpus, config, src_vocab=None, metrics_path=None,
                   stage_label="pretrain"):
     """Auto-encode English; this checkpoint seeds every transfer regime."""
-    train_full = copy_corpus([s for s, _ in en_corpus.pairs], pair="en-en")
+    train_full = copy_corpus([s for s, _ in en_corpus.pairs])
     train, valid = carve_validation(train_full, fraction=0.1, seed=config.seed)
     if src_vocab is None:
-        src_vocab = shared_source_vocab([train], config)
-    tgt_vocab = build_vocab([train], side="target", min_freq=config.min_freq)
+        src_vocab = shared_source_vocab([train])
+    tgt_vocab = build_vocab([train], side="target")
     model = build_model(config, src_vocab, tgt_vocab)
     return fit_with_early_stopping(model, train, valid, config,
                                    metrics_path=metrics_path, stage_label=stage_label)
@@ -355,7 +354,7 @@ def _fine_tune(model, splits, config, metrics_path, stage_label):
     train, valid = splits["train"], splits.get("valid")
     if valid is None:
         train, valid = carve_validation(train, seed=config.seed)
-    tgt_vocab = build_vocab([train], side="target", min_freq=config.min_freq)
+    tgt_vocab = build_vocab([train], side="target")
     model.rebind_decoder(tgt_vocab, seed=config.seed)
     return fit_with_early_stopping(model, train, valid, config,
                                    metrics_path=metrics_path, stage_label=stage_label)
@@ -368,17 +367,23 @@ def transfer_1hop(pretrained, target_splits, config, metrics_path=None):
 
 
 def combine_multitask(corpora, src_vocab):
-    """Concatenate {lang: splits} train corpora, tagging rows with control tokens."""
+    """Concatenate {lang: splits} train corpora, tagging rows with control tokens.
+
+    Raises VocabMismatchError for a language without a control token or a
+    control token missing from `src_vocab`."""
     pairs = []
     for lang in sorted(corpora):
-        token = CONTROL_TOKENS.get(lang)
+        if lang not in CONTROL_TOKENS:
+            raise VocabMismatchError("unknown language %r, not one of %s"
+                                     % (lang, sorted(CONTROL_TOKENS)))
+        token = CONTROL_TOKENS[lang]
         if token not in src_vocab.stoi:
             raise VocabMismatchError(
                 "control token %r missing from the shared vocabulary; "
                 "pretrain with control tokens reserved" % token)
         pairs += [([token] + list(src), list(tgt))
                   for src, tgt in corpora[lang]["train"].pairs]
-    return ParallelCorpus("multi", pairs, "train")
+    return ParallelCorpus(pairs)
 
 
 def train_multitask_joint(pretrained, corpora, config, metrics_path=None):
@@ -404,7 +409,7 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None):
         out_dir.mkdir(parents=True, exist_ok=True)
 
     all_train = [corpora[s.dataset_id]["train"] for s in plan.stages]
-    src_vocab = shared_source_vocab(all_train, config)
+    src_vocab = shared_source_vocab(all_train)
 
     results = []
     for idx, (stage, label) in enumerate(zip(plan.stages, labels)):
@@ -414,7 +419,7 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None):
             ckpt = pretrain_copy(splits["train"], config, src_vocab=src_vocab,
                                  metrics_path=metrics_path, stage_label=label)
             if test is not None:
-                test = copy_corpus([s for s, _ in test.pairs], split="test")
+                test = copy_corpus([s for s, _ in test.pairs])
         else:
             if stage.prune_mode != "none":
                 prune_set = xray.select_prune_set(results[-1]["mass"], stage.prune_mode,

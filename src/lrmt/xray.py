@@ -134,11 +134,6 @@ def select_prune_set(mass, mode, percent=0.0):
     return set(order[:n].tolist())
 
 
-def prune_neuron_knowledge(model, neuron_ids):
-    """Zero and pin the incoming weights/bias of the selected encoder units."""
-    return model.prune_encoder_units(sorted(neuron_ids))
-
-
 def knowledge_abstraction(mass):
     signed = mass.signed_mass
     positive = float(signed[signed > 0].sum())

@@ -41,7 +41,7 @@ def _report(number, name, passed, detail=""):
 
 
 def _vocab(words):
-    c = ParallelCorpus("a-b", [(list(words), list(words))], "train")
+    c = ParallelCorpus([(list(words), list(words))])
     return build_vocab([c], side="source")
 
 
@@ -156,7 +156,7 @@ def _copy_run(seed):
                             test=200, vocab_size=64, min_len=2, max_len=8,
                             seed=seed)
     ckpt = pretrain_copy(data["train"], cfg)
-    test = training.copy_corpus([s for s, _ in data["test"].pairs], split="test")
+    test = training.copy_corpus([s for s, _ in data["test"].pairs])
     return _scored_against_reference(ckpt.to_model(), test, max_len=12)
 
 
@@ -249,7 +249,7 @@ def test_criterion_6_pruned_neuron_silence():
     model = ckpt.to_model()
     k = 5
     model.prune_encoder_units([k])
-    test = training.copy_corpus([s for s, _ in data["test"].pairs], split="test")
+    test = training.copy_corpus([s for s, _ in data["test"].pairs])
     acts = capture_activations(model, test)
     col = np.concatenate([s.matrix[:, k] for s in acts.sentences])
     silent_before = np.all(col == 0.0)

@@ -125,11 +125,12 @@ def test_train_evaluate_prune_xray_round_trip(workspace):
                  "--percent", "25",
                  "--test", str(workspace / "data" / "en-en.test.tsv"),
                  "--out", str(pr)]) == 0
-    record = json.loads((pr / "prune.json").read_text())
-    assert len(record["pruned"]) == 2  # floor(25% of 8)
+    assert sorted(p.name for p in pr.iterdir()) == ["pruned.lrmt", "run.json"]
+    pruned = load_checkpoint(pr / "pruned.lrmt").provenance
+    assert len(pruned["pruned"]) == 2  # floor(25% of 8)
     source = load_checkpoint(ckpt).provenance
-    assert load_checkpoint(pr / "pruned.lrmt").provenance == dict(
-        source, prune_mode="most_n", prune_percent=25.0, pruned=record["pruned"])
+    assert pruned == dict(source, prune_mode="most_n", prune_percent=25.0,
+                          pruned=pruned["pruned"])
 
     ev_pruned = workspace / "eval_pruned"
     assert main(["evaluate", "--ckpt", str(pr / "pruned.lrmt"),
@@ -240,6 +241,8 @@ def test_report_command_rebuilds_from_analysis_json(workspace):
     rep = workspace / "rep"
     assert main(["report", "--config", str(rcfg), "--out", str(rep)]) == 0
     assert (rep / "knowledge.svg").exists()
+    # no stage has a BLEU score, so no header-only bleu.csv
+    assert not (rep / "bleu.csv").exists()
 
 
 @pytest.mark.parametrize("label", ["de/fr", "de\\fr", "..", "."])
@@ -422,3 +425,76 @@ def test_report_names_the_file_of_a_bad_analysis_record(workspace):
     code, err = _run(["report", "--config", str(rcfg), "--out", str(workspace / "rep")])
     assert code == 2
     assert str(analysis) in err and "magnitude_mass" in err
+
+
+def _manifest(workspace, doc):
+    path = workspace / "data" / "other.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+NO_TRAIN = {"datasets": [
+    {"id": "en-en", "train": "en-en.train.tsv", "valid": "en-en.valid.tsv",
+     "test": "en-en.test.tsv"},
+    {"id": "en-de", "valid": "en-de.valid.tsv", "test": "en-de.test.tsv"}]}
+
+
+@pytest.mark.parametrize("command, doc, extra, named", [
+    ("train", {"sets": []}, {"data.dataset": "en-en"}, "'datasets'"),
+    ("train", [{"id": "en-en", "train": "en-en.train.tsv"}], {"data.dataset": "en-en"},
+     "'datasets'"),
+    ("train", NO_TRAIN, {"data.dataset": "en-de"}, "'en-de'"),
+    ("sequential", NO_TRAIN,
+     {"plan.stages": [{"dataset": "en-en", "label": "pretrain"},
+                      {"dataset": "en-de", "label": "de"}]}, "'en-de'")],
+    ids=["no-datasets", "top-level-list", "dataset-without-train",
+         "stage-without-train"])
+def test_bad_manifest_or_dataset_without_train_exits_2(workspace, command, doc,
+                                                        extra, named):
+    cfg = _config(workspace, **{"data.manifest": _manifest(workspace, doc)}, **extra)
+    code, err = _run([command, "--config", str(cfg), "--out", str(workspace / "out")])
+    assert code == 2
+    assert err.startswith("config error: ") and named in err
+    assert not list(workspace.rglob("*.lrmt"))
+
+
+@pytest.mark.parametrize("command, extra, named", [
+    ("transfer", {"data.dataset": "en-de"}, "'en-de'"),
+    ("multitask", {"multitask.datasets": {"de": "en-de"}}, "'en-de'"),
+    ("multitask", {"multitask.datasets": {"xx": "en-en"}}, "unknown language 'xx'")])
+def test_fine_tuning_on_a_dataset_it_cannot_train_on_exits_2(workspace, command,
+                                                              extra, named):
+    pre = workspace / "pre"
+    assert main(["train", "--config", str(_config(workspace, **{"data.dataset": "en-en"})),
+                 "--out", str(pre)]) == 0
+    cfg = _config(workspace, name="ft.json",
+                  **{"data.manifest": _manifest(workspace, NO_TRAIN)}, **extra)
+    out = workspace / "ft"
+    code, err = _run([command, "--config", str(cfg), "--ckpt", str(pre / "model.lrmt"),
+                      "--out", str(out)])
+    assert code == 2
+    assert named in err
+    assert not list(out.glob("*.lrmt"))
+
+
+def test_sequential_report_numbers_stages_by_plan_stage(workspace):
+    data = workspace / "data"
+    manifest = {"datasets": [
+        {"id": "en-en", "train": "en-en.train.tsv", "valid": "en-en.valid.tsv",
+         "test": "en-en.test.tsv"},
+        {"id": "de-notest", "train": "en-de.train.tsv", "valid": "en-de.valid.tsv"},
+        {"id": "en-de", "train": "en-de.train.tsv", "valid": "en-de.valid.tsv",
+         "test": "en-de.test.tsv"}]}
+    cfg = _config(workspace, **{
+        "data.manifest": _manifest(workspace, manifest),
+        "plan.stages": [{"dataset": "en-en", "label": "pre"},
+                        {"dataset": "de-notest", "label": "de"},
+                        {"dataset": "en-de", "label": "fr"}]})
+    out = workspace / "seq"
+    assert main(["sequential", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "report" / "bleu.csv", encoding="utf-8", newline="") as fh:
+        rows = [(r["stage"], r["label"]) for r in csv.DictReader(fh)]
+    assert rows == [("0", "pre"), ("2", "fr")]
+    assert (out / "report" / "bleu.csv").read_bytes() == (out / "bleu.csv").read_bytes()
+    names = sorted(p.name for p in (out / "report").glob("translations_*"))
+    assert names == ["translations_00_pre.tsv", "translations_02_fr.tsv"]

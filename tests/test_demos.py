@@ -1,0 +1,21 @@
+"""Every walkthrough in demos/ runs to completion in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs_and_exits_0(demo, tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]

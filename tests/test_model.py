@@ -17,7 +17,7 @@ from reference_decode import reference_greedy_decode
 
 
 def _tiny_vocab(words):
-    c = ParallelCorpus("a-b", [(list(words), list(words))], "train")
+    c = ParallelCorpus([(list(words), list(words))])
     return build_vocab([c], side="source")
 
 
@@ -93,7 +93,7 @@ def test_attention_rows_sum_to_one_with_zero_on_pads(float64_mode):
     model = _tiny_model("abgru", seed=5)
     batch = _tiny_batch(model)
     enc = model.encode(batch.source)
-    a = model.attention_weights(enc.z, enc.states, enc.mask)
+    a = model.attention_weights(enc.z, enc.states, enc.mask, enc.attn_proj)
     sums = a.data.sum(axis=-1)
     assert np.max(np.abs(sums - 1.0)) < 1e-12
     pad_positions = enc.mask == 0
@@ -102,10 +102,9 @@ def test_attention_rows_sum_to_one_with_zero_on_pads(float64_mode):
 
 def test_attention_rejects_fully_padded_row(float64_mode):
     model = _tiny_model("abgru")
-    enc_states = Tensor(np.zeros((1, 2, 6)))
+    enc = model.encode(np.zeros((1, 2), dtype=np.int64))    # pads only
     with pytest.raises(ValueError):
-        model.attention_weights(Tensor(np.zeros((1, 3))), enc_states,
-                                np.zeros((1, 2)))
+        model.attention_weights(enc.z, enc.states, enc.mask, enc.attn_proj)
 
 
 # -- context reinjection / state handling ---------------------------------------

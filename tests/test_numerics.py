@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lrmt import numerics as nm
-from lrmt.numerics import (Adam, AdamState, Parameter, Tensor, adam_step,
-                           clip_grad_norm, cross_entropy_masked, masked_softmax)
+from lrmt.numerics import (Adam, Parameter, Tensor, clip_grad_norm,
+                           cross_entropy_masked, masked_softmax)
 
 from gradcheck import relative_gradient_error
 
@@ -141,10 +141,10 @@ def test_adam_three_steps_match_scalar_recurrence(float64_mode):
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     grads = [0.3, -1.2, 0.7]
     p = Parameter(np.array([0.5]), name="p")
-    st = AdamState(p)
+    opt = Adam([p], lr=lr)
     for g in grads:
         p.grad = np.array([g])
-        adam_step([p], {id(p): st}, lr=lr, betas=(b1, b2), eps=eps)
+        opt.step()
     want = _adam_oracle(0.5, grads, lr, b1, b2, eps)
     assert abs(float(p.data[0]) - want) < 1e-12
 
@@ -153,7 +153,7 @@ def test_adam_l2_matches_scalar_recurrence(float64_mode):
     lr, b1, b2, eps, l2 = 0.05, 0.9, 0.999, 1e-8, 0.1
     grads = [1.0, -0.5, 0.25, 2.0]
     p = Parameter(np.array([-0.3]), name="p")
-    opt = Adam([p], lr=lr, betas=(b1, b2), eps=eps, l2=l2)
+    opt = Adam([p], lr=lr, l2=l2)
     # replicate the sequential dependence: oracle recomputes g + l2*x per step
     x, m, v = -0.3, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
@@ -169,23 +169,23 @@ def test_adam_l2_matches_scalar_recurrence(float64_mode):
 def test_adam_skips_frozen_entirely(float64_mode):
     p = Parameter(np.array([1.0, 2.0]), name="p")
     p.frozen = True
-    st = AdamState(p)
+    opt = Adam([p], lr=0.1)
     p.grad = np.array([5.0, -5.0])
-    adam_step([p], {id(p): st}, lr=0.1)
+    opt.step()
     assert np.array_equal(p.data, [1.0, 2.0])
-    assert st.t == 0 and np.all(st.m == 0.0)
+    assert opt.t == [0] and np.all(opt.m[0] == 0.0) and np.all(opt.v[0] == 0.0)
 
 
 def test_adam_keeps_pruned_entries_exactly_zero(float64_mode):
     p = Parameter(np.array([1.0, 2.0, 3.0]), name="p")
     p.add_pruned([1])
     assert p.data[1] == 0.0
-    st = AdamState(p)
+    opt = Adam([p], lr=0.05, l2=0.01)
     for _ in range(5):
         p.grad = np.array([0.1, 9.9, -0.2])
-        adam_step([p], {id(p): st}, lr=0.05, l2=0.01)
+        opt.step()
         assert p.data[1] == 0.0
-        assert st.m[1] == 0.0 and st.v[1] == 0.0
+        assert opt.m[0][1] == 0.0 and opt.v[0][1] == 0.0
     assert p.data[0] != 1.0 and p.data[2] != 3.0
 
 

@@ -2,7 +2,8 @@
 dump round-trips, every truncated or altered file of either kind is rejected
 with a CheckpointError, a v1 checkpoint loads like its v2 twin, and every
 batch row is sos ... eos followed only by pad (the encoder's pad mask is
-`source != PAD`)."""
+`source != PAD`), and cleaning and tokenizing text a second time changes
+nothing."""
 
 import json
 import struct
@@ -18,7 +19,8 @@ from hypothesis.extra.numpy import arrays
 
 from lrmt import xray
 from lrmt.model import ARCHITECTURES, Seq2SeqModel
-from lrmt.text import EOS, PAD, SOS, UNK, ParallelCorpus, build_vocab, make_batches
+from lrmt.text import (CONTRACTIONS, EOS, PAD, SOS, UNK, ParallelCorpus, build_vocab,
+                       make_batches, preprocess, tokenize)
 from lrmt.training import Checkpoint, CheckpointError, TrainConfig, load_checkpoint
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -31,7 +33,7 @@ def models(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     seed = draw(st.integers(0, 2 ** 16))
     words = ["w%d" % i for i in range(draw(st.integers(1, 6)))]
-    vocab = build_vocab([ParallelCorpus("a-b", [(words, words)])], side="source")
+    vocab = build_vocab([ParallelCorpus([(words, words)])], side="source")
     model = Seq2SeqModel(arch, vocab, vocab, embed_size=EMBED, hidden_size=HIDDEN,
                          dropout=0.0, seed=seed, dtype=dtype)
     model.prune_encoder_units(draw(st.sets(st.integers(0, model.analysis_width - 1))))
@@ -129,10 +131,11 @@ def test_every_cut_or_flipped_byte_is_a_checkpoint_error(kind, data):
 
 def _as_v1(raw):
     """A v2 checkpoint rewritten as the v1 writer wrote it: the same bytes
-    plus "rng_state" and config "layers" in the header, version 1, its CRC."""
+    plus "rng_state" and the config keys "layers", "betas", "eps" and
+    "min_freq" in the header, version 1, its CRC."""
     hlen = struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:16 + hlen])
-    header["config"]["layers"] = 1
+    header["config"].update(layers=1, betas=[0.9, 0.999], eps=1e-8, min_freq=1)
     header["rng_state"] = {"bit_generator": "PCG64",
                            "state": {"state": 2 ** 100, "inc": 7},
                            "has_uint32": 0, "uinteger": 0}
@@ -172,8 +175,8 @@ TOKENS = st.sampled_from(["a", "b", "c", "zz", "qq", "<pad>", "<unk>"])
                 min_size=1, max_size=12),
        st.integers(1, 5), st.integers(0, 2 ** 16))
 def test_every_batch_row_is_sos_to_eos_then_only_pad(pairs, batch_size, seed):
-    corpus = ParallelCorpus("a-b", pairs)
-    known = ParallelCorpus("a-b", [(["a", "b"], ["a", "c"])])
+    corpus = ParallelCorpus(pairs)
+    known = ParallelCorpus([(["a", "b"], ["a", "c"])])
     src_vocab = build_vocab([known], side="source")
     tgt_vocab = build_vocab([known], side="target")
     lengths = []
@@ -185,3 +188,20 @@ def test_every_batch_row_is_sos_to_eos_then_only_pad(pairs, batch_size, seed):
             assert set(row[live:]) <= {PAD}
             lengths.append(live)
     assert sorted(lengths) == sorted(len(src) + 2 for src, _ in pairs)
+
+
+# contractions, case, curly quotes, kept and dropped punctuation, digits,
+# odd whitespace, and any other character
+RAW_TEXT = st.lists(st.one_of(
+    st.sampled_from(sorted(CONTRACTIONS) + ["Don't", "THEY'LL'VE", "I’m", "‘tis"]),
+    st.text(st.sampled_from("aZn't’‘.,!?;:-09 \t\u00a0\u2003")),
+    st.text()), max_size=8).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RAW_TEXT)
+def test_preprocess_is_idempotent_and_tokens_survive_a_rejoin(raw):
+    clean = preprocess(raw)
+    assert preprocess(clean) == clean
+    tokens = tokenize(clean)
+    assert tokenize(" ".join(tokens)) == tokens

@@ -8,8 +8,8 @@ import pytest
 
 from lrmt import xray
 from lrmt.bleu import BleuReport
-from lrmt.report import (AnalysisBundle, StageAnalysis, export_analysis,
-                         render_knowledge_plot, render_pos_distribution)
+from lrmt.report import (StageAnalysis, export_analysis, render_knowledge_plot,
+                         render_pos_distribution)
 from lrmt.xray import (ActivationDataset, MassActivationMatrix,
                        SentenceActivations, mass_matrices,
                        pos_token_distribution)
@@ -24,13 +24,13 @@ def _mass(seed=0, width=8):
 
 
 def _bundle(n_stages=2):
-    b = AnalysisBundle()
+    b = []
     for i in range(n_stages):
         rep = BleuReport(score=0.5 + 0.1 * i, precisions=[0.9, 0.7, 0.5, 0.3],
                          brevity_penalty=1.0, candidate_length=10,
                          reference_length=10,
                          samples=[("s", "r", "h")])
-        b.add(StageAnalysis(label="stage%d" % i, mass=_mass(seed=i), bleu=rep))
+        b.append(StageAnalysis(stage=i, label="stage%d" % i, mass=_mass(seed=i), bleu=rep))
     return b
 
 
@@ -46,10 +46,9 @@ def test_knowledge_plot_is_byte_deterministic_and_marks_signs():
 
 def test_knowledge_plot_rejects_empty_or_mismatched_bundle():
     with pytest.raises(ValueError):
-        render_knowledge_plot(AnalysisBundle())
-    b = AnalysisBundle()
-    b.add(StageAnalysis(label="a", mass=_mass(width=4)))
-    b.add(StageAnalysis(label="b", mass=_mass(width=6)))
+        render_knowledge_plot([])
+    b = [StageAnalysis(stage=0, label="a", mass=_mass(width=4)),
+         StageAnalysis(stage=1, label="b", mass=_mass(width=6))]
     with pytest.raises(ValueError):
         render_knowledge_plot(b)
 
@@ -83,7 +82,7 @@ def test_export_analysis_writes_indexed_artifacts(tmp_path):
 
 
 def test_export_analysis_empty_bundle_writes_only_empty_index(tmp_path):
-    arts = export_analysis(AnalysisBundle(), tmp_path)
+    arts = export_analysis([], tmp_path)
     assert arts == []
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == ["report.json"]
@@ -101,7 +100,7 @@ def test_export_is_byte_deterministic(tmp_path):
 def test_knowledge_plot_escapes_stage_labels():
     import xml.etree.ElementTree as ET
 
-    b = AnalysisBundle([StageAnalysis(label="de<fr & en", mass=_mass())])
+    b = [StageAnalysis(stage=0, label="de<fr & en", mass=_mass())]
     root = ET.fromstring(render_knowledge_plot(b))
     texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts == ["de<fr & en"]

@@ -34,8 +34,8 @@ def test_tokenize_splits_trailing_punctuation():
 
 
 def test_vocab_reserved_ids_and_frequency_order():
-    c = ParallelCorpus("en-de", [(["b", "a", "a"], ["x"]),
-                                 (["c", "a", "b"], ["y"])], "train")
+    c = ParallelCorpus([(["b", "a", "a"], ["x"]),
+                        (["c", "a", "b"], ["y"])])
     v = build_vocab([c], side="source")
     assert v.itos[:4] == ["<pad>", "<sos>", "<eos>", "<unk>"]
     assert (PAD, SOS, EOS, UNK) == (0, 1, 2, 3)
@@ -43,21 +43,21 @@ def test_vocab_reserved_ids_and_frequency_order():
     assert v.itos[4:] == ["a", "b", "c"]
 
 
-def test_vocab_tie_breaks_lexicographically_and_min_freq():
-    c = ParallelCorpus("en-de", [(["z", "m", "z", "m", "q"], ["x"])], "train")
-    v = build_vocab([c], side="source", min_freq=2)
-    assert v.itos[4:] == ["m", "z"]
-    assert v.id_of("q") == UNK
+def test_vocab_tie_breaks_lexicographically():
+    c = ParallelCorpus([(["z", "m", "z", "m", "q"], ["x"])])
+    v = build_vocab([c], side="source")
+    assert v.itos[4:] == ["m", "z", "q"]
+    assert v.id_of("y") == UNK
 
 
 def test_vocab_extra_tokens_reserved_up_front():
-    c = ParallelCorpus("en-de", [(["a"], ["x"])], "train")
+    c = ParallelCorpus([(["a"], ["x"])])
     v = build_vocab([c], side="source", extra_tokens=("<2de>", "<2fr>"))
     assert v.itos[4:6] == ["<2de>", "<2fr>"]
 
 
 def test_vocab_json_round_trip(tmp_path):
-    c = ParallelCorpus("en-de", [(["a", "b"], ["x"])], "train")
+    c = ParallelCorpus([(["a", "b"], ["x"])])
     v = build_vocab([c], side="source")
     v.export_json(tmp_path / "v.json")
     v2 = Vocabulary.from_json(tmp_path / "v.json")
@@ -65,23 +65,23 @@ def test_vocab_json_round_trip(tmp_path):
 
 
 def test_encode_adds_sos_eos_and_maps_unknowns():
-    c = ParallelCorpus("en-de", [(["a"], ["x"])], "train")
+    c = ParallelCorpus([(["a"], ["x"])])
     v = build_vocab([c], side="source")
     assert encode(["a", "zzz"], v) == [SOS, v.id_of("a"), UNK, EOS]
 
 
 def test_corpus_rejects_empty_sentences():
     with pytest.raises(ValueError):
-        ParallelCorpus("en-de", [([], ["x"])], "train")
+        ParallelCorpus([([], ["x"])])
 
 
 def test_load_tsv_drops_long_training_pairs_but_truncates_eval(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("Hello there!\tGuten Tag!\n"
                     "a b c d e f\tx y z w v u\n", encoding="utf-8")
-    train = load_tsv(path, "en-de", "train", max_len=4)
+    train = load_tsv(path, max_len=4)
     assert len(train.pairs) == 1
-    ev = load_tsv(path, "en-de", "test", max_len=4, truncate=True)
+    ev = load_tsv(path, max_len=4, truncate=True)
     assert len(ev.pairs) == 2
     assert ev.pairs[1] == (["a", "b", "c", "d"], ["x", "y", "z", "w"])
 
@@ -101,7 +101,7 @@ def test_load_manifest_resolves_relative_paths_and_flags_missing(tmp_path):
 
 def test_make_batches_pads_and_is_seed_deterministic():
     pairs = [(["a"] * n, ["b"] * n) for n in range(1, 9)]
-    c = ParallelCorpus("en-de", pairs, "train")
+    c = ParallelCorpus(pairs)
     sv = build_vocab([c], side="source")
     tv = build_vocab([c], side="target")
     b1 = make_batches(c, sv, tv, batch_size=3, seed=7)
@@ -120,3 +120,45 @@ def test_make_batches_pads_and_is_seed_deterministic():
     b3 = make_batches(c, sv, tv, batch_size=3, seed=8)
     assert any(not np.array_equal(x.source, y.source) for x, y in zip(b1, b3))
 
+
+
+def test_load_manifest_ignores_the_pair_label(tmp_path):
+    (tmp_path / "t.tsv").write_text("hi!\thallo!\n", encoding="utf-8")
+    manifest = tmp_path / "m.json"
+    for entry in ({"id": "en-de", "train": "t.tsv"},
+                  {"id": "en-de", "pair": "en-de", "train": "t.tsv"}):
+        manifest.write_text(json.dumps({"datasets": [entry]}), encoding="utf-8")
+        assert load_manifest(manifest)["en-de"]["train"].pairs \
+            == [(["hi", "!"], ["hallo", "!"])]
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({}, "'datasets'"),
+    ([{"id": "en-de", "train": "t.tsv"}], "'datasets'"),
+    ({"datasets": {"id": "en-de"}}, "'datasets'"),
+    ({"datasets": ["en-de"]}, "'datasets'[0]"),
+    ({"datasets": [{"train": "t.tsv"}]}, "'id'"),
+    ({"datasets": [{"id": "a"}, {"id": "b", "test": 3}]}, "'datasets'[1] 'test'")],
+    ids=["no-datasets", "top-level-list", "datasets-object", "entry-string",
+         "no-id", "split-number"])
+def test_manifest_of_another_shape_raises_value_error_naming_the_key(tmp_path, doc, named):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        text.manifest_files(manifest)
+    assert named in str(info.value)
+
+
+def test_manifest_files_resolves_every_split_beside_the_manifest(tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"datasets": [
+        {"id": "a", "train": "a.tsv", "test": "sub/a.test.tsv"},
+        {"id": "b", "valid": "b.tsv"}]}), encoding="utf-8")
+    assert text.manifest_files(manifest) == {
+        "a": {"train": tmp_path / "a.tsv", "test": tmp_path / "sub" / "a.test.tsv"},
+        "b": {"valid": tmp_path / "b.tsv"}}
+
+
+def test_empty_sentence_error_names_the_pair_index():
+    with pytest.raises(ValueError, match="pair 1"):
+        ParallelCorpus([(["a"], ["x"]), (["b"], [])])

@@ -1,5 +1,6 @@
 """Training regimes, early stopping, freezing invariance, checkpoint format."""
 
+import dataclasses
 import json
 import struct
 import zlib
@@ -99,7 +100,7 @@ def test_train_config_rejects_bad_values():
 # -- optimization sanity --------------------------------------------------------------
 
 def test_overfits_single_pair_to_near_zero_loss():
-    corpus = ParallelCorpus("a-b", [(["a", "b", "c"], ["c", "b", "a"])], "train")
+    corpus = ParallelCorpus([(["a", "b", "c"], ["c", "b", "a"])])
     cfg = TrainConfig(arch="gru", seed=0, lr=0.01, **TINY)
     sv = build_vocab([corpus], side="source")
     tv = build_vocab([corpus], side="target")
@@ -133,7 +134,7 @@ def test_frozen_encoder_stays_off_the_tape():
 # -- regimes ---------------------------------------------------------------------------
 
 def test_carve_validation_partitions_without_overlap():
-    c = ParallelCorpus("a-b", [([f"w{i}"], [f"w{i}"]) for i in range(20)], "train")
+    c = ParallelCorpus([([f"w{i}"], [f"w{i}"]) for i in range(20)])
     train, valid = carve_validation(c, fraction=0.25, seed=3)
     assert len(train.pairs) == 15 and len(valid.pairs) == 5
     train_set = {tuple(s) for s, _ in train.pairs}
@@ -171,6 +172,12 @@ def test_multitask_requires_reserved_control_tokens():
         train_multitask_joint(pre, tasks, cfg)
 
 
+def test_combine_multitask_names_an_unknown_language():
+    vocab = training.shared_source_vocab([_data()["train"]])
+    with pytest.raises(ValueError, match="unknown language 'xx'"):
+        training.combine_multitask({"de": _data(), "xx": _data()}, vocab)
+
+
 def test_multitask_trains_with_control_tokens_reserved():
     cfg = TrainConfig(arch="gru", seed=3, **TINY | {"max_epochs": 2})
     data = _data()
@@ -178,7 +185,7 @@ def test_multitask_trains_with_control_tokens_reserved():
                                     valid=4, test=4, vocab_size=10, max_len=5),
              "fr": _data(seed=9)}
     all_train = [data["train"]] + [t["train"] for t in tasks.values()]
-    shared = training.shared_source_vocab(all_train, cfg)
+    shared = training.shared_source_vocab(all_train)
     pre = pretrain_copy(data["train"], cfg, src_vocab=shared)
     ckpt = train_multitask_joint(pre, tasks, cfg)
     assert ckpt.provenance["stage"] == "multitask"
@@ -289,6 +296,17 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     m1, m2 = ckpt.to_model(), back.to_model()
     src = np.array([[1, 4, 5, 2]])
     assert np.array_equal(m1.encode(src).z.data, m2.encode(src).z.data)
+
+
+def test_checkpoint_with_the_deleted_config_keys_loads(tmp_path):
+    ckpt, _ = _small_ckpt(tmp_path)
+    # version 2 files written before TrainConfig lost betas, eps and min_freq
+    old = dataclasses.replace(ckpt, config=dict(ckpt.config, betas=[0.9, 0.999],
+                                                eps=1e-8, min_freq=1))
+    old.save(tmp_path / "old.lrmt")
+    back = load_checkpoint(tmp_path / "old.lrmt")
+    assert back.config == ckpt.config
+    assert back.train_config() == ckpt.train_config()
 
 
 def test_checkpoint_save_is_deterministic(tmp_path):
