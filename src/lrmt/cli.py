@@ -106,17 +106,22 @@ def _train_splits(corpora, dataset, key="data.dataset"):
 # -- subcommands -------------------------------------------------------------
 
 
+def _vocabs(train):
+    """The source and target vocabularies `lrmt train` builds from a train split."""
+    return text.build_vocab([train], side="source"), text.build_vocab([train], side="target")
+
+
 def cmd_prepare_data(cfg, out):
     corpora, _ = _load_data(cfg, need_dataset=False)
     summary = {}
     for ds_id, splits in sorted(corpora.items()):
-        src = text.build_vocab(list(splits.values()), side="source")
-        tgt = text.build_vocab(list(splits.values()), side="target")
+        summary[ds_id] = {"splits": {s: len(c.pairs) for s, c in splits.items()}}
+        if "train" not in splits:
+            continue        # nothing trains on it, so it has no vocabulary
+        src, tgt = _vocabs(splits["train"])
         src.export_json(out / ("%s.src.vocab.json" % ds_id))
         tgt.export_json(out / ("%s.tgt.vocab.json" % ds_id))
-        summary[ds_id] = {"splits": {s: len(c.pairs) for s, c in splits.items()},
-                          "source_vocab": len(src.itos),
-                          "target_vocab": len(tgt.itos)}
+        summary[ds_id].update(source_vocab=len(src.itos), target_vocab=len(tgt.itos))
     (out / "datasets.json").write_text(json.dumps(summary, indent=2, sort_keys=True),
                                        encoding="utf-8")
     return 0
@@ -151,9 +156,7 @@ def cmd_train(cfg, out):
     valid = splits.get("valid")
     if valid is None:
         train, valid = training.carve_validation(train, seed=config.seed)
-    src_vocab = text.build_vocab([train], side="source")
-    tgt_vocab = text.build_vocab([train], side="target")
-    model = training.build_model(config, src_vocab, tgt_vocab)
+    model = training.build_model(config, *_vocabs(train))
     ckpt = training.fit_with_early_stopping(
         model, train, valid, config,
         metrics_path=_fresh_metrics(out), stage_label="train")

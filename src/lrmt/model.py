@@ -248,13 +248,21 @@ class Seq2SeqModel:
     # -- forward ---------------------------------------------------------------
 
     def encode(self, source, rng=None):
-        """Run the encoder over a right-padded id matrix [B, T].
+        """Run the encoder over a right-padded id matrix [B, T] for decoding.
 
-        Returns an EncodeResult with per-token states, the initial decoder
-        state z, the pad mask (source != PAD) and, for abgru, the
-        encoder-side attention projection.  Dropout draws from `rng` when one
-        is given.
+        Returns `encode_states`' result with, for abgru, the encoder-side
+        attention projection the decoder reads.  Dropout draws from `rng`
+        when one is given.
         """
+        enc = self.encode_states(source, rng=rng)
+        if self.arch == "abgru":
+            enc.attn_proj = self._attention_projection(enc.states)
+        return enc
+
+    def encode_states(self, source, rng=None):
+        """The encoder pass alone: an EncodeResult with per-token states, the
+        initial decoder state z and the pad mask (source != PAD), no
+        attention projection."""
         source = np.asarray(source)
         if source.ndim != 2 or source.shape[0] == 0:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
@@ -267,8 +275,7 @@ class Seq2SeqModel:
             bwd, h_bwd_final, _ = self.enc_bwd.sequence(emb, mask, reverse=True)
             states = nm.concat([fwd, bwd], axis=-1)       # [B, T, 2H]
             z = nm.tanh(self.enc_init(nm.concat([h_fwd_final, h_bwd_final], axis=-1)))
-            return EncodeResult(states=states, z=z, cell=None, mask=mask,
-                                attn_proj=self._attention_projection(states))
+            return EncodeResult(states=states, z=z, cell=None, mask=mask)
 
         states, h_final, c_final = self.enc_cell.sequence(emb, mask)
         return EncodeResult(states=states, z=h_final, cell=c_final, mask=mask)
@@ -299,14 +306,14 @@ class Seq2SeqModel:
         scores = nm.reshape(self.attn_score(flat), (B, T))
         return nm.masked_softmax(scores, mask)            # [B, T]
 
-    def decode_step(self, y_prev_ids, s_prev, enc, cell_prev=None, rng=None):
-        """One decoder step.  Returns (s_t, logits [B, V], new cell state);
-        dropout draws from `rng` when one is given."""
+    def decode_step(self, y_prev_ids, s_prev, enc, cell_prev=None):
+        """One greedy-decoding step, without dropout.  Returns (s_t, logits
+        [B, V], new cell state)."""
         y_prev_ids = np.asarray(y_prev_ids).reshape(-1)
         B = y_prev_ids.shape[0]
         if s_prev.shape != (B, self.hidden_size):
             raise ValueError("decoder state width mismatch")
-        emb = nm.dropout(nm.embedding(self.tgt_emb, y_prev_ids), self.dropout, rng)
+        emb = nm.embedding(self.tgt_emb, y_prev_ids)
 
         if self.arch == "lstm":
             s_t, c_t = self.dec_cell.step(emb, s_prev, cell_prev)
@@ -322,32 +329,61 @@ class Seq2SeqModel:
             c_t = None
             feats = nm.concat([emb, w_t, s_t], axis=-1)
 
-        logits = self.out(nm.dropout(feats, self.dropout, rng))
-        return s_t, logits, c_t
+        return s_t, self.out(feats), c_t
 
     def forward_teacher_forced(self, batch, tf_ratio=1.0, rng=None):
         """Teacher-forced decode of a batch.  Returns logits Tensor [B, Tt-1, V].
 
-        With an `rng` (training) dropout is applied and per step the gold
-        previous token is fed with probability tf_ratio, otherwise the
-        model's own argmax.  Without one (evaluation) there is no dropout
-        and the gold token is always fed.
+        With an `rng` (training) dropout is applied and each step after the
+        first reads the gold previous token with probability tf_ratio, else
+        the model's own argmax (`decoder_noise` draws both).  Without one
+        (evaluation) there is no dropout and every step reads the gold token.
+        Every decoder step is one fused op; the output head is one GEMM over
+        all B*(Tt-1) rows.
         """
         if not 0.0 <= tf_ratio <= 1.0:
             raise ValueError("tf_ratio must be in [0, 1]")
         enc = self.encode(batch.source, rng=rng)
-        targets = batch.target
-        B, Tt = targets.shape
-        s = enc.z
-        c = enc.cell
-        inputs = targets[:, 0]                            # always sos
-        step_logits = []
-        for t in range(Tt - 1):
-            s, logits, c = self.decode_step(inputs, s, enc, cell_prev=c, rng=rng)
-            step_logits.append(logits)
-            use_gold = True if rng is None else bool(rng.random() < tf_ratio)
-            inputs = targets[:, t + 1] if use_gold else logits.data.argmax(axis=1)
-        return nm.stack(step_logits, axis=1)
+        B, Tt = batch.target.shape
+        keep, gold = self.decoder_noise(rng, B, Tt - 1, tf_ratio)
+        feats = self.decoder_features(enc, batch.target[:, :-1], keep, gold)
+        logits = self.out(nm.reshape(feats, (B * (Tt - 1), feats.shape[-1])))
+        return nm.reshape(logits, (B, Tt - 1, len(self.tgt_vocab)))
+
+    def decoder_noise(self, rng, batch_size, steps, tf_ratio):
+        """Dropout multipliers and scheduled-sampling coins for one
+        teacher-forced pass (Bengio et al., arXiv:1506.03099).
+
+        Drawn from `rng` after the encoder's dropout, in this order: the
+        embedding mask [B, steps, E], the head-feature mask [B, steps, F]
+        (no draw when dropout is 0), then one coin per step after the first.
+        Returns ((embedding mask, feature mask), gold [steps]); gold[t] is
+        true where step t reads the gold token.  Without an rng: no dropout,
+        every step gold.
+        """
+        gold = np.ones(steps, dtype=bool)
+        if rng is None:
+            return (None, None), gold
+        keep = tuple(nm.dropout_mask((batch_size, steps, width), self.dropout, rng, self.dtype)
+                     for width in (self.embed_size, self.out.W.shape[0]))
+        gold[1:] = rng.random(steps - 1) < tf_ratio
+        return keep, gold
+
+    def decoder_features(self, enc, inputs, keep, gold):
+        """Head features [B, S, F] of every decoder step over gold inputs
+        [B, S], one `numerics.decoder_sequence` op."""
+        cell = self.dec_cell
+        head = (self.out.W, self.out.b)
+        common = (self.tgt_emb, inputs, gold, cell.W_i, cell.b, cell.W_h)
+        if self.arch == "lstm":
+            return nm.decoder_sequence("lstm", *common, (enc.z, enc.cell), head, ("s",), keep)
+        if self.arch == "gru":
+            return nm.decoder_sequence("gru", *common, (enc.z,), head, ("x", "s", "c"), keep,
+                                       context=enc.z)
+        attention = (self.attn_energy.W, enc.attn_proj, enc.states, enc.mask,
+                     self.attn_score.W, self.attn_score.b)
+        return nm.decoder_sequence("gru", *common, (enc.z,), head, ("x", "c", "s"), keep,
+                                   attention=attention)
 
     def greedy_decode_batch(self, sources, max_len=50):
         """Greedy decode of a list of encoded source sequences (ids with sos/eos).

@@ -12,6 +12,13 @@ Both take the projected input ``xp = x @ W_i + b`` and the recurrent weight
 keep the previous state at pad positions, and do backprop through time in
 plain numpy.  Step and sequence ops share one pair of step kernels per cell.
 
+``decoder_sequence`` runs every step of a teacher-forced decoder pass in one
+tape node on the same cell kernels, plus an additive-attention kernel pair.
+The inputs of the steps that read gold tokens go through one GEMM; a step
+that reads the model's own token forms the previous step's logits for the
+argmax inside the loop.  It returns the head features of every step, so the
+caller computes all logits with one GEMM.
+
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
 and no backward closure, whatever the inputs' ``requires_grad``.
 """
@@ -345,13 +352,21 @@ def embedding(table, ids):
     return _make(data, (table,), backward)
 
 
+def dropout_mask(shape, rate, rng, dtype):
+    """Inverted-dropout multipliers (0 or 1/keep) drawn from `rng`; None when
+    rng is None or the rate is 0, meaning no dropout."""
+    if rng is None or rate <= 0.0:
+        return None
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep).astype(dtype) / keep
+
+
 def dropout(a, rate, rng):
     """Inverted dropout with a mask drawn from `rng`; identity when rng is None."""
     a = _to_tensor(a)
-    if rng is None or rate <= 0.0:
+    mask = dropout_mask(a.data.shape, rate, rng, a.data.dtype)
+    if mask is None:
         return a
-    keep = 1.0 - rate
-    mask = (rng.random(a.data.shape) < keep).astype(a.data.dtype) / keep
     data = a.data * mask
 
     def backward(g):
@@ -511,6 +526,185 @@ def lstm_sequence(xp, h0, c0, W_h, mask, reverse=False):
     return _cell_sequence(_LSTM, xp, (h0, c0), W_h, mask, reverse)
 
 
+# -- fused teacher-forced decoder ----------------------------------------------
+#
+# Decoder step t reads [x_t; c_t]: x_t embeds its input token (after dropout),
+# and the context c_t is absent (LSTM), the encoder's z at every step (GRU),
+# or the additive-attention read-out over the encoder states (A-BGRU).  The
+# cell's W_i stacks the rows acting on x over those acting on c.  Attention
+# scores source position j as v . tanh(s_{t-1} @ W_s + proj_j) + b_v, where
+# W_s is the first H rows of the energy weight and proj, the encoder-side
+# part, is an input computed once per pass.
+
+def _attend_forward(s, W_s, proj, states, live, v, b_v):
+    energy = np.tanh(proj + (s @ W_s)[:, None, :])                 # [B, Ts, A]
+    scores = np.where(live, energy @ v[:, 0] + b_v, -np.inf)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    a = e / e.sum(axis=1, keepdims=True)                           # [B, Ts]
+    return (a[:, None, :] @ states)[:, 0], (energy, a)
+
+
+def _attend_backward(dctx, cache, states, v):
+    """(d energy pre-activation [B, Ts, A], d v [A], d b_v) for one step."""
+    energy, a = cache
+    da = (states @ dctx[:, :, None])[:, :, 0]
+    dscores = a * (da - (da * a).sum(axis=1, keepdims=True))
+    denergy = dscores[:, :, None] * v[:, 0] * (1.0 - energy * energy)
+    return denergy, np.tensordot(energy, dscores, ((0, 1), (0, 1))), dscores.sum()
+
+
+def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
+                     keep=(None, None), context=None, attention=None):
+    """Every decoder step of a teacher-forced pass in one tape node.
+
+    `cell` is "gru" or "lstm"; W_i [E + C, G], b and W_h are its weights and
+    `state` its initial (h,) or (h, c).  `emb` [V, E] embeds the input ids:
+    step 0 reads tokens[:, 0]; step t > 0 reads tokens[:, t] where gold[t]
+    is true, else the argmax of step t-1's logits under head = (W [F, V],
+    b [V]).  Those logits are formed only at such steps and carry no
+    gradient.  `keep` holds the embedding [B, S, E] and head-feature
+    [B, S, F] dropout multipliers, each None for no dropout.  The context is
+    `context` (GRU's z [B, C], fed at every step), or the attention
+    read-out when `attention` = (W_e, proj, states, mask, v, b_v), or absent.
+    `layout` orders the head features: "x" (input embedding), "c" (context)
+    and "s" (new state).  Returns the head features [B, S, F], dropout
+    applied; backprop through time runs in plain numpy.
+    """
+    forward, backward_kernel = _GRU if cell == "gru" else _LSTM
+    emb, W_i, b, W_h = (_to_tensor(t) for t in (emb, W_i, b, W_h))
+    state = [_to_tensor(s) for s in state]
+    emb_keep, feat_keep = keep
+    head_W, head_b = (_to_tensor(t).data for t in head)
+    tokens = np.array(tokens, dtype=np.int64)      # own-token steps overwrite columns
+    fed = np.array(gold, dtype=bool)
+    fed[0] = True
+    B, S = tokens.shape
+    E, (H, G) = emb.data.shape[1], W_h.data.shape
+    dtype = W_h.data.dtype
+    W_x, W_c = W_i.data[:E], W_i.data[E:]
+    parents = [emb, W_i, b, W_h, *state]
+    bias = b.data
+    if context is not None:
+        context = _to_tensor(context)
+        parents.append(context)
+        bias = context.data @ W_c + bias
+    bias = bias.reshape(-1, 1, G)
+    if attention is not None:
+        W_e, proj, states, live, v, b_v = attention
+        W_e, proj, states, v, b_v = (_to_tensor(t) for t in (W_e, proj, states, v, b_v))
+        parents += [W_e, proj, states, v, b_v]
+        live = np.asarray(live).astype(bool)
+        if not live.any(axis=1).all():
+            raise ValueError("attention over fully padded sequence")
+        W_s, A = W_e.data[:H], W_e.data.shape[1]
+        C = np.empty((B, S, W_c.shape[0]), dtype=dtype)
+    elif context is not None:
+        C = np.broadcast_to(context.data[:, None], (B, S, W_c.shape[0]))
+    X = emb.data[tokens]
+    if emb_keep is not None:
+        X *= emb_keep
+    # the input GEMM of every step whose token is known before the loop
+    XP = np.empty((B, S, G), dtype=dtype)
+    XP[:, fed] = (X[:, fed].reshape(-1, E) @ W_x).reshape(B, -1, G) + bias
+    h_in = np.empty((B, S, H), dtype=dtype)         # state entering each step
+    out_s = np.empty((B, S, H), dtype=dtype)
+    parts = {"x": X, "s": out_s}
+    if "c" in layout:
+        parts["c"] = C
+    caches, attn = [None] * S, [None] * S
+
+    def features(t):
+        f = np.concatenate([parts[k][:, t] for k in layout], axis=-1)
+        return f if feat_keep is None else f * feat_keep[:, t]
+
+    cur = [s.data for s in state]
+    for t in range(S):
+        if not fed[t]:
+            ids = (features(t - 1) @ head_W + head_b).argmax(axis=1)
+            tokens[:, t] = ids
+            X[:, t] = emb.data[ids] if emb_keep is None else emb.data[ids] * emb_keep[:, t]
+            XP[:, t] = X[:, t] @ W_x + bias[:, 0]
+        h_in[:, t] = cur[0]
+        xp = XP[:, t]
+        if attention is not None:
+            C[:, t], attn[t] = _attend_forward(cur[0], W_s, proj.data, states.data, live,
+                                               v.data, b_v.data)
+            xp = xp + C[:, t] @ W_c
+        cur, caches[t] = forward(xp, cur, W_h.data)
+        out_s[:, t] = cur[0]
+    feats = np.concatenate([parts[k] for k in layout], axis=-1)
+    if feat_keep is not None:
+        feats *= feat_keep
+
+    def backward(g):
+        if feat_keep is not None:
+            g = g * feat_keep
+        bounds = np.cumsum([parts[k].shape[-1] for k in layout])[:-1]
+        d_part = dict(zip(layout, np.split(g, bounds, axis=-1)))
+        dXP = np.empty((B, S, G), dtype=dtype)
+        dHH = np.empty((B, S, G), dtype=dtype)
+        d = [np.zeros((B, H), dtype=dtype) for _ in state]
+        if attention is not None:
+            dC = np.empty_like(C)
+            dSP = np.empty((B, S, A), dtype=dtype)
+            dproj = np.zeros_like(proj.data)
+            dv, db_v = np.zeros(A, dtype=dtype), 0.0
+        for t in reversed(range(S)):
+            d[0] = d[0] + d_part["s"][:, t]
+            dXP[:, t], dHH[:, t], d = backward_kernel(d, caches[t], W_h.data)
+            d = list(d)
+            if attention is not None:
+                dC[:, t] = dXP[:, t] @ W_c.T + d_part["c"][:, t]
+                denergy, dv_t, db_t = _attend_backward(dC[:, t], attn[t], states.data, v.data)
+                dproj += denergy
+                dv += dv_t
+                db_v += db_t
+                dSP[:, t] = denergy.sum(axis=1)
+                d[0] = d[0] + dSP[:, t] @ W_s.T
+        flat = dXP.reshape(B * S, G)
+        if W_h.requires_grad:
+            W_h._accumulate(h_in.reshape(B * S, H).T @ dHH.reshape(B * S, G))
+        if b.requires_grad:
+            b._accumulate(flat.sum(axis=0))
+        if W_i.requires_grad:
+            dW = [X.reshape(B * S, E).T @ flat]
+            if context is not None:
+                dW.append(context.data.T @ dXP.sum(axis=1))
+            elif attention is not None:
+                dW.append(C.reshape(B * S, -1).T @ flat)
+            W_i._accumulate(np.concatenate(dW, axis=0))
+        if emb.requires_grad:
+            dX = (flat @ W_x.T).reshape(B, S, E)
+            if "x" in d_part:
+                dX += d_part["x"]
+            if emb_keep is not None:
+                dX *= emb_keep
+            if emb.grad is None:
+                emb.grad = np.zeros_like(emb.data)
+            np.add.at(emb.grad, tokens.reshape(-1), dX.reshape(-1, E))
+        if context is not None and context.requires_grad:
+            context._accumulate(dXP.sum(axis=1) @ W_c.T + d_part["c"].sum(axis=1))
+        for s, ds in zip(state, d):
+            if s.requires_grad:
+                s._accumulate(ds)
+        if attention is not None:
+            if W_e.requires_grad:
+                full = np.zeros_like(W_e.data)
+                full[:H] = h_in.reshape(B * S, H).T @ dSP.reshape(B * S, A)
+                W_e._accumulate(full)
+            if proj.requires_grad:
+                proj._accumulate(dproj)
+            if states.requires_grad:
+                weights = np.stack([cache[1] for cache in attn], axis=1)     # [B, S, Ts]
+                states._accumulate(weights.transpose(0, 2, 1) @ dC)
+            if v.requires_grad:
+                v._accumulate(dv[:, None])
+            if b_v.requires_grad:
+                b_v._accumulate(np.full(b_v.data.shape, db_v, dtype=dtype))
+
+    return _make(feats, parents, backward)
+
+
 # -- softmax / loss ----------------------------------------------------------
 
 def masked_softmax(a, mask):
@@ -604,7 +798,9 @@ class Adam:
 
     Each parameter keeps its own moments and step count.  Frozen parameters
     are skipped entirely (values and moments untouched).  Pruned entries are
-    re-pinned to exactly 0 after the update.
+    re-pinned to exactly 0 after the update.  The update runs in place: the
+    moments are updated where they live, and the temporaries go into two
+    work arrays per dtype, as large as the largest parameter.
     """
 
     def __init__(self, params, lr=1e-3, l2=0.0):
@@ -616,6 +812,10 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = [0] * len(self.params)
+        sizes = {}
+        for p in self.params:
+            sizes[p.data.dtype] = max(sizes.get(p.data.dtype, 0), p.data.size)
+        self._work = {dtype: np.empty((2, n), dtype=dtype) for dtype, n in sizes.items()}
 
     def zero_grad(self):
         for p in self.params:
@@ -626,22 +826,39 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.frozen:
                 continue
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m, v = self.m[i], self.v[i]
+            # same operations in the same order as g = grad + l2 * data;
+            # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g;
+            # data -= lr * m_hat / (sqrt(v_hat) + eps), so the bits match
+            a, u = (w[:p.data.size].reshape(p.data.shape) for w in self._work[p.data.dtype])
+            pruned = p.pruned is not None and p.pruned.size
+            if p.grad is None:
+                g = a
+                g.fill(0.0)
+            elif self.l2 or pruned:
+                g = a
+                np.copyto(g, p.grad)
+            else:
+                g = p.grad
             if self.l2:
-                g = g + self.l2 * p.data
-            if p.pruned is not None and p.pruned.size:
-                g = g.copy()
+                g += np.multiply(p.data, self.l2, out=u)
+            if pruned:
                 g.reshape(-1)[p.pruned] = 0.0
             self.t[i] += 1
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            mhat = self.m[i] / (1.0 - b1 ** self.t[i])
-            vhat = self.v[i] / (1.0 - b2 ** self.t[i])
-            p.data -= (self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
-            if p.pruned is not None and p.pruned.size:
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=u)
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=u)
+            v += np.multiply(u, g, out=u)
+            step = np.divide(m, 1.0 - b1 ** self.t[i], out=a)
+            step *= self.lr
+            denom = np.sqrt(np.divide(v, 1.0 - b2 ** self.t[i], out=u), out=u)
+            denom += ADAM_EPS
+            p.data -= np.divide(step, denom, out=step)
+            if pruned:
                 p.data.reshape(-1)[p.pruned] = 0.0
-                self.m[i].reshape(-1)[p.pruned] = 0.0
-                self.v[i].reshape(-1)[p.pruned] = 0.0
+                m.reshape(-1)[p.pruned] = 0.0
+                v.reshape(-1)[p.pruned] = 0.0
 
 
 def init_uniform(shape, rng, scale=0.08, dtype=None):

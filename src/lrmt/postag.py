@@ -39,7 +39,7 @@ _enter("SCONJ", ["because", "although", "though", "while", "whereas", "if",
 _enter("AUX", ["am", "is", "are", "was", "were", "be", "been", "being",
                "have", "has", "had", "do", "does", "did", "will", "would",
                "shall", "should", "can", "could", "may", "might", "must"])
-_enter("PART", ["not", "n't", "'s"])
+_enter("PART", ["not"])
 _enter("INTJ", ["oh", "ah", "wow", "ouch", "hey", "hello", "hi", "yes", "no",
                 "please", "bravo", "alas", "hmm", "oops"])
 _enter("ADV", ["very", "too", "also", "just", "now", "then", "here", "there",

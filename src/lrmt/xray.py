@@ -76,7 +76,7 @@ def capture_activations(model, corpus, provenance=None):
     matrices = [None] * len(sources)
     with no_grad():
         for chunk in length_sorted_chunks(sources):
-            enc = model.encode(pad_rows([sources[i] for i in chunk]))
+            enc = model.encode_states(pad_rows([sources[i] for i in chunk]))
             for row, i in enumerate(chunk):
                 matrices[i] = enc.activations(row).astype(np.float64)
     sentences = []

@@ -91,6 +91,26 @@ def test_prepare_data_writes_vocabs_and_run_record(workspace):
     assert vocab[:4] == ["<pad>", "<sos>", "<eos>", "<unk>"]
 
 
+def test_prepare_data_exports_the_vocabularies_train_uses(workspace):
+    data = workspace / "data"
+    # "bird" and "vogel" occur only in the test split
+    (data / "en-de.test.tsv").write_text("tree bird\tbaum vogel\n", encoding="utf-8")
+    for split in ("train", "valid"):
+        lines = (data / ("en-de.%s.tsv" % split)).read_text(encoding="utf-8")
+        kept = [ln for ln in lines.splitlines() if "bird" not in ln]
+        (data / ("en-de.%s.tsv" % split)).write_text("\n".join(kept) + "\n",
+                                                     encoding="utf-8")
+    path = _config(workspace, **{"data.dataset": "en-de"})
+    out = workspace / "out"
+    assert main(["prepare-data", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    src = json.loads((out / "en-de.src.vocab.json").read_text(encoding="utf-8"))
+    tgt = json.loads((out / "en-de.tgt.vocab.json").read_text(encoding="utf-8"))
+    assert "tree" in src and "bird" not in src and "vogel" not in tgt
+    ckpt = load_checkpoint(out / "model.lrmt")
+    assert (src, tgt) == (ckpt.src_vocab, ckpt.tgt_vocab)
+
+
 def test_train_evaluate_prune_xray_round_trip(workspace):
     cfg = _config(workspace, **{"data.dataset": "en-en"})
     out = workspace / "out"

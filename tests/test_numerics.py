@@ -189,6 +189,59 @@ def test_adam_keeps_pruned_entries_exactly_zero(float64_mode):
     assert p.data[0] != 1.0 and p.data[2] != 3.0
 
 
+def _allocating_adam_step(opt):
+    """Adam.step as it was before it ran in place, kept as a literal oracle."""
+    b1, b2 = nm.ADAM_BETAS
+    for i, p in enumerate(opt.params):
+        if p.frozen:
+            continue
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if opt.l2:
+            g = g + opt.l2 * p.data
+        if p.pruned is not None and p.pruned.size:
+            g = g.copy()
+            g.reshape(-1)[p.pruned] = 0.0
+        opt.t[i] += 1
+        opt.m[i] = b1 * opt.m[i] + (1.0 - b1) * g
+        opt.v[i] = b2 * opt.v[i] + (1.0 - b2) * g * g
+        mhat = opt.m[i] / (1.0 - b1 ** opt.t[i])
+        vhat = opt.v[i] / (1.0 - b2 ** opt.t[i])
+        p.data -= (opt.lr * mhat / (np.sqrt(vhat) + nm.ADAM_EPS)).astype(p.data.dtype)
+        if p.pruned is not None and p.pruned.size:
+            p.data.reshape(-1)[p.pruned] = 0.0
+            opt.m[i].reshape(-1)[p.pruned] = 0.0
+            opt.v[i].reshape(-1)[p.pruned] = 0.0
+
+
+def _adam_params(dtype):
+    rng = np.random.default_rng(8)
+    params = [Parameter(rng.normal(size=shape).astype(dtype), name=name)
+              for name, shape in (("plain", (3, 4)), ("pruned", (5,)),
+                                  ("frozen", (2, 2)), ("no_grad", (6,)))]
+    params[1].add_pruned([0, 3])
+    params[2].frozen = True
+    return params
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_adam_is_bit_identical_to_allocating_update(dtype, l2):
+    rng = np.random.default_rng(9)
+    ours, theirs = _adam_params(dtype), _adam_params(dtype)
+    opt, oracle = Adam(ours, lr=0.01, l2=l2), Adam(theirs, lr=0.01, l2=l2)
+    for _ in range(6):
+        for a, b in zip(ours, theirs):
+            grad = None if a.name == "no_grad" else rng.normal(size=a.shape).astype(dtype)
+            a.grad, b.grad = grad, None if grad is None else grad.copy()
+        opt.step()
+        _allocating_adam_step(oracle)
+        for k, (a, b) in enumerate(zip(ours, theirs)):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+            assert opt.m[k].tobytes() == oracle.m[k].tobytes(), a.name
+            assert opt.v[k].tobytes() == oracle.v[k].tobytes(), a.name
+        assert opt.t == oracle.t == [opt.t[0], opt.t[0], 0, opt.t[0]]
+
+
 def test_adam_rejects_nonpositive_lr():
     with pytest.raises(ValueError):
         Adam([Parameter(np.zeros(1))], lr=0.0)

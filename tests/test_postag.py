@@ -1,6 +1,7 @@
 """Rule-based POS tagger: lexicon, suffix rules, shape rules."""
 
-from lrmt.postag import UPOS_TAGS, pos_tag, tag_token
+from lrmt.postag import _LEXICON, UPOS_TAGS, pos_tag, tag_token
+from lrmt.text import preprocess
 
 
 def test_closed_class_lexicon():
@@ -39,3 +40,9 @@ def test_sentence_tagging_and_tagset_membership():
     assert tags[0] == "DET"
     assert tags[-1] == "PUNCT"
     assert tags[5] == "PROPN"
+
+
+def test_every_lexicon_entry_survives_preprocessing():
+    # tagging runs on preprocessed tokens, so an entry that preprocess
+    # rewrites could never be matched
+    assert [w for w in _LEXICON if preprocess(w) != w] == []

@@ -6,7 +6,8 @@ import pytest
 
 from lrmt import synthetic, xray
 from lrmt.model import Seq2SeqModel
-from lrmt.text import INFER_BATCH, build_vocab, encode
+from lrmt.numerics import no_grad
+from lrmt.text import INFER_BATCH, build_vocab, encode, length_sorted_chunks, pad_rows
 from lrmt.xray import (ActivationDataset, SentenceActivations, change_in_mass,
                        dead_neurons, knowledge_abstraction, mass_matrices,
                        pos_token_distribution, select_prune_set)
@@ -243,3 +244,30 @@ def test_batched_capture_equals_per_sentence_capture(float64_mode, arch):
     alone = ActivationDataset(width=acts.width, sentences=per_sentence)
     assert np.array_equal(mass_matrices(acts).hit_count,
                           mass_matrices(alone).hit_count)
+
+
+def test_capture_reads_states_only_and_matches_the_decoding_encoder_bit_for_bit():
+    # float32, as every run captures; the decoding encoder also computes the
+    # attention projection, which capture never reads
+    data = synthetic.splits(synthetic.copy_task, train=8, valid=2,
+                            test=INFER_BATCH + 6, vocab_size=10, min_len=1,
+                            max_len=7, seed=4)
+    corpus = data["test"]
+    vocab = build_vocab([corpus], side="source")
+    model = Seq2SeqModel("abgru", vocab, vocab, embed_size=6, hidden_size=5,
+                         dropout=0.0, seed=3)
+    sources = [encode(src, vocab) for src, _ in corpus.pairs]
+    want = [None] * len(sources)
+    with no_grad():
+        for chunk in length_sorted_chunks(sources):
+            enc = model.encode(pad_rows([sources[i] for i in chunk]))
+            assert enc.attn_proj is not None
+            for row, i in enumerate(chunk):
+                want[i] = enc.activations(row).astype(np.float64)
+
+    def no_projection(states):
+        raise AssertionError("capture computed the attention projection")
+
+    model._attention_projection = no_projection
+    acts = xray.capture_activations(model, corpus)
+    assert [s.matrix.tobytes() for s in acts.sentences] == [w.tobytes() for w in want]
