@@ -107,18 +107,19 @@ def _train_splits(corpora, dataset, key="data.dataset"):
 
 
 def _vocabs(train):
-    """The source and target vocabularies `lrmt train` builds from a train split."""
+    """The source and target vocabularies `lrmt train` builds from what it trains on."""
     return text.build_vocab([train], side="source"), text.build_vocab([train], side="target")
 
 
 def cmd_prepare_data(cfg, out):
     corpora, _ = _load_data(cfg, need_dataset=False)
+    seed = resolve_train_config(cfg).seed
     summary = {}
     for ds_id, splits in sorted(corpora.items()):
         summary[ds_id] = {"splits": {s: len(c.pairs) for s, c in splits.items()}}
         if "train" not in splits:
             continue        # nothing trains on it, so it has no vocabulary
-        src, tgt = _vocabs(splits["train"])
+        src, tgt = _vocabs(training.fit_splits(splits, seed)[0])
         src.export_json(out / ("%s.src.vocab.json" % ds_id))
         tgt.export_json(out / ("%s.tgt.vocab.json" % ds_id))
         summary[ds_id].update(source_vocab=len(src.itos), target_vocab=len(tgt.itos))
@@ -152,10 +153,7 @@ def cmd_train(cfg, out):
     corpora, dataset = _load_data(cfg)
     config = resolve_train_config(cfg)
     splits = _train_splits(corpora, dataset)
-    train = splits["train"]
-    valid = splits.get("valid")
-    if valid is None:
-        train, valid = training.carve_validation(train, seed=config.seed)
+    train, valid = training.fit_splits(splits, config.seed)
     model = training.build_model(config, *_vocabs(train))
     ckpt = training.fit_with_early_stopping(
         model, train, valid, config,

@@ -40,15 +40,6 @@ class RecurrentCell:
     def parameters(self):
         return [self.W_i, self.W_h, self.b]
 
-    def step(self, x, h, c=None):
-        """One timestep.  Returns h' (and c' for LSTM)."""
-        xp = (x @ self.W_i) + self.b
-        if self.kind == "gru":
-            return nm.gru_step(xp, h, self.W_h)
-        H = self.hidden_size
-        hc = nm.lstm_step(xp, h, c, self.W_h)
-        return nm.narrow(hc, 0, H), nm.narrow(hc, H, H)
-
     def sequence(self, x, mask, reverse=False):
         """Every position of x [B, T, input]; pad positions (mask 0) carry.
 
@@ -161,14 +152,17 @@ class Seq2SeqModel:
         if self.arch == "lstm":
             self.dec_cell = RecurrentCell("lstm", E, H, rng, "dec", dtype=self.dtype)
             self.out = Linear(H, V, rng, "out", dtype=self.dtype)
-            self.attn_energy = self.attn_score = None
+            self.attn_energy = self.attn_v = None
         elif self.arch == "gru":
             self.dec_cell = RecurrentCell("gru", E + H, H, rng, "dec", dtype=self.dtype)
             self.out = Linear(E + H + H, V, rng, "out", dtype=self.dtype)
-            self.attn_energy = self.attn_score = None
+            self.attn_energy = self.attn_v = None
         else:
             self.attn_energy = Linear(H + 2 * H, H, rng, "attn_energy", dtype=self.dtype)
-            self.attn_score = Linear(H, 1, rng, "attn_score", dtype=self.dtype)
+            # the score vector v; a score bias would shift every source
+            # position alike, which the softmax cancels, so there is none
+            self.attn_v = Parameter(nm.init_uniform((H, 1), rng, dtype=self.dtype),
+                                    name="attn_score.W")
             self.dec_cell = RecurrentCell("gru", E + 2 * H, H, rng, "dec", dtype=self.dtype)
             self.out = Linear(E + 2 * H + H, V, rng, "out", dtype=self.dtype)
 
@@ -185,11 +179,12 @@ class Seq2SeqModel:
             for p in self.enc_init.parameters():
                 params[p.name] = p
         params["tgt_emb"] = self.tgt_emb
-        for part in (self.attn_energy, self.attn_score, self.dec_cell, self.out):
-            if part is None:
-                continue
-            plist = part.parameters()
-            for p in plist:
+        if self.attn_energy is not None:
+            for p in self.attn_energy.parameters():
+                params[p.name] = p
+            params[self.attn_v.name] = self.attn_v
+        for part in (self.dec_cell, self.out):
+            for p in part.parameters():
                 params[p.name] = p
         return params
 
@@ -292,44 +287,17 @@ class Seq2SeqModel:
         proj = nm.matmul(flat, W_enc) + self.attn_energy.b
         return nm.reshape(proj, (B, T, self.hidden_size))
 
-    def attention_weights(self, s_prev, enc_states, mask, proj):
-        """Additive attention over source positions; pads get exactly 0 weight.
-        `proj` is the encoder-side projection `encode` returns as `attn_proj`."""
-        if not np.asarray(mask).any(axis=-1).all():
-            raise ValueError("attention over fully padded sequence")
-        B, T, D = enc_states.shape
-        H = self.hidden_size
-        W_dec = nm.narrow(self.attn_energy.W, 0, H, axis=0)
-        s_proj = nm.reshape(nm.matmul(s_prev, W_dec), (B, 1, H))
-        energy = nm.tanh(proj + s_proj)                   # [B, T, H]
-        flat = nm.reshape(energy, (B * T, H))
-        scores = nm.reshape(self.attn_score(flat), (B, T))
-        return nm.masked_softmax(scores, mask)            # [B, T]
-
     def decode_step(self, y_prev_ids, s_prev, enc, cell_prev=None):
-        """One greedy-decoding step, without dropout.  Returns (s_t, logits
-        [B, V], new cell state)."""
+        """One greedy-decoding step on the teacher-forced pass's step
+        function, without dropout or a tape.  Returns (s_t, logits [B, V],
+        new cell state) as Tensors that record nothing."""
         y_prev_ids = np.asarray(y_prev_ids).reshape(-1)
-        B = y_prev_ids.shape[0]
-        if s_prev.shape != (B, self.hidden_size):
+        if s_prev.shape != (y_prev_ids.shape[0], self.hidden_size):
             raise ValueError("decoder state width mismatch")
-        emb = nm.embedding(self.tgt_emb, y_prev_ids)
-
-        if self.arch == "lstm":
-            s_t, c_t = self.dec_cell.step(emb, s_prev, cell_prev)
-            feats = s_t
-        elif self.arch == "gru":
-            s_t = self.dec_cell.step(nm.concat([emb, enc.z], axis=-1), s_prev)
-            c_t = None
-            feats = nm.concat([emb, s_t, enc.z], axis=-1)
-        else:
-            a_t = self.attention_weights(s_prev, enc.states, enc.mask, enc.attn_proj)
-            w_t = nm.tsum(nm.reshape(a_t, (B, a_t.shape[1], 1)) * enc.states, axis=1)
-            s_t = self.dec_cell.step(nm.concat([emb, w_t], axis=-1), s_prev)
-            c_t = None
-            feats = nm.concat([emb, w_t, s_t], axis=-1)
-
-        return s_t, self.out(feats), c_t
+        state = (s_prev, cell_prev) if self.arch == "lstm" else (s_prev,)
+        state, logits, _ = nm.decoder_step(ids=y_prev_ids, state=state,
+                                           **self._decoder_wiring(enc))
+        return Tensor(state[0]), Tensor(logits), Tensor(state[1]) if len(state) > 1 else None
 
     def forward_teacher_forced(self, batch, tf_ratio=1.0, rng=None):
         """Teacher-forced decode of a batch.  Returns logits Tensor [B, Tt-1, V].
@@ -372,18 +340,24 @@ class Seq2SeqModel:
     def decoder_features(self, enc, inputs, keep, gold):
         """Head features [B, S, F] of every decoder step over gold inputs
         [B, S], one `numerics.decoder_sequence` op."""
+        state = (enc.z, enc.cell) if self.arch == "lstm" else (enc.z,)
+        return nm.decoder_sequence(tokens=inputs, gold=gold, state=state, keep=keep,
+                                   **self._decoder_wiring(enc))
+
+    def _decoder_wiring(self, enc):
+        """The decoder's weights, cell kind, head-feature layout and context
+        (z, or attention over `enc`), as `numerics.decoder_sequence` and
+        `numerics.decoder_step` both read them."""
         cell = self.dec_cell
-        head = (self.out.W, self.out.b)
-        common = (self.tgt_emb, inputs, gold, cell.W_i, cell.b, cell.W_h)
+        wiring = dict(cell=cell.kind, emb=self.tgt_emb, W_i=cell.W_i, b=cell.b, W_h=cell.W_h,
+                      head=(self.out.W, self.out.b))
         if self.arch == "lstm":
-            return nm.decoder_sequence("lstm", *common, (enc.z, enc.cell), head, ("s",), keep)
+            return dict(wiring, layout=("s",))
         if self.arch == "gru":
-            return nm.decoder_sequence("gru", *common, (enc.z,), head, ("x", "s", "c"), keep,
-                                       context=enc.z)
-        attention = (self.attn_energy.W, enc.attn_proj, enc.states, enc.mask,
-                     self.attn_score.W, self.attn_score.b)
-        return nm.decoder_sequence("gru", *common, (enc.z,), head, ("x", "c", "s"), keep,
-                                   attention=attention)
+            return dict(wiring, layout=("x", "s", "c"), context=enc.z)
+        return dict(wiring, layout=("x", "c", "s"),
+                    attention=(self.attn_energy.W, enc.attn_proj, enc.states, enc.mask,
+                               self.attn_v))
 
     def greedy_decode_batch(self, sources, max_len=50):
         """Greedy decode of a list of encoded source sequences (ids with sos/eos).

@@ -7,17 +7,19 @@ gradient back to them.
 
 The GRU and LSTM recurrences are fused ops with hand-written backward passes.
 Both take the projected input ``xp = x @ W_i + b`` and the recurrent weight
-``W_h``.  ``gru_step``/``lstm_step`` advance one position (one tape node);
-``gru_sequence``/``lstm_sequence`` run a whole padded batch in one tape node,
-keep the previous state at pad positions, and do backprop through time in
-plain numpy.  Step and sequence ops share one pair of step kernels per cell.
+``W_h``.  ``gru_sequence``/``lstm_sequence`` run a whole padded batch in one
+tape node, keep the previous state at pad positions, and do backprop through
+time in plain numpy on one pair of step kernels per cell.
 
-``decoder_sequence`` runs every step of a teacher-forced decoder pass in one
-tape node on the same cell kernels, plus an additive-attention kernel pair.
-The inputs of the steps that read gold tokens go through one GEMM; a step
-that reads the model's own token forms the previous step's logits for the
-argmax inside the loop.  It returns the head features of every step, so the
-caller computes all logits with one GEMM.
+One decoder step (the attention context, the cell kernel and the head
+features) is one array function, ``_decoder_step``, on the same cell kernels
+plus an additive-attention kernel pair.  ``decoder_sequence`` loops over it
+for every step of a teacher-forced pass in one tape node: the inputs of the
+steps that read gold tokens go through one GEMM, and a step that reads the
+model's own token forms the previous step's logits for the argmax inside the
+loop.  It returns the head features of every step, so the caller computes
+all logits with one GEMM.  ``decoder_step`` runs it once for greedy decoding
+and records no tape.
 
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
 and no backward closure, whatever the inputs' ``requires_grad``.
@@ -436,25 +438,6 @@ def _split_state(packed, parts):
     return [packed[..., k * H:(k + 1) * H] for k in range(parts)]
 
 
-def _cell_step(kernel, xp, state, W_h):
-    forward, backward_kernel = kernel
-    xp, W_h = _to_tensor(xp), _to_tensor(W_h)
-    state = [_to_tensor(s) for s in state]
-    new, cache = forward(xp.data, [s.data for s in state], W_h.data)
-
-    def backward(g):
-        dxp, dhh, d_state = backward_kernel(_split_state(g, len(state)), cache, W_h.data)
-        if xp.requires_grad:
-            xp._accumulate(dxp)
-        for s, ds in zip(state, d_state):
-            if s.requires_grad:
-                s._accumulate(ds)
-        if W_h.requires_grad:
-            W_h._accumulate(state[0].data.T @ dhh)
-
-    return _make(np.concatenate(new, axis=-1), (xp, *state, W_h), backward)
-
-
 def _cell_sequence(kernel, xp, state, W_h, mask, reverse):
     forward, backward_kernel = kernel
     xp, W_h = _to_tensor(xp), _to_tensor(W_h)
@@ -499,16 +482,6 @@ def _cell_sequence(kernel, xp, state, W_h, mask, reverse):
     return _make(out, (xp, *state, W_h), backward)
 
 
-def gru_step(xp, h, W_h):
-    """One GRU step.  xp [B, 3H] is x @ W_i + b; returns h' [B, H]."""
-    return _cell_step(_GRU, xp, (h,), W_h)
-
-
-def lstm_step(xp, h, c, W_h):
-    """One LSTM step.  xp [B, 4H] is x @ W_i + b; returns [h'; c'] as [B, 2H]."""
-    return _cell_step(_LSTM, xp, (h, c), W_h)
-
-
 def gru_sequence(xp, h0, W_h, mask, reverse=False):
     """GRU over every position of xp [B, T, 3H], starting from h0 [B, H].
 
@@ -526,31 +499,84 @@ def lstm_sequence(xp, h0, c0, W_h, mask, reverse=False):
     return _cell_sequence(_LSTM, xp, (h0, c0), W_h, mask, reverse)
 
 
-# -- fused teacher-forced decoder ----------------------------------------------
+# -- fused decoder ---------------------------------------------------------------
 #
 # Decoder step t reads [x_t; c_t]: x_t embeds its input token (after dropout),
 # and the context c_t is absent (LSTM), the encoder's z at every step (GRU),
 # or the additive-attention read-out over the encoder states (A-BGRU).  The
-# cell's W_i stacks the rows acting on x over those acting on c.  Attention
-# scores source position j as v . tanh(s_{t-1} @ W_s + proj_j) + b_v, where
-# W_s is the first H rows of the energy weight and proj, the encoder-side
-# part, is an input computed once per pass.
+# cell's W_i stacks the rows acting on x (W_x) over those acting on c (W_c).
+# Attention scores source position j as v . tanh(s_{t-1} @ W_s + proj_j),
+# where W_s is the first H rows of the energy weight and proj, the
+# encoder-side part, is an input computed once per pass.
 
-def _attend_forward(s, W_s, proj, states, live, v, b_v):
+def _attend_forward(s, W_s, proj, states, live, v):
     energy = np.tanh(proj + (s @ W_s)[:, None, :])                 # [B, Ts, A]
-    scores = np.where(live, energy @ v[:, 0] + b_v, -np.inf)
+    scores = np.where(live, energy @ v[:, 0], -np.inf)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     a = e / e.sum(axis=1, keepdims=True)                           # [B, Ts]
     return (a[:, None, :] @ states)[:, 0], (energy, a)
 
 
 def _attend_backward(dctx, cache, states, v):
-    """(d energy pre-activation [B, Ts, A], d v [A], d b_v) for one step."""
+    """(d energy pre-activation [B, Ts, A], d v [A]) for one step."""
     energy, a = cache
     da = (states @ dctx[:, :, None])[:, :, 0]
     dscores = a * (da - (da * a).sum(axis=1, keepdims=True))
     denergy = dscores[:, :, None] * v[:, 0] * (1.0 - energy * energy)
-    return denergy, np.tensordot(energy, dscores, ((0, 1), (0, 1))), dscores.sum()
+    return denergy, np.tensordot(energy, dscores, ((0, 1), (0, 1)))
+
+
+def _attention_arrays(attention, H):
+    """The attention kernel's arrays (W_s, proj, states, live, v) from
+    attention = (W_e, proj, states, mask, v)."""
+    W_e, proj, states, mask, v = attention
+    live = np.asarray(mask).astype(bool)
+    if not live.any(axis=1).all():
+        raise ValueError("attention over fully padded sequence")
+    W_e, proj, states, v = (_to_tensor(t).data for t in (W_e, proj, states, v))
+    return W_e[:H], proj, states, live, v
+
+
+def _decoder_step(forward, x, xp, state, W_h, W_c, layout, context, attention):
+    """One decoder step on arrays: (new state, head features [B, F], cache).
+
+    x [B, E] is the input embedding and xp its projection x @ W_x + b, which
+    already holds a fixed context's c @ W_c.  With `attention` (the
+    `_attention_arrays` tuple) the context is the read-out under the
+    entering state, and its c @ W_c is added here.  The cache is (context,
+    attention cache or None, cell cache).
+    """
+    attn = None
+    if attention is not None:
+        context, attn = _attend_forward(state[0], *attention)
+        xp = xp + context @ W_c
+    new, cache = forward(xp, state, W_h)
+    parts = {"x": x, "c": context, "s": new[0]}
+    return new, np.concatenate([parts[k] for k in layout], axis=-1), (context, attn, cache)
+
+
+def decoder_step(cell, emb, ids, W_i, b, W_h, state, head, layout, context=None,
+                 attention=None):
+    """One greedy-decoding step: the step `decoder_sequence` loops over,
+    without dropout, recording no tape.
+
+    The arguments are `decoder_sequence`'s, with `ids` [B] the input token
+    of each row and `state` the state entering the step.  Returns (new
+    state arrays, logits [B, V], attention weights [B, Ts] or None).
+    """
+    emb, W_i, b, W_h, head_W, head_b = (_to_tensor(t).data for t in (emb, W_i, b, W_h, *head))
+    state = [_to_tensor(s).data for s in state]
+    W_x, W_c = W_i[:emb.shape[1]], W_i[emb.shape[1]:]
+    if context is not None:
+        context = _to_tensor(context).data
+        b = context @ W_c + b
+    if attention is not None:
+        attention = _attention_arrays(attention, W_h.shape[0])
+    x = emb[np.asarray(ids)]
+    forward = (_GRU if cell == "gru" else _LSTM)[0]
+    new, feats, (_, attn, _) = _decoder_step(forward, x, x @ W_x + b, state, W_h, W_c, layout,
+                                             context, attention)
+    return new, feats @ head_W + head_b, None if attn is None else attn[1]
 
 
 def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
@@ -565,7 +591,7 @@ def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
     gradient.  `keep` holds the embedding [B, S, E] and head-feature
     [B, S, F] dropout multipliers, each None for no dropout.  The context is
     `context` (GRU's z [B, C], fed at every step), or the attention
-    read-out when `attention` = (W_e, proj, states, mask, v, b_v), or absent.
+    read-out when `attention` = (W_e, proj, states, mask, v), or absent.
     `layout` orders the head features: "x" (input embedding), "c" (context)
     and "s" (new state).  Returns the head features [B, S, F], dropout
     applied; backprop through time runs in plain numpy.
@@ -584,22 +610,22 @@ def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
     W_x, W_c = W_i.data[:E], W_i.data[E:]
     parents = [emb, W_i, b, W_h, *state]
     bias = b.data
+    ctx = None
     if context is not None:
         context = _to_tensor(context)
         parents.append(context)
-        bias = context.data @ W_c + bias
+        ctx = context.data
+        bias = ctx @ W_c + bias
     bias = bias.reshape(-1, 1, G)
+    arrays = None
     if attention is not None:
-        W_e, proj, states, live, v, b_v = attention
-        W_e, proj, states, v, b_v = (_to_tensor(t) for t in (W_e, proj, states, v, b_v))
-        parents += [W_e, proj, states, v, b_v]
-        live = np.asarray(live).astype(bool)
-        if not live.any(axis=1).all():
-            raise ValueError("attention over fully padded sequence")
-        W_s, A = W_e.data[:H], W_e.data.shape[1]
+        W_e, proj, states, mask, v = attention
+        W_e, proj, states, v = (_to_tensor(t) for t in (W_e, proj, states, v))
+        parents += [W_e, proj, states, v]
+        arrays = _attention_arrays((W_e, proj, states, mask, v), H)
+        W_s, A = arrays[0], W_e.data.shape[1]
         C = np.empty((B, S, W_c.shape[0]), dtype=dtype)
-    elif context is not None:
-        C = np.broadcast_to(context.data[:, None], (B, S, W_c.shape[0]))
+    widths = {"x": E, "c": W_c.shape[0], "s": H}
     X = emb.data[tokens]
     if emb_keep is not None:
         X *= emb_keep
@@ -607,39 +633,28 @@ def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
     XP = np.empty((B, S, G), dtype=dtype)
     XP[:, fed] = (X[:, fed].reshape(-1, E) @ W_x).reshape(B, -1, G) + bias
     h_in = np.empty((B, S, H), dtype=dtype)         # state entering each step
-    out_s = np.empty((B, S, H), dtype=dtype)
-    parts = {"x": X, "s": out_s}
-    if "c" in layout:
-        parts["c"] = C
+    feats = np.empty((B, S, sum(widths[k] for k in layout)), dtype=dtype)
     caches, attn = [None] * S, [None] * S
-
-    def features(t):
-        f = np.concatenate([parts[k][:, t] for k in layout], axis=-1)
-        return f if feat_keep is None else f * feat_keep[:, t]
-
     cur = [s.data for s in state]
     for t in range(S):
         if not fed[t]:
-            ids = (features(t - 1) @ head_W + head_b).argmax(axis=1)
+            prev = feats[:, t - 1] if feat_keep is None else feats[:, t - 1] * feat_keep[:, t - 1]
+            ids = (prev @ head_W + head_b).argmax(axis=1)
             tokens[:, t] = ids
             X[:, t] = emb.data[ids] if emb_keep is None else emb.data[ids] * emb_keep[:, t]
             XP[:, t] = X[:, t] @ W_x + bias[:, 0]
         h_in[:, t] = cur[0]
-        xp = XP[:, t]
+        cur, feats[:, t], (c_t, attn[t], caches[t]) = _decoder_step(
+            forward, X[:, t], XP[:, t], cur, W_h.data, W_c, layout, ctx, arrays)
         if attention is not None:
-            C[:, t], attn[t] = _attend_forward(cur[0], W_s, proj.data, states.data, live,
-                                               v.data, b_v.data)
-            xp = xp + C[:, t] @ W_c
-        cur, caches[t] = forward(xp, cur, W_h.data)
-        out_s[:, t] = cur[0]
-    feats = np.concatenate([parts[k] for k in layout], axis=-1)
+            C[:, t] = c_t
     if feat_keep is not None:
         feats *= feat_keep
 
     def backward(g):
         if feat_keep is not None:
             g = g * feat_keep
-        bounds = np.cumsum([parts[k].shape[-1] for k in layout])[:-1]
+        bounds = np.cumsum([widths[k] for k in layout])[:-1]
         d_part = dict(zip(layout, np.split(g, bounds, axis=-1)))
         dXP = np.empty((B, S, G), dtype=dtype)
         dHH = np.empty((B, S, G), dtype=dtype)
@@ -648,17 +663,16 @@ def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
             dC = np.empty_like(C)
             dSP = np.empty((B, S, A), dtype=dtype)
             dproj = np.zeros_like(proj.data)
-            dv, db_v = np.zeros(A, dtype=dtype), 0.0
+            dv = np.zeros(A, dtype=dtype)
         for t in reversed(range(S)):
             d[0] = d[0] + d_part["s"][:, t]
             dXP[:, t], dHH[:, t], d = backward_kernel(d, caches[t], W_h.data)
             d = list(d)
             if attention is not None:
                 dC[:, t] = dXP[:, t] @ W_c.T + d_part["c"][:, t]
-                denergy, dv_t, db_t = _attend_backward(dC[:, t], attn[t], states.data, v.data)
+                denergy, dv_t = _attend_backward(dC[:, t], attn[t], states.data, v.data)
                 dproj += denergy
                 dv += dv_t
-                db_v += db_t
                 dSP[:, t] = denergy.sum(axis=1)
                 d[0] = d[0] + dSP[:, t] @ W_s.T
         flat = dXP.reshape(B * S, G)
@@ -699,8 +713,6 @@ def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
                 states._accumulate(weights.transpose(0, 2, 1) @ dC)
             if v.requires_grad:
                 v._accumulate(dv[:, None])
-            if b_v.requires_grad:
-                b_v._accumulate(np.full(b_v.data.shape, db_v, dtype=dtype))
 
     return _make(feats, parents, backward)
 

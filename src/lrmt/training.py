@@ -313,6 +313,15 @@ def carve_validation(corpus, fraction=0.1, seed=0):
     return ParallelCorpus(train_pairs), ParallelCorpus(valid_pairs)
 
 
+def fit_splits(splits, seed):
+    """(train, valid) as every regime fits on `splits`: its valid split, or,
+    without one, 10% of its train split carved off, seeded by `seed`."""
+    valid = splits.get("valid")
+    if valid is None:
+        return carve_validation(splits["train"], seed=seed)
+    return splits["train"], valid
+
+
 def copy_corpus(sentences):
     """Targets set equal to sources: the auto-encoding pretraining corpus."""
     return ParallelCorpus([(list(s), list(s)) for s in sentences])
@@ -351,9 +360,7 @@ def _fine_tune(model, splits, config, metrics_path, stage_label):
     """The fine-tuning recipe of every transfer regime: carve a validation
     split when `splits` has none, rebind the decoder to the train split's
     target vocabulary, fit.  Freezing and pruning are the caller's."""
-    train, valid = splits["train"], splits.get("valid")
-    if valid is None:
-        train, valid = carve_validation(train, seed=config.seed)
+    train, valid = fit_splits(splits, config.seed)
     tgt_vocab = build_vocab([train], side="target")
     model.rebind_decoder(tgt_vocab, seed=config.seed)
     return fit_with_early_stopping(model, train, valid, config,

@@ -1,22 +1,26 @@
-"""The per-sentence, taped greedy decoder that batched decoding replaced,
-kept as the reference the batched decoder must reproduce token for token."""
+"""The per-sentence greedy decoder on the composed reference step, kept as
+the reference the batched decoder must reproduce token for token."""
 
 import numpy as np
 
+from lrmt import numerics as nm
 from lrmt.text import EOS, SOS
+
+from reference_forward import composed_logits, composed_step, initial_state
 
 
 def reference_greedy_decode(model, source_ids, max_len=50):
-    """Encode one sentence, then step the decoder on it alone until eos."""
-    enc = model.encode(np.asarray(source_ids, dtype=np.int64).reshape(1, -1))
-    s, c = enc.z, enc.cell
-    out = []
-    prev = np.array([SOS])
-    for _ in range(max_len):
-        s, logits, c = model.decode_step(prev, s, enc, cell_prev=c)
-        nxt = int(logits.data.argmax(axis=1)[0])
-        if nxt == EOS:
-            break
-        out.append(nxt)
-        prev = np.array([nxt])
+    """Encode one sentence, then step the composed decoder on it alone until eos."""
+    with nm.no_grad():
+        enc = model.encode_states(np.asarray(source_ids, dtype=np.int64).reshape(1, -1))
+        state = initial_state(model, enc)
+        out = []
+        prev = np.array([SOS])
+        for _ in range(max_len):
+            state, feats = composed_step(model, prev, state, enc)
+            nxt = int(composed_logits(model, feats).data.argmax(axis=1)[0])
+            if nxt == EOS:
+                break
+            out.append(nxt)
+            prev = np.array([nxt])
     return out

@@ -1,51 +1,94 @@
-"""The composed, one-step-at-a-time teacher-forced decoder that the fused
-`numerics.decoder_sequence` pass replaced, kept as its reference.
+"""The composed, one-step-at-a-time decoder, kept as the reference for the
+fused decoder kernels that training and greedy decoding both run.
 
-Each step is built from the tape's small ops (embedding, attention, concat,
-the cell step, the head GEMM), with the dropout masks and scheduled-sampling
-coins the model's `decoder_noise` draws, so both paths consume the same
-draws from the same rng.
+Every step is built from the tape's generic ops (`matmul`, `tanh`,
+`sigmoid`, `narrow`, `concat`, `masked_softmax`, `tsum`, `stack`), so it
+shares no kernel with the code it checks.  The teacher-forced pass consumes
+the dropout masks and scheduled-sampling coins the model's `decoder_noise`
+draws, so both paths read the same draws from the same rng.
 """
-
-import numpy as np
 
 from lrmt import numerics as nm
 
 
-def _step(model, ids, s, c, enc, emb_keep, feat_keep):
-    emb = nm.embedding(model.tgt_emb, ids)
+def composed_cell(kind, xp, state, W_h):
+    """One GRU or LSTM step on xp = x @ W_i + b; returns the new state tuple."""
+    H = W_h.shape[0]
+    h = state[0]
+    if kind == "gru":
+        hh = h @ W_h
+        r = nm.sigmoid(nm.narrow(xp, 0, H) + nm.narrow(hh, 0, H))
+        z = nm.sigmoid(nm.narrow(xp, H, H) + nm.narrow(hh, H, H))
+        n = nm.tanh(nm.narrow(xp, 2 * H, H) + r * nm.narrow(hh, 2 * H, H))
+        return ((z * -1.0 + 1.0) * n + z * h,)
+    a = xp + h @ W_h
+    i = nm.sigmoid(nm.narrow(a, 0, H))
+    f = nm.sigmoid(nm.narrow(a, H, H))
+    g = nm.tanh(nm.narrow(a, 2 * H, H))
+    o = nm.sigmoid(nm.narrow(a, 3 * H, H))
+    c_new = f * state[1] + i * g
+    return o * nm.tanh(c_new), c_new
+
+
+def composed_attention(model, s, enc):
+    """The additive-attention read-out [B, 2H] under the decoder state s,
+    with the encoder-side projection formed here."""
+    B, T, D = enc.states.shape
+    H = model.hidden_size
+    W_e = model.attn_energy.W
+    flat = nm.reshape(enc.states, (B * T, D))
+    proj = nm.reshape(flat @ nm.narrow(W_e, H, D, axis=0) + model.attn_energy.b, (B, T, H))
+    s_proj = nm.reshape(s @ nm.narrow(W_e, 0, H, axis=0), (B, 1, H))
+    energy = nm.reshape(nm.tanh(proj + s_proj), (B * T, H))
+    scores = nm.reshape(energy @ model.attn_v, (B, T))
+    a = nm.masked_softmax(scores, enc.mask)
+    return nm.tsum(nm.reshape(a, (B, T, 1)) * enc.states, axis=1)
+
+
+def composed_step(model, ids, state, enc, emb_keep=None, feat_keep=None):
+    """One decoder step: (new state tuple, head features [B, F])."""
+    cell = model.dec_cell
+    x = nm.embedding(model.tgt_emb, ids)
     if emb_keep is not None:
-        emb = emb * emb_keep
-    B = ids.shape[0]
+        x = x * emb_keep
     if model.arch == "lstm":
-        s, c = model.dec_cell.step(emb, s, c)
-        feats = s
+        state = composed_cell("lstm", x @ cell.W_i + cell.b, state, cell.W_h)
+        feats = state[0]
     elif model.arch == "gru":
-        s = model.dec_cell.step(nm.concat([emb, enc.z], axis=-1), s)
-        feats = nm.concat([emb, s, enc.z], axis=-1)
+        inputs = nm.concat([x, enc.z], axis=-1)
+        state = composed_cell("gru", inputs @ cell.W_i + cell.b, state, cell.W_h)
+        feats = nm.concat([x, state[0], enc.z], axis=-1)
     else:
-        a = model.attention_weights(s, enc.states, enc.mask, enc.attn_proj)
-        w = nm.tsum(nm.reshape(a, (B, a.shape[1], 1)) * enc.states, axis=1)
-        s = model.dec_cell.step(nm.concat([emb, w], axis=-1), s)
-        feats = nm.concat([emb, w, s], axis=-1)
+        w = composed_attention(model, state[0], enc)
+        inputs = nm.concat([x, w], axis=-1)
+        state = composed_cell("gru", inputs @ cell.W_i + cell.b, state, cell.W_h)
+        feats = nm.concat([x, w, state[0]], axis=-1)
     if feat_keep is not None:
         feats = feats * feat_keep
-    return s, c, feats
+    return state, feats
+
+
+def composed_logits(model, feats):
+    return feats @ model.out.W + model.out.b
+
+
+def initial_state(model, enc):
+    return (enc.z, enc.cell) if model.arch == "lstm" else (enc.z,)
 
 
 def reference_forward(model, batch, tf_ratio=1.0, rng=None):
     """(head features [B, Tt-1, F], logits [B, Tt-1, V]) as Tensors."""
-    enc = model.encode(batch.source, rng=rng)
+    enc = model.encode_states(batch.source, rng=rng)
     targets = batch.target
     B, Tt = targets.shape
     (emb_keep, feat_keep), gold = model.decoder_noise(rng, B, Tt - 1, tf_ratio)
-    s, c = enc.z, enc.cell
+    state = initial_state(model, enc)
     step_feats, step_logits = [], []
     for t in range(Tt - 1):
         ids = targets[:, t] if gold[t] else step_logits[-1].data.argmax(axis=1)
-        s, c, feats = _step(model, ids, s, c, enc,
-                            None if emb_keep is None else emb_keep[:, t],
-                            None if feat_keep is None else feat_keep[:, t])
+        state, feats = composed_step(model, ids, state, enc,
+                                     None if emb_keep is None else emb_keep[:, t],
+                                     None if feat_keep is None else feat_keep[:, t])
         step_feats.append(feats)
-        step_logits.append(model.out(feats))
+        step_logits.append(composed_logits(model, feats))
     return nm.stack(step_feats, axis=1), nm.stack(step_logits, axis=1)

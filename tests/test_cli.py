@@ -12,7 +12,8 @@ import pytest
 
 from lrmt import xray
 from lrmt.cli import main
-from lrmt.training import load_checkpoint
+from lrmt.text import ParallelCorpus
+from lrmt.training import carve_validation, load_checkpoint
 
 WORDS = ["sun", "moon", "star", "tree", "bird", "fish", "stone", "river"]
 TARGET = ["sonne", "mond", "stern", "baum", "vogel", "fisch", "stein", "fluss"]
@@ -109,6 +110,29 @@ def test_prepare_data_exports_the_vocabularies_train_uses(workspace):
     assert "tree" in src and "bird" not in src and "vogel" not in tgt
     ckpt = load_checkpoint(out / "model.lrmt")
     assert (src, tgt) == (ckpt.src_vocab, ckpt.tgt_vocab)
+
+
+def test_prepare_data_carves_validation_as_train_does(workspace):
+    # a dataset with no valid split: train carves 10% off, seeded by
+    # train.seed, and builds its vocabularies from the rest
+    data = workspace / "data"
+    n = 30
+    pairs = [("w%d" % i, "w%d" % i) for i in range(n)]
+    _, carved = carve_validation(ParallelCorpus([([s], [t]) for s, t in pairs]), seed=3)
+    zebra = int(carved.pairs[0][0][0][1:])          # a row the carve takes at seed 3
+    lines = ["sun moon\tsonne mond"] * n
+    lines[zebra] = "zebra sun\tzebra sonne"
+    (data / "one.train.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (data / "manifest.json").write_text(json.dumps({"datasets": [
+        {"id": "one", "train": "one.train.tsv"}]}), encoding="utf-8")
+    path = _config(workspace, **{"data.dataset": "one", "train.seed": 3})
+    out = workspace / "out"
+    for command in ("prepare-data", "train"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    src = json.loads((out / "one.src.vocab.json").read_text(encoding="utf-8"))
+    ckpt = load_checkpoint(out / "model.lrmt")
+    assert "zebra" not in ckpt.src_vocab
+    assert src == ckpt.src_vocab
 
 
 def test_train_evaluate_prune_xray_round_trip(workspace):

@@ -1,4 +1,5 @@
-"""The fused teacher-forced decoder pass against the composed per-step loop.
+"""The fused decoder, teacher-forced pass and greedy step, against the
+composed per-step loop.
 
 `reference_forward` builds every step from the tape's small ops and consumes
 the same dropout masks and scheduled-sampling coins, drawn by the model's
@@ -8,15 +9,17 @@ context rows and sums gradients over all steps at once, so the bounds are
 float64 rounding: 1e-12 on features and logits, 1e-10 on gradients.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lrmt.model import Seq2SeqModel
 from lrmt.numerics import cross_entropy_masked
-from lrmt.text import Batch, ParallelCorpus, build_vocab
+from lrmt.text import SOS, Batch, ParallelCorpus, build_vocab
 
 from gradcheck import relative_gradient_error
-from reference_forward import reference_forward
+from reference_forward import composed_logits, composed_step, initial_state, reference_forward
 
 # with this seed, tf_ratio 0.5 feeds the model's own argmax at some steps
 SEED = 0
@@ -111,3 +114,34 @@ def test_attention_over_fully_padded_source_is_rejected(float64_mode):
     batch.source[1] = 0
     with pytest.raises(ValueError, match="fully padded"):
         model.forward_teacher_forced(batch)
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_greedy_steps_match_composed_reference(float64_mode, arch):
+    model = _model(arch, dropout=0.0)
+    source = _batch().source                    # rows of lengths 7, 4 and 3
+    enc = model.encode(source)
+    s, c = enc.z, enc.cell
+    state = initial_state(model, enc)
+    ids = np.full(source.shape[0], SOS)
+    for _ in range(6):
+        s, logits, c = model.decode_step(ids, s, enc, cell_prev=c)
+        state, feats = composed_step(model, ids, state, enc)
+        assert np.max(np.abs(logits.data - composed_logits(model, feats).data)) < 1e-12
+        assert np.max(np.abs(s.data - state[0].data)) < 1e-12
+        if arch == "lstm":
+            assert np.max(np.abs(c.data - state[1].data)) < 1e-12
+        else:
+            assert c is None
+        assert not (s.requires_grad or logits.requires_grad)
+        ids = logits.data.argmax(axis=1)
+
+
+def test_references_share_no_decoder_kernel():
+    # a reference that called the code it checks would agree with any bug in it
+    here = Path(__file__).parent
+    for name in ("reference_forward.py", "reference_decode.py"):
+        source = (here / name).read_text(encoding="utf-8")
+        for kernel in ("decoder_sequence", "decoder_features", "decode_step",
+                       "_gru_forward", "_lstm_forward", "_attend_forward"):
+            assert kernel not in source, (name, kernel)

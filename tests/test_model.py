@@ -14,6 +14,7 @@ from lrmt.training import TrainConfig, pretrain_copy
 
 from gradcheck import relative_gradient_error
 from reference_decode import reference_greedy_decode
+from reference_forward import composed_cell
 
 
 def _tiny_vocab(words):
@@ -39,6 +40,17 @@ def _tiny_batch(model, rows=((4, 5, 6), (5, 4))):
 
 # -- closed-form cell checks ---------------------------------------------------
 
+def _width_one_step(cell, x, state):
+    """One step of a width-one cell through the fused sequence op (T=1) and
+    through the composed reference cell, as flat [h'(, c')] arrays."""
+    xp = Tensor(np.array([[x]])) @ cell.W_i + cell.b
+    state = [Tensor(np.array([[v]])) for v in state]
+    op = nm.gru_sequence if cell.kind == "gru" else nm.lstm_sequence
+    fused = op(nm.reshape(xp, (1, 1, -1)), *state, cell.W_h, np.ones((1, 1)))
+    composed = nm.concat(list(composed_cell(cell.kind, xp, state, cell.W_h)), axis=-1)
+    return fused.data.reshape(-1), composed.data.reshape(-1)
+
+
 def test_gru_width_one_closed_form(float64_mode):
     rng = np.random.default_rng(2)
     cell = RecurrentCell("gru", 1, 1, rng, "c")
@@ -48,8 +60,8 @@ def test_gru_width_one_closed_form(float64_mode):
     z = 1 / (1 + math.exp(-(x * wi[1] + b[1] + h * wh[1])))
     n = math.tanh(x * wi[2] + b[2] + r * (h * wh[2]))
     want = (1 - z) * n + z * h
-    got = cell.step(Tensor(np.array([[x]])), Tensor(np.array([[h]])))
-    assert abs(float(got.data[0, 0]) - want) < 1e-12
+    for got in _width_one_step(cell, x, (h,)):
+        assert abs(float(got[0]) - want) < 1e-12
 
 
 def test_lstm_width_one_closed_form(float64_mode):
@@ -64,10 +76,9 @@ def test_lstm_width_one_closed_form(float64_mode):
     o = sig(x * wi[3] + b[3] + h * wh[3])
     c_new = f * c + i * g
     h_new = o * math.tanh(c_new)
-    hh, cc = cell.step(Tensor(np.array([[x]])), Tensor(np.array([[h]])),
-                       Tensor(np.array([[c]])))
-    assert abs(float(hh.data[0, 0]) - h_new) < 1e-12
-    assert abs(float(cc.data[0, 0]) - c_new) < 1e-12
+    for got in _width_one_step(cell, x, (h, c)):
+        assert abs(float(got[0]) - h_new) < 1e-12
+        assert abs(float(got[1]) - c_new) < 1e-12
 
 
 # -- gradient checks through full forward passes --------------------------------
@@ -89,22 +100,28 @@ def test_full_forward_gradients(float64_mode, arch):
 
 # -- attention ------------------------------------------------------------------
 
+def _greedy_step(model, enc, ids, state):
+    """The step function greedy decoding runs, with the model's wiring."""
+    return nm.decoder_step(ids=ids, state=state, **model._decoder_wiring(enc))
+
+
 def test_attention_rows_sum_to_one_with_zero_on_pads(float64_mode):
     model = _tiny_model("abgru", seed=5)
     batch = _tiny_batch(model)
     enc = model.encode(batch.source)
-    a = model.attention_weights(enc.z, enc.states, enc.mask, enc.attn_proj)
-    sums = a.data.sum(axis=-1)
+    _, _, a = _greedy_step(model, enc, np.full(2, SOS), (enc.z,))
+    sums = a.sum(axis=-1)
     assert np.max(np.abs(sums - 1.0)) < 1e-12
     pad_positions = enc.mask == 0
-    assert np.all(a.data[pad_positions] == 0.0)
+    assert pad_positions.any()
+    assert np.all(a[pad_positions] == 0.0)
 
 
 def test_attention_rejects_fully_padded_row(float64_mode):
     model = _tiny_model("abgru")
     enc = model.encode(np.zeros((1, 2), dtype=np.int64))    # pads only
-    with pytest.raises(ValueError):
-        model.attention_weights(enc.z, enc.states, enc.mask, enc.attn_proj)
+    with pytest.raises(ValueError, match="fully padded"):
+        model.decode_step(np.array([SOS]), enc.z, enc)
 
 
 # -- context reinjection / state handling ---------------------------------------
@@ -146,11 +163,11 @@ def test_bidirectional_states_concatenate_directions(float64_mode):
     H = model.hidden_size
 
     def run(cell, order):
-        h = np.zeros((1, H))
+        h = Tensor(np.zeros((1, H)))
         out = [None] * T
         for t in order:
-            h = cell.step(Tensor(emb[t:t + 1]), Tensor(h)).data
-            out[t] = h
+            (h,) = composed_cell("gru", Tensor(emb[t:t + 1]) @ cell.W_i + cell.b, (h,), cell.W_h)
+            out[t] = h.data
         return out
 
     fwd = run(model.enc_fwd, range(T))

@@ -2,8 +2,9 @@
 dump round-trips, every truncated or altered file of either kind is rejected
 with a CheckpointError, a v1 checkpoint loads like its v2 twin, and every
 batch row is sos ... eos followed only by pad (the encoder's pad mask is
-`source != PAD`), and cleaning and tokenizing text a second time changes
-nothing."""
+`source != PAD`), cleaning and tokenizing text a second time changes
+nothing, corpus BLEU does not depend on the order of the pairs, and a
+corpus scored against itself gets 1.0."""
 
 import json
 import struct
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lrmt import xray
+from lrmt.bleu import bleu4
 from lrmt.model import ARCHITECTURES, Seq2SeqModel
 from lrmt.text import (CONTRACTIONS, EOS, PAD, SOS, UNK, ParallelCorpus, build_vocab,
                        make_batches, preprocess, tokenize)
@@ -205,3 +207,22 @@ def test_preprocess_is_idempotent_and_tokens_survive_a_rejoin(raw):
     assert preprocess(clean) == clean
     tokens = tokenize(clean)
     assert tokenize(" ".join(tokens)) == tokens
+
+
+# few distinct words, so hypotheses and references share n-grams
+SENTENCES = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(SENTENCES, SENTENCES), min_size=1, max_size=8), st.data())
+def test_corpus_bleu_ignores_the_order_of_the_pairs(pairs, data):
+    shuffled = data.draw(st.permutations(pairs))
+    assert bleu4(*zip(*shuffled)) == bleu4(*zip(*pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SENTENCES, min_size=1, max_size=8))
+def test_a_corpus_scored_against_itself_is_perfect(corpus):
+    score = bleu4(corpus, [list(s) for s in corpus]).score
+    # without a 4-gram the pooled 4-gram precision is 0, which scores 0
+    assert score == (1.0 if any(len(s) >= 4 for s in corpus) else 0.0)

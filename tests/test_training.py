@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from lrmt import _container, synthetic, training
+from lrmt import numerics as nm
+from lrmt.model import Seq2SeqModel
 from lrmt.numerics import Adam, cross_entropy_masked
 from lrmt.text import ParallelCorpus, build_vocab, make_batches
 from lrmt.training import (Checkpoint, CheckpointChecksumError,
@@ -19,6 +21,8 @@ from lrmt.training import (Checkpoint, CheckpointChecksumError,
                            load_checkpoint, pretrain_copy,
                            run_sequential_plan, train_multitask_joint,
                            transfer_1hop)
+
+from reference_decode import reference_greedy_decode
 
 TINY = dict(embed_size=8, hidden_size=8, dropout=0.0, batch_size=8,
             max_epochs=3, patience=2, max_len=20)
@@ -307,6 +311,28 @@ def test_checkpoint_with_the_deleted_config_keys_loads(tmp_path):
     back = load_checkpoint(tmp_path / "old.lrmt")
     assert back.config == ckpt.config
     assert back.train_config() == ckpt.train_config()
+
+
+def test_checkpoint_with_an_attention_score_bias_decodes_as_before(float64_mode, tmp_path,
+                                                                    monkeypatch):
+    words = ["a", "b", "c", "d", "e", "f"]
+    vocab = build_vocab([ParallelCorpus([(words, words)])], side="source")
+    model = Seq2SeqModel("abgru", vocab, vocab, embed_size=5, hidden_size=4, dropout=0.0)
+    rng = np.random.default_rng(2)
+    for p in model.parameters():                   # sharp attention, varied outputs
+        p.data[...] = rng.normal(scale=0.7, size=p.shape)
+    ckpt = Checkpoint.from_model(model, TrainConfig(arch="abgru", embed_size=5, hidden_size=4))
+    ckpt.tensors["attn_score.b"] = np.array([1.7])  # as files written with the bias hold it
+    ckpt.save(tmp_path / "old.lrmt")
+    back = load_checkpoint(tmp_path / "old.lrmt").to_model()
+    assert "attn_score.b" not in back.named_parameters()
+    sources = [[1] + [4 + (i * k) % 6 for k in range(1 + i % 5)] + [2] for i in range(12)]
+    decoded = back.greedy_decode_batch(sources, max_len=8)
+    assert len({tuple(out) for out in decoded}) > 3
+    # the decoder as it was: the bias added to every source position's score
+    softmax = nm.masked_softmax
+    monkeypatch.setattr(nm, "masked_softmax", lambda scores, mask: softmax(scores + 1.7, mask))
+    assert decoded == [reference_greedy_decode(back, ids, max_len=8) for ids in sources]
 
 
 def test_checkpoint_save_is_deterministic(tmp_path):
