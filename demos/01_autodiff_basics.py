@@ -12,16 +12,18 @@ from lrmt.numerics import Adam, Parameter, Tensor, set_default_dtype
 
 set_default_dtype(np.float64)
 
-# A two-layer tanh network on a fixed input, loss = sum of outputs.
+# A two-layer tanh network on a fixed input, loss = sum of outputs: the
+# [4, 2] output between a row and a column of ones is a [1, 1] scalar node.
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(4, 3)))
 W1 = Parameter(nm.init_uniform((3, 5), rng), name="W1")
 W2 = Parameter(nm.init_uniform((5, 2), rng), name="W2")
+rows, cols = Tensor(np.ones((1, 4))), Tensor(np.ones((2, 1)))
 
 
 def forward():
     h = nm.tanh(x @ W1)
-    return nm.tsum(nm.tanh(h @ W2))
+    return rows @ nm.tanh(h @ W2) @ cols
 
 
 loss = forward()

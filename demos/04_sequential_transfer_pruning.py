@@ -9,7 +9,7 @@ from pathlib import Path
 from tempfile import mkdtemp
 
 from lrmt import synthetic, training
-from lrmt.training import StageSpec, TrainConfig, TransferPlan
+from lrmt.training import StageSpec, TrainConfig
 
 config = TrainConfig(arch="abgru", embed_size=32, hidden_size=32,
                      max_epochs=20, patience=20, dropout=0.0, batch_size=50,
@@ -27,13 +27,13 @@ corpora = {
                               seed=2),
 }
 
-plan = TransferPlan([
+plan = [
     StageSpec(dataset_id="en-en", label="pretrain"),
     StageSpec(dataset_id="en-de", label="stage1-de",
               prune_mode="least_n", prune_percent=10.0),
     StageSpec(dataset_id="en-fr", label="stage2-fr",
               prune_mode="most_n", prune_percent=10.0),
-])
+]
 
 out = Path(mkdtemp(prefix="lrmt-demo-"))
 results = training.run_sequential_plan(plan, corpora, config, out_dir=out)

@@ -18,7 +18,6 @@ from .numerics import (
     cross_entropy_masked,
     default_dtype,
     init_uniform,
-    masked_softmax,
     no_grad,
     set_default_dtype,
 )
@@ -45,7 +44,6 @@ from .training import (
     CheckpointVersionError,
     StageSpec,
     TrainConfig,
-    TransferPlan,
     VocabMismatchError,
     early_stopping_trace,
     fit_with_early_stopping,

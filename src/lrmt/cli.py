@@ -2,33 +2,66 @@
 
 Configuration is a JSON file of flat dotted keys ("train.lr", "data.manifest",
 ...); each command's flags set dotted keys over the file's values, once, in
-`main`.  Every command writes all of its artifacts under --out, starting with
-a run.json provenance record of the merged config.
+`main`, which checks each against its row of `_KEYS` before any work.  Every
+command writes its artifacts under --out, starting with a run.json record.
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, bleu, report, text, training, xray
-from .training import StageSpec, TrainConfig, TransferPlan
+from .training import StageSpec, TrainConfig, check_type
 
 
 class ConfigError(Exception):
     pass
 
 
-_KNOWN_KEYS = ({"train." + f.name for f in dataclasses.fields(TrainConfig)}
-               | {"data.manifest", "data.dataset", "data.test", "data.max_len",
-                  "plan.stages", "multitask.datasets", "ckpt",
-                  "analysis.mode", "analysis.percent", "analysis.top_k",
-                  "analysis.neuron", "report.analyses"})
+def _stage_specs(stages):
+    """The StageSpec of each `plan.stages` entry (its dataset under "dataset"); [] fails."""
+    specs = []
+    for i, entry in enumerate(stages):
+        try:
+            entry = {**entry}          # a copy, and a TypeError for a non-object
+            specs.append(StageSpec(dataset_id=entry.pop("dataset", None), **entry))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("'plan.stages'[%d]: %s" % (i, exc))
+    return specs
+
+
+# key -> (type, default or MISSING if required, check: false for a value out of range)
+_KEYS = {
+    **{"train." + f.name: (f.type, f.default, None) for f in fields(TrainConfig)},
+    "data.manifest": (str, MISSING, None),
+    "data.dataset": (str, MISSING, None),
+    "data.test": (str, None, None),
+    "data.max_len": (int, 50, lambda n: n >= 1),
+    "plan.stages": (list, MISSING, _stage_specs),
+    "multitask.datasets": (dict, MISSING,
+                           lambda m: m and all(isinstance(d, str) for d in m.values())),
+    "ckpt": (str, MISSING, None),
+    "analysis.mode": (str, "dead", lambda mode: mode in xray.PRUNE_MODES),
+    "analysis.percent": (float, 0.0, lambda p: 0 <= p <= 100),
+    "analysis.top_k": (int, 5, lambda k: k >= 1),
+    "analysis.neuron": (int, None, lambda n: n >= 0),
+    "report.analyses": (list, MISSING,
+                        lambda paths: paths and all(isinstance(p, str) for p in paths)),
+}
+
+
+def _get(cfg, key):
+    """The value of `key`, which `check_config` has checked, or the key's default."""
+    value = cfg.get(key, _KEYS[key][1])
+    if value is MISSING:
+        raise ConfigError("missing config key: %r" % key)
+    return value
 
 
 def load_config(path):
@@ -44,9 +77,6 @@ def load_config(path):
         raise ConfigError("config is not valid JSON: %s" % exc)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object of dotted keys")
-    for key in cfg:
-        if key not in _KNOWN_KEYS:
-            raise ConfigError("unknown config key: %r" % key)
     return cfg
 
 
@@ -56,7 +86,19 @@ def resolve_train_config(cfg):
     try:
         return TrainConfig(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError("bad training configuration: %s" % exc)
+        raise ConfigError("bad training configuration: train.%s" % exc)
+
+
+def check_config(cfg):
+    """A ConfigError naming the first key of `cfg` that is unknown, ill-typed or out of range."""
+    for key, value in cfg.items():
+        if key not in _KEYS:
+            raise ConfigError("unknown config key: %r" % key)
+        kind, _default, check = _KEYS[key]
+        check_type(repr(key), value, kind, ConfigError)
+        if check is not None and not check(value):
+            raise ConfigError("%r: %r is not a valid value" % (key, value))
+    resolve_train_config(cfg)
 
 
 def _sha256(path):
@@ -79,27 +121,17 @@ def write_run_record(out, command, cfg, inputs):
                                   encoding="utf-8")
 
 
-def _load_data(cfg, need_dataset=True):
-    manifest = cfg.get("data.manifest")
-    if manifest is None:
-        raise ConfigError("missing config key: 'data.manifest'")
+def _load_data(cfg):
     # main has checked that the manifest and every file it names exist
-    corpora = text.load_manifest(manifest, max_len=cfg.get("data.max_len", 50))
-    dataset = cfg.get("data.dataset")
-    if need_dataset:
-        if dataset is None:
-            raise ConfigError("missing config key: 'data.dataset'")
-        if dataset not in corpora:
-            raise ConfigError("unknown dataset id in 'data.dataset': %r" % dataset)
-    return corpora, dataset
+    return text.load_manifest(_get(cfg, "data.manifest"), max_len=_get(cfg, "data.max_len"))
 
 
-def _train_splits(corpora, dataset, key="data.dataset"):
-    """The splits of `dataset`, which a command trains on, so it needs a train split."""
+def _splits(corpora, dataset, key="data.dataset", split="train"):
+    """The splits of `dataset`, whose `split` split a command reads, so it needs one."""
     if dataset not in corpora:
         raise ConfigError("unknown dataset id in %r: %r" % (key, dataset))
-    if "train" not in corpora[dataset]:
-        raise ConfigError("dataset %r in %r has no train split" % (dataset, key))
+    if split not in corpora[dataset]:
+        raise ConfigError("dataset %r in %r has no %s split" % (dataset, key, split))
     return corpora[dataset]
 
 
@@ -112,7 +144,7 @@ def _vocabs(train):
 
 
 def cmd_prepare_data(cfg, out):
-    corpora, _ = _load_data(cfg, need_dataset=False)
+    corpora = _load_data(cfg)
     seed = resolve_train_config(cfg).seed
     summary = {}
     for ds_id, splits in sorted(corpora.items()):
@@ -150,9 +182,9 @@ def _finalize(ckpt, out, name, test):
 
 
 def cmd_train(cfg, out):
-    corpora, dataset = _load_data(cfg)
+    corpora = _load_data(cfg)
     config = resolve_train_config(cfg)
-    splits = _train_splits(corpora, dataset)
+    splits = _splits(corpora, _get(cfg, "data.dataset"))
     train, valid = training.fit_splits(splits, config.seed)
     model = training.build_model(config, *_vocabs(train))
     ckpt = training.fit_with_early_stopping(
@@ -163,10 +195,7 @@ def cmd_train(cfg, out):
 
 
 def _load_ckpt(cfg):
-    path = cfg.get("ckpt")
-    if path is None:
-        raise ConfigError("missing config key: 'ckpt'")
-    return training.load_checkpoint(path), Path(path)
+    return training.load_checkpoint(_get(cfg, "ckpt"))
 
 
 def _fine_tune_config(cfg, pretrained):
@@ -181,10 +210,10 @@ def _fine_tune_config(cfg, pretrained):
 
 
 def cmd_transfer(cfg, out):
-    corpora, dataset = _load_data(cfg)
-    pretrained, _ = _load_ckpt(cfg)
+    corpora = _load_data(cfg)
+    pretrained = _load_ckpt(cfg)
     config = _fine_tune_config(cfg, pretrained)
-    splits = _train_splits(corpora, dataset)
+    splits = _splits(corpora, _get(cfg, "data.dataset"))
     ckpt = training.transfer_1hop(pretrained, splits, config,
                                   metrics_path=_fresh_metrics(out))
     _finalize(ckpt, out, "transfer", splits.get("test"))
@@ -192,13 +221,10 @@ def cmd_transfer(cfg, out):
 
 
 def cmd_multitask(cfg, out):
-    corpora, _ = _load_data(cfg, need_dataset=False)
-    mapping = cfg.get("multitask.datasets")
-    if not mapping:
-        raise ConfigError("missing config key: 'multitask.datasets'")
-    task_corpora = {lang: _train_splits(corpora, ds, "multitask.datasets")
-                    for lang, ds in mapping.items()}
-    pretrained, _ = _load_ckpt(cfg)
+    corpora = _load_data(cfg)
+    task_corpora = {lang: _splits(corpora, ds, "multitask.datasets")
+                    for lang, ds in _get(cfg, "multitask.datasets").items()}
+    pretrained = _load_ckpt(cfg)
     config = _fine_tune_config(cfg, pretrained)
     try:
         ckpt = training.train_multitask_joint(pretrained, task_corpora, config,
@@ -210,19 +236,12 @@ def cmd_multitask(cfg, out):
 
 
 def cmd_sequential(cfg, out):
-    corpora, _ = _load_data(cfg, need_dataset=False)
+    corpora = _load_data(cfg)
     config = resolve_train_config(cfg)
-    stages = []
-    for i, entry in enumerate(cfg.get("plan.stages") or []):
-        try:
-            fields = dict(entry)
-            stages.append(StageSpec(dataset_id=fields.pop("dataset", None), **fields))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("'plan.stages'[%d]: %s" % (i, exc))
+    plan = _stage_specs(_get(cfg, "plan.stages"))
     try:
-        plan = TransferPlan(stages)
         training.check_plan(plan, corpora)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError("'plan.stages': %s" % exc.args[0])
     results = training.run_sequential_plan(
         plan, corpora, config, out_dir=out, metrics_path=_fresh_metrics(out))
@@ -239,28 +258,22 @@ def cmd_sequential(cfg, out):
 
 
 def _analysis_corpus(cfg):
-    test_path = cfg.get("data.test")
+    test_path = _get(cfg, "data.test")
     if test_path is not None:
-        return text.load_tsv(test_path, max_len=cfg.get("data.max_len", 50),
+        return text.load_tsv(test_path, max_len=_get(cfg, "data.max_len"),
                              truncate=True)
-    corpora, dataset = _load_data(cfg)
-    if "test" not in corpora[dataset]:
-        raise ConfigError("dataset %r has no test split" % dataset)
-    return corpora[dataset]["test"]
+    return _splits(_load_data(cfg), _get(cfg, "data.dataset"), split="test")["test"]
 
 
 def cmd_prune(cfg, out):
-    ckpt, _ = _load_ckpt(cfg)
-    mode = cfg.get("analysis.mode", "dead")
-    percent = cfg.get("analysis.percent", 0.0)
+    ckpt = _load_ckpt(cfg)
+    mode = _get(cfg, "analysis.mode")
+    percent = _get(cfg, "analysis.percent")
     model = ckpt.to_model()
     corpus = _analysis_corpus(cfg)
     acts = xray.capture_activations(model, corpus)
     mass = xray.mass_matrices(acts)
-    try:
-        prune_set = xray.select_prune_set(mass, mode, percent)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad 'analysis.mode'/'analysis.percent': %s" % exc)
+    prune_set = xray.select_prune_set(mass, mode, percent)
     model.prune_encoder_units(sorted(prune_set))
     training.Checkpoint.from_model(
         model, ckpt.train_config(),
@@ -270,36 +283,34 @@ def cmd_prune(cfg, out):
 
 
 def cmd_evaluate(cfg, out):
-    ckpt, _ = _load_ckpt(cfg)
+    ckpt = _load_ckpt(cfg)
     _score(ckpt, _analysis_corpus(cfg), out)
     return 0
 
 
 def cmd_xray(cfg, out):
-    ckpt, ckpt_path = _load_ckpt(cfg)
+    ckpt = _load_ckpt(cfg)
     model = ckpt.to_model()
+    neuron = _get(cfg, "analysis.neuron")
+    if neuron is not None and neuron >= model.analysis_width:
+        raise ConfigError("'analysis.neuron': %d >= width %d" % (neuron, model.analysis_width))
     corpus = _analysis_corpus(cfg)
     acts = xray.capture_activations(model, corpus,
-                                    provenance={"checkpoint": ckpt_path.name})
+                                    provenance={"checkpoint": Path(_get(cfg, "ckpt")).name})
     xray.dump_activations(acts, out / "activations.bin")
     mass = xray.mass_matrices(acts)
     (out / "analysis.json").write_text(
         json.dumps(xray.analysis_export(ckpt.provenance.get("stage", "xray"), mass),
                    indent=2, sort_keys=True), encoding="utf-8")
-    neuron = cfg.get("analysis.neuron")
     if neuron is not None:
-        dist = xray.pos_token_distribution(acts, int(neuron),
-                                           k=int(cfg.get("analysis.top_k", 5)))
-        report.render_pos_distribution(dist, out / ("neuron_%d.svg" % int(neuron)))
+        dist = xray.pos_token_distribution(acts, neuron, k=_get(cfg, "analysis.top_k"))
+        report.render_pos_distribution(dist, out / ("neuron_%d.svg" % neuron))
     return 0
 
 
 def cmd_report(cfg, out):
-    paths = cfg.get("report.analyses")
-    if not paths:
-        raise ConfigError("missing config key: 'report.analyses'")
     stages = []
-    for p in paths:
+    for p in _get(cfg, "report.analyses"):
         try:
             records = xray.load_analysis(p)
         except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -325,14 +336,14 @@ _COMMANDS = {
 }
 
 
-# flag -> (the config key it sets, its type, the commands that read it)
+# flag -> (the config key it sets, the commands that read it); `_KEYS` gives its type
 _FLAGS = {
-    "--seed": ("train.seed", int, ("train", "transfer", "multitask", "sequential")),
-    "--arch": ("train.arch", str, ("train", "sequential")),
-    "--ckpt": ("ckpt", str, ("transfer", "multitask", "prune", "evaluate", "xray")),
-    "--test": ("data.test", str, ("prune", "evaluate", "xray")),
-    "--mode": ("analysis.mode", str, ("prune",)),
-    "--percent": ("analysis.percent", float, ("prune",)),
+    "--seed": ("train.seed", ("train", "transfer", "multitask", "sequential")),
+    "--arch": ("train.arch", ("train", "sequential")),
+    "--ckpt": ("ckpt", ("transfer", "multitask", "prune", "evaluate", "xray")),
+    "--test": ("data.test", ("prune", "evaluate", "xray")),
+    "--mode": ("analysis.mode", ("prune",)),
+    "--percent": ("analysis.percent", ("prune",)),
 }
 
 
@@ -344,9 +355,9 @@ def build_parser():
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)  # unset flags set no key
         p.add_argument("--config", default=None)
         p.add_argument("--out", default="out", type=Path)
-        for flag, (key, kind, commands) in _FLAGS.items():
+        for flag, (key, commands) in _FLAGS.items():
             if name in commands:
-                p.add_argument(flag, dest=key, type=kind)
+                p.add_argument(flag, dest=key, type=_KEYS[key][0])
     return parser
 
 
@@ -359,16 +370,18 @@ def main(argv=None):
     command, config_path, out = (flags.pop(k) for k in ("command", "config", "out"))
     try:
         cfg = {**load_config(config_path), **flags}
+        check_config(cfg)
         inputs = [config_path] if config_path else []
-        if cfg.get("data.manifest"):
+        if "data.manifest" in cfg:
             try:
                 datasets = text.manifest_files(cfg["data.manifest"])
             except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
                 raise ConfigError("bad manifest %r: %s" % (cfg["data.manifest"], exc))
             inputs += [cfg["data.manifest"]] + [
                 fp for files in datasets.values() for fp in files.values()]
-        inputs += [cfg[key] for key in ("ckpt", "data.test") if cfg.get(key)]
-        missing = [p for p in inputs if not Path(p).exists()]
+        inputs += [cfg[key] for key in ("ckpt", "data.test") if key in cfg]
+        inputs += cfg.get("report.analyses", [])
+        missing = [p for p in inputs if not Path(p).is_file()]
         if missing:
             raise ConfigError("input file missing: %s" % missing[0])
         write_run_record(out, command, cfg, inputs)

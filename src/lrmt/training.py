@@ -3,7 +3,7 @@ multi-task, sequential transfer plans; early stopping and checkpointing."""
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,15 @@ class VocabMismatchError(ValueError):
     pass
 
 
+def check_type(name, value, kind, error=TypeError):
+    """Raise `error` naming `name` unless `value` is a `kind`: an int is no bool and
+    a float may be an int.  Nothing is converted, so a value keeps its stored bytes."""
+    accepts = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+    if (isinstance(value, bool) and kind is not bool
+            or not isinstance(value, accepts.get(kind, kind))):
+        raise error("%s: expected %s, got %r" % (name, kind.__name__, value))
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters; the defaults are the full-scale configuration."""
@@ -49,20 +58,22 @@ class TrainConfig:
     max_len: int = 50
 
     def __post_init__(self):
+        for f in fields(self):
+            check_type(f.name, getattr(self, f.name), f.type)
         if self.arch not in ARCHITECTURES:
-            raise ValueError("unknown architecture %r, not one of %s" % (self.arch, ARCHITECTURES))
-        numeric = [self.embed_size, self.hidden_size, self.max_epochs,
-                   self.patience, self.lr, self.batch_size, self.clip_norm]
-        if any(v <= 0 for v in numeric):
-            raise ValueError("all TrainConfig sizes and rates must be positive")
+            raise ValueError("arch: unknown architecture %r, not one of %s"
+                             % (self.arch, ARCHITECTURES))
+        for name in ("embed_size", "hidden_size", "max_epochs", "patience", "lr",
+                     "batch_size", "clip_norm", "max_len"):
+            if getattr(self, name) <= 0:
+                raise ValueError("%s: %r is not positive" % (name, getattr(self, name)))
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError("dropout: %r is outside [0, 1)" % (self.dropout,))
         if not 0.0 <= self.tf_ratio <= 1.0:
-            raise ValueError("tf_ratio must be in [0, 1]")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer, not %r" % (self.seed,))
+            raise ValueError("tf_ratio: %r is outside [0, 1]" % (self.tf_ratio,))
+        for name in ("l2", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s: %r is negative" % (name, getattr(self, name)))
 
 
 @dataclass
@@ -74,30 +85,23 @@ class StageSpec:
     label: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            check_type(f.name, getattr(self, f.name), f.type)
         if self.prune_mode not in ("none",) + xray.PRUNE_MODES:
-            raise ValueError("unknown prune_mode %r" % (self.prune_mode,))
+            raise ValueError("prune_mode: unknown prune mode %r" % (self.prune_mode,))
         if not 0.0 <= self.prune_percent <= 100.0:
-            raise ValueError("prune_percent %r is outside [0, 100]" % (self.prune_percent,))
+            raise ValueError("prune_percent: %r is outside [0, 100]" % (self.prune_percent,))
 
 
-@dataclass
-class TransferPlan:
-    """Ordered training stages; stage 0 is the copy-pretraining stage."""
-
-    stages: list
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ValueError("plan needs at least one stage")
-
-
-def check_plan(plan, corpora):
-    """The stage labels, after checking every stage against `corpora`: a known dataset
-    (else KeyError) with a train split, a label that can name a file and, before a
-    pruning stage, a test split."""
+def check_plan(stages, corpora):
+    """The labels of `stages`, stage 0 the copy-pretraining one, after checking that
+    there is a stage and each against `corpora`: a known dataset (else KeyError) with a
+    train split, a label that can name a file and, before a pruning stage, a test split."""
+    if not stages:
+        raise ValueError("plan needs at least one stage")
     labels = [s.label or ("stage%d-%s" % (i, s.dataset_id))
-              for i, s in enumerate(plan.stages)]
-    for i, (stage, label) in enumerate(zip(plan.stages, labels)):
+              for i, s in enumerate(stages)]
+    for i, (stage, label) in enumerate(zip(stages, labels)):
         if stage.dataset_id not in corpora:
             raise KeyError("stage %d (%r) names unknown dataset %r"
                            % (i, label, stage.dataset_id))
@@ -108,11 +112,11 @@ def check_plan(plan, corpora):
             raise ValueError("stage %d label %r cannot name a file: it holds a "
                              "path separator or is '.' or '..'" % (i, label))
         if (i and stage.prune_mode != "none"
-                and not corpora[plan.stages[i - 1].dataset_id].get("test")):
+                and not corpora[stages[i - 1].dataset_id].get("test")):
             raise ValueError("stage %d (%r) prunes by the test split of stage %d "
                              "(%r, dataset %r), which has none"
                              % (i, label, i - 1, labels[i - 1],
-                                plan.stages[i - 1].dataset_id))
+                                stages[i - 1].dataset_id))
     return labels
 
 
@@ -185,6 +189,10 @@ class Checkpoint:
             config = dict(header["config"])
             for dropped in OLD_CONFIG_KEYS:
                 config.pop(dropped, None)
+            missing = [f.name for f in fields(TrainConfig) if f.name not in config]
+            if missing:
+                raise KeyError("config lacks field %r" % missing[0])
+            TrainConfig(**config)       # checks every field; the stored dict is kept
             entries = header["tensors"]
             return cls(config=config, arch=header["arch"],
                        src_vocab=header["src_vocab"], tgt_vocab=header["tgt_vocab"],
@@ -400,7 +408,7 @@ def train_multitask_joint(pretrained, corpora, config, metrics_path=None):
     return _fine_tune(model, {"train": combined}, config, metrics_path, "multitask")
 
 
-def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None):
+def run_sequential_plan(stages, corpora, config, out_dir=None, metrics_path=None):
     """Stage-by-stage transfer: prune -> freeze -> rebind -> fine-tune -> score.
 
     `corpora` maps dataset ids to {"train": ..., "valid":..., "test": ...};
@@ -410,16 +418,16 @@ def run_sequential_plan(plan, corpora, config, out_dir=None, metrics_path=None):
     Returns a list of {stage, label, checkpoint, bleu, mass} records; bleu
     and mass are None for a stage without test pairs.
     """
-    labels = check_plan(plan, corpora)
+    labels = check_plan(stages, corpora)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    all_train = [corpora[s.dataset_id]["train"] for s in plan.stages]
+    all_train = [corpora[s.dataset_id]["train"] for s in stages]
     src_vocab = shared_source_vocab(all_train)
 
     results = []
-    for idx, (stage, label) in enumerate(zip(plan.stages, labels)):
+    for idx, (stage, label) in enumerate(zip(stages, labels)):
         splits = corpora[stage.dataset_id]
         test = splits.get("test")
         if idx == 0:

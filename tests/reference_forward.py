@@ -2,12 +2,14 @@
 fused decoder kernels that training and greedy decoding both run.
 
 Every step is built from the tape's generic ops (`matmul`, `tanh`,
-`sigmoid`, `narrow`, `concat`, `masked_softmax`, `tsum`, `stack`), so it
-shares no kernel with the code it checks.  The teacher-forced pass consumes
+`narrow`, `concat`, and `mul`, `sigmoid`, `masked_softmax`, `tsum`, `stack`
+from the test-side `tape_ops`), so it shares no kernel with the code it
+checks.  The teacher-forced pass consumes
 the dropout masks and scheduled-sampling coins the model's `decoder_noise`
 draws, so both paths read the same draws from the same rng.
 """
 
+import tape_ops as tp
 from lrmt import numerics as nm
 
 
@@ -17,17 +19,17 @@ def composed_cell(kind, xp, state, W_h):
     h = state[0]
     if kind == "gru":
         hh = h @ W_h
-        r = nm.sigmoid(nm.narrow(xp, 0, H) + nm.narrow(hh, 0, H))
-        z = nm.sigmoid(nm.narrow(xp, H, H) + nm.narrow(hh, H, H))
-        n = nm.tanh(nm.narrow(xp, 2 * H, H) + r * nm.narrow(hh, 2 * H, H))
-        return ((z * -1.0 + 1.0) * n + z * h,)
+        r = tp.sigmoid(nm.narrow(xp, 0, H) + nm.narrow(hh, 0, H))
+        z = tp.sigmoid(nm.narrow(xp, H, H) + nm.narrow(hh, H, H))
+        n = nm.tanh(nm.narrow(xp, 2 * H, H) + tp.mul(r, nm.narrow(hh, 2 * H, H)))
+        return (tp.mul(tp.mul(z, -1.0) + 1.0, n) + tp.mul(z, h),)
     a = xp + h @ W_h
-    i = nm.sigmoid(nm.narrow(a, 0, H))
-    f = nm.sigmoid(nm.narrow(a, H, H))
+    i = tp.sigmoid(nm.narrow(a, 0, H))
+    f = tp.sigmoid(nm.narrow(a, H, H))
     g = nm.tanh(nm.narrow(a, 2 * H, H))
-    o = nm.sigmoid(nm.narrow(a, 3 * H, H))
-    c_new = f * state[1] + i * g
-    return o * nm.tanh(c_new), c_new
+    o = tp.sigmoid(nm.narrow(a, 3 * H, H))
+    c_new = tp.mul(f, state[1]) + tp.mul(i, g)
+    return tp.mul(o, nm.tanh(c_new)), c_new
 
 
 def composed_attention(model, s, enc):
@@ -41,8 +43,8 @@ def composed_attention(model, s, enc):
     s_proj = nm.reshape(s @ nm.narrow(W_e, 0, H, axis=0), (B, 1, H))
     energy = nm.reshape(nm.tanh(proj + s_proj), (B * T, H))
     scores = nm.reshape(energy @ model.attn_v, (B, T))
-    a = nm.masked_softmax(scores, enc.mask)
-    return nm.tsum(nm.reshape(a, (B, T, 1)) * enc.states, axis=1)
+    a = tp.masked_softmax(scores, enc.mask)
+    return tp.tsum(tp.mul(nm.reshape(a, (B, T, 1)), enc.states), axis=1)
 
 
 def composed_step(model, ids, state, enc, emb_keep=None, feat_keep=None):
@@ -50,7 +52,7 @@ def composed_step(model, ids, state, enc, emb_keep=None, feat_keep=None):
     cell = model.dec_cell
     x = nm.embedding(model.tgt_emb, ids)
     if emb_keep is not None:
-        x = x * emb_keep
+        x = tp.mul(x, emb_keep)
     if model.arch == "lstm":
         state = composed_cell("lstm", x @ cell.W_i + cell.b, state, cell.W_h)
         feats = state[0]
@@ -64,7 +66,7 @@ def composed_step(model, ids, state, enc, emb_keep=None, feat_keep=None):
         state = composed_cell("gru", inputs @ cell.W_i + cell.b, state, cell.W_h)
         feats = nm.concat([x, w, state[0]], axis=-1)
     if feat_keep is not None:
-        feats = feats * feat_keep
+        feats = tp.mul(feats, feat_keep)
     return state, feats
 
 
@@ -91,4 +93,4 @@ def reference_forward(model, batch, tf_ratio=1.0, rng=None):
                                      None if feat_keep is None else feat_keep[:, t])
         step_feats.append(feats)
         step_logits.append(composed_logits(model, feats))
-    return nm.stack(step_feats, axis=1), nm.stack(step_logits, axis=1)
+    return tp.stack(step_feats, axis=1), tp.stack(step_logits, axis=1)

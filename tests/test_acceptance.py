@@ -20,7 +20,7 @@ from lrmt.model import Seq2SeqModel
 from lrmt.numerics import cross_entropy_masked, set_default_dtype
 from lrmt.text import Batch, ParallelCorpus, build_vocab, encode
 from lrmt.training import (CheckpointChecksumError, CheckpointFormatError,
-                           StageSpec, TrainConfig, TransferPlan,
+                           StageSpec, TrainConfig,
                            load_checkpoint, pretrain_copy, run_sequential_plan,
                            transfer_1hop)
 from lrmt.xray import (ActivationDataset, SentenceActivations,
@@ -219,10 +219,10 @@ def test_criterion_5_frozen_encoder_invariance(tmp_path):
     ok &= all(hop.tensors[n].tobytes() == before[n] for n in enc_names)
     # every sequential stage
     corpora = {"en-en": data, "en-de": target, "en-fr": target}
-    plan = TransferPlan([StageSpec(dataset_id="en-en", label="pretrain"),
-                         StageSpec(dataset_id="en-de", label="s1"),
-                         StageSpec(dataset_id="en-fr", label="s2",
-                                   prune_mode="dead")])
+    plan = [StageSpec(dataset_id="en-en", label="pretrain"),
+            StageSpec(dataset_id="en-de", label="s1"),
+            StageSpec(dataset_id="en-fr", label="s2",
+                      prune_mode="dead")]
     results = run_sequential_plan(plan, corpora, cfg)
     base = {n: results[0]["checkpoint"].tensors[n].tobytes() for n in enc_names}
     for r in results[1:]:
@@ -294,11 +294,11 @@ def _stage_bleu(seed, prune_mode, percent):
                                   valid=40, test=40, vocab_size=24, min_len=2,
                                   max_len=6, seed=seed + 10),
     }
-    plan = TransferPlan([
+    plan = [
         StageSpec(dataset_id="en-en", label="pretrain"),
         StageSpec(dataset_id="en-de", label="final", prune_mode=prune_mode,
                   prune_percent=percent),
-    ])
+    ]
     results = run_sequential_plan(plan, corpora, cfg)
     score = _scored_against_reference(results[-1]["checkpoint"].to_model(),
                                       corpora["en-de"]["test"], max_len=cfg.max_len)

@@ -14,6 +14,7 @@ import pytest
 from lrmt import numerics as nm
 from lrmt.numerics import Parameter
 
+import tape_ops as tp
 from gradcheck import relative_gradient_error
 from reference_forward import composed_cell
 
@@ -24,7 +25,7 @@ GATES = {"gru": 3, "lstm": 4}
 
 def _lerp(mask_col, new, prev):
     m = mask_col[:, None]
-    return new * m + prev * (1.0 - m)
+    return tp.mul(new, m) + tp.mul(prev, 1.0 - m)
 
 
 def _ref_sequence(kind, xp, state, W_h, mask, reverse):
@@ -35,7 +36,7 @@ def _ref_sequence(kind, xp, state, W_h, mask, reverse):
         new = composed_cell(kind, x_t, state, W_h)
         state = [_lerp(mask[:, t], n, s) for n, s in zip(new, state)]
         per_pos[t] = nm.concat(state, axis=-1)
-    return nm.stack(per_pos, axis=1)
+    return tp.stack(per_pos, axis=1)
 
 
 def _fused_sequence(kind, xp, state, W_h, mask, reverse):
@@ -75,8 +76,8 @@ def test_sequence_matches_composed_reference(float64_mode, kind, reverse):
     ref = _ref_sequence(kind, xp, state, W_h, _mask(), reverse)
     assert fused.shape == ref.shape == (B, T, len(state) * H)
     assert np.max(np.abs(fused.data - ref.data)) < 1e-12
-    got = _grads(nm.tsum(fused * weights), params)
-    want = _grads(nm.tsum(ref * weights), params)
+    got = _grads(tp.tsum(tp.mul(fused, weights)), params)
+    want = _grads(tp.tsum(tp.mul(ref, weights)), params)
     for p, g, w in zip(params, got, want):
         assert np.max(np.abs(g - w)) < 1e-10, p.name
     # the carry: pad positions repeat the state before them in visiting
@@ -95,7 +96,7 @@ def test_sequence_gradients_finite_difference(float64_mode, kind, reverse):
 
     def forward():
         out = _fused_sequence(kind, xp, state, W_h, _mask(), reverse)
-        return nm.tsum(nm.tanh(out) * weights)
+        return tp.tsum(tp.mul(nm.tanh(out), weights))
 
     assert relative_gradient_error([xp, *state, W_h], forward) < 1e-6
 

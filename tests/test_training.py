@@ -9,19 +9,19 @@ import numpy as np
 import pytest
 
 from lrmt import _container, synthetic, training
-from lrmt import numerics as nm
 from lrmt.model import Seq2SeqModel
 from lrmt.numerics import Adam, cross_entropy_masked
 from lrmt.text import ParallelCorpus, build_vocab, make_batches
 from lrmt.training import (Checkpoint, CheckpointChecksumError,
                            CheckpointFormatError, CheckpointVersionError,
-                           StageSpec, TrainConfig, TransferPlan,
+                           StageSpec, TrainConfig,
                            VocabMismatchError, carve_validation,
                            early_stopping_trace, fit_with_early_stopping,
                            load_checkpoint, pretrain_copy,
                            run_sequential_plan, train_multitask_joint,
                            transfer_1hop)
 
+import tape_ops
 from reference_decode import reference_greedy_decode
 
 TINY = dict(embed_size=8, hidden_size=8, dropout=0.0, batch_size=8,
@@ -99,6 +99,40 @@ def test_train_config_rejects_bad_values():
         TrainConfig(hidden_size=0)
     with pytest.raises(ValueError, match="unknown architecture 'foo'"):
         TrainConfig(arch="foo")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden_size", True), ("batch_size", 2.5), ("max_len", 1.0), ("seed", False),
+    ("lr", True), ("arch", None), ("dropout", "0.1")])
+def test_train_config_rejects_a_value_of_another_type(field, value):
+    with pytest.raises(TypeError, match="%s: expected" % field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_values_as_given():
+    # an int where a float goes, and numpy integers as seeds, are kept unconverted
+    cfg = TrainConfig(lr=1, dropout=0, l2=0, seed=np.int64(3))
+    assert (type(cfg.lr), type(cfg.dropout), type(cfg.l2)) == (int, int, int)
+    assert type(cfg.seed) is np.int64 and cfg.seed == 3
+    assert TrainConfig(seed=np.uint8(7)).seed == 7
+
+
+@pytest.mark.parametrize("field, value", [
+    ("freeze_encoder", "no"), ("freeze_encoder", 1), ("prune_percent", True),
+    ("prune_percent", "10"), ("label", 3), ("dataset_id", None)])
+def test_stage_spec_rejects_a_value_of_another_type(field, value):
+    with pytest.raises(TypeError, match="%s: expected" % field):
+        StageSpec(**dict({"dataset_id": "en-de"}, **{field: value}))
+
+
+def test_stage_spec_takes_an_int_percent_as_given():
+    spec = StageSpec(dataset_id="en-de", prune_mode="most_n", prune_percent=10)
+    assert type(spec.prune_percent) is int
+
+
+def test_check_plan_rejects_an_empty_plan():
+    with pytest.raises(ValueError, match="at least one stage"):
+        training.check_plan([], {"en-en": _data()})
 
 
 # -- optimization sanity --------------------------------------------------------------
@@ -203,11 +237,11 @@ def test_sequential_plan_runs_all_stages_and_prunes(tmp_path):
                "en-de": synthetic.splits(synthetic.substitution_task, train=30,
                                          valid=6, test=6, vocab_size=10,
                                          max_len=5)}
-    plan = TransferPlan([
+    plan = [
         StageSpec(dataset_id="en-en", label="pretrain"),
         StageSpec(dataset_id="en-de", prune_mode="most_n", prune_percent=10.0,
                   label="stage1"),
-    ])
+    ]
     results = run_sequential_plan(plan, corpora, cfg, out_dir=tmp_path)
     assert [r["label"] for r in results] == ["pretrain", "stage1"]
     assert (tmp_path / "pretrain.lrmt").exists()
@@ -227,10 +261,10 @@ def test_sequential_plan_rejects_pruning_after_stage_without_test(monkeypatch):
     data = _data()
     corpora = {"en-en": {"train": data["train"], "valid": data["valid"]},
                "en-de": data}
-    plan = TransferPlan([
+    plan = [
         StageSpec(dataset_id="en-en", label="pretrain"),
         StageSpec(dataset_id="en-de", prune_mode="dead", label="stage1"),
-    ])
+    ]
     with pytest.raises(ValueError, match="'stage1'.*'pretrain'"):
         run_sequential_plan(plan, corpora, cfg)
 
@@ -238,7 +272,7 @@ def test_sequential_plan_rejects_pruning_after_stage_without_test(monkeypatch):
 def test_sequential_stage_zero_carries_the_plan_label(tmp_path):
     cfg = TrainConfig(arch="gru", seed=1, **TINY)
     metrics = tmp_path / "metrics.jsonl"
-    (result,) = run_sequential_plan(TransferPlan([StageSpec(dataset_id="en-en", label="copy")]),
+    (result,) = run_sequential_plan([StageSpec(dataset_id="en-en", label="copy")],
                                     {"en-en": _data()}, cfg, metrics_path=metrics)
     provenance = result["checkpoint"].provenance
     assert provenance["stage"] == "copy"
@@ -262,7 +296,7 @@ def test_checkpoint_records_the_model_shape_not_the_config():
 def test_sequential_plan_rejects_unknown_dataset():
     cfg = TrainConfig(arch="gru", **TINY)
     with pytest.raises(KeyError):
-        run_sequential_plan(TransferPlan([StageSpec(dataset_id="nope")]),
+        run_sequential_plan([StageSpec(dataset_id="nope")],
                             {}, cfg)
 
 
@@ -313,6 +347,32 @@ def test_checkpoint_with_the_deleted_config_keys_loads(tmp_path):
     assert back.train_config() == ckpt.train_config()
 
 
+@pytest.mark.parametrize("change, named", [
+    (lambda cfg: cfg.pop("embed_size"), "embed_size"),
+    (lambda cfg: cfg.update(hidden_size="4"), "hidden_size"),
+    (lambda cfg: cfg.update(foo=1), "foo")], ids=["missing", "ill-typed", "unknown"])
+def test_checkpoint_with_a_malformed_config_is_a_format_error(tmp_path, change, named):
+    ckpt, _ = _small_ckpt(tmp_path)
+    config = dict(ckpt.config)
+    change(config)
+    path = tmp_path / "bad.lrmt"
+    dataclasses.replace(ckpt, config=config).save(path)
+    with pytest.raises(CheckpointFormatError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and named in str(info.value)
+
+
+def test_checkpoint_config_loads_exactly_as_stored(tmp_path):
+    ckpt, _ = _small_ckpt(tmp_path)
+    stored = dict(ckpt.config, lr=1, dropout=0)      # ints where floats go
+    dataclasses.replace(ckpt, config=stored).save(tmp_path / "ints.lrmt")
+    back = load_checkpoint(tmp_path / "ints.lrmt")
+    assert back.config == stored
+    assert (type(back.config["lr"]), type(back.config["dropout"])) == (int, int)
+    back.save(tmp_path / "again.lrmt")
+    assert (tmp_path / "again.lrmt").read_bytes() == (tmp_path / "ints.lrmt").read_bytes()
+
+
 def test_checkpoint_with_an_attention_score_bias_decodes_as_before(float64_mode, tmp_path,
                                                                     monkeypatch):
     words = ["a", "b", "c", "d", "e", "f"]
@@ -330,8 +390,9 @@ def test_checkpoint_with_an_attention_score_bias_decodes_as_before(float64_mode,
     decoded = back.greedy_decode_batch(sources, max_len=8)
     assert len({tuple(out) for out in decoded}) > 3
     # the decoder as it was: the bias added to every source position's score
-    softmax = nm.masked_softmax
-    monkeypatch.setattr(nm, "masked_softmax", lambda scores, mask: softmax(scores + 1.7, mask))
+    softmax = tape_ops.masked_softmax
+    monkeypatch.setattr(tape_ops, "masked_softmax",
+                        lambda scores, mask: softmax(scores + 1.7, mask))
     assert decoded == [reference_greedy_decode(back, ids, max_len=8) for ids in sources]
 
 
@@ -463,7 +524,7 @@ def test_sequential_plan_rejects_unsafe_label_before_training(monkeypatch, label
     monkeypatch.setattr(training, "fit_with_early_stopping", no_training)
     cfg = TrainConfig(arch="gru", **TINY)
     data = _data()
-    plan = TransferPlan([StageSpec(dataset_id="en-en", label="pretrain"),
-                         StageSpec(dataset_id="en-de", label=label)])
+    plan = [StageSpec(dataset_id="en-en", label="pretrain"),
+            StageSpec(dataset_id="en-de", label=label)]
     with pytest.raises(ValueError, match="cannot name a file"):
         run_sequential_plan(plan, {"en-en": data, "en-de": data}, cfg)
