@@ -139,8 +139,9 @@ def _splits(corpora, dataset, key="data.dataset", split="train"):
 
 
 def _vocabs(train):
-    """The source and target vocabularies `lrmt train` builds from what it trains on."""
-    return text.build_vocab([train], side="source"), text.build_vocab([train], side="target")
+    """The source and target vocabularies `lrmt train` builds from what it trains on;
+    the source one reserves the multitask control tokens, as every transfer regime's does."""
+    return training.shared_source_vocab([train]), text.build_vocab([train], side="target")
 
 
 def cmd_prepare_data(cfg, out):
@@ -200,8 +201,8 @@ def _load_ckpt(cfg):
 
 def _fine_tune_config(cfg, pretrained):
     """The TrainConfig of a run fine-tuning `pretrained`, whose model shape it must keep."""
-    held = dict(pretrained.config, arch=pretrained.arch)
-    shape = {"train." + k: held[k] for k in ("arch", "embed_size", "hidden_size", "dropout")}
+    shape = {"train." + k: pretrained.config[k]
+             for k in ("arch", "embed_size", "hidden_size", "dropout")}
     for key, value in shape.items():
         if cfg.get(key, value) != value:
             raise ConfigError("%r is %r, but the pretrained checkpoint has %r"
@@ -258,11 +259,17 @@ def cmd_sequential(cfg, out):
 
 
 def _analysis_corpus(cfg):
+    """The test corpus an analysis command reads: `data.test`, else the dataset's test split."""
     test_path = _get(cfg, "data.test")
     if test_path is not None:
-        return text.load_tsv(test_path, max_len=_get(cfg, "data.max_len"),
-                             truncate=True)
-    return _splits(_load_data(cfg), _get(cfg, "data.dataset"), split="test")["test"]
+        key = "data.test"
+        corpus = text.load_tsv(test_path, max_len=_get(cfg, "data.max_len"), truncate=True)
+    else:
+        key = "data.dataset"
+        corpus = _splits(_load_data(cfg), _get(cfg, key), split="test")["test"]
+    if not corpus.pairs:
+        raise ConfigError("%r: the test corpus holds no pair after cleaning" % key)
+    return corpus
 
 
 def cmd_prune(cfg, out):
@@ -309,7 +316,7 @@ def cmd_xray(cfg, out):
 
 
 def cmd_report(cfg, out):
-    stages = []
+    stages, first = [], None
     for p in _get(cfg, "report.analyses"):
         try:
             records = xray.load_analysis(p)
@@ -317,6 +324,10 @@ def cmd_report(cfg, out):
             raise ConfigError("cannot read analysis records from %s: %s: %s"
                               % (p, type(exc).__name__, exc))
         for label, mass, top_changed in records:
+            first = first or (p, mass.width)
+            if mass.width != first[1]:
+                raise ConfigError("'report.analyses': %s holds records of width %d, %s of "
+                                  "width %d" % (first[0], first[1], p, mass.width))
             stages.append(report.StageAnalysis(stage=len(stages), label=label, mass=mass,
                                                top_changed=top_changed))
     report.export_analysis(stages, out)

@@ -1,35 +1,41 @@
-"""The three recurrent encoder-decoder architectures behind one interface.
+"""The three recurrent encoder-decoder architectures behind one interface;
+`ARCH_TABLE` says what each one is."""
 
-* "lstm":  unidirectional LSTM encoder/decoder, decoder initialised from the
-           final encoder state, output head f(s_t).
-* "gru":   unidirectional GRU encoder/decoder; the encoder context vector z
-           is reinjected into the decoder cell and the output head at every
-           step: f(d(y_t), s_t, z).
-* "abgru": bidirectional GRU encoder with additive attention; decoder cell
-           input is [d(y_t); w_t] and the head is f(d(y_t), w_t, s_t).
-"""
-
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .numerics import Parameter, Tensor
-from .text import PAD, SOS, EOS, pad_rows
+from .text import PAD, SOS, EOS, encode as encode_ids, pad_rows
 
-ARCHITECTURES = ("lstm", "gru", "abgru")
+# arch -> (cell kind in numerics.CELLS, encoder directions (a second one reads
+# the source backwards), the context each decoder step reads besides its input
+# (None, the encoder's final state "z", or "attention"), the head features in
+# order: "x" input embedding, "c" context, "s" new state)
+ArchSpec = namedtuple("ArchSpec", "cell directions context layout")
+ARCH_TABLE = {
+    # decoder initialised from the final encoder state; head f(s_t)
+    "lstm": ArchSpec("lstm", ("enc",), None, ("s",)),
+    # z reinjected at every step (Cho et al., arXiv:1406.1078); head f(d(y_t), s_t, z)
+    "gru": ArchSpec("gru", ("enc",), "z", ("x", "s", "c")),
+    # additive attention (Bahdanau et al., arXiv:1409.0473); head f(d(y_t), w_t, s_t)
+    "abgru": ArchSpec("gru", ("enc_fwd", "enc_bwd"), "attention", ("x", "c", "s")),
+}
+ARCHITECTURES = tuple(ARCH_TABLE)
 
 
 class RecurrentCell:
     """Single LSTM or GRU cell; weights stored as [input, gates*H]."""
 
     def __init__(self, kind, input_size, hidden_size, rng, prefix, dtype=None):
-        if kind not in ("lstm", "gru"):
+        if kind not in nm.CELLS:
             raise ValueError("unknown cell kind %r" % kind)
         self.kind = kind
         self.input_size = input_size
         self.hidden_size = hidden_size
-        gates = 4 if kind == "lstm" else 3
+        gates = nm.CELLS[kind].gates
         self.W_i = Parameter(nm.init_uniform((input_size, gates * hidden_size), rng, dtype=dtype),
                              name=prefix + ".W_i")
         self.W_h = Parameter(nm.init_uniform((hidden_size, gates * hidden_size), rng, dtype=dtype),
@@ -52,26 +58,24 @@ class RecurrentCell:
         flat = nm.reshape(x, (B * T, self.input_size))
         xp = nm.reshape((flat @ self.W_i) + self.b, (B, T, -1))
         zeros = Tensor(np.zeros((B, H), dtype=self.W_h.dtype))
-        last = 0 if reverse else T - 1
-        if self.kind == "gru":
-            states = nm.gru_sequence(xp, zeros, self.W_h, mask, reverse=reverse)
-            return states, nm.reshape(nm.narrow(states, last, 1, axis=1), (B, H)), None
-        hc = nm.lstm_sequence(xp, zeros, zeros, self.W_h, mask, reverse=reverse)
-        final = nm.reshape(nm.narrow(hc, last, 1, axis=1), (B, 2 * H))
-        return nm.narrow(hc, 0, H), nm.narrow(final, 0, H), nm.narrow(final, H, H)
+        n = nm.CELLS[self.kind].states
+        seq = nm.cell_sequence(self.kind, xp, (zeros,) * n, self.W_h, mask, reverse=reverse)
+        final = nm.reshape(nm.narrow(seq, 0 if reverse else T - 1, 1, axis=1), (B, n * H))
+        if n == 1:
+            return seq, final, None
+        return nm.narrow(seq, 0, H), nm.narrow(final, 0, H), nm.narrow(final, H, H)
 
     def prune_units(self, unit_ids):
         """Zero and pin the incoming weights and bias entries of these units."""
         H = self.hidden_size
-        gates = 4 if self.kind == "lstm" else 3
+        gates = nm.CELLS[self.kind].gates
         unit_ids = np.asarray(unit_ids, dtype=np.int64)
         if unit_ids.size and (unit_ids.min() < 0 or unit_ids.max() >= H):
             raise IndexError("unit id out of range")
         cols = (np.arange(gates)[:, None] * H + unit_ids[None, :]).reshape(-1)
-        total = gates * H
         for W in (self.W_i, self.W_h):
             rows = np.arange(W.data.shape[0])
-            flat = (rows[:, None] * total + cols[None, :]).reshape(-1)
+            flat = (rows[:, None] * (gates * H) + cols[None, :]).reshape(-1)
             W.add_pruned(flat)
         self.b.add_pruned(cols)
 
@@ -99,11 +103,11 @@ class Linear:
 class EncodeResult:
     """Per-token encoder states and decoder initialisation."""
 
-    states: object            # Tensor [B, T, N] (N = H, or 2H for abgru)
+    states: object            # Tensor [B, T, N], N = the model's analysis_width
     z: object                 # Tensor [B, H]; initial decoder hidden state
     cell: object              # Tensor [B, H] or None (LSTM cell state)
     mask: np.ndarray          # [B, T] {0,1}; 1 at real tokens
-    attn_proj: object = None  # abgru: encoder-side attention energy [B, T, H]
+    attn_proj: object = None  # attention: encoder-side attention energy [B, T, H]
 
     def activations(self, row):
         """Per-token state vectors for one batch row, pad positions dropped."""
@@ -112,13 +116,15 @@ class EncodeResult:
 
 
 class Seq2SeqModel:
-    """Architecture-tagged encoder + optional attention + decoder + head."""
+    """Encoder + optional attention + decoder + head, laid out by the
+    architecture's row of `ARCH_TABLE`."""
 
     def __init__(self, arch, src_vocab, tgt_vocab, embed_size=300, hidden_size=512,
                  dropout=0.5, seed=0, dtype=None):
-        if arch not in ARCHITECTURES:
+        if arch not in ARCH_TABLE:
             raise ValueError("unknown architecture %r" % arch)
         self.arch = arch
+        self.spec = ARCH_TABLE[arch]
         self.src_vocab = src_vocab
         self.tgt_vocab = tgt_vocab
         self.embed_size = embed_size
@@ -132,69 +138,49 @@ class Seq2SeqModel:
     # -- construction --------------------------------------------------------
 
     def _build_encoder(self, rng):
-        E, H = self.embed_size, self.hidden_size
+        E, H, D = self.embed_size, self.hidden_size, self.analysis_width
         self.src_emb = Parameter(nm.init_uniform((len(self.src_vocab), E), rng, dtype=self.dtype),
                                  name="src_emb")
-        if self.arch == "abgru":
-            self.enc_fwd = RecurrentCell("gru", E, H, rng, "enc_fwd", dtype=self.dtype)
-            self.enc_bwd = RecurrentCell("gru", E, H, rng, "enc_bwd", dtype=self.dtype)
-            self.enc_init = Linear(2 * H, H, rng, "enc_init", dtype=self.dtype)
-            self.enc_cell = None
-        else:
-            kind = "lstm" if self.arch == "lstm" else "gru"
-            self.enc_cell = RecurrentCell(kind, E, H, rng, "enc", dtype=self.dtype)
-            self.enc_fwd = self.enc_bwd = self.enc_init = None
+        self.encoders = [RecurrentCell(self.spec.cell, E, H, rng, name, dtype=self.dtype)
+                         for name in self.spec.directions]
+        # several directions: the decoder starts from a projection of their final states
+        self.enc_init = (Linear(D, H, rng, "enc_init", dtype=self.dtype)
+                         if len(self.encoders) > 1 else None)
 
     def _build_decoder(self, rng):
-        E, H = self.embed_size, self.hidden_size
+        E, H, D = self.embed_size, self.hidden_size, self.analysis_width
         V = len(self.tgt_vocab)
         self.tgt_emb = Parameter(nm.init_uniform((V, E), rng, dtype=self.dtype), name="tgt_emb")
-        if self.arch == "lstm":
-            self.dec_cell = RecurrentCell("lstm", E, H, rng, "dec", dtype=self.dtype)
-            self.out = Linear(H, V, rng, "out", dtype=self.dtype)
-            self.attn_energy = self.attn_v = None
-        elif self.arch == "gru":
-            self.dec_cell = RecurrentCell("gru", E + H, H, rng, "dec", dtype=self.dtype)
-            self.out = Linear(E + H + H, V, rng, "out", dtype=self.dtype)
-            self.attn_energy = self.attn_v = None
-        else:
-            self.attn_energy = Linear(H + 2 * H, H, rng, "attn_energy", dtype=self.dtype)
+        self.attn_energy = self.attn_v = None
+        if self.spec.context == "attention":
+            self.attn_energy = Linear(H + D, H, rng, "attn_energy", dtype=self.dtype)
             # the score vector v; a score bias would shift every source
             # position alike, which the softmax cancels, so there is none
             self.attn_v = Parameter(nm.init_uniform((H, 1), rng, dtype=self.dtype),
                                     name="attn_score.W")
-            self.dec_cell = RecurrentCell("gru", E + 2 * H, H, rng, "dec", dtype=self.dtype)
-            self.out = Linear(E + 2 * H + H, V, rng, "out", dtype=self.dtype)
+        C = {None: 0, "z": H, "attention": D}[self.spec.context]
+        self.dec_cell = RecurrentCell(self.spec.cell, E + C, H, rng, "dec", dtype=self.dtype)
+        head = sum({"x": E, "c": C, "s": H}[k] for k in self.spec.layout)
+        self.out = Linear(head, V, rng, "out", dtype=self.dtype)
 
     # -- parameter plumbing ----------------------------------------------------
 
+    @staticmethod
+    def _walk(parts):
+        """The parameters of `parts`, in order; a part is a Parameter, a layer or None."""
+        return [p for part in parts if part is not None
+                for p in ([part] if isinstance(part, Parameter) else part.parameters())]
+
     def named_parameters(self):
-        params = {}
-        params["src_emb"] = self.src_emb
-        for cell in (self.enc_cell, self.enc_fwd, self.enc_bwd):
-            if cell is not None:
-                for p in cell.parameters():
-                    params[p.name] = p
-        if self.enc_init is not None:
-            for p in self.enc_init.parameters():
-                params[p.name] = p
-        params["tgt_emb"] = self.tgt_emb
-        if self.attn_energy is not None:
-            for p in self.attn_energy.parameters():
-                params[p.name] = p
-            params[self.attn_v.name] = self.attn_v
-        for part in (self.dec_cell, self.out):
-            for p in part.parameters():
-                params[p.name] = p
-        return params
+        decoder = [self.tgt_emb, self.attn_energy, self.attn_v, self.dec_cell, self.out]
+        return {p.name: p for p in self.encoder_parameters() + self._walk(decoder)}
 
     def parameters(self):
         return list(self.named_parameters().values())
 
     def encoder_parameters(self):
         """Source embedding + every encoder-side parameter (incl. init proj)."""
-        return [p for name, p in self.named_parameters().items()
-                if name == "src_emb" or name.startswith("enc")]
+        return self._walk([self.src_emb, *self.encoders, self.enc_init])
 
     def freeze_encoder(self):
         for p in self.encoder_parameters():
@@ -204,17 +190,16 @@ class Seq2SeqModel:
     def rebind_decoder(self, new_tgt_vocab, seed):
         """Fresh decoder-side parameters for a new target vocabulary."""
         self.tgt_vocab = new_tgt_vocab
-        rng = np.random.default_rng(seed)
-        self._build_decoder(rng)
+        self._build_decoder(np.random.default_rng(seed))
         return self
 
     @property
     def analysis_width(self):
         """Width of the per-token encoder state seen by the analysis layer."""
-        return 2 * self.hidden_size if self.arch == "abgru" else self.hidden_size
+        return len(self.spec.directions) * self.hidden_size
 
     def prune_encoder_units(self, neuron_ids):
-        """Silence encoder units by analysis index (k < H forward, k >= H backward)."""
+        """Silence encoder units by analysis index: direction k owns [kH, (k+1)H)."""
         neuron_ids = np.asarray(sorted(set(int(i) for i in neuron_ids)), dtype=np.int64)
         if neuron_ids.size == 0:
             return self
@@ -222,35 +207,27 @@ class Seq2SeqModel:
         if neuron_ids.min() < 0 or neuron_ids.max() >= N:
             raise IndexError("neuron id out of range (width %d)" % N)
         H = self.hidden_size
-        if self.arch == "abgru":
-            fwd = neuron_ids[neuron_ids < H]
-            bwd = neuron_ids[neuron_ids >= H] - H
-            if fwd.size:
-                self.enc_fwd.prune_units(fwd)
-            if bwd.size:
-                self.enc_bwd.prune_units(bwd)
-        else:
-            self.enc_cell.prune_units(neuron_ids)
+        for k, cell in enumerate(self.encoders):
+            own = neuron_ids[(neuron_ids >= k * H) & (neuron_ids < (k + 1) * H)] - k * H
+            if own.size:
+                cell.prune_units(own)
         return self
 
     def pruned_neurons(self):
-        if self.arch == "abgru":
-            fwd = self.enc_fwd.pruned_units()
-            bwd = self.enc_bwd.pruned_units() + self.hidden_size
-            return np.concatenate([fwd, bwd])
-        return self.enc_cell.pruned_units()
+        return np.concatenate([cell.pruned_units() + k * self.hidden_size
+                               for k, cell in enumerate(self.encoders)])
 
     # -- forward ---------------------------------------------------------------
 
     def encode(self, source, rng=None):
         """Run the encoder over a right-padded id matrix [B, T] for decoding.
 
-        Returns `encode_states`' result with, for abgru, the encoder-side
-        attention projection the decoder reads.  Dropout draws from `rng`
-        when one is given.
+        Returns `encode_states`' result with, for an attention decoder, the
+        encoder-side attention projection it reads.  Dropout draws from
+        `rng` when one is given.
         """
         enc = self.encode_states(source, rng=rng)
-        if self.arch == "abgru":
+        if self.attn_energy is not None:
             enc.attn_proj = self._attention_projection(enc.states)
         return enc
 
@@ -262,18 +239,14 @@ class Seq2SeqModel:
         if source.ndim != 2 or source.shape[0] == 0:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
         mask = (source != PAD).astype(self.dtype)
-
         emb = nm.dropout(nm.embedding(self.src_emb, source), self.dropout, rng)
-
-        if self.arch == "abgru":
-            fwd, h_fwd_final, _ = self.enc_fwd.sequence(emb, mask)
-            bwd, h_bwd_final, _ = self.enc_bwd.sequence(emb, mask, reverse=True)
-            states = nm.concat([fwd, bwd], axis=-1)       # [B, T, 2H]
-            z = nm.tanh(self.enc_init(nm.concat([h_fwd_final, h_bwd_final], axis=-1)))
-            return EncodeResult(states=states, z=z, cell=None, mask=mask)
-
-        states, h_final, c_final = self.enc_cell.sequence(emb, mask)
-        return EncodeResult(states=states, z=h_final, cell=c_final, mask=mask)
+        runs = [cell.sequence(emb, mask, reverse=k > 0) for k, cell in enumerate(self.encoders)]
+        if self.enc_init is None:
+            return EncodeResult(*runs[0], mask=mask)
+        states, finals, _ = zip(*runs)
+        states = nm.concat(states, axis=-1)
+        z = nm.tanh(self.enc_init(nm.concat(finals, axis=-1)))
+        return EncodeResult(states=states, z=z, cell=None, mask=mask)
 
     def _attention_projection(self, enc_states):
         """Encoder-side part of the additive energy, computed once per pass.
@@ -294,7 +267,7 @@ class Seq2SeqModel:
         y_prev_ids = np.asarray(y_prev_ids).reshape(-1)
         if s_prev.shape != (y_prev_ids.shape[0], self.hidden_size):
             raise ValueError("decoder state width mismatch")
-        state = (s_prev, cell_prev) if self.arch == "lstm" else (s_prev,)
+        state = (s_prev, cell_prev)[:nm.CELLS[self.spec.cell].states]
         state, logits, _ = nm.decoder_step(ids=y_prev_ids, state=state,
                                            **self._decoder_wiring(enc))
         return Tensor(state[0]), Tensor(logits), Tensor(state[1]) if len(state) > 1 else None
@@ -340,7 +313,7 @@ class Seq2SeqModel:
     def decoder_features(self, enc, inputs, keep, gold):
         """Head features [B, S, F] of every decoder step over gold inputs
         [B, S], one `numerics.decoder_sequence` op."""
-        state = (enc.z, enc.cell) if self.arch == "lstm" else (enc.z,)
+        state = (enc.z, enc.cell)[:nm.CELLS[self.spec.cell].states]
         return nm.decoder_sequence(tokens=inputs, gold=gold, state=state, keep=keep,
                                    **self._decoder_wiring(enc))
 
@@ -350,14 +323,13 @@ class Seq2SeqModel:
         `numerics.decoder_step` both read them."""
         cell = self.dec_cell
         wiring = dict(cell=cell.kind, emb=self.tgt_emb, W_i=cell.W_i, b=cell.b, W_h=cell.W_h,
-                      head=(self.out.W, self.out.b))
-        if self.arch == "lstm":
-            return dict(wiring, layout=("s",))
-        if self.arch == "gru":
-            return dict(wiring, layout=("x", "s", "c"), context=enc.z)
-        return dict(wiring, layout=("x", "c", "s"),
-                    attention=(self.attn_energy.W, enc.attn_proj, enc.states, enc.mask,
-                               self.attn_v))
+                      head=(self.out.W, self.out.b), layout=self.spec.layout)
+        if self.spec.context == "z":
+            wiring["context"] = enc.z
+        elif self.spec.context == "attention":
+            wiring["attention"] = (self.attn_energy.W, enc.attn_proj, enc.states, enc.mask,
+                                   self.attn_v)
+        return wiring
 
     def greedy_decode_batch(self, sources, max_len=50):
         """Greedy decode of a list of encoded source sequences (ids with sos/eos).
@@ -389,6 +361,5 @@ class Seq2SeqModel:
 
     def translate(self, tokens, max_len=50):
         """Tokens in, tokens out, through the current vocabularies."""
-        from .text import encode as encode_ids
         ids = self.greedy_decode(encode_ids(tokens, self.src_vocab), max_len=max_len)
         return [self.tgt_vocab.token_of(i) for i in ids]

@@ -7,9 +7,10 @@ gradient back to them.
 
 The GRU and LSTM recurrences are fused ops with hand-written backward passes.
 Both take the projected input ``xp = x @ W_i + b`` and the recurrent weight
-``W_h``.  ``gru_sequence``/``lstm_sequence`` run a whole padded batch in one
-tape node, keep the previous state at pad positions, and do backprop through
-time in plain numpy on one pair of step kernels per cell.
+``W_h``.  ``CELLS`` maps each cell kind to its gate count, its state arrays
+and its pair of step kernels; ``cell_sequence`` runs a whole padded batch in
+one tape node, keeps the previous state at pad positions, and does backprop
+through time in plain numpy on those kernels.
 
 One decoder step (the attention context, the cell kernel and the head
 features) is one array function, ``_decoder_step``, on the same cell kernels
@@ -25,6 +26,7 @@ Inside ``with no_grad():`` ops record nothing: their outputs have no parents
 and no backward closure, whatever the inputs' ``requires_grad``.
 """
 
+from collections import namedtuple
 from contextlib import contextmanager
 
 import numpy as np
@@ -373,8 +375,10 @@ def _lstm_backward(d_state, cache, W_h):
     return da, da, (da @ W_h.T, dc * f)
 
 
-_GRU = (_gru_forward, _gru_backward)
-_LSTM = (_lstm_forward, _lstm_backward)
+# kind -> (gate count, state arrays, forward kernel, backward kernel)
+CellKind = namedtuple("CellKind", "gates states forward backward")
+CELLS = {"gru": CellKind(3, 1, _gru_forward, _gru_backward),
+         "lstm": CellKind(4, 2, _lstm_forward, _lstm_backward)}
 
 
 def _split_state(packed, parts):
@@ -382,8 +386,16 @@ def _split_state(packed, parts):
     return [packed[..., k * H:(k + 1) * H] for k in range(parts)]
 
 
-def _cell_sequence(kernel, xp, state, W_h, mask, reverse):
-    forward, backward_kernel = kernel
+def cell_sequence(kind, xp, state, W_h, mask, reverse=False):
+    """A `kind` cell over every position of xp [B, T, gates*H], starting from
+    `state`, the cell's (h0,) or (h0, c0) [B, H].
+
+    Positions where the {0,1} `mask` [B, T] is 0 keep the previous state, so
+    the state at the last position visited (T-1, or 0 when `reverse`) is the
+    state after each row's last real token.  Returns the state after every
+    position in input order, its arrays packed as [B, T, len(state)*H].
+    """
+    forward, backward_kernel = CELLS[kind].forward, CELLS[kind].backward
     xp, W_h = _to_tensor(xp), _to_tensor(W_h)
     state = [_to_tensor(s) for s in state]
     B, T, _ = xp.data.shape
@@ -424,23 +436,6 @@ def _cell_sequence(kernel, xp, state, W_h, mask, reverse):
             W_h._accumulate(h_in.reshape(B * T, H).T @ dhh.reshape(B * T, -1))
 
     return _make(out, (xp, *state, W_h), backward)
-
-
-def gru_sequence(xp, h0, W_h, mask, reverse=False):
-    """GRU over every position of xp [B, T, 3H], starting from h0 [B, H].
-
-    Positions where the {0,1} `mask` [B, T] is 0 keep the previous state, so
-    the state at the last position visited (T-1, or 0 when `reverse`) is the
-    state after each row's last real token.  Returns the state after every
-    position, [B, T, H], in input order.
-    """
-    return _cell_sequence(_GRU, xp, (h0,), W_h, mask, reverse)
-
-
-def lstm_sequence(xp, h0, c0, W_h, mask, reverse=False):
-    """LSTM counterpart of `gru_sequence`; xp is [B, T, 4H] and the result
-    packs [h; c] after every position as [B, T, 2H]."""
-    return _cell_sequence(_LSTM, xp, (h0, c0), W_h, mask, reverse)
 
 
 # -- fused decoder ---------------------------------------------------------------
@@ -517,9 +512,8 @@ def decoder_step(cell, emb, ids, W_i, b, W_h, state, head, layout, context=None,
     if attention is not None:
         attention = _attention_arrays(attention, W_h.shape[0])
     x = emb[np.asarray(ids)]
-    forward = (_GRU if cell == "gru" else _LSTM)[0]
-    new, feats, (_, attn, _) = _decoder_step(forward, x, x @ W_x + b, state, W_h, W_c, layout,
-                                             context, attention)
+    new, feats, (_, attn, _) = _decoder_step(CELLS[cell].forward, x, x @ W_x + b, state, W_h,
+                                             W_c, layout, context, attention)
     return new, feats @ head_W + head_b, None if attn is None else attn[1]
 
 
@@ -527,7 +521,7 @@ def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
                      keep=(None, None), context=None, attention=None):
     """Every decoder step of a teacher-forced pass in one tape node.
 
-    `cell` is "gru" or "lstm"; W_i [E + C, G], b and W_h are its weights and
+    `cell` is a kind in `CELLS`; W_i [E + C, G], b and W_h are its weights and
     `state` its initial (h,) or (h, c).  `emb` [V, E] embeds the input ids:
     step 0 reads tokens[:, 0]; step t > 0 reads tokens[:, t] where gold[t]
     is true, else the argmax of step t-1's logits under head = (W [F, V],
@@ -540,7 +534,7 @@ def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
     and "s" (new state).  Returns the head features [B, S, F], dropout
     applied; backprop through time runs in plain numpy.
     """
-    forward, backward_kernel = _GRU if cell == "gru" else _LSTM
+    forward, backward_kernel = CELLS[cell].forward, CELLS[cell].backward
     emb, W_i, b, W_h = (_to_tensor(t) for t in (emb, W_i, b, W_h))
     state = [_to_tensor(s) for s in state]
     emb_keep, feat_keep = keep

@@ -124,14 +124,18 @@ def check_plan(stages, corpora):
 class Checkpoint:
     """A complete, restorable model snapshot."""
 
-    config: dict
-    arch: str
+    config: dict             # TrainConfig fields; "arch" and the sizes rebuild the model
     src_vocab: list
     tgt_vocab: list
     tensors: dict            # name -> ndarray
     frozen: dict             # name -> bool
     pruned: dict             # name -> list of flat indices
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def arch(self):
+        """The config's "arch"; the header's copy must agree with it."""
+        return self.config["arch"]
 
     @classmethod
     def from_model(cls, model, config, provenance=None):
@@ -144,8 +148,7 @@ class Checkpoint:
         # the model's own shape, so the checkpoint always rebuilds it
         cfg.update(arch=model.arch, embed_size=model.embed_size,
                    hidden_size=model.hidden_size, dropout=model.dropout)
-        return cls(config=cfg, arch=model.arch,
-                   src_vocab=list(model.src_vocab.itos),
+        return cls(config=cfg, src_vocab=list(model.src_vocab.itos),
                    tgt_vocab=list(model.tgt_vocab.itos),
                    tensors=tensors, frozen=frozen, pruned=pruned,
                    provenance=provenance or {})
@@ -193,10 +196,12 @@ class Checkpoint:
             if missing:
                 raise KeyError("config lacks field %r" % missing[0])
             TrainConfig(**config)       # checks every field; the stored dict is kept
+            if header["arch"] != config["arch"]:
+                raise CheckpointFormatError("%s: header arch %r differs from config arch %r"
+                                            % (path, header["arch"], config["arch"]))
             entries = header["tensors"]
-            return cls(config=config, arch=header["arch"],
-                       src_vocab=header["src_vocab"], tgt_vocab=header["tgt_vocab"],
-                       tensors=tensors,
+            return cls(config=config, src_vocab=header["src_vocab"],
+                       tgt_vocab=header["tgt_vocab"], tensors=tensors,
                        frozen={e["name"]: e["frozen"] for e in entries},
                        pruned={e["name"]: e["pruned"] for e in entries},
                        provenance=header["provenance"])

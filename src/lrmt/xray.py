@@ -246,13 +246,19 @@ def analysis_export(stage, mass, knowledge=None, top_changed=None):
 
 def load_analysis(path):
     """The (stage, mass, top_changed) of each `analysis_export` record in the
-    JSON file at `path`, which holds one record or a list of them."""
+    JSON file at `path`, which holds one record or a list of them.  A record
+    whose four mass arrays are not all of its "width" raises ValueError."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [(str(rec["stage"]),
-             MassActivationMatrix(
-                 signed_mass=np.asarray(rec["signed_mass"], dtype=np.float64),
-                 magnitude_mass=np.asarray(rec["magnitude_mass"], dtype=np.float64),
-                 max_mass=np.asarray(rec["max_mass"], dtype=np.float64),
-                 hit_count=np.asarray(rec["hit_count"], dtype=np.int64)),
-             rec.get("top_changed", []))
-            for rec in (doc if isinstance(doc, list) else [doc])]
+    records = []
+    for i, rec in enumerate(doc if isinstance(doc, list) else [doc]):
+        mass = MassActivationMatrix(
+            signed_mass=np.asarray(rec["signed_mass"], dtype=np.float64),
+            magnitude_mass=np.asarray(rec["magnitude_mass"], dtype=np.float64),
+            max_mass=np.asarray(rec["max_mass"], dtype=np.float64),
+            hit_count=np.asarray(rec["hit_count"], dtype=np.int64))
+        shapes = [a.shape for a in vars(mass).values()]
+        if any(shape != (rec["width"],) for shape in shapes):
+            raise ValueError("%s: record %d has width %r but mass arrays of shapes %s"
+                             % (path, i, rec["width"], shapes))
+        records.append((str(rec["stage"]), mass, rec.get("top_changed", [])))
+    return records

@@ -13,7 +13,7 @@ import pytest
 from lrmt import xray
 from lrmt.cli import main
 from lrmt.text import ParallelCorpus
-from lrmt.training import carve_validation, load_checkpoint
+from lrmt.training import CONTROL_TOKENS, carve_validation, load_checkpoint
 
 WORDS = ["sun", "moon", "star", "tree", "bird", "fish", "stone", "river"]
 TARGET = ["sonne", "mond", "stern", "baum", "vogel", "fisch", "stein", "fluss"]
@@ -542,3 +542,62 @@ def test_sequential_report_numbers_stages_by_plan_stage(workspace):
     assert (out / "report" / "bleu.csv").read_bytes() == (out / "bleu.csv").read_bytes()
     names = sorted(p.name for p in (out / "report").glob("translations_*"))
     assert names == ["translations_00_pre.tsv", "translations_02_fr.tsv"]
+
+
+def test_multitask_fine_tunes_a_train_checkpoint(workspace):
+    pre = workspace / "pre"
+    assert main(["train", "--config", str(_config(workspace, **{"data.dataset": "en-en"})),
+                 "--out", str(pre)]) == 0
+    src_vocab = load_checkpoint(pre / "model.lrmt").src_vocab
+    assert src_vocab[4:8] == sorted(CONTROL_TOKENS.values())
+    cfg = _config(workspace, name="mt.json",
+                  **{"multitask.datasets": {"de": "en-de", "en": "en-en"}})
+    out = workspace / "mt"
+    code, err = _run(["multitask", "--config", str(cfg), "--ckpt", str(pre / "model.lrmt"),
+                      "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert load_checkpoint(out / "multitask.lrmt").src_vocab == src_vocab
+
+
+def _analysis_file(path, width, **arrays):
+    mass = xray.MassActivationMatrix(signed_mass=np.ones(width), magnitude_mass=np.ones(width),
+                                     max_mass=np.ones(width), hit_count=np.ones(width, int))
+    path.write_text(json.dumps(dict(xray.analysis_export("s", mass), **arrays)),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("records, named", [
+    ([(4, {}), (6, {})], ["a0.json", "a1.json"]),
+    ([(3, {"signed_mass": [1.0, 2.0]})], ["a0.json", "record 0"])],
+    ids=["widths-4-and-6", "width-3-with-2-masses"])
+def test_report_on_records_of_another_width_exits_2_and_writes_nothing(workspace, records,
+                                                                        named):
+    paths = [_analysis_file(workspace / ("a%d.json" % i), width, **arrays)
+             for i, (width, arrays) in enumerate(records)]
+    rcfg = workspace / "rcfg.json"
+    rcfg.write_text(json.dumps({"report.analyses": paths}), encoding="utf-8")
+    out = workspace / "rep"
+    code, err = _run(["report", "--config", str(rcfg), "--out", str(out)])
+    assert code == 2
+    assert all(name in err for name in named)
+    assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("key", ["data.test", "data.dataset"])
+@pytest.mark.parametrize("command", ["evaluate", "xray", "prune"])
+def test_analysis_on_an_empty_test_corpus_exits_2_before_any_artifact(workspace, command,
+                                                                      key):
+    pre = workspace / "pre"
+    assert main(["train", "--config", str(_config(workspace, **{"data.dataset": "en-de"})),
+                 "--out", str(pre)]) == 0
+    empty = workspace / "data" / "en-de.test.tsv"
+    empty.write_text("no tab here\n\t\nsun\t\n", encoding="utf-8")     # cleans to no pair
+    test = {"data.test": str(empty)} if key == "data.test" else {"data.dataset": "en-de"}
+    cfg = _config(workspace, name="an.json", **test, **{"analysis.neuron": 0})
+    out = workspace / "an"
+    code, err = _run([command, "--config", str(cfg), "--ckpt", str(pre / "model.lrmt"),
+                      "--out", str(out)])
+    assert code == 2
+    assert repr(key) in err
+    assert sorted(p.name for p in out.iterdir()) == ["run.json"]

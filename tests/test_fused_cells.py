@@ -39,11 +39,6 @@ def _ref_sequence(kind, xp, state, W_h, mask, reverse):
     return tp.stack(per_pos, axis=1)
 
 
-def _fused_sequence(kind, xp, state, W_h, mask, reverse):
-    op = nm.gru_sequence if kind == "gru" else nm.lstm_sequence
-    return op(xp, *state, W_h, mask, reverse=reverse)
-
-
 def _inputs(kind, seed):
     rng = np.random.default_rng(seed)
     G = GATES[kind] * H
@@ -72,7 +67,7 @@ def test_sequence_matches_composed_reference(float64_mode, kind, reverse):
     xp, state, W_h = _inputs(kind, seed=1 + reverse)
     params = [xp, *state, W_h]
     weights = np.random.default_rng(9).normal(size=(B, T, len(state) * H))
-    fused = _fused_sequence(kind, xp, state, W_h, _mask(), reverse)
+    fused = nm.cell_sequence(kind, xp, state, W_h, _mask(), reverse)
     ref = _ref_sequence(kind, xp, state, W_h, _mask(), reverse)
     assert fused.shape == ref.shape == (B, T, len(state) * H)
     assert np.max(np.abs(fused.data - ref.data)) < 1e-12
@@ -95,7 +90,7 @@ def test_sequence_gradients_finite_difference(float64_mode, kind, reverse):
     weights = np.random.default_rng(6).normal(size=(B, T, len(state) * H))
 
     def forward():
-        out = _fused_sequence(kind, xp, state, W_h, _mask(), reverse)
+        out = nm.cell_sequence(kind, xp, state, W_h, _mask(), reverse)
         return tp.tsum(tp.mul(nm.tanh(out), weights))
 
     assert relative_gradient_error([xp, *state, W_h], forward) < 1e-6
@@ -104,4 +99,4 @@ def test_sequence_gradients_finite_difference(float64_mode, kind, reverse):
 def test_sequence_rejects_mismatched_mask():
     xp, state, W_h = _inputs("gru", seed=7)
     with pytest.raises(ValueError):
-        nm.gru_sequence(xp, *state, W_h, np.ones((B, T + 1)))
+        nm.cell_sequence("gru", xp, state, W_h, np.ones((B, T + 1)))

@@ -45,8 +45,8 @@ def _width_one_step(cell, x, state):
     through the composed reference cell, as flat [h'(, c')] arrays."""
     xp = Tensor(np.array([[x]])) @ cell.W_i + cell.b
     state = [Tensor(np.array([[v]])) for v in state]
-    op = nm.gru_sequence if cell.kind == "gru" else nm.lstm_sequence
-    fused = op(nm.reshape(xp, (1, 1, -1)), *state, cell.W_h, np.ones((1, 1)))
+    fused = nm.cell_sequence(cell.kind, nm.reshape(xp, (1, 1, -1)), state, cell.W_h,
+                             np.ones((1, 1)))
     composed = nm.concat(list(composed_cell(cell.kind, xp, state, cell.W_h)), axis=-1)
     return fused.data.reshape(-1), composed.data.reshape(-1)
 
@@ -170,8 +170,9 @@ def test_bidirectional_states_concatenate_directions(float64_mode):
             out[t] = h.data
         return out
 
-    fwd = run(model.enc_fwd, range(T))
-    bwd = run(model.enc_bwd, range(T - 1, -1, -1))
+    fwd_cell, bwd_cell = model.encoders
+    fwd = run(fwd_cell, range(T))
+    bwd = run(bwd_cell, range(T - 1, -1, -1))
     for t in range(T):
         want = np.concatenate([fwd[t], bwd[t]], axis=-1)
         assert np.max(np.abs(enc.states.data[0, t] - want)) < 1e-12

@@ -373,6 +373,20 @@ def test_checkpoint_config_loads_exactly_as_stored(tmp_path):
     assert (tmp_path / "again.lrmt").read_bytes() == (tmp_path / "ints.lrmt").read_bytes()
 
 
+def test_checkpoint_whose_header_arch_differs_from_its_config_is_a_format_error(tmp_path):
+    _, path = _small_ckpt(tmp_path)
+    header, arrays = _container.read(path, training.CHECKPOINT_MAGIC,
+                                     (training.CHECKPOINT_VERSION,), lambda h, a: (h, a))
+    entries = header.pop("tensors")
+    _container.write(path, training.CHECKPOINT_MAGIC, training.CHECKPOINT_VERSION,
+                     dict(header, arch="lstm"),
+                     [(e["name"], arrays[e["name"]], {"frozen": e["frozen"], "pruned": e["pruned"]})
+                      for e in entries])
+    with pytest.raises(CheckpointFormatError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and "'lstm'" in str(info.value)
+
+
 def test_checkpoint_with_an_attention_score_bias_decodes_as_before(float64_mode, tmp_path,
                                                                     monkeypatch):
     words = ["a", "b", "c", "d", "e", "f"]
