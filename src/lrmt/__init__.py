@@ -27,6 +27,7 @@ from .text import (
     Vocabulary,
     build_vocab,
     encode,
+    encode_pairs,
     load_manifest,
     load_tsv,
     make_batches,

@@ -279,15 +279,17 @@ class Seq2SeqModel:
         first reads the gold previous token with probability tf_ratio, else
         the model's own argmax (`decoder_noise` draws both).  Without one
         (evaluation) there is no dropout and every step reads the gold token.
-        Every decoder step is one fused op; the output head is one GEMM over
-        all B*(Tt-1) rows.
+        Every decoder step is one fused op that runs on the rows whose
+        target is not pad (the head features of the others are 0); the
+        output head is one GEMM over all B*(Tt-1) rows.
         """
         if not 0.0 <= tf_ratio <= 1.0:
             raise ValueError("tf_ratio must be in [0, 1]")
         enc = self.encode(batch.source, rng=rng)
         B, Tt = batch.target.shape
         keep, gold = self.decoder_noise(rng, B, Tt - 1, tf_ratio)
-        feats = self.decoder_features(enc, batch.target[:, :-1], keep, gold)
+        feats = self.decoder_features(enc, batch.target[:, :-1], keep, gold,
+                                      batch.target[:, 1:] != PAD)
         logits = self.out(nm.reshape(feats, (B * (Tt - 1), feats.shape[-1])))
         return nm.reshape(logits, (B, Tt - 1, len(self.tgt_vocab)))
 
@@ -310,11 +312,12 @@ class Seq2SeqModel:
         gold[1:] = rng.random(steps - 1) < tf_ratio
         return keep, gold
 
-    def decoder_features(self, enc, inputs, keep, gold):
+    def decoder_features(self, enc, inputs, keep, gold, mask):
         """Head features [B, S, F] of every decoder step over gold inputs
-        [B, S], one `numerics.decoder_sequence` op."""
+        [B, S], one `numerics.decoder_sequence` op; `mask` [B, S] marks the
+        positions read."""
         state = (enc.z, enc.cell)[:nm.CELLS[self.spec.cell].states]
-        return nm.decoder_sequence(tokens=inputs, gold=gold, state=state, keep=keep,
+        return nm.decoder_sequence(tokens=inputs, gold=gold, state=state, keep=keep, mask=mask,
                                    **self._decoder_wiring(enc))
 
     def _decoder_wiring(self, enc):

@@ -12,21 +12,29 @@ and its pair of step kernels; ``cell_sequence`` runs a whole padded batch in
 one tape node, keeps the previous state at pad positions, and does backprop
 through time in plain numpy on those kernels.
 
+Recurrence steps run on live rows only.  Both fused recurrences order a
+right-padded batch's rows longest first once per call, so step t's cell,
+attention and backward kernels run on a slice of the first n_t rows, the
+rows still live at t; the caller's row order returns once on the way out.  A
+batch with no padding, or already longest first, is not reordered.
+
 One decoder step (the attention context, the cell kernel and the head
 features) is one array function, ``_decoder_step``, on the same cell kernels
 plus an additive-attention kernel pair.  ``decoder_sequence`` loops over it
 for every step of a teacher-forced pass in one tape node: the inputs of the
 steps that read gold tokens go through one GEMM, and a step that reads the
 model's own token forms the previous step's logits for the argmax inside the
-loop.  It returns the head features of every step, so the caller computes
-all logits with one GEMM.  ``decoder_step`` runs it once for greedy decoding
-and records no tape.
+loop.  It returns the head features of every step, exactly 0 at the
+positions its mask says are not read, so the caller computes all logits with
+one GEMM.  ``decoder_step`` runs it once for greedy decoding and records no
+tape.
 
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
 and no backward closure, whatever the inputs' ``requires_grad``.
 """
 
 from collections import namedtuple
+from itertools import accumulate
 from contextlib import contextmanager
 
 import numpy as np
@@ -91,8 +99,10 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        """Add `g` to grad.  A first gradient is kept, not copied: the caller
+        hands over an array that nothing else holds or will write."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -206,10 +216,11 @@ def add(a, b):
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                part = _unbroadcast(g, t.data.shape)
+                # g itself is this node's grad and may go to both operands
+                t._accumulate(part.copy() if part is g else part)
 
     return _make(data, (a, b), backward)
 
@@ -236,7 +247,7 @@ def concat(tensors, axis=-1):
         pieces = np.split(g, splits, axis=axis)
         for t, piece in zip(tensors, pieces):
             if t.requires_grad:
-                t._accumulate(piece)
+                t._accumulate(piece.copy())                 # a view of g
 
     return _make(data, tensors, backward)
 
@@ -265,7 +276,7 @@ def reshape(a, shape):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(old))
+            a._accumulate(g.reshape(old).copy())            # a view of g
 
     return _make(data, (a,), backward)
 
@@ -293,11 +304,23 @@ def embedding(table, ids):
 
     def backward(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+            _scatter_rows(table, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
 
     return _make(data, (table,), backward)
+
+
+def _scatter_rows(table, ids, rows):
+    """table.grad[ids[k]] += rows[k] for every k; ids may repeat.
+
+    One `np.add.at` on the flat gradient: numpy's 1-D path adds in the same
+    order as the row form, several times faster.
+    """
+    if table.grad is None:
+        table.grad = np.zeros_like(table.data)
+    table.grad = np.ascontiguousarray(table.grad)     # so the flat view below writes it
+    E = rows.shape[1]
+    flat = (np.asarray(ids, dtype=np.int64)[:, None] * E + np.arange(E)).reshape(-1)
+    np.add.at(table.grad.reshape(-1), flat, rows.reshape(-1))
 
 
 def dropout_mask(shape, rate, rng, dtype):
@@ -386,54 +409,98 @@ def _split_state(packed, parts):
     return [packed[..., k * H:(k + 1) * H] for k in range(parts)]
 
 
+# -- live rows ----------------------------------------------------------------
+#
+# Per-step arrays kept for backward are packed by step: step t's live rows sit
+# at rows offsets[t]:offsets[t] + n_t of one [sum n_t, ...] array, so the
+# weight-gradient GEMMs see live rows only.
+
+def _live_rows(mask, shape):
+    """(n_t of every step, row order longest first or None when the rows
+    already are, packed offsets) for a right-padded {0,1} `mask` [B, T]."""
+    live = np.asarray(mask) != 0
+    if live.shape != shape:
+        raise ValueError("mask shape %s does not match %s" % (live.shape, shape))
+    B, T = shape
+    if live.all():                                  # no padding, the common inference case
+        return [B] * T, None, list(range(0, B * T + 1, B))
+    if (live[:, 1:] > live[:, :-1]).any():
+        raise ValueError("mask is not right-padded: a row is live after a pad position")
+    lengths = live.sum(axis=1)
+    order = np.argsort(-lengths, kind="stable") if (lengths[:-1] < lengths[1:]).any() else None
+    steps = live.sum(axis=0).tolist()
+    return steps, order, list(accumulate(steps, initial=0))
+
+
+def _take(a, order):
+    """Rows of `a` longest first; `a` itself when `order` is None."""
+    return a if order is None else a[order]
+
+
+def _restore(a, order):
+    """Inverse of `_take`: rows back in the caller's order."""
+    if order is None:
+        return a
+    out = np.empty_like(a)
+    out[order] = a
+    return out
+
+
 def cell_sequence(kind, xp, state, W_h, mask, reverse=False):
     """A `kind` cell over every position of xp [B, T, gates*H], starting from
     `state`, the cell's (h0,) or (h0, c0) [B, H].
 
-    Positions where the {0,1} `mask` [B, T] is 0 keep the previous state, so
-    the state at the last position visited (T-1, or 0 when `reverse`) is the
-    state after each row's last real token.  Returns the state after every
-    position in input order, its arrays packed as [B, T, len(state)*H].
+    Positions where the right-padded {0,1} `mask` [B, T] is 0 keep the
+    previous state, so the state at the last position visited (T-1, or 0
+    when `reverse`) is the state after each row's last real token; the cell
+    runs on live rows only.  Returns the state after every position in input
+    order, its arrays packed as [B, T, len(state)*H].
     """
     forward, backward_kernel = CELLS[kind].forward, CELLS[kind].backward
     xp, W_h = _to_tensor(xp), _to_tensor(W_h)
     state = [_to_tensor(s) for s in state]
-    B, T, _ = xp.data.shape
-    H = W_h.data.shape[0]
-    live = np.asarray(mask).astype(bool)[:, :, None]      # [B, T, 1]
-    if live.shape[:2] != (B, T):
-        raise ValueError("mask shape %s does not match xp %s" % (live.shape[:2], (B, T)))
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    out = np.empty((B, T, len(state) * H), dtype=xp.data.dtype)
-    h_in = np.empty((B, T, H), dtype=xp.data.dtype)        # h entering each step
+    B, T, G = xp.data.shape
+    H, S = W_h.data.shape[0], len(state)
+    steps, order, offsets = _live_rows(mask, (B, T))
+    visit = range(T - 1, -1, -1) if reverse else range(T)
+    dtype = xp.data.dtype
+    xs = _take(xp.data, order)
+    out = np.empty((B, T, S * H), dtype=dtype)
+    st_in = np.empty((offsets[-1], S * H), dtype=dtype)     # state entering each live step
     caches = [None] * T
-    cur = [s.data for s in state]
-    for t in order:
-        h_in[:, t] = cur[0]
-        new, caches[t] = forward(xp.data[:, t], cur, W_h.data)
-        cur = [np.where(live[:, t], n, prev) for n, prev in zip(new, cur)]
-        for k, s in enumerate(cur):
-            out[:, t, k * H:(k + 1) * H] = s
+    prev = _take(np.concatenate([s.data for s in state], axis=-1), order)
+    for t in visit:
+        n, lo = steps[t], offsets[t]
+        entering = st_in[lo:lo + n]
+        entering[...] = prev[:n]
+        new, caches[t] = forward(xs[:n, t], _split_state(entering, S), W_h.data)
+        for k, s in enumerate(new):
+            out[:n, t, k * H:(k + 1) * H] = s
+        if n < B:
+            out[n:, t] = prev[n:]                       # pad: the state carries
+        prev = out[:, t]
+    out = _restore(out, order)
 
     def backward(g):
-        g_state = _split_state(g, len(state))
-        dxp = np.empty_like(xp.data)
-        dhh = np.empty_like(xp.data)
-        d = [np.zeros_like(gk[:, 0]) for gk in g_state]
-        for t in reversed(order):
-            m = live[:, t]
-            d = [dk + gk[:, t] for dk, gk in zip(d, g_state)]
-            dxp[:, t], dhh[:, t], d_step = backward_kernel([dk * m for dk in d],
-                                                           caches[t], W_h.data)
-            # a pad position passed its state through unchanged
-            d = [np.where(m, ds, dk) for ds, dk in zip(d_step, d)]
+        g = _take(g, order)
+        dxp = np.zeros((B, T, G), dtype=dtype)
+        dhh = np.empty((offsets[-1], G), dtype=dtype)
+        d = np.zeros((B, S * H), dtype=dtype)
+        for t in reversed(visit):
+            n, lo = steps[t], offsets[t]
+            d += g[:, t]
+            dxp[:n, t], dhh[lo:lo + n], d_step = backward_kernel(_split_state(d[:n], S),
+                                                                 caches[t], W_h.data)
+            for k, ds in enumerate(d_step):
+                d[:n, k * H:(k + 1) * H] = ds
         if xp.requires_grad:
-            xp._accumulate(dxp)
-        for s, ds in zip(state, d):
+            xp._accumulate(_restore(dxp, order))
+        d = _restore(d, order)
+        for s, ds in zip(state, _split_state(d, S)):
             if s.requires_grad:
                 s._accumulate(ds)
         if W_h.requires_grad:
-            W_h._accumulate(h_in.reshape(B * T, H).T @ dhh.reshape(B * T, -1))
+            W_h._accumulate(st_in[:, :H].T @ dhh)
 
     return _make(out, (xp, *state, W_h), backward)
 
@@ -517,7 +584,7 @@ def decoder_step(cell, emb, ids, W_i, b, W_h, state, head, layout, context=None,
     return new, feats @ head_W + head_b, None if attn is None else attn[1]
 
 
-def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
+def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, layout,
                      keep=(None, None), context=None, attention=None):
     """Every decoder step of a teacher-forced pass in one tape node.
 
@@ -525,24 +592,32 @@ def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
     `state` its initial (h,) or (h, c).  `emb` [V, E] embeds the input ids:
     step 0 reads tokens[:, 0]; step t > 0 reads tokens[:, t] where gold[t]
     is true, else the argmax of step t-1's logits under head = (W [F, V],
-    b [V]).  Those logits are formed only at such steps and carry no
+    b [V]).  The right-padded {0,1} `mask` [B, S] marks the positions whose
+    features are read, and a step runs on the rows it reads.  Those logits are formed only at such steps and carry no
     gradient.  `keep` holds the embedding [B, S, E] and head-feature
     [B, S, F] dropout multipliers, each None for no dropout.  The context is
     `context` (GRU's z [B, C], fed at every step), or the attention
     read-out when `attention` = (W_e, proj, states, mask, v), or absent.
     `layout` orders the head features: "x" (input embedding), "c" (context)
     and "s" (new state).  Returns the head features [B, S, F], dropout
-    applied; backprop through time runs in plain numpy.
+    applied and exactly 0 where unread; backprop through time runs in plain
+    numpy.
     """
     forward, backward_kernel = CELLS[cell].forward, CELLS[cell].backward
     emb, W_i, b, W_h = (_to_tensor(t) for t in (emb, W_i, b, W_h))
     state = [_to_tensor(s) for s in state]
     emb_keep, feat_keep = keep
     head_W, head_b = (_to_tensor(t).data for t in head)
-    tokens = np.array(tokens, dtype=np.int64)      # own-token steps overwrite columns
+    tokens = np.asarray(tokens, dtype=np.int64)
+    B, S = tokens.shape
+    steps, order, offsets = _live_rows(mask, (B, S))
+    N = offsets[-1]
+    # step-packed position -> (step, row longest first), and the caller's row
+    pcol, srow = np.nonzero(np.arange(B) < np.array(steps)[:, None])
+    prow = _take(np.arange(B), order)[srow]
+    tokens = tokens.copy() if order is None else tokens[order]    # own-token steps overwrite
     fed = np.array(gold, dtype=bool)
     fed[0] = True
-    B, S = tokens.shape
     E, (H, G) = emb.data.shape[1], W_h.data.shape
     dtype = W_h.data.dtype
     W_x, W_c = W_i.data[:E], W_i.data[E:]
@@ -552,107 +627,129 @@ def decoder_sequence(cell, emb, tokens, gold, W_i, b, W_h, state, head, layout,
     if context is not None:
         context = _to_tensor(context)
         parents.append(context)
-        ctx = context.data
+        ctx = _take(context.data, order)
         bias = ctx @ W_c + bias
     bias = bias.reshape(-1, 1, G)
     arrays = None
     if attention is not None:
-        W_e, proj, states, mask, v = attention
+        W_e, proj, states, src_mask, v = attention
         W_e, proj, states, v = (_to_tensor(t) for t in (W_e, proj, states, v))
         parents += [W_e, proj, states, v]
-        arrays = _attention_arrays((W_e, proj, states, mask, v), H)
-        W_s, A = arrays[0], W_e.data.shape[1]
-        C = np.empty((B, S, W_c.shape[0]), dtype=dtype)
+        W_s, *per_row, v_data = _attention_arrays((W_e, proj, states, src_mask, v), H)
+        per_row = [_take(a, order) for a in per_row]               # proj, states, live
+        A = W_e.data.shape[1]
+        C = np.empty((N, W_c.shape[0]), dtype=dtype)
     widths = {"x": E, "c": W_c.shape[0], "s": H}
+    emb_keep_s, feat_keep_s = (None if k is None else _take(k, order) for k in keep)
     X = emb.data[tokens]
     if emb_keep is not None:
-        X *= emb_keep
+        X *= emb_keep_s
     # the input GEMM of every step whose token is known before the loop
     XP = np.empty((B, S, G), dtype=dtype)
     XP[:, fed] = (X[:, fed].reshape(-1, E) @ W_x).reshape(B, -1, G) + bias
-    h_in = np.empty((B, S, H), dtype=dtype)         # state entering each step
-    feats = np.empty((B, S, sum(widths[k] for k in layout)), dtype=dtype)
+    h_in = np.empty((N, H), dtype=dtype)            # state entering each live step
+    feats = np.zeros((B, S, sum(widths[k] for k in layout)), dtype=dtype)
     caches, attn = [None] * S, [None] * S
-    cur = [s.data for s in state]
-    for t in range(S):
+    cur = [_take(s.data, order) for s in state]
+    for t, (n, lo) in enumerate(zip(steps, offsets)):
         if not fed[t]:
-            prev = feats[:, t - 1] if feat_keep is None else feats[:, t - 1] * feat_keep[:, t - 1]
+            prev = feats[:n, t - 1]
+            if feat_keep is not None:
+                prev = prev * feat_keep_s[:n, t - 1]
             ids = (prev @ head_W + head_b).argmax(axis=1)
-            tokens[:, t] = ids
-            X[:, t] = emb.data[ids] if emb_keep is None else emb.data[ids] * emb_keep[:, t]
-            XP[:, t] = X[:, t] @ W_x + bias[:, 0]
-        h_in[:, t] = cur[0]
-        cur, feats[:, t], (c_t, attn[t], caches[t]) = _decoder_step(
-            forward, X[:, t], XP[:, t], cur, W_h.data, W_c, layout, ctx, arrays)
+            tokens[:n, t] = ids
+            X[:n, t] = emb.data[ids] if emb_keep is None else emb.data[ids] * emb_keep_s[:n, t]
+            XP[:n, t] = X[:n, t] @ W_x + bias[:n, 0]
+        h_in[lo:lo + n] = cur[0][:n]
         if attention is not None:
-            C[:, t] = c_t
+            arrays = (W_s, *(a[:n] for a in per_row), v_data)
+        cur, feats[:n, t], (c_t, attn[t], caches[t]) = _decoder_step(
+            forward, X[:n, t], XP[:n, t], [c[:n] for c in cur], W_h.data, W_c, layout,
+            None if ctx is None else ctx[:n], arrays)
+        if attention is not None:
+            C[lo:lo + n] = c_t
     if feat_keep is not None:
-        feats *= feat_keep
+        feats *= feat_keep_s
+    feats = _restore(feats, order)
 
     def backward(g):
         if feat_keep is not None:
             g = g * feat_keep
         bounds = np.cumsum([widths[k] for k in layout])[:-1]
-        d_part = dict(zip(layout, np.split(g, bounds, axis=-1)))
-        dXP = np.empty((B, S, G), dtype=dtype)
-        dHH = np.empty((B, S, G), dtype=dtype)
+        d_part = dict(zip(layout, np.split(g[prow, pcol], bounds, axis=-1)))    # packed
+        dXP = np.empty((N, G), dtype=dtype)
+        dHH = np.empty((N, G), dtype=dtype)
         d = [np.zeros((B, H), dtype=dtype) for _ in state]
         if attention is not None:
-            dC = np.empty_like(C)
-            dSP = np.empty((B, S, A), dtype=dtype)
-            dproj = np.zeros_like(proj.data)
+            states_s = _take(states.data, order)
+            dSP = np.empty((N, A), dtype=dtype)
+            dC = np.zeros((B, S, C.shape[1]), dtype=dtype)
+            weights = np.zeros((B, S, states_s.shape[1]), dtype=dtype)
+            dproj = np.zeros((B,) + proj.data.shape[1:], dtype=dtype)
             dv = np.zeros(A, dtype=dtype)
         for t in reversed(range(S)):
-            d[0] = d[0] + d_part["s"][:, t]
-            dXP[:, t], dHH[:, t], d = backward_kernel(d, caches[t], W_h.data)
-            d = list(d)
+            n, lo = steps[t], offsets[t]
+            hi = lo + n
+            d[0][:n] += d_part["s"][lo:hi]
+            dXP[lo:hi], dHH[lo:hi], d_step = backward_kernel([dk[:n] for dk in d],
+                                                             caches[t], W_h.data)
             if attention is not None:
-                dC[:, t] = dXP[:, t] @ W_c.T + d_part["c"][:, t]
-                denergy, dv_t = _attend_backward(dC[:, t], attn[t], states.data, v.data)
-                dproj += denergy
+                dC[:n, t] = dXP[lo:hi] @ W_c.T + d_part["c"][lo:hi]
+                denergy, dv_t = _attend_backward(dC[:n, t], attn[t], states_s[:n], v.data)
+                dproj[:n] += denergy
                 dv += dv_t
-                dSP[:, t] = denergy.sum(axis=1)
-                d[0] = d[0] + dSP[:, t] @ W_s.T
-        flat = dXP.reshape(B * S, G)
+                dSP[lo:hi] = denergy.sum(axis=1)
+                weights[:n, t] = attn[t][1]
+                d_step = (d_step[0] + dSP[lo:hi] @ W_s.T, *d_step[1:])
+            for dk, ds in zip(d, d_step):
+                dk[:n] = ds
+        if context is not None:
+            dsum = _restore(_row_sums(dXP, steps, offsets, B), order)
         if W_h.requires_grad:
-            W_h._accumulate(h_in.reshape(B * S, H).T @ dHH.reshape(B * S, G))
+            W_h._accumulate(h_in.T @ dHH)
         if b.requires_grad:
-            b._accumulate(flat.sum(axis=0))
+            b._accumulate(dXP.sum(axis=0))
         if W_i.requires_grad:
-            dW = [X.reshape(B * S, E).T @ flat]
+            dW = [X[srow, pcol].T @ dXP]
             if context is not None:
-                dW.append(context.data.T @ dXP.sum(axis=1))
+                dW.append(context.data.T @ dsum)
             elif attention is not None:
-                dW.append(C.reshape(B * S, -1).T @ flat)
+                dW.append(C.T @ dXP)
             W_i._accumulate(np.concatenate(dW, axis=0))
         if emb.requires_grad:
-            dX = (flat @ W_x.T).reshape(B, S, E)
+            dX = dXP @ W_x.T
             if "x" in d_part:
                 dX += d_part["x"]
             if emb_keep is not None:
-                dX *= emb_keep
-            if emb.grad is None:
-                emb.grad = np.zeros_like(emb.data)
-            np.add.at(emb.grad, tokens.reshape(-1), dX.reshape(-1, E))
+                dX *= emb_keep[prow, pcol]
+            _scatter_rows(emb, tokens[srow, pcol], dX)
         if context is not None and context.requires_grad:
-            context._accumulate(dXP.sum(axis=1) @ W_c.T + d_part["c"].sum(axis=1))
+            context._accumulate(dsum @ W_c.T + _restore(
+                _row_sums(d_part["c"], steps, offsets, B), order))
         for s, ds in zip(state, d):
             if s.requires_grad:
-                s._accumulate(ds)
+                s._accumulate(_restore(ds, order))
         if attention is not None:
             if W_e.requires_grad:
                 full = np.zeros_like(W_e.data)
-                full[:H] = h_in.reshape(B * S, H).T @ dSP.reshape(B * S, A)
+                full[:H] = h_in.T @ dSP
                 W_e._accumulate(full)
             if proj.requires_grad:
-                proj._accumulate(dproj)
+                proj._accumulate(_restore(dproj, order))
             if states.requires_grad:
-                weights = np.stack([cache[1] for cache in attn], axis=1)     # [B, S, Ts]
-                states._accumulate(weights.transpose(0, 2, 1) @ dC)
+                states._accumulate(_restore(weights.transpose(0, 2, 1) @ dC, order))
             if v.requires_grad:
                 v._accumulate(dv[:, None])
 
     return _make(feats, parents, backward)
+
+
+def _row_sums(packed, steps, offsets, rows):
+    """Each row's sum over its steps [rows, ...] of a step-packed array."""
+    out = np.zeros((rows,) + packed.shape[1:], dtype=packed.dtype)
+    for n, lo in zip(steps, offsets):
+        out[:n] += packed[lo:lo + n]
+    return out
 
 
 # -- softmax / loss ----------------------------------------------------------

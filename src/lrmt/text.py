@@ -249,17 +249,18 @@ def length_sorted_chunks(rows):
     return [order[k:k + INFER_BATCH] for k in range(0, len(order), INFER_BATCH)]
 
 
-def make_batches(corpus, src_vocab, tgt_vocab, batch_size, seed):
-    """Seeded shuffle, encode, and pad into batches of at most `batch_size`."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(corpus.pairs))
+def encode_pairs(corpus, src_vocab, tgt_vocab):
+    """Every pair of `corpus` as (source ids, target ids), each side `encode`d."""
+    return [(encode(src, src_vocab), encode(tgt, tgt_vocab)) for src, tgt in corpus.pairs]
+
+
+def make_batches(pairs, batch_size, seed):
+    """Seeded shuffle of `encode_pairs` output, padded into batches of at
+    most `batch_size`."""
+    order = np.random.default_rng(seed).permutation(len(pairs))
     batches = []
     for start in range(0, len(order), batch_size):
-        chunk = order[start:start + batch_size]
-        src_rows, tgt_rows = [], []
-        for i in chunk:
-            src, tgt = corpus.pairs[i]
-            src_rows.append(encode(src, src_vocab))
-            tgt_rows.append(encode(tgt, tgt_vocab))
-        batches.append(Batch(source=pad_rows(src_rows), target=pad_rows(tgt_rows)))
+        chunk = [pairs[i] for i in order[start:start + batch_size]]
+        batches.append(Batch(source=pad_rows([src for src, _ in chunk]),
+                             target=pad_rows([tgt for _, tgt in chunk])))
     return batches

@@ -16,7 +16,7 @@ from ._container import (CheckpointChecksumError, CheckpointError,  # noqa: F401
 from .bleu import evaluate_corpus
 from .model import ARCHITECTURES, Seq2SeqModel
 from .numerics import Adam, clip_grad_norm, cross_entropy_masked
-from .text import ParallelCorpus, Vocabulary, build_vocab, make_batches
+from .text import ParallelCorpus, Vocabulary, build_vocab, encode_pairs, make_batches
 
 CHECKPOINT_MAGIC = b"LRMT"
 CHECKPOINT_VERSION = 2      # v1 also held "rng_state" and config "layers"; load ignores both
@@ -278,15 +278,15 @@ def fit_with_early_stopping(model, train, valid, config, metrics_path=None,
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.parameters(), lr=config.lr, l2=config.l2)
     history = []
+    train_pairs = encode_pairs(train, model.src_vocab, model.tgt_vocab)
+    vbatches = make_batches(encode_pairs(valid, model.src_vocab, model.tgt_vocab),
+                            config.batch_size, seed=0)
 
     def valid_losses():
         for epoch in range(1, config.max_epochs + 1):
             started = time.monotonic()
-            batches = make_batches(train, model.src_vocab, model.tgt_vocab,
-                                   config.batch_size, seed=config.seed + epoch)
+            batches = make_batches(train_pairs, config.batch_size, seed=config.seed + epoch)
             train_loss = train_epoch(model, batches, config, optimizer, rng)
-            vbatches = make_batches(valid, model.src_vocab, model.tgt_vocab,
-                                    config.batch_size, seed=0)
             valid_loss = evaluate_loss(model, vbatches)
             if not np.isfinite(valid_loss):
                 raise FloatingPointError(

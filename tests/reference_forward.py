@@ -1,16 +1,21 @@
-"""The composed, one-step-at-a-time decoder, kept as the reference for the
-fused decoder kernels that training and greedy decoding both run.
+"""The composed, one-step-at-a-time encoder and decoder, kept as the
+reference for the fused kernels that training and greedy decoding run.
 
 Every step is built from the tape's generic ops (`matmul`, `tanh`,
 `narrow`, `concat`, and `mul`, `sigmoid`, `masked_softmax`, `tsum`, `stack`
 from the test-side `tape_ops`), so it shares no kernel with the code it
-checks.  The teacher-forced pass consumes
-the dropout masks and scheduled-sampling coins the model's `decoder_noise`
-draws, so both paths read the same draws from the same rng.
+checks.  Every row runs at every position: a pad position carries the state
+as a lerp by the {0,1} mask.  The teacher-forced pass consumes the dropout
+masks and scheduled-sampling coins the model draws, so both paths read the
+same draws from the same rng.
 """
+
+import numpy as np
 
 import tape_ops as tp
 from lrmt import numerics as nm
+from lrmt.model import EncodeResult
+from lrmt.text import PAD
 
 
 def composed_cell(kind, xp, state, W_h):
@@ -30,6 +35,41 @@ def composed_cell(kind, xp, state, W_h):
     o = tp.sigmoid(nm.narrow(a, 3 * H, H))
     c_new = tp.mul(f, state[1]) + tp.mul(i, g)
     return tp.mul(o, nm.tanh(c_new)), c_new
+
+
+def composed_sequence(kind, xp, state, W_h, mask, reverse=False):
+    """A cell over every position of xp [B, T, G]: the states after each
+    position, packed [B, T, len(state)*H] as the fused recurrence returns them."""
+    B, T, _ = xp.shape
+    per_pos = [None] * T
+    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+        new = composed_cell(kind, nm.reshape(nm.narrow(xp, t, 1, axis=1), (B, -1)), state, W_h)
+        m = mask[:, t:t + 1]
+        state = [tp.mul(n, m) + tp.mul(s, 1.0 - m) for n, s in zip(new, state)]
+        per_pos[t] = nm.concat(state, axis=-1)
+    return tp.stack(per_pos, axis=1)
+
+
+def composed_encode(model, source, rng=None):
+    """The model's encoder pass without the attention projection, on
+    composed cells, drawing the same dropout mask from `rng`."""
+    B, T = source.shape
+    H = model.hidden_size
+    mask = (source != PAD).astype(model.dtype)
+    flat = nm.reshape(nm.dropout(nm.embedding(model.src_emb, source), model.dropout, rng),
+                      (B * T, -1))
+    states, finals = [], []
+    for k, cell in enumerate(model.encoders):
+        xp = nm.reshape(flat @ cell.W_i + cell.b, (B, T, -1))
+        initial = [nm.Tensor(np.zeros((B, H), dtype=model.dtype))] * (2 if cell.kind == "lstm" else 1)
+        seq = composed_sequence(cell.kind, xp, initial, cell.W_h, mask, reverse=k > 0)
+        states.append(nm.narrow(seq, 0, H))
+        finals.append(nm.reshape(nm.narrow(seq, 0 if k else T - 1, 1, axis=1), (B, -1)))
+    if model.enc_init is None:
+        c = nm.narrow(finals[0], H, H) if model.arch == "lstm" else None
+        return EncodeResult(states[0], nm.narrow(finals[0], 0, H), c, mask)
+    z = nm.tanh(model.enc_init(nm.concat([nm.narrow(f, 0, H) for f in finals], axis=-1)))
+    return EncodeResult(nm.concat(states, axis=-1), z, None, mask)
 
 
 def composed_attention(model, s, enc):
@@ -80,7 +120,7 @@ def initial_state(model, enc):
 
 def reference_forward(model, batch, tf_ratio=1.0, rng=None):
     """(head features [B, Tt-1, F], logits [B, Tt-1, V]) as Tensors."""
-    enc = model.encode_states(batch.source, rng=rng)
+    enc = composed_encode(model, batch.source, rng=rng)
     targets = batch.target
     B, Tt = targets.shape
     (emb_keep, feat_keep), gold = model.decoder_noise(rng, B, Tt - 1, tf_ratio)

@@ -29,7 +29,7 @@ def stack(tensors, axis=1):
         pieces = np.split(g, len(tensors), axis=axis)
         for t, piece in zip(tensors, pieces):
             if t.requires_grad:
-                t._accumulate(piece.reshape(t.data.shape))
+                t._accumulate(piece.reshape(t.data.shape).copy())     # a view of g
 
     return _make(data, tensors, backward)
 

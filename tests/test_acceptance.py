@@ -255,9 +255,9 @@ def test_criterion_6_pruned_neuron_silence():
     silent_before = np.all(col == 0.0)
     # one further fine-tuning epoch (encoder NOT frozen: the pin must hold alone)
     from lrmt.numerics import Adam
-    from lrmt.text import make_batches
+    from lrmt.text import encode_pairs, make_batches
     opt = Adam(model.parameters(), lr=cfg.lr, l2=cfg.l2)
-    batches = make_batches(data["train"], model.src_vocab, model.tgt_vocab,
+    batches = make_batches(encode_pairs(data["train"], model.src_vocab, model.tgt_vocab),
                            cfg.batch_size, seed=99)
     training.train_epoch(model, batches, cfg, opt, np.random.default_rng(0))
     acts2 = capture_activations(model, test)

@@ -305,6 +305,18 @@ def test_embedding_backward_accumulates_repeated_rows(float64_mode):
     assert np.array_equal(table.grad, [[0, 0], [3, 3], [0, 0]])
 
 
+def test_embedding_backward_matches_row_wise_add_at_bit_for_bit():
+    rng = np.random.default_rng(0)
+    table = Parameter(rng.normal(size=(7, 5)).astype(np.float32), name="emb")
+    ids = rng.integers(0, 7, size=(6, 9))
+    weights = rng.normal(size=(6, 9, 5)).astype(np.float32)
+    tp.tsum(tp.mul(nm.embedding(table, ids), weights)).backward()
+    want = np.zeros_like(table.data)
+    np.add.at(want, ids.reshape(-1), weights.reshape(-1, 5))
+    assert table.grad.dtype == np.float32
+    assert table.grad.tobytes() == want.tobytes()
+
+
 def test_dropout_eval_mode_is_identity_and_train_scales(float64_mode):
     x = Tensor(np.ones((4, 5)), requires_grad=True)
     assert nm.dropout(x, 0.5, None) is x
@@ -351,3 +363,45 @@ def test_no_grad_restores_state_after_exception_and_nests():
             raise RuntimeError("boom")
     assert (p + 2.0).requires_grad
     assert not p.frozen and q.frozen
+
+
+# -- gradient ownership -----------------------------------------------------------
+
+def test_add_gives_each_operand_its_own_gradient():
+    a = Parameter(np.zeros((2, 3)), name="a")
+    b = Parameter(np.zeros((2, 3)), name="b")
+    out = nm.add(a, b)
+    tp.tsum(out).backward()
+    a.grad *= 5.0
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+    assert np.array_equal(out.grad, np.ones((2, 3)))
+
+
+def test_x_plus_x_sums_both_paths_and_leaves_the_sum_node_alone():
+    x = Parameter(np.zeros(4), name="x")
+    out = nm.add(x, x)
+    tp.tsum(out).backward()
+    assert np.array_equal(x.grad, [2.0] * 4)
+    x.grad *= 3.0
+    assert np.array_equal(out.grad, [1.0] * 4)
+
+
+def test_clip_scales_two_parameters_fed_by_one_add_exactly_once():
+    a = Parameter(np.zeros(8), name="a")
+    b = Parameter(np.zeros(8), name="b")
+    tp.tsum(nm.add(a, b)).backward()                 # each grad is 8 ones: norm 4
+    scale = clip_grad_norm([a, b], 1.0)
+    assert scale == 0.25
+    assert np.array_equal(a.grad, [0.25] * 8)
+    assert np.array_equal(b.grad, [0.25] * 8)
+
+
+def test_no_gradient_is_a_view_of_another_nodes_gradient():
+    a = Parameter(np.zeros((2, 3)), name="a")
+    b = Parameter(np.zeros(4), name="b")
+    flat = nm.reshape(a, (6,))
+    joined = nm.concat([flat, b], axis=0)
+    tp.tsum(joined).backward()
+    assert np.array_equal(a.grad, np.ones((2, 3))) and np.array_equal(b.grad, np.ones(4))
+    for x, y in ((a, flat), (flat, joined), (b, joined)):
+        assert not np.shares_memory(x.grad, y.grad)

@@ -22,7 +22,7 @@ from lrmt import xray
 from lrmt.bleu import bleu4
 from lrmt.model import ARCHITECTURES, Seq2SeqModel
 from lrmt.text import (CONTRACTIONS, EOS, PAD, SOS, UNK, ParallelCorpus, build_vocab,
-                       make_batches, preprocess, tokenize)
+                       encode_pairs, make_batches, preprocess, tokenize)
 from lrmt.training import Checkpoint, CheckpointError, TrainConfig, load_checkpoint
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -182,7 +182,7 @@ def test_every_batch_row_is_sos_to_eos_then_only_pad(pairs, batch_size, seed):
     src_vocab = build_vocab([known], side="source")
     tgt_vocab = build_vocab([known], side="target")
     lengths = []
-    for batch in make_batches(corpus, src_vocab, tgt_vocab, batch_size, seed):
+    for batch in make_batches(encode_pairs(corpus, src_vocab, tgt_vocab), batch_size, seed):
         for row in batch.source.tolist():
             live = len(row) - row[::-1].index(EOS)   # through the last eos
             assert row[0] == SOS

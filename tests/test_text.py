@@ -8,7 +8,7 @@ import pytest
 from lrmt import text
 from lrmt.text import (EOS, PAD, SOS, UNK, ParallelCorpus, Vocabulary,
                        build_vocab, encode, load_manifest, load_tsv,
-                       make_batches, preprocess, tokenize)
+                       encode_pairs, make_batches, preprocess, tokenize)
 
 
 def test_preprocess_expands_contractions_and_spaces_punctuation():
@@ -104,8 +104,8 @@ def test_make_batches_pads_and_is_seed_deterministic():
     c = ParallelCorpus(pairs)
     sv = build_vocab([c], side="source")
     tv = build_vocab([c], side="target")
-    b1 = make_batches(c, sv, tv, batch_size=3, seed=7)
-    b2 = make_batches(c, sv, tv, batch_size=3, seed=7)
+    b1 = make_batches(encode_pairs(c, sv, tv), batch_size=3, seed=7)
+    b2 = make_batches(encode_pairs(c, sv, tv), batch_size=3, seed=7)
     assert len(b1) == 3
     for x, y in zip(b1, b2):
         assert np.array_equal(x.source, y.source)
@@ -117,8 +117,37 @@ def test_make_batches_pads_and_is_seed_deterministic():
             length = int((row != PAD).sum())
             assert row[length - 1] == EOS
             assert np.all(row[length:] == PAD)
-    b3 = make_batches(c, sv, tv, batch_size=3, seed=8)
+    b3 = make_batches(encode_pairs(c, sv, tv), batch_size=3, seed=8)
     assert any(not np.array_equal(x.source, y.source) for x, y in zip(b1, b3))
+
+
+def _batches_encoding_each_batch(corpus, sv, tv, batch_size, seed):
+    # batching as it ran when every epoch re-encoded its pairs
+    order = np.random.default_rng(seed).permutation(len(corpus.pairs))
+    for start in range(0, len(order), batch_size):
+        chunk = [corpus.pairs[i] for i in order[start:start + batch_size]]
+        yield (text.pad_rows([encode(src, sv) for src, _ in chunk]),
+               text.pad_rows([encode(tgt, tv) for _, tgt in chunk]))
+
+
+def test_batches_of_pairs_encoded_once_are_byte_identical():
+    rng = np.random.default_rng(3)
+    words = ["w%d" % i for i in range(12)]
+    pairs = [([words[i] for i in rng.integers(0, 12, rng.integers(1, 9))],
+              [words[i] for i in rng.integers(0, 12, rng.integers(1, 9))]) for _ in range(50)]
+    corpus = ParallelCorpus(pairs)
+    sv = build_vocab([ParallelCorpus(pairs[:30])], side="source")    # later pairs hold unk
+    tv = build_vocab([corpus], side="target")
+    encoded = encode_pairs(corpus, sv, tv)
+    for batch_size in (1, 7, 50, 64):
+        for seed in (0, 1, 8):
+            got = make_batches(encoded, batch_size, seed)
+            want = list(_batches_encoding_each_batch(corpus, sv, tv, batch_size, seed))
+            assert len(got) == len(want)
+            for batch, (src, tgt) in zip(got, want):
+                for a, b in ((batch.source, src), (batch.target, tgt)):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
 
 
 

@@ -11,7 +11,7 @@ import pytest
 from lrmt import _container, synthetic, training
 from lrmt.model import Seq2SeqModel
 from lrmt.numerics import Adam, cross_entropy_masked
-from lrmt.text import ParallelCorpus, build_vocab, make_batches
+from lrmt.text import ParallelCorpus, build_vocab, encode_pairs, make_batches
 from lrmt.training import (Checkpoint, CheckpointChecksumError,
                            CheckpointFormatError, CheckpointVersionError,
                            StageSpec, TrainConfig,
@@ -144,7 +144,7 @@ def test_overfits_single_pair_to_near_zero_loss():
     tv = build_vocab([corpus], side="target")
     model = training.build_model(cfg, sv, tv)
     opt = Adam(model.parameters(), lr=cfg.lr)
-    batches = make_batches(corpus, sv, tv, 1, seed=0)
+    batches = make_batches(encode_pairs(corpus, sv, tv), 1, seed=0)
     rng = np.random.default_rng(0)
     for _ in range(200):
         loss = training.train_epoch(model, batches, cfg, opt, rng)
@@ -158,7 +158,7 @@ def test_frozen_encoder_stays_off_the_tape():
     sv = build_vocab([corpus], side="source")
     tv = build_vocab([corpus], side="target")
     model = training.build_model(cfg, sv, tv).freeze_encoder()
-    batches = make_batches(corpus, sv, tv, cfg.batch_size, seed=0)
+    batches = make_batches(encode_pairs(corpus, sv, tv), cfg.batch_size, seed=0)
     training.train_epoch(model, batches, cfg, Adam(model.parameters(), lr=cfg.lr),
                          np.random.default_rng(0))
     encoder = {id(p) for p in model.encoder_parameters()}
@@ -514,13 +514,35 @@ def test_checkpoint_preserves_pruned_and_frozen_state(tmp_path):
     assert all(p.frozen for p in back.encoder_parameters())
 
 
+def test_fit_encodes_each_split_once_and_batches_validation_once(monkeypatch):
+    calls = {"encode_pairs": 0, "make_batches": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(training, name, counted(name, getattr(training, name)))
+    cfg = TrainConfig(arch="gru", **dict(TINY, patience=3))
+    data = _data()
+    sv = build_vocab([data["train"]], side="source")
+    tv = build_vocab([data["train"]], side="target")
+    model = training.build_model(cfg, sv, tv)
+    ckpt = training.fit_with_early_stopping(model, data["train"], data["valid"], cfg)
+    assert len(ckpt.provenance["history"]) == 3
+    # train and valid encoded once; one batching per epoch plus the validation batches
+    assert calls == {"encode_pairs": 2, "make_batches": 3 + 1}
+
+
 def test_evaluate_loss_matches_the_taped_forward_bit_for_bit():
     corpus = _data()["valid"]
     cfg = TrainConfig(arch="abgru", seed=2, **TINY)
     sv = build_vocab([corpus], side="source")
     tv = build_vocab([corpus], side="target")
     model = training.build_model(cfg, sv, tv)
-    batches = make_batches(corpus, sv, tv, 3, seed=0)
+    batches = make_batches(encode_pairs(corpus, sv, tv), 3, seed=0)
     taped = []
     for batch in batches:
         logits = model.forward_teacher_forced(batch, tf_ratio=1.0, rng=None)
