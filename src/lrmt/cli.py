@@ -127,11 +127,12 @@ def _load_data(cfg):
 
 
 def _splits(corpora, dataset, key="data.dataset", split="train"):
-    """The splits of `dataset`, whose `split` split a command reads, so it needs one."""
+    """The splits of `dataset`, whose `split` split a command reads, so it needs one
+    with pairs."""
     if dataset not in corpora:
         raise ConfigError("unknown dataset id in %r: %r" % (key, dataset))
-    if split not in corpora[dataset]:
-        raise ConfigError("dataset %r in %r has no %s split" % (dataset, key, split))
+    if not corpora[dataset].get(split):
+        raise ConfigError("dataset %r in %r has no %s split with pairs" % (dataset, key, split))
     return corpora[dataset]
 
 
@@ -261,14 +262,11 @@ def cmd_sequential(cfg, out):
 def _analysis_corpus(cfg):
     """The test corpus an analysis command reads: `data.test`, else the dataset's test split."""
     test_path = _get(cfg, "data.test")
-    if test_path is not None:
-        key = "data.test"
-        corpus = text.load_tsv(test_path, max_len=_get(cfg, "data.max_len"), truncate=True)
-    else:
-        key = "data.dataset"
-        corpus = _splits(_load_data(cfg), _get(cfg, key), split="test")["test"]
+    if test_path is None:
+        return _splits(_load_data(cfg), _get(cfg, "data.dataset"), split="test")["test"]
+    corpus = text.load_tsv(test_path, max_len=_get(cfg, "data.max_len"), truncate=True)
     if not corpus.pairs:
-        raise ConfigError("%r: the test corpus holds no pair after cleaning" % key)
+        raise ConfigError("'data.test': the test corpus holds no pair after cleaning")
     return corpus
 
 

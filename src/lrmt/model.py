@@ -33,7 +33,6 @@ class RecurrentCell:
         if kind not in nm.CELLS:
             raise ValueError("unknown cell kind %r" % kind)
         self.kind = kind
-        self.input_size = input_size
         self.hidden_size = hidden_size
         gates = nm.CELLS[kind].gates
         self.W_i = Parameter(nm.init_uniform((input_size, gates * hidden_size), rng, dtype=dtype),
@@ -47,23 +46,11 @@ class RecurrentCell:
         return [self.W_i, self.W_h, self.b]
 
     def sequence(self, x, mask, reverse=False):
-        """Every position of x [B, T, input]; pad positions (mask 0) carry.
-
-        The input projection is one GEMM over all B*T rows.  Returns the
-        states [B, T, H], the final h and, for LSTM, the final c (else None).
-        The carry makes the final state that of each row's last real token.
-        """
-        B, T, _ = x.shape
-        H = self.hidden_size
-        flat = nm.reshape(x, (B * T, self.input_size))
-        xp = nm.reshape((flat @ self.W_i) + self.b, (B, T, -1))
-        zeros = Tensor(np.zeros((B, H), dtype=self.W_h.dtype))
-        n = nm.CELLS[self.kind].states
-        seq = nm.cell_sequence(self.kind, xp, (zeros,) * n, self.W_h, mask, reverse=reverse)
-        final = nm.reshape(nm.narrow(seq, 0 if reverse else T - 1, 1, axis=1), (B, n * H))
-        if n == 1:
-            return seq, final, None
-        return nm.narrow(seq, 0, H), nm.narrow(final, 0, H), nm.narrow(final, H, H)
+        """The states [B, T, states*H] (h, or h and c) after every position of
+        x [B, T, input], from a zero state, in one fused op.  Pad positions
+        (mask 0) carry, so the last position visited holds each row's final
+        state."""
+        return nm.cell_sequence(self.kind, x, self.W_i, self.b, self.W_h, mask, reverse)
 
     def prune_units(self, unit_ids):
         """Zero and pin the incoming weights and bias entries of these units."""
@@ -238,15 +225,21 @@ class Seq2SeqModel:
         source = np.asarray(source)
         if source.ndim != 2 or source.shape[0] == 0:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
+        B, T = source.shape
         mask = (source != PAD).astype(self.dtype)
         emb = nm.dropout(nm.embedding(self.src_emb, source), self.dropout, rng)
-        runs = [cell.sequence(emb, mask, reverse=k > 0) for k, cell in enumerate(self.encoders)]
-        if self.enc_init is None:
-            return EncodeResult(*runs[0], mask=mask)
-        states, finals, _ = zip(*runs)
-        states = nm.concat(states, axis=-1)
-        z = nm.tanh(self.enc_init(nm.concat(finals, axis=-1)))
-        return EncodeResult(states=states, z=z, cell=None, mask=mask)
+        seqs = [cell.sequence(emb, mask, reverse=k > 0) for k, cell in enumerate(self.encoders)]
+        # each row's final state: the position each direction visits last
+        finals = [nm.reshape(nm.narrow(seq, T - 1 if k == 0 else 0, 1, axis=1), (B, -1))
+                  for k, seq in enumerate(seqs)]
+        if self.enc_init is not None:
+            z = nm.tanh(self.enc_init(nm.concat(finals, axis=-1)))
+            return EncodeResult(nm.concat(seqs, axis=-1), z, None, mask)
+        if nm.CELLS[self.spec.cell].states == 1:
+            return EncodeResult(seqs[0], finals[0], None, mask)
+        H = self.hidden_size
+        return EncodeResult(nm.narrow(seqs[0], 0, H), nm.narrow(finals[0], 0, H),
+                            nm.narrow(finals[0], H, H), mask)
 
     def _attention_projection(self, enc_states):
         """Encoder-side part of the additive energy, computed once per pass.
@@ -268,30 +261,31 @@ class Seq2SeqModel:
         if s_prev.shape != (y_prev_ids.shape[0], self.hidden_size):
             raise ValueError("decoder state width mismatch")
         state = (s_prev, cell_prev)[:nm.CELLS[self.spec.cell].states]
+        if any(s is None for s in state):
+            raise ValueError("an %s decoder step needs cell_prev, its cell state" % self.arch)
         state, logits, _ = nm.decoder_step(ids=y_prev_ids, state=state,
                                            **self._decoder_wiring(enc))
         return Tensor(state[0]), Tensor(logits), Tensor(state[1]) if len(state) > 1 else None
 
     def forward_teacher_forced(self, batch, tf_ratio=1.0, rng=None):
-        """Teacher-forced decode of a batch.  Returns logits Tensor [B, Tt-1, V].
+        """Teacher-forced decode of a batch.  Returns logits Tensor [N, V],
+        one row per target token (the non-pad entries of target[:, 1:], in
+        row-major order), as `numerics.cross_entropy_masked` scores them.
 
         With an `rng` (training) dropout is applied and each step after the
         first reads the gold previous token with probability tf_ratio, else
         the model's own argmax (`decoder_noise` draws both).  Without one
         (evaluation) there is no dropout and every step reads the gold token.
         Every decoder step is one fused op that runs on the rows whose
-        target is not pad (the head features of the others are 0); the
-        output head is one GEMM over all B*(Tt-1) rows.
+        target is not pad; the output head is one GEMM over the N rows.
         """
         if not 0.0 <= tf_ratio <= 1.0:
             raise ValueError("tf_ratio must be in [0, 1]")
         enc = self.encode(batch.source, rng=rng)
         B, Tt = batch.target.shape
         keep, gold = self.decoder_noise(rng, B, Tt - 1, tf_ratio)
-        feats = self.decoder_features(enc, batch.target[:, :-1], keep, gold,
-                                      batch.target[:, 1:] != PAD)
-        logits = self.out(nm.reshape(feats, (B * (Tt - 1), feats.shape[-1])))
-        return nm.reshape(logits, (B, Tt - 1, len(self.tgt_vocab)))
+        return self.out(self.decoder_features(enc, batch.target[:, :-1], keep, gold,
+                                              batch.target[:, 1:] != PAD))
 
     def decoder_noise(self, rng, batch_size, steps, tf_ratio):
         """Dropout multipliers and scheduled-sampling coins for one
@@ -313,9 +307,9 @@ class Seq2SeqModel:
         return keep, gold
 
     def decoder_features(self, enc, inputs, keep, gold, mask):
-        """Head features [B, S, F] of every decoder step over gold inputs
-        [B, S], one `numerics.decoder_sequence` op; `mask` [B, S] marks the
-        positions read."""
+        """Head features [N, F] of the positions that `mask` [B, S] marks as
+        read, in its row-major order, from the decoder steps over gold inputs
+        [B, S]: one `numerics.decoder_sequence` op."""
         state = (enc.z, enc.cell)[:nm.CELLS[self.spec.cell].states]
         return nm.decoder_sequence(tokens=inputs, gold=gold, state=state, keep=keep, mask=mask,
                                    **self._decoder_wiring(enc))

@@ -6,11 +6,11 @@ Tensor that remembers its parents and a closure that scatters the incoming
 gradient back to them.
 
 The GRU and LSTM recurrences are fused ops with hand-written backward passes.
-Both take the projected input ``xp = x @ W_i + b`` and the recurrent weight
-``W_h``.  ``CELLS`` maps each cell kind to its gate count, its state arrays
-and its pair of step kernels; ``cell_sequence`` runs a whole padded batch in
-one tape node, keeps the previous state at pad positions, and does backprop
-through time in plain numpy on those kernels.
+Their kernels take the projected input ``xp = x @ W_i + b`` and the recurrent
+weight ``W_h``.  ``CELLS`` maps each cell kind to its gate count, its state
+arrays and its pair of step kernels; ``cell_sequence`` projects a padded batch
+with one GEMM and runs it from a zero state in one tape node, keeps the state
+at pad positions, and does backprop through time in plain numpy.
 
 Recurrence steps run on live rows only.  Both fused recurrences order a
 right-padded batch's rows longest first once per call, so step t's cell,
@@ -24,10 +24,10 @@ plus an additive-attention kernel pair.  ``decoder_sequence`` loops over it
 for every step of a teacher-forced pass in one tape node: the inputs of the
 steps that read gold tokens go through one GEMM, and a step that reads the
 model's own token forms the previous step's logits for the argmax inside the
-loop.  It returns the head features of every step, exactly 0 at the
-positions its mask says are not read, so the caller computes all logits with
-one GEMM.  ``decoder_step`` runs it once for greedy decoding and records no
-tape.
+loop.  It returns the head features of the read positions only, one row
+each in its mask's row-major order, so the caller computes their logits with
+one GEMM and ``cross_entropy_masked`` scores one row per target token.
+``decoder_step`` runs it once for greedy decoding and records no tape.
 
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
 and no backward closure, whatever the inputs' ``requires_grad``.
@@ -38,6 +38,8 @@ from itertools import accumulate
 from contextlib import contextmanager
 
 import numpy as np
+
+from .text import PAD
 
 _DEFAULT_DTYPE = np.float32
 _RECORDING = True
@@ -446,29 +448,29 @@ def _restore(a, order):
     return out
 
 
-def cell_sequence(kind, xp, state, W_h, mask, reverse=False):
-    """A `kind` cell over every position of xp [B, T, gates*H], starting from
-    `state`, the cell's (h0,) or (h0, c0) [B, H].
+def cell_sequence(kind, x, W_i, b, W_h, mask, reverse=False):
+    """A `kind` cell over every position of x [B, T, I], starting from a zero
+    state; the input projection x @ W_i + b is one GEMM over all B*T rows.
 
     Positions where the right-padded {0,1} `mask` [B, T] is 0 keep the
     previous state, so the state at the last position visited (T-1, or 0
     when `reverse`) is the state after each row's last real token; the cell
     runs on live rows only.  Returns the state after every position in input
-    order, its arrays packed as [B, T, len(state)*H].
+    order, its arrays (h, or h and c) packed as [B, T, states*H].
     """
     forward, backward_kernel = CELLS[kind].forward, CELLS[kind].backward
-    xp, W_h = _to_tensor(xp), _to_tensor(W_h)
-    state = [_to_tensor(s) for s in state]
-    B, T, G = xp.data.shape
-    H, S = W_h.data.shape[0], len(state)
+    x, W_i, b, W_h = (_to_tensor(t) for t in (x, W_i, b, W_h))
+    B, T, I = x.data.shape
+    (H, G), S = W_h.data.shape, CELLS[kind].states
+    flat = x.data.reshape(B * T, I)
     steps, order, offsets = _live_rows(mask, (B, T))
     visit = range(T - 1, -1, -1) if reverse else range(T)
-    dtype = xp.data.dtype
-    xs = _take(xp.data, order)
+    dtype = W_h.data.dtype
+    xs = _take((flat @ W_i.data + b.data).reshape(B, T, G), order)
     out = np.empty((B, T, S * H), dtype=dtype)
     st_in = np.empty((offsets[-1], S * H), dtype=dtype)     # state entering each live step
     caches = [None] * T
-    prev = _take(np.concatenate([s.data for s in state], axis=-1), order)
+    prev = np.zeros((B, S * H), dtype=dtype)
     for t in visit:
         n, lo = steps[t], offsets[t]
         entering = st_in[lo:lo + n]
@@ -493,16 +495,17 @@ def cell_sequence(kind, xp, state, W_h, mask, reverse=False):
                                                                  caches[t], W_h.data)
             for k, ds in enumerate(d_step):
                 d[:n, k * H:(k + 1) * H] = ds
-        if xp.requires_grad:
-            xp._accumulate(_restore(dxp, order))
-        d = _restore(d, order)
-        for s, ds in zip(state, _split_state(d, S)):
-            if s.requires_grad:
-                s._accumulate(ds)
+        dxp = _restore(dxp, order).reshape(B * T, G)
+        if x.requires_grad:
+            x._accumulate((dxp @ W_i.data.T).reshape(B, T, I))
+        if W_i.requires_grad:
+            W_i._accumulate(flat.T @ dxp)
+        if b.requires_grad:
+            b._accumulate(dxp.sum(axis=0))
         if W_h.requires_grad:
             W_h._accumulate(st_in[:, :H].T @ dhh)
 
-    return _make(out, (xp, *state, W_h), backward)
+    return _make(out, (x, W_i, b, W_h), backward)
 
 
 # -- fused decoder ---------------------------------------------------------------
@@ -592,16 +595,16 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     `state` its initial (h,) or (h, c).  `emb` [V, E] embeds the input ids:
     step 0 reads tokens[:, 0]; step t > 0 reads tokens[:, t] where gold[t]
     is true, else the argmax of step t-1's logits under head = (W [F, V],
-    b [V]).  The right-padded {0,1} `mask` [B, S] marks the positions whose
-    features are read, and a step runs on the rows it reads.  Those logits are formed only at such steps and carry no
-    gradient.  `keep` holds the embedding [B, S, E] and head-feature
-    [B, S, F] dropout multipliers, each None for no dropout.  The context is
-    `context` (GRU's z [B, C], fed at every step), or the attention
-    read-out when `attention` = (W_e, proj, states, mask, v), or absent.
-    `layout` orders the head features: "x" (input embedding), "c" (context)
-    and "s" (new state).  Returns the head features [B, S, F], dropout
-    applied and exactly 0 where unread; backprop through time runs in plain
-    numpy.
+    b [V]).  Those logits are formed only at such steps and carry no
+    gradient.  The right-padded {0,1} `mask` [B, S] marks the positions whose
+    features are read, and a step runs on the rows it reads.  `keep` holds
+    the embedding [B, S, E] and head-feature [B, S, F] dropout multipliers,
+    each None for no dropout.  The context is `context` (GRU's z [B, C], fed
+    at every step), or the attention read-out when `attention` = (W_e, proj,
+    states, mask, v), or absent.  `layout` orders the head features: "x"
+    (input embedding), "c" (context) and "s" (new state).  Returns the head
+    features of the read positions only, [N, F] with dropout applied, in the
+    row-major order of `mask`; backprop through time runs in plain numpy.
     """
     forward, backward_kernel = CELLS[cell].forward, CELLS[cell].backward
     emb, W_i, b, W_h = (_to_tensor(t) for t in (emb, W_i, b, W_h))
@@ -615,6 +618,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     # step-packed position -> (step, row longest first), and the caller's row
     pcol, srow = np.nonzero(np.arange(B) < np.array(steps)[:, None])
     prow = _take(np.arange(B), order)[srow]
+    at = np.lexsort((pcol, prow))           # the packed position of each read one, row-major
     tokens = tokens.copy() if order is None else tokens[order]    # own-token steps overwrite
     fed = np.array(gold, dtype=bool)
     fed[0] = True
@@ -640,7 +644,8 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
         A = W_e.data.shape[1]
         C = np.empty((N, W_c.shape[0]), dtype=dtype)
     widths = {"x": E, "c": W_c.shape[0], "s": H}
-    emb_keep_s, feat_keep_s = (None if k is None else _take(k, order) for k in keep)
+    emb_keep_s = None if emb_keep is None else _take(emb_keep, order)
+    feat_keep = None if feat_keep is None else feat_keep[prow, pcol]     # packed
     X = emb.data[tokens]
     if emb_keep is not None:
         X *= emb_keep_s
@@ -648,14 +653,12 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     XP = np.empty((B, S, G), dtype=dtype)
     XP[:, fed] = (X[:, fed].reshape(-1, E) @ W_x).reshape(B, -1, G) + bias
     h_in = np.empty((N, H), dtype=dtype)            # state entering each live step
-    feats = np.zeros((B, S, sum(widths[k] for k in layout)), dtype=dtype)
+    feats = np.empty((N, sum(widths[k] for k in layout)), dtype=dtype)     # packed
     caches, attn = [None] * S, [None] * S
     cur = [_take(s.data, order) for s in state]
     for t, (n, lo) in enumerate(zip(steps, offsets)):
         if not fed[t]:
-            prev = feats[:n, t - 1]
-            if feat_keep is not None:
-                prev = prev * feat_keep_s[:n, t - 1]
+            prev = feats[offsets[t - 1]:offsets[t - 1] + n]             # dropout applied
             ids = (prev @ head_W + head_b).argmax(axis=1)
             tokens[:n, t] = ids
             X[:n, t] = emb.data[ids] if emb_keep is None else emb.data[ids] * emb_keep_s[:n, t]
@@ -663,20 +666,21 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
         h_in[lo:lo + n] = cur[0][:n]
         if attention is not None:
             arrays = (W_s, *(a[:n] for a in per_row), v_data)
-        cur, feats[:n, t], (c_t, attn[t], caches[t]) = _decoder_step(
+        cur, feats[lo:lo + n], (c_t, attn[t], caches[t]) = _decoder_step(
             forward, X[:n, t], XP[:n, t], [c[:n] for c in cur], W_h.data, W_c, layout,
             None if ctx is None else ctx[:n], arrays)
+        if feat_keep is not None:
+            feats[lo:lo + n] *= feat_keep[lo:lo + n]
         if attention is not None:
             C[lo:lo + n] = c_t
-    if feat_keep is not None:
-        feats *= feat_keep_s
-    feats = _restore(feats, order)
 
     def backward(g):
+        packed = np.empty_like(g)
+        packed[at] = g
         if feat_keep is not None:
-            g = g * feat_keep
+            packed *= feat_keep
         bounds = np.cumsum([widths[k] for k in layout])[:-1]
-        d_part = dict(zip(layout, np.split(g[prow, pcol], bounds, axis=-1)))    # packed
+        d_part = dict(zip(layout, np.split(packed, bounds, axis=-1)))
         dXP = np.empty((N, G), dtype=dtype)
         dHH = np.empty((N, G), dtype=dtype)
         d = [np.zeros((B, H), dtype=dtype) for _ in state]
@@ -741,7 +745,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             if v.requires_grad:
                 v._accumulate(dv[:, None])
 
-    return _make(feats, parents, backward)
+    return _make(feats[at], parents, backward)
 
 
 def _row_sums(packed, steps, offsets, rows):
@@ -754,41 +758,34 @@ def _row_sums(packed, steps, offsets, rows):
 
 # -- softmax / loss ----------------------------------------------------------
 
-def cross_entropy_masked(logits, targets, ignore_index=0):
-    """Mean of -log softmax(logits)[target] over non-ignored positions.
+def cross_entropy_masked(logits, targets):
+    """Mean of -log softmax(logits)[target] over the target tokens.
 
-    `logits` is a Tensor of shape [..., V]; `targets` an int array of the
-    leading shape.  Positions whose target equals `ignore_index` contribute
-    nothing to the loss or the gradient.  All positions ignored -> 0 loss.
+    `targets` is an int array whose non-pad entries are the tokens scored;
+    `logits` is a Tensor [N, V] with one row for each, in the order of
+    ``targets[targets != PAD]``, as a teacher-forced pass returns them.
     """
     logits = _to_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
-    V = logits.data.shape[-1]
-    flat = logits.data.reshape(-1, V)
-    tgt = targets.reshape(-1)
-    if tgt.size != flat.shape[0]:
-        raise ValueError("targets shape does not match logits")
-    if tgt.min(initial=0) < 0 or tgt.max(initial=0) >= V:
-        raise ValueError("target id out of range")
-    live = tgt != ignore_index
-    count = int(live.sum())
-
-    shifted = flat - flat.max(axis=1, keepdims=True)
+    tgt = targets[targets != PAD]
+    if logits.data.ndim != 2 or logits.data.shape[0] != tgt.size:
+        raise ValueError("logits %s do not hold one row per target token (%d)"
+                         % (logits.data.shape, tgt.size))
+    N, V = logits.data.shape
+    if not N or tgt.min() < 0 or tgt.max() >= V:
+        raise ValueError("targets need at least one token, each an id in [1, %d)" % V)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    nll = logsumexp - shifted[np.arange(tgt.size), tgt]
-    loss = nll[live].sum() / count if count else 0.0
+    loss = (logsumexp - shifted[np.arange(N), tgt]).sum() / N
 
     def backward(g):
-        if not logits.requires_grad or count == 0:
-            return
-        probs = np.exp(shifted - logsumexp[:, None])
-        probs[np.arange(tgt.size), tgt] -= 1.0
-        probs[~live] = 0.0
-        probs *= float(g) / count
-        logits._accumulate(probs.reshape(logits.data.shape))
+        if logits.requires_grad:
+            probs = np.exp(shifted - logsumexp[:, None])
+            probs[np.arange(N), tgt] -= 1.0
+            probs *= float(g) / N
+            logits._accumulate(probs)
 
-    out = _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)
-    return out
+    return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)
 
 
 # -- optimizer ---------------------------------------------------------------

@@ -166,7 +166,8 @@ def manifest_files(path):
                            "test": "..."}]}
     Paths are resolved relative to the manifest file; a split may be left
     out, and other keys (such as a "pair" label) are ignored.  A manifest
-    of another shape raises ValueError naming the key at fault.
+    of another shape, or one that lists a dataset id twice, raises ValueError
+    naming the key at fault.
     """
     path = Path(path)
     spec = json.loads(path.read_text(encoding="utf-8"))
@@ -182,6 +183,9 @@ def manifest_files(path):
             if not isinstance(entry.get(split, ""), str):
                 raise ValueError("manifest %s: 'datasets'[%d] %r must be a file name"
                                  % (path, i, split))
+        if entry["id"] in files:
+            raise ValueError("manifest %s: 'datasets'[%d] repeats dataset id %r"
+                             % (path, i, entry["id"]))
         files[entry["id"]] = {split: path.parent / entry[split]
                               for split in SPLITS if split in entry}
     return files

@@ -95,8 +95,8 @@ class StageSpec:
 
 def check_plan(stages, corpora):
     """The labels of `stages`, stage 0 the copy-pretraining one, after checking that
-    there is a stage and each against `corpora`: a known dataset (else KeyError) with a
-    train split, a label that can name a file and, before a pruning stage, a test split."""
+    there is a stage and each against `corpora`: a known dataset (else KeyError) with train
+    pairs, a label of its own that can name a file and, before a pruning stage, a test split."""
     if not stages:
         raise ValueError("plan needs at least one stage")
     labels = [s.label or ("stage%d-%s" % (i, s.dataset_id))
@@ -105,9 +105,12 @@ def check_plan(stages, corpora):
         if stage.dataset_id not in corpora:
             raise KeyError("stage %d (%r) names unknown dataset %r"
                            % (i, label, stage.dataset_id))
-        if "train" not in corpora[stage.dataset_id]:
-            raise ValueError("stage %d (%r) trains on dataset %r, which has no train split"
-                             % (i, label, stage.dataset_id))
+        if not corpora[stage.dataset_id].get("train"):
+            raise ValueError("stage %d (%r) trains on dataset %r, which has no train split "
+                             "with pairs" % (i, label, stage.dataset_id))
+        if label in labels[:i]:
+            raise ValueError("stages %d and %d share the label %r, which names each "
+                             "one's checkpoint" % (labels.index(label), i, label))
         if label in (".", "..") or "/" in label or "\\" in label:
             raise ValueError("stage %d label %r cannot name a file: it holds a "
                              "path separator or is '.' or '..'" % (i, label))
@@ -221,7 +224,7 @@ def train_epoch(model, batches, config, optimizer, rng):
     for batch in batches:
         optimizer.zero_grad()
         logits = model.forward_teacher_forced(batch, tf_ratio=config.tf_ratio, rng=rng)
-        loss = cross_entropy_masked(logits, batch.target[:, 1:], ignore_index=0)
+        loss = cross_entropy_masked(logits, batch.target[:, 1:])
         value = loss.item()
         if not np.isfinite(value):
             raise FloatingPointError(
@@ -273,6 +276,8 @@ def early_stopping_trace(losses, patience):
 def fit_with_early_stopping(model, train, valid, config, metrics_path=None,
                             stage_label=""):
     """Train with per-epoch validation; keep and return the best checkpoint."""
+    if not train.pairs:
+        raise ValueError("train split is empty")
     if not valid.pairs:
         raise ValueError("validation split is empty")
     rng = np.random.default_rng(config.seed)

@@ -37,10 +37,14 @@ def composed_cell(kind, xp, state, W_h):
     return tp.mul(o, nm.tanh(c_new)), c_new
 
 
-def composed_sequence(kind, xp, state, W_h, mask, reverse=False):
-    """A cell over every position of xp [B, T, G]: the states after each
-    position, packed [B, T, len(state)*H] as the fused recurrence returns them."""
-    B, T, _ = xp.shape
+def composed_sequence(kind, x, W_i, b, W_h, mask, reverse=False):
+    """A cell over every position of x [B, T, I] from a zero state: the
+    states after each position, packed [B, T, states*H] as the fused
+    recurrence returns them."""
+    B, T, I = x.shape
+    H = W_h.shape[0]
+    xp = nm.reshape(nm.reshape(x, (B * T, I)) @ W_i + b, (B, T, -1))
+    state = [nm.Tensor(np.zeros((B, H), dtype=W_h.dtype))] * (2 if kind == "lstm" else 1)
     per_pos = [None] * T
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
         new = composed_cell(kind, nm.reshape(nm.narrow(xp, t, 1, axis=1), (B, -1)), state, W_h)
@@ -56,13 +60,10 @@ def composed_encode(model, source, rng=None):
     B, T = source.shape
     H = model.hidden_size
     mask = (source != PAD).astype(model.dtype)
-    flat = nm.reshape(nm.dropout(nm.embedding(model.src_emb, source), model.dropout, rng),
-                      (B * T, -1))
+    x = nm.dropout(nm.embedding(model.src_emb, source), model.dropout, rng)
     states, finals = [], []
     for k, cell in enumerate(model.encoders):
-        xp = nm.reshape(flat @ cell.W_i + cell.b, (B, T, -1))
-        initial = [nm.Tensor(np.zeros((B, H), dtype=model.dtype))] * (2 if cell.kind == "lstm" else 1)
-        seq = composed_sequence(cell.kind, xp, initial, cell.W_h, mask, reverse=k > 0)
+        seq = composed_sequence(cell.kind, x, cell.W_i, cell.b, cell.W_h, mask, reverse=k > 0)
         states.append(nm.narrow(seq, 0, H))
         finals.append(nm.reshape(nm.narrow(seq, 0 if k else T - 1, 1, axis=1), (B, -1)))
     if model.enc_init is None:
@@ -119,7 +120,8 @@ def initial_state(model, enc):
 
 
 def reference_forward(model, batch, tf_ratio=1.0, rng=None):
-    """(head features [B, Tt-1, F], logits [B, Tt-1, V]) as Tensors."""
+    """(head features [B, Tt-1, F], logits [B, Tt-1, V]) as Tensors, at every
+    position, read or not; `tape_ops.padded_cross_entropy` scores them."""
     enc = composed_encode(model, batch.source, rng=rng)
     targets = batch.target
     B, Tt = targets.shape

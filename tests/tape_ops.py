@@ -1,11 +1,13 @@
 """Tape ops that only the references and the op tests run: `mul`, `stack`,
-`tsum`, `sigmoid` and `masked_softmax`.  The fused kernels in `lrmt.numerics`
-do this arithmetic on plain arrays, so `lrmt` itself needs none of them.
-They record on the same tape as the ops `lrmt.numerics` keeps."""
+`tsum`, `sigmoid`, `masked_softmax` and `padded_cross_entropy`.  The fused
+kernels in `lrmt.numerics` do this arithmetic on plain arrays, so `lrmt`
+itself needs none of them.  They record on the same tape as the ops
+`lrmt.numerics` keeps."""
 
 import numpy as np
 
 from lrmt.numerics import _make, _sigmoid, _to_tensor, _unbroadcast
+from lrmt.text import PAD
 
 
 def mul(a, b):
@@ -83,3 +85,29 @@ def masked_softmax(a, mask):
             a._accumulate(data * (g - dot))
 
     return _make(data, (a,), backward)
+
+
+def padded_cross_entropy(logits, targets):
+    """Mean of -log softmax(logits)[target] over the non-pad targets, with
+    logits [..., V] at every position of `targets`, pads included: the loss
+    as computed before the packed one, which scores read positions only."""
+    logits = _to_tensor(logits)
+    V = logits.data.shape[-1]
+    flat = logits.data.reshape(-1, V)
+    tgt = np.asarray(targets, dtype=np.int64).reshape(-1)
+    live = tgt != PAD
+    count = int(live.sum())
+    shifted = flat - flat.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1))
+    nll = logsumexp - shifted[np.arange(tgt.size), tgt]
+
+    def backward(g):
+        if logits.requires_grad:
+            probs = np.exp(shifted - logsumexp[:, None])
+            probs[np.arange(tgt.size), tgt] -= 1.0
+            probs[~live] = 0.0
+            probs *= float(g) / count
+            logits._accumulate(probs.reshape(logits.data.shape))
+
+    return _make(np.asarray(nll[live].sum() / count, dtype=logits.data.dtype), (logits,),
+                 backward)

@@ -601,3 +601,39 @@ def test_analysis_on_an_empty_test_corpus_exits_2_before_any_artifact(workspace,
     assert code == 2
     assert repr(key) in err
     assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", {"data.dataset": "en-de"}),
+    ("sequential", {"plan.stages": [{"dataset": "en-en", "label": "pre"},
+                                    {"dataset": "en-de", "label": "de"}]})])
+def test_an_empty_train_split_exits_2_naming_the_dataset(workspace, command, extra):
+    (workspace / "data" / "en-de.train.tsv").write_text("", encoding="utf-8")
+    cfg = _config(workspace, **extra)
+    out = workspace / "out"
+    code, err = _run([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("config error: ") and "'en-de'" in err
+    assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
+
+def test_sequential_with_a_repeated_stage_label_exits_2_before_training(workspace):
+    cfg = _config(workspace, **{"plan.stages": [{"dataset": "en-en", "label": "x"},
+                                                {"dataset": "en-de", "label": "x"}]})
+    out = workspace / "seq"
+    code, err = _run(["sequential", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "stages 0 and 1 share the label 'x'" in err
+    assert not list(workspace.rglob("*.lrmt"))
+
+
+def test_a_manifest_that_repeats_a_dataset_id_exits_2(workspace):
+    doc = {"datasets": [{"id": "en-en", "train": "en-en.train.tsv"},
+                        {"id": "en-en", "train": "en-de.train.tsv"}]}
+    cfg = _config(workspace, **{"data.manifest": _manifest(workspace, doc),
+                                "data.dataset": "en-en"})
+    out = workspace / "out"
+    code, err = _run(["train", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("config error: bad manifest") and "'en-en'" in err
+    assert not out.exists() or not list(out.iterdir())

@@ -4,11 +4,14 @@ composed per-step loop.
 `reference_forward` builds every step from the tape's small ops, runs every
 row at every position, and consumes the same dropout masks and
 scheduled-sampling coins, drawn by the model from an rng of the same seed.
-The fused passes step only the rows still live, longest first.  Both do the
-same arithmetic per element, but the fused pass splits the input GEMM into
-its embedding and context rows and sums gradients over all steps at once, so
-the bounds are float64 rounding: 1e-12 on features and logits, 1e-10 on
-gradients.
+The fused passes step only the rows still live, longest first, and hand on
+one row per read position, in the row-major order of the read mask, so they
+are compared with the reference's rows at the read positions.  The reference
+loss is `tape_ops.padded_cross_entropy` over every position, pads included.
+Both do the same arithmetic per element, but the fused pass splits the input
+GEMM into its embedding and context rows and sums gradients over all steps
+at once, so the bounds are float64 rounding: 1e-12 on features, logits and
+losses, 1e-10 on gradients.
 """
 
 from pathlib import Path
@@ -23,6 +26,7 @@ from lrmt.numerics import cross_entropy_masked
 from lrmt.text import PAD, SOS, Batch, ParallelCorpus, build_vocab
 
 from gradcheck import relative_gradient_error
+from tape_ops import padded_cross_entropy
 from reference_forward import (composed_encode, composed_logits, composed_step, initial_state,
                                reference_forward)
 
@@ -60,6 +64,10 @@ def _loss(logits, batch):
     return cross_entropy_masked(logits, batch.target[:, 1:])
 
 
+def _reference_loss(logits, batch):
+    return padded_cross_entropy(logits, batch.target[:, 1:])
+
+
 def _grads(model, loss):
     for p in model.parameters():
         p.zero_grad()
@@ -82,21 +90,22 @@ def test_fused_pass_matches_composed_reference(float64_mode, arch, tf_ratio, dro
     keep, gold = model.decoder_noise(rng, B, Tt - 1, tf_ratio)
     assert gold.all() == (tf_ratio == 1.0)
     assert (keep[0] is None) == (dropout == 0.0)
+    F = ref_feats.shape[-1]
     every = np.ones((B, Tt - 1), dtype=bool)
     feats = model.decoder_features(enc, batch.target[:, :-1], keep, gold, every)
 
-    assert feats.shape == ref_feats.shape
-    assert np.max(np.abs(feats.data - ref_feats.data)) < 1e-12
-    # the pass steps only the rows whose target is read: the features of
-    # the others are exactly 0, so their logits are the head bias
+    assert feats.shape == (B * (Tt - 1), F)
+    assert np.max(np.abs(feats.data - ref_feats.data.reshape(-1, F))) < 1e-12
+    # the pass steps only the rows whose target is read and hands on their
+    # features alone, row-major
     read = batch.target[:, 1:] != PAD
     stepped = model.decoder_features(enc, batch.target[:, :-1], keep, gold, read)
-    assert np.all(stepped.data[~read] == 0.0)
-    assert np.max(np.abs(stepped.data[read] - ref_feats.data[read])) < 1e-12
-    assert fused.shape == ref.shape == (B, Tt - 1, len(model.tgt_vocab))
-    assert np.max(np.abs(fused.data[read] - ref.data[read])) < 1e-12
+    assert stepped.shape == (read.sum(), F)
+    assert np.max(np.abs(stepped.data - ref_feats.data[read])) < 1e-12
+    assert fused.shape == (read.sum(), len(model.tgt_vocab))
+    assert np.max(np.abs(fused.data - ref.data[read])) < 1e-12
     got = _grads(model, _loss(fused, batch))
-    want = _grads(model, _loss(ref, batch))
+    want = _grads(model, _reference_loss(ref, batch))
     assert got.keys() == want.keys()
     for name in got:
         assert np.max(np.abs(got[name] - want[name])) < 1e-10, name
@@ -127,13 +136,29 @@ def test_live_rows_match_composed_reference_on_any_padding(float64_mode, arch, p
     keep, gold = model.decoder_noise(rng, B, Tt - 1, 0.5)
     feats = model.decoder_features(enc, batch.target[:, :-1], keep, gold, read)
     ref_feats, ref = reference_forward(model, batch, 0.5, rng=np.random.default_rng(SEED))
-    assert np.all(feats.data[~read] == 0.0)
-    assert np.max(np.abs(feats.data[read] - ref_feats.data[read])) < 1e-12
+    assert np.max(np.abs(feats.data - ref_feats.data[read])) < 1e-12
 
     fused = model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(SEED))
-    assert np.max(np.abs(fused.data[read] - ref.data[read])) < 1e-12
+    assert np.max(np.abs(fused.data - ref.data[read])) < 1e-12
     got = _grads(model, _loss(fused, batch))
-    want = _grads(model, _loss(ref, batch))
+    want = _grads(model, _reference_loss(ref, batch))
+    for name in got:
+        assert np.max(np.abs(got[name] - want[name])) < 1e-10, name
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_packed_loss_matches_unpacked_reference(float64_mode, arch):
+    # the packed loss (read rows only, head over N rows) against the composed
+    # decoder, the head at every position and a cross-entropy that skips pads
+    model = _model(arch, dropout=0.5)
+    batch = _batch()
+    fused = _loss(model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(SEED)),
+                  batch)
+    ref = _reference_loss(reference_forward(model, batch, 0.5,
+                                            rng=np.random.default_rng(SEED))[1], batch)
+    assert abs(fused.item() - ref.item()) < 1e-12
+    got, want = _grads(model, fused), _grads(model, ref)
+    assert got.keys() == want.keys() == model.named_parameters().keys()
     for name in got:
         assert np.max(np.abs(got[name] - want[name])) < 1e-10, name
 

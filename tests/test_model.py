@@ -40,45 +40,57 @@ def _tiny_batch(model, rows=((4, 5, 6), (5, 4))):
 
 # -- closed-form cell checks ---------------------------------------------------
 
-def _width_one_step(cell, x, state):
-    """One step of a width-one cell through the fused sequence op (T=1) and
-    through the composed reference cell, as flat [h'(, c')] arrays."""
-    xp = Tensor(np.array([[x]])) @ cell.W_i + cell.b
-    state = [Tensor(np.array([[v]])) for v in state]
-    fused = nm.cell_sequence(cell.kind, nm.reshape(xp, (1, 1, -1)), state, cell.W_h,
-                             np.ones((1, 1)))
-    composed = nm.concat(list(composed_cell(cell.kind, xp, state, cell.W_h)), axis=-1)
-    return fused.data.reshape(-1), composed.data.reshape(-1)
+XS = (0.7, -0.4)      # two steps, so the second enters a state that is not 0
+
+
+def _sig(v):
+    return 1 / (1 + math.exp(-v))
+
+
+def _width_one_run(cell):
+    """A width-one cell over the inputs XS from a zero state, through the fused
+    sequence op and through the composed reference cell: each as the flat
+    [h(, c)] after the last input."""
+    fused = nm.cell_sequence(cell.kind, Tensor(np.array(XS).reshape(1, -1, 1)), cell.W_i, cell.b,
+                             cell.W_h, np.ones((1, len(XS))))
+    state = [Tensor(np.zeros((1, 1)))] * nm.CELLS[cell.kind].states
+    for x in XS:
+        state = composed_cell(cell.kind, Tensor(np.array([[x]])) @ cell.W_i + cell.b, state,
+                              cell.W_h)
+    return fused.data[0, -1], nm.concat(list(state), axis=-1).data.reshape(-1)
 
 
 def test_gru_width_one_closed_form(float64_mode):
     rng = np.random.default_rng(2)
     cell = RecurrentCell("gru", 1, 1, rng, "c")
-    x, h = 0.7, -0.4
+    cell.b.data[...] = rng.normal(size=3)
     wi, wh, b = cell.W_i.data[0], cell.W_h.data[0], cell.b.data
-    r = 1 / (1 + math.exp(-(x * wi[0] + b[0] + h * wh[0])))
-    z = 1 / (1 + math.exp(-(x * wi[1] + b[1] + h * wh[1])))
-    n = math.tanh(x * wi[2] + b[2] + r * (h * wh[2]))
-    want = (1 - z) * n + z * h
-    for got in _width_one_step(cell, x, (h,)):
-        assert abs(float(got[0]) - want) < 1e-12
+    h = 0.0
+    for x in XS:
+        r = _sig(x * wi[0] + b[0] + h * wh[0])
+        z = _sig(x * wi[1] + b[1] + h * wh[1])
+        n = math.tanh(x * wi[2] + b[2] + r * (h * wh[2]))
+        h = (1 - z) * n + z * h
+    for got in _width_one_run(cell):
+        assert abs(float(got[0]) - h) < 1e-12
 
 
 def test_lstm_width_one_closed_form(float64_mode):
     rng = np.random.default_rng(3)
     cell = RecurrentCell("lstm", 1, 1, rng, "c")
-    x, h, c = 0.3, 0.5, -0.2
+    cell.b.data[...] = rng.normal(size=4)
     wi, wh, b = cell.W_i.data[0], cell.W_h.data[0], cell.b.data
-    sig = lambda v: 1 / (1 + math.exp(-v))
-    i = sig(x * wi[0] + b[0] + h * wh[0])
-    f = sig(x * wi[1] + b[1] + h * wh[1])
-    g = math.tanh(x * wi[2] + b[2] + h * wh[2])
-    o = sig(x * wi[3] + b[3] + h * wh[3])
-    c_new = f * c + i * g
-    h_new = o * math.tanh(c_new)
-    for got in _width_one_step(cell, x, (h, c)):
-        assert abs(float(got[0]) - h_new) < 1e-12
-        assert abs(float(got[1]) - c_new) < 1e-12
+    h = c = 0.0
+    for x in XS:
+        i = _sig(x * wi[0] + b[0] + h * wh[0])
+        f = _sig(x * wi[1] + b[1] + h * wh[1])
+        g = math.tanh(x * wi[2] + b[2] + h * wh[2])
+        o = _sig(x * wi[3] + b[3] + h * wh[3])
+        c = f * c + i * g
+        h = o * math.tanh(c)
+    for got in _width_one_run(cell):
+        assert abs(float(got[0]) - h) < 1e-12
+        assert abs(float(got[1]) - c) < 1e-12
 
 
 # -- gradient checks through full forward passes --------------------------------
@@ -149,6 +161,13 @@ def test_decode_step_rejects_wrong_state_width(float64_mode):
     with pytest.raises(ValueError):
         model.decode_step(np.array([SOS, SOS]),
                           Tensor(np.zeros((2, model.hidden_size + 1))), enc)
+
+
+def test_lstm_decode_step_without_cell_prev_is_rejected(float64_mode):
+    model = _tiny_model("lstm")
+    enc = model.encode(_tiny_batch(model).source)
+    with pytest.raises(ValueError, match="cell_prev"):
+        model.decode_step(np.array([SOS, SOS]), enc.z, enc)
 
 
 # -- bidirectional state layout ---------------------------------------------------

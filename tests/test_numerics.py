@@ -40,41 +40,34 @@ def test_masked_softmax_rejects_fully_masked_row():
 
 # -- cross entropy --------------------------------------------------------------
 
-def _ce_oracle(logits, targets, ignore_index=0):
-    # scalar double loop, independent of the fused implementation
-    total, count = 0.0, 0
-    flat = logits.reshape(-1, logits.shape[-1])
-    for row, t in zip(flat, targets.reshape(-1)):
-        if t == ignore_index:
-            continue
-        probs = _softmax_oracle(row)
-        total += -math.log(probs[t])
-        count += 1
-    return total / count if count else 0.0
+def _ce_oracle(logits, targets):
+    # scalar loop over the packed rows, independent of the fused implementation
+    targets = targets[targets != 0]
+    total = 0.0
+    for row, t in zip(logits, targets):
+        total += -math.log(_softmax_oracle(row)[t])
+    return total / len(targets)
 
 
 def test_cross_entropy_matches_scalar_loop(float64_mode):
     rng = np.random.default_rng(11)
-    logits = Tensor(rng.normal(size=(4, 6, 9)), requires_grad=True)
     targets = rng.integers(0, 9, size=(4, 6))
-    targets[0, :3] = 0  # ignored pad positions
-    loss = cross_entropy_masked(logits, targets, ignore_index=0)
+    targets[0, 3:] = 0  # pad positions: no logit row
+    logits = Tensor(rng.normal(size=(int((targets != 0).sum()), 9)), requires_grad=True)
+    loss = cross_entropy_masked(logits, targets)
     assert abs(loss.item() - _ce_oracle(logits.data, targets)) < 1e-10
 
 
-def test_cross_entropy_all_ignored_is_zero_with_zero_grad(float64_mode):
-    logits = Tensor(np.random.default_rng(0).normal(size=(2, 3, 5)),
-                    requires_grad=True)
-    loss = cross_entropy_masked(logits, np.zeros((2, 3), dtype=np.int64))
-    assert loss.item() == 0.0
-    loss.backward()
-    assert logits.grad is None or np.all(logits.grad == 0.0)
+def test_cross_entropy_rejects_targets_without_a_token(float64_mode):
+    logits = Tensor(np.zeros((0, 5)), requires_grad=True)
+    with pytest.raises(ValueError, match="at least one token"):
+        cross_entropy_masked(logits, np.zeros((2, 3), dtype=np.int64))
 
 
 def test_cross_entropy_gradient_finite_difference(float64_mode):
     rng = np.random.default_rng(5)
     p = Parameter(rng.normal(size=(3, 7)), name="logits")
-    targets = np.array([2, 0, 5])
+    targets = np.array([[2, 6, 0], [5, 0, 0]])     # three tokens, right-padded
     err = relative_gradient_error([p], lambda: cross_entropy_masked(p, targets))
     assert err < 1e-7
 
@@ -85,6 +78,15 @@ def test_cross_entropy_rejects_bad_targets():
         cross_entropy_masked(logits, np.array([1, 9]))
     with pytest.raises(ValueError):
         cross_entropy_masked(logits, np.array([1, 2, 3]))
+
+
+def test_cross_entropy_rejects_logits_at_every_position():
+    # [B, S, V] logits, one row per position pads included, are not packed
+    targets = np.array([[4, 2, 0], [3, 0, 0]])
+    with pytest.raises(ValueError, match="one row per target token"):
+        cross_entropy_masked(Tensor(np.zeros((2, 3, 5))), targets)
+    with pytest.raises(ValueError, match="one row per target token"):
+        cross_entropy_masked(Tensor(np.zeros((6, 5))), targets)
 
 
 # -- clipping -------------------------------------------------------------------

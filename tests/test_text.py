@@ -191,3 +191,12 @@ def test_manifest_files_resolves_every_split_beside_the_manifest(tmp_path):
 def test_empty_sentence_error_names_the_pair_index():
     with pytest.raises(ValueError, match="pair 1"):
         ParallelCorpus([(["a"], ["x"]), (["b"], [])])
+
+
+def test_manifest_that_repeats_a_dataset_id_raises_value_error_naming_it(tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"datasets": [
+        {"id": "en-en", "train": "a.tsv"}, {"id": "en-de", "train": "b.tsv"},
+        {"id": "en-en", "train": "c.tsv"}]}), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"'datasets'\[2\] repeats dataset id 'en-en'"):
+        text.manifest_files(manifest)

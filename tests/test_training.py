@@ -564,3 +564,33 @@ def test_sequential_plan_rejects_unsafe_label_before_training(monkeypatch, label
             StageSpec(dataset_id="en-de", label=label)]
     with pytest.raises(ValueError, match="cannot name a file"):
         run_sequential_plan(plan, {"en-en": data, "en-de": data}, cfg)
+
+
+def test_check_plan_rejects_a_repeated_label_naming_both_stages():
+    data = _data()
+    plan = [StageSpec(dataset_id="en-en", label="pre"), StageSpec(dataset_id="en-de", label="x"),
+            StageSpec(dataset_id="en-fr", label="x")]
+    with pytest.raises(ValueError, match="stages 1 and 2 share the label 'x'"):
+        training.check_plan(plan, {"en-en": data, "en-de": data, "en-fr": data})
+
+
+def test_check_plan_rejects_an_empty_train_split():
+    data = _data()
+    plan = [StageSpec(dataset_id="en-en"), StageSpec(dataset_id="en-de")]
+    with pytest.raises(ValueError, match="'en-de', which has no train split with pairs"):
+        training.check_plan(plan, {"en-en": data,
+                                   "en-de": dict(data, train=ParallelCorpus([]))})
+
+
+def test_fit_rejects_a_train_split_with_no_pairs():
+    cfg = TrainConfig(arch="gru", **TINY)
+    data = _data()
+    vocabs = (build_vocab([data["train"]], side="source"),
+              build_vocab([data["train"]], side="target"))
+    # an empty split, and one pair that the 10% validation carve takes whole
+    for splits in ({"train": ParallelCorpus([]), "valid": data["valid"]},
+                   {"train": ParallelCorpus(data["train"].pairs[:1])}):
+        train, valid = training.fit_splits(splits, cfg.seed)
+        with pytest.raises(ValueError, match="train split is empty"):
+            training.fit_with_early_stopping(training.build_model(cfg, *vocabs), train, valid,
+                                             cfg)
