@@ -151,7 +151,7 @@ def cmd_prepare_data(cfg, out):
     summary = {}
     for ds_id, splits in sorted(corpora.items()):
         summary[ds_id] = {"splits": {s: len(c.pairs) for s, c in splits.items()}}
-        if "train" not in splits:
+        if not splits.get("train"):
             continue        # nothing trains on it, so it has no vocabulary
         src, tgt = _vocabs(training.fit_splits(splits, seed)[0])
         src.export_json(out / ("%s.src.vocab.json" % ds_id))

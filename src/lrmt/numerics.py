@@ -18,15 +18,15 @@ attention and backward kernels run on a slice of the first n_t rows, the
 rows still live at t; the caller's row order returns once on the way out.  A
 batch with no padding, or already longest first, is not reordered.
 
-One decoder step (the attention context, the cell kernel and the head
-features) is one array function, ``_decoder_step``, on the same cell kernels
-plus an additive-attention kernel pair.  ``decoder_sequence`` loops over it
-for every step of a teacher-forced pass in one tape node: the inputs of the
-steps that read gold tokens go through one GEMM, and a step that reads the
-model's own token forms the previous step's logits for the argmax inside the
-loop.  It returns the head features of the read positions only, one row
-each in its mask's row-major order, so the caller computes their logits with
-one GEMM and ``cross_entropy_masked`` scores one row per target token.
+One decoder step (the context, the cell kernel and the head features) is
+one array function, ``_decoder_step``, on the same cell kernels plus an
+additive-attention kernel pair; a context, GRU's fixed z or the attention
+read-out, adds c @ W_c to the step's input projection.  ``decoder_sequence``
+loops over it in one tape node, its input ids, embeddings, projections and
+features step-packed over the read positions only: one GEMM projects the
+gold-token inputs, and an own-token step takes the argmax of the previous
+step's logits.  It returns one feature row per read position, in its mask's
+row-major order, for one head GEMM and ``cross_entropy_masked``.
 ``decoder_step`` runs it once for greedy decoding and records no tape.
 
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
@@ -549,15 +549,16 @@ def _attention_arrays(attention, H):
 def _decoder_step(forward, x, xp, state, W_h, W_c, layout, context, attention):
     """One decoder step on arrays: (new state, head features [B, F], cache).
 
-    x [B, E] is the input embedding and xp its projection x @ W_x + b, which
-    already holds a fixed context's c @ W_c.  With `attention` (the
-    `_attention_arrays` tuple) the context is the read-out under the
-    entering state, and its c @ W_c is added here.  The cache is (context,
-    attention cache or None, cell cache).
+    x [B, E] is the input embedding and xp its projection x @ W_x + b.  The
+    context is `context` [B, C], or with `attention` (the `_attention_arrays`
+    tuple) the read-out under the entering state, or None; a context adds
+    its c @ W_c to xp.  The cache is (context, attention cache or None, cell
+    cache).
     """
     attn = None
     if attention is not None:
         context, attn = _attend_forward(state[0], *attention)
+    if context is not None:
         xp = xp + context @ W_c
     new, cache = forward(xp, state, W_h)
     parts = {"x": x, "c": context, "s": new[0]}
@@ -576,9 +577,7 @@ def decoder_step(cell, emb, ids, W_i, b, W_h, state, head, layout, context=None,
     emb, W_i, b, W_h, head_W, head_b = (_to_tensor(t).data for t in (emb, W_i, b, W_h, *head))
     state = [_to_tensor(s).data for s in state]
     W_x, W_c = W_i[:emb.shape[1]], W_i[emb.shape[1]:]
-    if context is not None:
-        context = _to_tensor(context).data
-        b = context @ W_c + b
+    context = None if context is None else _to_tensor(context).data
     if attention is not None:
         attention = _attention_arrays(attention, W_h.shape[0])
     x = emb[np.asarray(ids)]
@@ -609,7 +608,6 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     forward, backward_kernel = CELLS[cell].forward, CELLS[cell].backward
     emb, W_i, b, W_h = (_to_tensor(t) for t in (emb, W_i, b, W_h))
     state = [_to_tensor(s) for s in state]
-    emb_keep, feat_keep = keep
     head_W, head_b = (_to_tensor(t).data for t in head)
     tokens = np.asarray(tokens, dtype=np.int64)
     B, S = tokens.shape
@@ -619,22 +617,18 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     pcol, srow = np.nonzero(np.arange(B) < np.array(steps)[:, None])
     prow = _take(np.arange(B), order)[srow]
     at = np.lexsort((pcol, prow))           # the packed position of each read one, row-major
-    tokens = tokens.copy() if order is None else tokens[order]    # own-token steps overwrite
+    ids = tokens[prow, pcol]                # packed; own-token steps overwrite theirs
     fed = np.array(gold, dtype=bool)
     fed[0] = True
     E, (H, G) = emb.data.shape[1], W_h.data.shape
     dtype = W_h.data.dtype
     W_x, W_c = W_i.data[:E], W_i.data[E:]
     parents = [emb, W_i, b, W_h, *state]
-    bias = b.data
-    ctx = None
+    ctx = arrays = C = None
     if context is not None:
         context = _to_tensor(context)
         parents.append(context)
         ctx = _take(context.data, order)
-        bias = ctx @ W_c + bias
-    bias = bias.reshape(-1, 1, G)
-    arrays = None
     if attention is not None:
         W_e, proj, states, src_mask, v = attention
         W_e, proj, states, v = (_to_tensor(t) for t in (W_e, proj, states, v))
@@ -642,37 +636,40 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
         W_s, *per_row, v_data = _attention_arrays((W_e, proj, states, src_mask, v), H)
         per_row = [_take(a, order) for a in per_row]               # proj, states, live
         A = W_e.data.shape[1]
-        C = np.empty((N, W_c.shape[0]), dtype=dtype)
+    if context is not None or attention is not None:
+        C = np.empty((N, W_c.shape[0]), dtype=dtype)                # the context of each step
     widths = {"x": E, "c": W_c.shape[0], "s": H}
-    emb_keep_s = None if emb_keep is None else _take(emb_keep, order)
-    feat_keep = None if feat_keep is None else feat_keep[prow, pcol]     # packed
-    X = emb.data[tokens]
+    emb_keep, feat_keep = (None if k is None else k[prow, pcol] for k in keep)     # packed
+    X = emb.data[ids]
     if emb_keep is not None:
-        X *= emb_keep_s
+        X *= emb_keep
     # the input GEMM of every step whose token is known before the loop
-    XP = np.empty((B, S, G), dtype=dtype)
-    XP[:, fed] = (X[:, fed].reshape(-1, E) @ W_x).reshape(B, -1, G) + bias
+    XP = np.empty((N, G), dtype=dtype)
+    known = fed[pcol]
+    XP[known] = X[known] @ W_x + b.data
     h_in = np.empty((N, H), dtype=dtype)            # state entering each live step
-    feats = np.empty((N, sum(widths[k] for k in layout)), dtype=dtype)     # packed
+    feats = np.empty((N, sum(widths[k] for k in layout)), dtype=dtype)
     caches, attn = [None] * S, [None] * S
     cur = [_take(s.data, order) for s in state]
     for t, (n, lo) in enumerate(zip(steps, offsets)):
+        hi = lo + n
         if not fed[t]:
             prev = feats[offsets[t - 1]:offsets[t - 1] + n]             # dropout applied
-            ids = (prev @ head_W + head_b).argmax(axis=1)
-            tokens[:n, t] = ids
-            X[:n, t] = emb.data[ids] if emb_keep is None else emb.data[ids] * emb_keep_s[:n, t]
-            XP[:n, t] = X[:n, t] @ W_x + bias[:n, 0]
-        h_in[lo:lo + n] = cur[0][:n]
+            ids[lo:hi] = (prev @ head_W + head_b).argmax(axis=1)
+            X[lo:hi] = emb.data[ids[lo:hi]]
+            if emb_keep is not None:
+                X[lo:hi] *= emb_keep[lo:hi]
+            XP[lo:hi] = X[lo:hi] @ W_x + b.data
+        h_in[lo:hi] = cur[0][:n]
         if attention is not None:
             arrays = (W_s, *(a[:n] for a in per_row), v_data)
-        cur, feats[lo:lo + n], (c_t, attn[t], caches[t]) = _decoder_step(
-            forward, X[:n, t], XP[:n, t], [c[:n] for c in cur], W_h.data, W_c, layout,
+        cur, feats[lo:hi], (c_t, attn[t], caches[t]) = _decoder_step(
+            forward, X[lo:hi], XP[lo:hi], [c[:n] for c in cur], W_h.data, W_c, layout,
             None if ctx is None else ctx[:n], arrays)
         if feat_keep is not None:
-            feats[lo:lo + n] *= feat_keep[lo:lo + n]
-        if attention is not None:
-            C[lo:lo + n] = c_t
+            feats[lo:hi] *= feat_keep[lo:hi]
+        if C is not None:
+            C[lo:hi] = c_t
 
     def backward(g):
         packed = np.empty_like(g)
@@ -684,10 +681,11 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
         dXP = np.empty((N, G), dtype=dtype)
         dHH = np.empty((N, G), dtype=dtype)
         d = [np.zeros((B, H), dtype=dtype) for _ in state]
+        if C is not None:
+            dC = np.zeros((B, S, C.shape[1]), dtype=dtype)
         if attention is not None:
             states_s = _take(states.data, order)
             dSP = np.empty((N, A), dtype=dtype)
-            dC = np.zeros((B, S, C.shape[1]), dtype=dtype)
             weights = np.zeros((B, S, states_s.shape[1]), dtype=dtype)
             dproj = np.zeros((B,) + proj.data.shape[1:], dtype=dtype)
             dv = np.zeros(A, dtype=dtype)
@@ -697,8 +695,9 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             d[0][:n] += d_part["s"][lo:hi]
             dXP[lo:hi], dHH[lo:hi], d_step = backward_kernel([dk[:n] for dk in d],
                                                              caches[t], W_h.data)
-            if attention is not None:
+            if C is not None:
                 dC[:n, t] = dXP[lo:hi] @ W_c.T + d_part["c"][lo:hi]
+            if attention is not None:
                 denergy, dv_t = _attend_backward(dC[:n, t], attn[t], states_s[:n], v.data)
                 dproj[:n] += denergy
                 dv += dv_t
@@ -707,17 +706,13 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
                 d_step = (d_step[0] + dSP[lo:hi] @ W_s.T, *d_step[1:])
             for dk, ds in zip(d, d_step):
                 dk[:n] = ds
-        if context is not None:
-            dsum = _restore(_row_sums(dXP, steps, offsets, B), order)
         if W_h.requires_grad:
             W_h._accumulate(h_in.T @ dHH)
         if b.requires_grad:
             b._accumulate(dXP.sum(axis=0))
         if W_i.requires_grad:
-            dW = [X[srow, pcol].T @ dXP]
-            if context is not None:
-                dW.append(context.data.T @ dsum)
-            elif attention is not None:
+            dW = [X.T @ dXP]
+            if C is not None:
                 dW.append(C.T @ dXP)
             W_i._accumulate(np.concatenate(dW, axis=0))
         if emb.requires_grad:
@@ -725,11 +720,10 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             if "x" in d_part:
                 dX += d_part["x"]
             if emb_keep is not None:
-                dX *= emb_keep[prow, pcol]
-            _scatter_rows(emb, tokens[srow, pcol], dX)
+                dX *= emb_keep
+            _scatter_rows(emb, ids, dX)
         if context is not None and context.requires_grad:
-            context._accumulate(dsum @ W_c.T + _restore(
-                _row_sums(d_part["c"], steps, offsets, B), order))
+            context._accumulate(_restore(dC.sum(axis=1), order))
         for s, ds in zip(state, d):
             if s.requires_grad:
                 s._accumulate(_restore(ds, order))
@@ -746,14 +740,6 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
                 v._accumulate(dv[:, None])
 
     return _make(feats[at], parents, backward)
-
-
-def _row_sums(packed, steps, offsets, rows):
-    """Each row's sum over its steps [rows, ...] of a step-packed array."""
-    out = np.zeros((rows,) + packed.shape[1:], dtype=packed.dtype)
-    for n, lo in zip(steps, offsets):
-        out[:n] += packed[lo:lo + n]
-    return out
 
 
 # -- softmax / loss ----------------------------------------------------------

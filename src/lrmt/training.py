@@ -203,6 +203,19 @@ class Checkpoint:
                 raise CheckpointFormatError("%s: header arch %r differs from config arch %r"
                                             % (path, header["arch"], config["arch"]))
             entries = header["tensors"]
+            for e in entries:
+                name, data = e["name"], tensors[e["name"]]
+                if data.dtype.char not in "fd" or data.dtype != tensors[entries[0]["name"]].dtype:
+                    raise ValueError("tensor %r is %s; tensors must be float32 or float64, "
+                                     "all one dtype" % (name, data.dtype))
+                if not isinstance(e["frozen"], bool):
+                    raise ValueError("tensor %r: frozen is not a bool" % name)
+                if not (isinstance(e["pruned"], list) and all(
+                        type(i) is int and 0 <= i < data.size for i in e["pruned"])):
+                    raise ValueError("tensor %r: pruned ids are not ints in [0, %d)"
+                                     % (name, data.size))
+                if data.reshape(-1)[e["pruned"]].any():
+                    raise ValueError("tensor %r is nonzero at a pruned id" % name)
             return cls(config=config, src_vocab=header["src_vocab"],
                        tgt_vocab=header["tgt_vocab"], tensors=tensors,
                        frozen={e["name"]: e["frozen"] for e in entries},
@@ -333,11 +346,10 @@ def carve_validation(corpus, fraction=0.1, seed=0):
 
 def fit_splits(splits, seed):
     """(train, valid) as every regime fits on `splits`: its valid split, or,
-    without one, 10% of its train split carved off, seeded by `seed`."""
-    valid = splits.get("valid")
-    if valid is None:
+    without one with pairs, 10% of its train split carved off, seeded by `seed`."""
+    if not splits.get("valid"):
         return carve_validation(splits["train"], seed=seed)
-    return splits["train"], valid
+    return splits["train"], splits["valid"]
 
 
 def copy_corpus(sentences):

@@ -135,6 +135,31 @@ def test_prepare_data_carves_validation_as_train_does(workspace):
     assert src == ckpt.src_vocab
 
 
+def test_an_empty_valid_split_is_carved_from_train_as_a_missing_one(workspace):
+    data = workspace / "data"
+    (data / "en-de.valid.tsv").write_text("", encoding="utf-8")
+    cfg = _config(workspace, **{"data.dataset": "en-de"})
+    assert main(["train", "--config", str(cfg), "--out", str(workspace / "empty")]) == 0
+    doc = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    for entry in doc["datasets"]:
+        entry.pop("valid")
+    (data / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--out", str(workspace / "missing")]) == 0
+    assert ((workspace / "empty" / "model.lrmt").read_bytes()
+            == (workspace / "missing" / "model.lrmt").read_bytes())
+
+
+def test_prepare_data_skips_a_dataset_with_no_train_pairs(workspace):
+    (workspace / "data" / "en-de.train.tsv").write_text("", encoding="utf-8")
+    out = workspace / "out"
+    assert main(["prepare-data", "--config", str(_config(workspace)), "--out", str(out)]) == 0
+    summary = json.loads((out / "datasets.json").read_text())
+    assert summary["en-de"] == {"splits": {"train": 0, "valid": 6, "test": 6}}
+    assert "source_vocab" in summary["en-en"]
+    assert not list(out.glob("en-de.*.vocab.json"))
+    assert (out / "en-en.src.vocab.json").exists()
+
+
 def test_train_evaluate_prune_xray_round_trip(workspace):
     cfg = _config(workspace, **{"data.dataset": "en-en"})
     out = workspace / "out"

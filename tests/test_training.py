@@ -362,6 +362,35 @@ def test_checkpoint_with_a_malformed_config_is_a_format_error(tmp_path, change, 
     assert str(path) in str(info.value) and named in str(info.value)
 
 
+def _set_pruned(ckpt, name, ids, value=None):
+    ckpt.pruned[name] = ids
+    if value is not None:
+        ckpt.tensors[name].reshape(-1)[0] = value
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda c: _set_pruned(c, "enc.b", [24]), "enc.b"),
+    (lambda c: _set_pruned(c, "enc.b", [-1]), "enc.b"),
+    (lambda c: _set_pruned(c, "enc.b", ["3"]), "enc.b"),
+    (lambda c: _set_pruned(c, "enc.b", [1.0]), "enc.b"),
+    (lambda c: _set_pruned(c, "enc.b", 3), "enc.b"),
+    (lambda c: _set_pruned(c, "enc.W_i", [0], value=0.00087), "enc.W_i"),
+    (lambda c: c.frozen.update({"out.W": 1}), "out.W"),
+    (lambda c: c.tensors.update({k: v.astype(np.int64) for k, v in c.tensors.items()}),
+     "dec.W_h"),
+    (lambda c: c.tensors.update({"out.b": c.tensors["out.b"].astype(np.float64)}), "out.b")],
+    ids=["pruned-past-size", "pruned-negative", "pruned-str", "pruned-float",
+         "pruned-not-a-list", "pruned-nonzero", "frozen-not-bool", "int64", "mixed-dtype"])
+def test_checkpoint_with_malformed_tensor_metadata_is_a_format_error(tmp_path, change, named):
+    ckpt, _ = _small_ckpt(tmp_path)
+    change(ckpt)
+    path = tmp_path / "bad.lrmt"
+    ckpt.save(path)
+    with pytest.raises(CheckpointFormatError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and repr(named) in str(info.value)
+
+
 def test_checkpoint_config_loads_exactly_as_stored(tmp_path):
     ckpt, _ = _small_ckpt(tmp_path)
     stored = dict(ckpt.config, lr=1, dropout=0)      # ints where floats go
