@@ -20,11 +20,14 @@ class BleuReport:
     samples: list = field(default_factory=list)  # (source, reference, hypothesis) token triples
 
 
+MAX_N = 4       # BLEU-4: n-grams of 1 to 4 tokens
+
+
 def _ngrams(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu4(candidates, references, max_n=4):
+def bleu4(candidates, references):
     """Cumulative BLEU with uniform 1/n weights and the standard brevity penalty.
 
     Clipped n-gram counts are pooled over the corpus; any zero pooled
@@ -34,19 +37,19 @@ def bleu4(candidates, references, max_n=4):
         raise ValueError("candidate/reference list length mismatch")
     if not candidates:
         raise ValueError("empty corpus")
-    numer = [0] * max_n
-    denom = [0] * max_n
+    numer = [0] * MAX_N
+    denom = [0] * MAX_N
     cand_len = 0
     ref_len = 0
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             cgrams = _ngrams(cand, n)
             rgrams = _ngrams(ref, n)
             numer[n - 1] += sum(min(c, rgrams[g]) for g, c in cgrams.items())
             denom[n - 1] += max(len(cand) - n + 1, 0)
-    precisions = [numer[i] / denom[i] if denom[i] else 0.0 for i in range(max_n)]
+    precisions = [numer[i] / denom[i] if denom[i] else 0.0 for i in range(MAX_N)]
     if cand_len == 0:
         bp = 0.0
     else:
@@ -54,7 +57,7 @@ def bleu4(candidates, references, max_n=4):
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = bp * exp(sum(log(p) for p in precisions) / max_n)
+        score = bp * exp(sum(log(p) for p in precisions) / MAX_N)
     return BleuReport(score=score, precisions=precisions, brevity_penalty=bp,
                       candidate_length=cand_len, reference_length=ref_len)
 

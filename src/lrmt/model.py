@@ -96,11 +96,6 @@ class EncodeResult:
     mask: np.ndarray          # [B, T] {0,1}; 1 at real tokens
     attn_proj: object = None  # attention: encoder-side attention energy [B, T, H]
 
-    def activations(self, row):
-        """Per-token state vectors for one batch row, pad positions dropped."""
-        live = self.mask[row].astype(bool)
-        return self.states.data[row][live]
-
 
 class Seq2SeqModel:
     """Encoder + optional attention + decoder + head, laid out by the

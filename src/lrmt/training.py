@@ -16,7 +16,8 @@ from ._container import (CheckpointChecksumError, CheckpointError,  # noqa: F401
 from .bleu import evaluate_corpus
 from .model import ARCHITECTURES, Seq2SeqModel
 from .numerics import Adam, clip_grad_norm, cross_entropy_masked
-from .text import ParallelCorpus, Vocabulary, build_vocab, encode_pairs, make_batches
+from .text import (RESERVED, ParallelCorpus, Vocabulary, build_vocab, encode_pairs,
+                   make_batches)
 
 CHECKPOINT_MAGIC = b"LRMT"
 CHECKPOINT_VERSION = 2      # v1 also held "rng_state" and config "layers"; load ignores both
@@ -216,6 +217,16 @@ class Checkpoint:
                                      % (name, data.size))
                 if data.reshape(-1)[e["pruned"]].any():
                     raise ValueError("tensor %r is nonzero at a pruned id" % name)
+            for key, table in (("src_vocab", "src_emb"), ("tgt_vocab", "tgt_emb")):
+                vocab = header[key]
+                if not (isinstance(vocab, list) and vocab[:len(RESERVED)] == RESERVED
+                        and all(isinstance(t, str) for t in vocab)
+                        and len(vocab) == tensors[table].shape[0]):
+                    raise CheckpointFormatError(
+                        "%s: %r is not a list of str that starts with the reserved tokens "
+                        "and has one entry per %r row" % (path, key, table))
+            if not isinstance(header["provenance"], dict):
+                raise CheckpointFormatError("%s: 'provenance' is not an object" % path)
             return cls(config=config, src_vocab=header["src_vocab"],
                        tgt_vocab=header["tgt_vocab"], tensors=tensors,
                        frozen={e["name"]: e["frozen"] for e in entries},

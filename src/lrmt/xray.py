@@ -3,6 +3,7 @@ neuron-knowledge pruning, knowledge abstraction, and change-in-mass analysis."""
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -14,28 +15,29 @@ from .text import encode, length_sorted_chunks, pad_rows
 
 
 @dataclass
-class SentenceActivations:
-    tokens: list
-    tags: list
-    matrix: np.ndarray        # [len(tokens), N] float64
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.tags):
-            raise ValueError("token/tag count mismatch")
-        if self.matrix.shape[0] != len(self.tokens):
-            raise ValueError("activation row count mismatch")
-
-
-@dataclass
 class ActivationDataset:
-    """Per-token encoder states for every real token of a test corpus."""
+    """Per-token encoder states for every real token of a test corpus, laid
+    out as `activations.bin` stores them: one row per token, sentence by
+    sentence."""
 
-    width: int
-    sentences: list
+    tokens: list                 # one token list per sentence
+    tags: list                   # one POS tag list per sentence
+    matrix: np.ndarray           # [total_tokens, width] float64
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if any(len(toks) != len(tags) for toks, tags in zip(self.tokens, self.tags, strict=True)):
+            raise ValueError("token/tag count mismatch")
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.total_tokens():
+            raise ValueError("a %s activation matrix for %d tokens"
+                             % (self.matrix.shape, self.total_tokens()))
+
+    @property
+    def width(self):
+        return self.matrix.shape[1]
+
     def total_tokens(self):
-        return sum(len(s.tokens) for s in self.sentences)
+        return sum(len(toks) for toks in self.tokens)
 
 
 @dataclass
@@ -70,45 +72,37 @@ class PosTokenDistribution:
 def capture_activations(model, corpus, provenance=None):
     """Record the encoder's per-token state for every real token (eval mode).
 
-    Sentences are encoded without a tape in padded, length-sorted batches.
+    Sentences are encoded without a tape in padded, length-sorted batches;
+    each batch's live states go to its sentences' rows in one assignment.
     """
     sources = [encode(src, model.src_vocab) for src, _ in corpus.pairs]
-    matrices = [None] * len(sources)
+    starts = np.cumsum([0] + [len(ids) for ids in sources], dtype=np.int64)
+    matrix = np.empty((starts[-1], model.analysis_width), dtype=np.float64)
     with no_grad():
         for chunk in length_sorted_chunks(sources):
             enc = model.encode_states(pad_rows([sources[i] for i in chunk]))
-            for row, i in enumerate(chunk):
-                matrices[i] = enc.activations(row).astype(np.float64)
-    sentences = []
-    for (src, _tgt), mat in zip(corpus.pairs, matrices):
-        tokens = ["<sos>"] + list(src) + ["<eos>"]
-        tags = ["X"] + pos_tag(src) + ["X"]
-        sentences.append(SentenceActivations(tokens=tokens, tags=tags, matrix=mat))
-    return ActivationDataset(width=model.analysis_width, sentences=sentences,
-                             provenance=provenance or {})
+            row, pos = np.nonzero(enc.mask)
+            matrix[starts[chunk][row] + pos] = enc.states.data[row, pos]
+    return ActivationDataset(tokens=[["<sos>"] + list(src) + ["<eos>"] for src, _ in corpus.pairs],
+                             tags=[["X"] + pos_tag(src) + ["X"] for src, _ in corpus.pairs],
+                             matrix=matrix, provenance=provenance or {})
 
 
 def mass_matrices(acts):
-    """One pass over the dataset filling all four per-neuron aggregates.
+    """All four per-neuron aggregates from column sums and counts over the
+    magnitude argmax of each row.
 
     Magnitude-argmax ties break toward the lowest neuron index.
     """
-    if not acts.sentences:
+    if not acts.tokens:
         raise ValueError("empty activation dataset")
-    N = acts.width
-    signed = np.zeros(N, dtype=np.float64)
-    magnitude = np.zeros(N, dtype=np.float64)
-    max_mass = np.zeros(N, dtype=np.float64)
-    hits = np.zeros(N, dtype=np.int64)
-    for sent in acts.sentences:
-        m = sent.matrix
-        signed += m.sum(axis=0)
-        magnitude += np.abs(m).sum(axis=0)
-        arg = np.abs(m).argmax(axis=1)      # argmax takes the first (lowest) index on ties
-        np.add.at(max_mass, arg, m[np.arange(m.shape[0]), arg])
-        np.add.at(hits, arg, 1)
-    return MassActivationMatrix(signed_mass=signed, magnitude_mass=magnitude,
-                                max_mass=max_mass, hit_count=hits)
+    m = acts.matrix
+    magnitude = np.abs(m)
+    arg = magnitude.argmax(axis=1)      # argmax takes the first (lowest) index on ties
+    return MassActivationMatrix(
+        signed_mass=m.sum(axis=0), magnitude_mass=magnitude.sum(axis=0),
+        max_mass=np.bincount(arg, weights=m[np.arange(m.shape[0]), arg], minlength=acts.width),
+        hit_count=np.bincount(arg, minlength=acts.width))
 
 
 def dead_neurons(mass):
@@ -160,14 +154,13 @@ def pos_token_distribution(acts, neuron, k=5):
     if k < 1:
         raise ValueError("k must be >= 1")
     sums, counts, tag_votes, first_tag = {}, {}, {}, {}
-    for sent in acts.sentences:
-        for tok, tag, row in zip(sent.tokens, sent.tags, sent.matrix):
-            val = float(row[neuron])
-            sums[tok] = sums.get(tok, 0.0) + val
-            counts[tok] = counts.get(tok, 0) + 1
-            votes = tag_votes.setdefault(tok, {})
-            votes[tag] = votes.get(tag, 0) + 1
-            first_tag.setdefault(tok, tag)
+    for tok, tag, val in zip(chain.from_iterable(acts.tokens), chain.from_iterable(acts.tags),
+                             acts.matrix[:, neuron].tolist()):
+        sums[tok] = sums.get(tok, 0.0) + val
+        counts[tok] = counts.get(tok, 0) + 1
+        votes = tag_votes.setdefault(tok, {})
+        votes[tag] = votes.get(tag, 0) + 1
+        first_tag.setdefault(tok, tag)
     entries = []
     for tok in sums:
         mean = sums[tok] / counts[tok]
@@ -200,36 +193,28 @@ ACTIVATIONS_VERSION = 1
 
 def dump_activations(acts, path):
     """One container file (layout in `_container`): width, per-sentence
-    tokens and tags and the provenance in the header, and every token's row
-    in one [total_tokens, width] float64 array."""
-    # the empty first block fixes the width and dtype, also with no sentences
-    matrix = np.concatenate([np.empty((0, acts.width))] + [s.matrix for s in acts.sentences])
-    header = {"width": acts.width, "tokens": [s.tokens for s in acts.sentences],
-              "tags": [s.tags for s in acts.sentences], "provenance": acts.provenance}
+    tokens and tags and the provenance in the header, and the dataset's
+    [total_tokens, width] float64 matrix."""
+    header = {"width": acts.width, "tokens": acts.tokens, "tags": acts.tags,
+              "provenance": acts.provenance}
     _container.write(path, ACTIVATIONS_MAGIC, ACTIVATIONS_VERSION, header,
-                     [("activations", matrix, {})])
+                     [("activations", acts.matrix, {})])
 
 
 def load_activations(path):
     def build(header, arrays):
-        width, matrix = header["width"], arrays["activations"]
-        lengths = [len(tokens) for tokens in header["tokens"]]
-        if matrix.shape != (sum(lengths), width):
-            raise _container.CheckpointFormatError("%s: a %s matrix for %d tokens of width %r"
-                                                   % (path, matrix.shape, sum(lengths), width))
-        ends = np.cumsum(lengths, dtype=np.int64)
-        sentences = [SentenceActivations(tokens=tokens, tags=tags,
-                                         matrix=matrix[end - n:end])
-                     for tokens, tags, n, end in zip(header["tokens"], header["tags"],
-                                                     lengths, ends, strict=True)]
-        return ActivationDataset(width=width, sentences=sentences,
-                                 provenance=header["provenance"])
+        acts = ActivationDataset(tokens=header["tokens"], tags=header["tags"],
+                                 matrix=arrays["activations"], provenance=header["provenance"])
+        if acts.width != header["width"]:
+            raise _container.CheckpointFormatError("%s: a %s matrix under header width %r"
+                                                   % (path, acts.matrix.shape, header["width"]))
+        return acts
     return _container.read(path, ACTIVATIONS_MAGIC, (ACTIVATIONS_VERSION,), build)
 
 
-def analysis_export(stage, mass, knowledge=None, top_changed=None):
+def analysis_export(stage, mass, top_changed=None):
     """The machine-readable analysis record written by the report layer."""
-    knowledge = knowledge or knowledge_abstraction(mass)
+    knowledge = knowledge_abstraction(mass)
     return {
         "stage": stage,
         "width": mass.width,

@@ -23,8 +23,7 @@ from lrmt.training import (CheckpointChecksumError, CheckpointFormatError,
                            StageSpec, TrainConfig,
                            load_checkpoint, pretrain_copy, run_sequential_plan,
                            transfer_1hop)
-from lrmt.xray import (ActivationDataset, SentenceActivations,
-                       capture_activations, change_in_mass,
+from lrmt.xray import (ActivationDataset, capture_activations, change_in_mass,
                        knowledge_abstraction, mass_matrices, select_prune_set)
 
 from gradcheck import relative_gradient_error
@@ -251,7 +250,7 @@ def test_criterion_6_pruned_neuron_silence():
     model.prune_encoder_units([k])
     test = training.copy_corpus([s for s, _ in data["test"].pairs])
     acts = capture_activations(model, test)
-    col = np.concatenate([s.matrix[:, k] for s in acts.sentences])
+    col = acts.matrix[:, k]
     silent_before = np.all(col == 0.0)
     # one further fine-tuning epoch (encoder NOT frozen: the pin must hold alone)
     from lrmt.numerics import Adam
@@ -261,7 +260,7 @@ def test_criterion_6_pruned_neuron_silence():
                            cfg.batch_size, seed=99)
     training.train_epoch(model, batches, cfg, opt, np.random.default_rng(0))
     acts2 = capture_activations(model, test)
-    col2 = np.concatenate([s.matrix[:, k] for s in acts2.sentences])
+    col2 = acts2.matrix[:, k]
     silent_after = np.all(col2 == 0.0)
     _report(6, "pruned-neuron silence", silent_before and silent_after,
             "before=%s after_finetune=%s" % (silent_before, silent_after))
@@ -326,13 +325,11 @@ def test_criterion_9_mass_matrix_algebra():
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        sents = []
-        for _ in range(int(rng.integers(1, 4))):
-            mat = rng.normal(size=(int(rng.integers(1, 6)), 6))
-            sents.append(SentenceActivations(
-                tokens=["t%d" % i for i in range(mat.shape[0])],
-                tags=["NOUN"] * mat.shape[0], matrix=mat))
-        acts = ActivationDataset(width=6, sentences=sents)
+        mats = [rng.normal(size=(int(rng.integers(1, 6)), 6))
+                for _ in range(int(rng.integers(1, 4)))]
+        acts = ActivationDataset(tokens=[["t%d" % i for i in range(len(mat))] for mat in mats],
+                                 tags=[["NOUN"] * len(mat) for mat in mats],
+                                 matrix=np.concatenate(mats))
         m = mass_matrices(acts)
         # brute-force double loop
         signed = np.zeros(6)
@@ -340,17 +337,16 @@ def test_criterion_9_mass_matrix_algebra():
         max_mass = np.zeros(6)
         hits = np.zeros(6, dtype=np.int64)
         rows = 0
-        for s in acts.sentences:
-            for row in s.matrix:
-                rows += 1
-                best = 0
-                for k in range(6):
-                    signed[k] += row[k]
-                    magnitude[k] += abs(row[k])
-                    if abs(row[k]) > abs(row[best]):
-                        best = k
-                max_mass[best] += row[best]
-                hits[best] += 1
+        for row in acts.matrix:
+            rows += 1
+            best = 0
+            for k in range(6):
+                signed[k] += row[k]
+                magnitude[k] += abs(row[k])
+                if abs(row[k]) > abs(row[best]):
+                    best = k
+            max_mass[best] += row[best]
+            hits[best] += 1
         worst = max(worst,
                     float(np.max(np.abs(m.signed_mass - signed))),
                     float(np.max(np.abs(m.magnitude_mass - magnitude))),
@@ -361,9 +357,8 @@ def test_criterion_9_mass_matrix_algebra():
         ok &= bool(np.all(m.magnitude_mass >= np.abs(m.signed_mass) - 1e-15))
         ok &= int(m.hit_count.sum()) == rows
         if seed < 20:  # antisymmetry on a sample of pairs
-            m2 = mass_matrices(ActivationDataset(width=6, sentences=[
-                SentenceActivations(tokens=["x"], tags=["X"],
-                                    matrix=rng.normal(size=(1, 6)))]))
+            m2 = mass_matrices(ActivationDataset(tokens=[["x"]], tags=[["X"]],
+                                                 matrix=rng.normal(size=(1, 6))))
             d_ab, _, _ = change_in_mass(m, m2)
             d_ba, _, _ = change_in_mass(m2, m)
             ok &= bool(np.all(d_ab == -d_ba))

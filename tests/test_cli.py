@@ -186,7 +186,7 @@ def test_train_evaluate_prune_xray_round_trip(workspace):
     assert analysis["width"] == 8
     assert len(analysis["signed_mass"]) == 8
     acts = xray.load_activations(xr / "activations.bin")
-    assert acts.width == 8 and len(acts.sentences) == 6
+    assert acts.width == 8 and len(acts.tokens) == 6
     assert not (xr / "activations.json").exists()
 
     pr = workspace / "pr"

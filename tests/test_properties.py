@@ -74,16 +74,13 @@ def test_checkpoint_round_trips_every_model(drawn, sources):
 def activation_datasets(draw):
     width = draw(st.integers(1, 4))
     words = st.lists(st.text(max_size=3), max_size=4)
-    sentences = []
-    for tokens in draw(st.lists(words, max_size=4)):
-        tags = draw(st.lists(st.text(max_size=3), min_size=len(tokens),
-                             max_size=len(tokens)))
-        matrix = draw(arrays(np.float64, (len(tokens), width)))
-        sentences.append(xray.SentenceActivations(tokens=tokens, tags=tags,
-                                                  matrix=matrix))
+    tokens = draw(st.lists(words, max_size=4))
+    tags = [draw(st.lists(st.text(max_size=3), min_size=len(toks), max_size=len(toks)))
+            for toks in tokens]
+    matrix = draw(arrays(np.float64, (sum(map(len, tokens)), width)))
     provenance = draw(st.dictionaries(st.text(max_size=3),
                                       st.integers() | st.text(max_size=3), max_size=3))
-    return xray.ActivationDataset(width=width, sentences=sentences,
+    return xray.ActivationDataset(tokens=tokens, tags=tags, matrix=matrix,
                                   provenance=provenance)
 
 
@@ -95,11 +92,9 @@ def test_activation_dump_round_trips_bit_for_bit(acts):
         xray.dump_activations(acts, path)
         back = xray.load_activations(path)
     assert (back.width, back.provenance) == (acts.width, acts.provenance)
-    assert len(back.sentences) == len(acts.sentences)
-    for got, want in zip(back.sentences, acts.sentences):
-        assert (got.tokens, got.tags) == (want.tokens, want.tags)
-        assert got.matrix.dtype == np.float64 and got.matrix.shape == want.matrix.shape
-        assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert (back.tokens, back.tags) == (acts.tokens, acts.tags)
+    assert back.matrix.dtype == np.float64 and back.matrix.shape == acts.matrix.shape
+    assert back.matrix.tobytes() == acts.matrix.tobytes()
 
 
 def _file_bytes(kind, drawn, tmp):

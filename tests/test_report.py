@@ -10,16 +10,14 @@ from lrmt import xray
 from lrmt.bleu import BleuReport
 from lrmt.report import (StageAnalysis, export_analysis, render_knowledge_plot,
                          render_pos_distribution)
-from lrmt.xray import (ActivationDataset, MassActivationMatrix,
-                       SentenceActivations, mass_matrices,
+from lrmt.xray import (ActivationDataset, MassActivationMatrix, mass_matrices,
                        pos_token_distribution)
 
 
 def _mass(seed=0, width=8):
     rng = np.random.default_rng(seed)
-    acts = ActivationDataset(width=width, sentences=[SentenceActivations(
-        tokens=["a", "b", "c"], tags=["NOUN", "VERB", "PUNCT"],
-        matrix=rng.normal(size=(3, width)))])
+    acts = ActivationDataset(tokens=[["a", "b", "c"]], tags=[["NOUN", "VERB", "PUNCT"]],
+                             matrix=rng.normal(size=(3, width)))
     return mass_matrices(acts)
 
 
@@ -54,9 +52,8 @@ def test_knowledge_plot_rejects_empty_or_mismatched_bundle():
 
 
 def test_pos_distribution_plot_labels_tokens():
-    acts = ActivationDataset(width=2, sentences=[SentenceActivations(
-        tokens=["cat", "runs"], tags=["NOUN", "VERB"],
-        matrix=np.array([[1.0, 0.0], [-2.0, 0.0]]))])
+    acts = ActivationDataset(tokens=[["cat", "runs"]], tags=[["NOUN", "VERB"]],
+                             matrix=np.array([[1.0, 0.0], [-2.0, 0.0]]))
     dist = pos_token_distribution(acts, neuron=0, k=2)
     svg = render_pos_distribution(dist)
     assert "cat/NOUN" in svg and "runs/VERB" in svg

@@ -391,6 +391,27 @@ def test_checkpoint_with_malformed_tensor_metadata_is_a_format_error(tmp_path, c
     assert str(path) in str(info.value) and repr(named) in str(info.value)
 
 
+@pytest.mark.parametrize("change, named", [
+    (lambda c: setattr(c, "src_vocab", 5), "src_vocab"),
+    (lambda c: setattr(c, "src_vocab", c.src_vocab[1:]), "src_vocab"),
+    (lambda c: setattr(c, "src_vocab", c.src_vocab + ["extra"]), "src_vocab"),
+    (lambda c: setattr(c, "tgt_vocab", c.tgt_vocab[:-1]), "tgt_vocab"),
+    (lambda c: setattr(c, "tgt_vocab", c.tgt_vocab[:4] + list(range(len(c.tgt_vocab) - 4))),
+     "tgt_vocab"),
+    (lambda c: setattr(c, "provenance", [1]), "provenance")],
+    ids=["vocab-not-a-list", "no-reserved-prefix", "vocab-one-long", "vocab-one-short",
+         "vocab-of-ints", "provenance-not-an-object"])
+def test_checkpoint_with_malformed_vocabulary_or_provenance_is_a_format_error(tmp_path, change,
+                                                                               named):
+    ckpt, _ = _small_ckpt(tmp_path)
+    change(ckpt)
+    path = tmp_path / "bad.lrmt"
+    ckpt.save(path)
+    with pytest.raises(CheckpointFormatError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and repr(named) in str(info.value)
+
+
 def test_checkpoint_config_loads_exactly_as_stored(tmp_path):
     ckpt, _ = _small_ckpt(tmp_path)
     stored = dict(ckpt.config, lr=1, dropout=0)      # ints where floats go

@@ -4,24 +4,21 @@ and the POS/token distribution rules."""
 import numpy as np
 import pytest
 
-from lrmt import synthetic, xray
+from lrmt import _container, synthetic, xray
+from lrmt._container import CheckpointFormatError
 from lrmt.model import Seq2SeqModel
 from lrmt.numerics import no_grad
 from lrmt.text import INFER_BATCH, build_vocab, encode, length_sorted_chunks, pad_rows
-from lrmt.xray import (ActivationDataset, SentenceActivations, change_in_mass,
-                       dead_neurons, knowledge_abstraction, mass_matrices,
-                       pos_token_distribution, select_prune_set)
+from lrmt.xray import (ActivationDataset, change_in_mass, dead_neurons,
+                       knowledge_abstraction, mass_matrices, pos_token_distribution,
+                       select_prune_set)
 
 
 def _dataset(matrices, tokens=None, tags=None):
-    sents = []
-    for i, m in enumerate(matrices):
-        m = np.asarray(m, dtype=np.float64)
-        toks = tokens[i] if tokens else ["t%d" % j for j in range(m.shape[0])]
-        tgs = tags[i] if tags else ["NOUN"] * m.shape[0]
-        sents.append(SentenceActivations(tokens=toks, tags=tgs, matrix=m))
-    return ActivationDataset(width=np.asarray(matrices[0]).shape[1],
-                             sentences=sents)
+    matrices = [np.asarray(m, dtype=np.float64) for m in matrices]
+    tokens = tokens or [["t%d" % j for j in range(m.shape[0])] for m in matrices]
+    tags = tags or [["NOUN"] * m.shape[0] for m in matrices]
+    return ActivationDataset(tokens=tokens, tags=tags, matrix=np.concatenate(matrices))
 
 
 def _oracle(acts):
@@ -31,16 +28,15 @@ def _oracle(acts):
     magnitude = [0.0] * N
     max_mass = [0.0] * N
     hits = [0] * N
-    for sent in acts.sentences:
-        for row in sent.matrix:
-            best, best_val = 0, abs(row[0])
-            for k in range(N):
-                signed[k] += row[k]
-                magnitude[k] += abs(row[k])
-                if abs(row[k]) > best_val:
-                    best, best_val = k, abs(row[k])
-            max_mass[best] += row[best]
-            hits[best] += 1
+    for row in acts.matrix:
+        best, best_val = 0, abs(row[0])
+        for k in range(N):
+            signed[k] += row[k]
+            magnitude[k] += abs(row[k])
+            if abs(row[k]) > best_val:
+                best, best_val = k, abs(row[k])
+        max_mass[best] += row[best]
+        hits[best] += 1
     return signed, magnitude, max_mass, hits
 
 
@@ -162,7 +158,7 @@ def test_change_in_mass_rejects_width_mismatch():
 
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
-        mass_matrices(ActivationDataset(width=4, sentences=[]))
+        mass_matrices(ActivationDataset(tokens=[], tags=[], matrix=np.zeros((0, 4))))
 
 
 # -- POS/token distribution ------------------------------------------------------
@@ -204,9 +200,8 @@ def test_activation_binary_round_trip(tmp_path):
     xray.dump_activations(acts, path)
     back = xray.load_activations(path)
     assert back.width == acts.width
-    for s1, s2 in zip(acts.sentences, back.sentences):
-        assert s1.tokens == s2.tokens and s1.tags == s2.tags
-        assert np.array_equal(s1.matrix, s2.matrix)
+    assert back.tokens == acts.tokens and back.tags == acts.tags
+    assert np.array_equal(back.matrix, acts.matrix)
 
 
 def test_analysis_export_schema():
@@ -233,15 +228,14 @@ def test_batched_capture_equals_per_sentence_capture(float64_mode, arch):
                          dropout=0.0, seed=3)
     acts = xray.capture_activations(model, corpus)
     per_sentence = []
-    for (src, _), sent in zip(corpus.pairs, acts.sentences):
+    for src, _ in corpus.pairs:
         ids = np.asarray(encode(src, vocab), dtype=np.int64).reshape(1, -1)
-        want = model.encode(ids).activations(0)
-        assert sent.tokens == ["<sos>"] + list(src) + ["<eos>"]
-        assert sent.matrix.shape == want.shape
-        assert np.max(np.abs(sent.matrix - want)) <= 1e-12
-        per_sentence.append(SentenceActivations(tokens=sent.tokens, tags=sent.tags,
-                                                matrix=want.astype(np.float64)))
-    alone = ActivationDataset(width=acts.width, sentences=per_sentence)
+        per_sentence.append(model.encode(ids).states.data[0])
+    want = np.concatenate(per_sentence)
+    assert acts.tokens == [["<sos>"] + list(src) + ["<eos>"] for src, _ in corpus.pairs]
+    assert acts.matrix.shape == want.shape
+    assert np.max(np.abs(acts.matrix - want)) <= 1e-12
+    alone = ActivationDataset(tokens=acts.tokens, tags=acts.tags, matrix=want)
     assert np.array_equal(mass_matrices(acts).hit_count,
                           mass_matrices(alone).hit_count)
 
@@ -263,11 +257,36 @@ def test_capture_reads_states_only_and_matches_the_decoding_encoder_bit_for_bit(
             enc = model.encode(pad_rows([sources[i] for i in chunk]))
             assert enc.attn_proj is not None
             for row, i in enumerate(chunk):
-                want[i] = enc.activations(row).astype(np.float64)
+                want[i] = enc.states.data[row][enc.mask[row] != 0].astype(np.float64)
 
     def no_projection(states):
         raise AssertionError("capture computed the attention projection")
 
     model._attention_projection = no_projection
     acts = xray.capture_activations(model, corpus)
-    assert [s.matrix.tobytes() for s in acts.sentences] == [w.tobytes() for w in want]
+    assert acts.matrix.tobytes() == np.concatenate(want).tobytes()
+
+
+def _write_activations(path, header, matrix):
+    """An activations file with a valid CRC whatever its header says."""
+    _container.write(path, xray.ACTIVATIONS_MAGIC, xray.ACTIVATIONS_VERSION,
+                     dict({"width": 2, "tokens": [["a", "b"], ["c"]],
+                           "tags": [["X", "X"], ["X"]], "provenance": {}}, **header),
+                     [("activations", matrix, {})])
+
+
+@pytest.mark.parametrize("header, rows", [
+    ({"tags": [["X", "X"]]}, 3),
+    ({"tags": [["X", "X"], ["X", "X"]]}, 3),
+    ({}, 4),
+    ({"width": 3}, 3)],
+    ids=["sentence-counts-differ", "tag-count-differs", "rows-differ-from-tokens",
+         "header-width-differs"])
+def test_activation_file_with_an_inconsistent_header_is_a_format_error(tmp_path, header, rows):
+    path = tmp_path / "activations.bin"
+    _write_activations(path, {}, np.zeros((3, 2)))
+    assert xray.load_activations(path).total_tokens() == 3      # the base file is valid
+    _write_activations(path, header, np.zeros((rows, 2)))
+    with pytest.raises(CheckpointFormatError) as info:
+        xray.load_activations(path)
+    assert str(path) in str(info.value)
