@@ -45,13 +45,6 @@ class RecurrentCell:
     def parameters(self):
         return [self.W_i, self.W_h, self.b]
 
-    def sequence(self, x, mask, reverse=False):
-        """The states [B, T, states*H] (h, or h and c) after every position of
-        x [B, T, input], from a zero state, in one fused op.  Pad positions
-        (mask 0) carry, so the last position visited holds each row's final
-        state."""
-        return nm.cell_sequence(self.kind, x, self.W_i, self.b, self.W_h, mask, reverse)
-
     def prune_units(self, unit_ids):
         """Zero and pin the incoming weights and bias entries of these units."""
         H = self.hidden_size
@@ -91,8 +84,7 @@ class EncodeResult:
     """Per-token encoder states and decoder initialisation."""
 
     states: object            # Tensor [B, T, N], N = the model's analysis_width
-    z: object                 # Tensor [B, H]; initial decoder hidden state
-    cell: object              # Tensor [B, H] or None (LSTM cell state)
+    state: tuple              # initial decoder state: (z,), or (h, c) for LSTM; Tensors [B, H]
     mask: np.ndarray          # [B, T] {0,1}; 1 at real tokens
     attn_proj: object = None  # attention: encoder-side attention energy [B, T, H]
 
@@ -202,39 +194,32 @@ class Seq2SeqModel:
     # -- forward ---------------------------------------------------------------
 
     def encode(self, source, rng=None):
-        """Run the encoder over a right-padded id matrix [B, T] for decoding.
-
-        Returns `encode_states`' result with, for an attention decoder, the
-        encoder-side attention projection it reads.  Dropout draws from
-        `rng` when one is given.
-        """
-        enc = self.encode_states(source, rng=rng)
-        if self.attn_energy is not None:
-            enc.attn_proj = self._attention_projection(enc.states)
-        return enc
-
-    def encode_states(self, source, rng=None):
-        """The encoder pass alone: an EncodeResult with per-token states, the
-        initial decoder state z and the pad mask (source != PAD), no
-        attention projection."""
+        """Run the encoder over a right-padded id matrix [B, T]: an EncodeResult
+        with per-token states, the initial decoder state, the pad mask (source
+        != PAD) and, for an attention decoder, the encoder-side attention
+        projection.  Dropout draws from `rng` when one is given."""
         source = np.asarray(source)
         if source.ndim != 2 or source.shape[0] == 0:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
         B, T = source.shape
         mask = (source != PAD).astype(self.dtype)
         emb = nm.dropout(nm.embedding(self.src_emb, source), self.dropout, rng)
-        seqs = [cell.sequence(emb, mask, reverse=k > 0) for k, cell in enumerate(self.encoders)]
+        seqs = [nm.cell_sequence(cell.kind, emb, cell.W_i, cell.b, cell.W_h, mask, k > 0)
+                for k, cell in enumerate(self.encoders)]
         # each row's final state: the position each direction visits last
         finals = [nm.reshape(nm.narrow(seq, T - 1 if k == 0 else 0, 1, axis=1), (B, -1))
                   for k, seq in enumerate(seqs)]
         if self.enc_init is not None:
-            z = nm.tanh(self.enc_init(nm.concat(finals, axis=-1)))
-            return EncodeResult(nm.concat(seqs, axis=-1), z, None, mask)
-        if nm.CELLS[self.spec.cell].states == 1:
-            return EncodeResult(seqs[0], finals[0], None, mask)
-        H = self.hidden_size
-        return EncodeResult(nm.narrow(seqs[0], 0, H), nm.narrow(finals[0], 0, H),
-                            nm.narrow(finals[0], H, H), mask)
+            states = nm.concat(seqs, axis=-1)
+            state = (nm.tanh(self.enc_init(nm.concat(finals, axis=-1))),)
+        elif nm.CELLS[self.spec.cell].states == 1:
+            states, state = seqs[0], (finals[0],)
+        else:
+            H = self.hidden_size
+            states = nm.narrow(seqs[0], 0, H)
+            state = (nm.narrow(finals[0], 0, H), nm.narrow(finals[0], H, H))
+        proj = None if self.attn_energy is None else self._attention_projection(states)
+        return EncodeResult(states, state, mask, proj)
 
     def _attention_projection(self, enc_states):
         """Encoder-side part of the additive energy, computed once per pass.
@@ -248,19 +233,19 @@ class Seq2SeqModel:
         proj = nm.matmul(flat, W_enc) + self.attn_energy.b
         return nm.reshape(proj, (B, T, self.hidden_size))
 
-    def decode_step(self, y_prev_ids, s_prev, enc, cell_prev=None):
+    def decode_step(self, y_prev_ids, state, enc):
         """One greedy-decoding step on the teacher-forced pass's step
-        function, without dropout or a tape.  Returns (s_t, logits [B, V],
-        new cell state) as Tensors that record nothing."""
+        function, without dropout or a tape, from `state`, the tuple
+        `EncodeResult.state` holds.  Returns (new state, logits [B, V]) as
+        Tensors that record nothing."""
         y_prev_ids = np.asarray(y_prev_ids).reshape(-1)
-        if s_prev.shape != (y_prev_ids.shape[0], self.hidden_size):
-            raise ValueError("decoder state width mismatch")
-        state = (s_prev, cell_prev)[:nm.CELLS[self.spec.cell].states]
-        if any(s is None for s in state):
-            raise ValueError("an %s decoder step needs cell_prev, its cell state" % self.arch)
+        want = [(y_prev_ids.shape[0], self.hidden_size)] * nm.CELLS[self.spec.cell].states
+        if not isinstance(state, tuple) or [s.shape for s in state] != want:
+            raise ValueError("an %s decoder state is a tuple of arrays of shapes %s"
+                             % (self.arch, want))
         state, logits, _ = nm.decoder_step(ids=y_prev_ids, state=state,
                                            **self._decoder_wiring(enc))
-        return Tensor(state[0]), Tensor(logits), Tensor(state[1]) if len(state) > 1 else None
+        return tuple(Tensor(s) for s in state), Tensor(logits)
 
     def forward_teacher_forced(self, batch, tf_ratio=1.0, rng=None):
         """Teacher-forced decode of a batch.  Returns logits Tensor [N, V],
@@ -305,8 +290,7 @@ class Seq2SeqModel:
         """Head features [N, F] of the positions that `mask` [B, S] marks as
         read, in its row-major order, from the decoder steps over gold inputs
         [B, S]: one `numerics.decoder_sequence` op."""
-        state = (enc.z, enc.cell)[:nm.CELLS[self.spec.cell].states]
-        return nm.decoder_sequence(tokens=inputs, gold=gold, state=state, keep=keep, mask=mask,
+        return nm.decoder_sequence(tokens=inputs, gold=gold, state=enc.state, keep=keep, mask=mask,
                                    **self._decoder_wiring(enc))
 
     def _decoder_wiring(self, enc):
@@ -317,7 +301,7 @@ class Seq2SeqModel:
         wiring = dict(cell=cell.kind, emb=self.tgt_emb, W_i=cell.W_i, b=cell.b, W_h=cell.W_h,
                       head=(self.out.W, self.out.b), layout=self.spec.layout)
         if self.spec.context == "z":
-            wiring["context"] = enc.z
+            wiring["context"] = enc.state[0]
         elif self.spec.context == "attention":
             wiring["attention"] = (self.attn_energy.W, enc.attn_proj, enc.states, enc.mask,
                                    self.attn_v)
@@ -333,13 +317,13 @@ class Seq2SeqModel:
         """
         with nm.no_grad():
             enc = self.encode(pad_rows(sources))
-            s, c = enc.z, enc.cell
+            state = enc.state
             # column max_len stays eos, so every row has an eos to cut at
             grid = np.full((len(sources), max_len + 1), EOS, dtype=np.int64)
             prev = np.full(len(sources), SOS, dtype=np.int64)
             done = np.zeros(len(sources), dtype=bool)
             for t in range(max_len):
-                s, logits, c = self.decode_step(prev, s, enc, cell_prev=c)
+                state, logits = self.decode_step(prev, state, enc)
                 prev = logits.data.argmax(axis=1)
                 grid[:, t] = prev
                 done |= prev == EOS

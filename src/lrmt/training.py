@@ -147,7 +147,7 @@ class Checkpoint:
         for name, p in model.named_parameters().items():
             tensors[name] = p.data.copy()
             frozen[name] = bool(p.frozen)
-            pruned[name] = [] if p.pruned is None else [int(i) for i in p.pruned]
+            pruned[name] = [] if p.pruned is None else p.pruned.tolist()
         cfg = asdict(config) if isinstance(config, TrainConfig) else dict(config)
         # the model's own shape, so the checkpoint always rebuilds it
         cfg.update(arch=model.arch, embed_size=model.embed_size,

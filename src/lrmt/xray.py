@@ -80,7 +80,7 @@ def capture_activations(model, corpus, provenance=None):
     matrix = np.empty((starts[-1], model.analysis_width), dtype=np.float64)
     with no_grad():
         for chunk in length_sorted_chunks(sources):
-            enc = model.encode_states(pad_rows([sources[i] for i in chunk]))
+            enc = model.encode(pad_rows([sources[i] for i in chunk]))
             row, pos = np.nonzero(enc.mask)
             matrix[starts[chunk][row] + pos] = enc.states.data[row, pos]
     return ActivationDataset(tokens=[["<sos>"] + list(src) + ["<eos>"] for src, _ in corpus.pairs],
@@ -205,9 +205,14 @@ def load_activations(path):
     def build(header, arrays):
         acts = ActivationDataset(tokens=header["tokens"], tags=header["tags"],
                                  matrix=arrays["activations"], provenance=header["provenance"])
-        if acts.width != header["width"]:
-            raise _container.CheckpointFormatError("%s: a %s matrix under header width %r"
-                                                   % (path, acts.matrix.shape, header["width"]))
+        if acts.matrix.dtype != np.float64 or acts.width != header["width"]:
+            raise _container.CheckpointFormatError("%s: a %s %s matrix under header width %r"
+                                                   % (path, acts.matrix.dtype, acts.matrix.shape,
+                                                      header["width"]))
+        words = [w for rows in (acts.tokens, acts.tags) for row in rows for w in row]
+        if not all(isinstance(w, str) for w in words) or not isinstance(acts.provenance, dict):
+            raise _container.CheckpointFormatError(
+                "%s: tokens and tags must be strings and provenance an object" % path)
         return acts
     return _container.read(path, ACTIVATIONS_MAGIC, (ACTIVATIONS_VERSION,), build)
 

@@ -6,14 +6,14 @@ import numpy as np
 from lrmt import numerics as nm
 from lrmt.text import EOS, SOS
 
-from reference_forward import composed_logits, composed_step, initial_state
+from reference_forward import composed_logits, composed_step
 
 
 def reference_greedy_decode(model, source_ids, max_len=50):
     """Encode one sentence, then step the composed decoder on it alone until eos."""
     with nm.no_grad():
-        enc = model.encode_states(np.asarray(source_ids, dtype=np.int64).reshape(1, -1))
-        state = initial_state(model, enc)
+        enc = model.encode(np.asarray(source_ids, dtype=np.int64).reshape(1, -1))
+        state = enc.state
         out = []
         prev = np.array([SOS])
         for _ in range(max_len):

@@ -67,10 +67,10 @@ def composed_encode(model, source, rng=None):
         states.append(nm.narrow(seq, 0, H))
         finals.append(nm.reshape(nm.narrow(seq, 0 if k else T - 1, 1, axis=1), (B, -1)))
     if model.enc_init is None:
-        c = nm.narrow(finals[0], H, H) if model.arch == "lstm" else None
-        return EncodeResult(states[0], nm.narrow(finals[0], 0, H), c, mask)
+        state = [nm.narrow(finals[0], k * H, H) for k in range(2 if model.arch == "lstm" else 1)]
+        return EncodeResult(states[0], tuple(state), mask)
     z = nm.tanh(model.enc_init(nm.concat([nm.narrow(f, 0, H) for f in finals], axis=-1)))
-    return EncodeResult(nm.concat(states, axis=-1), z, None, mask)
+    return EncodeResult(nm.concat(states, axis=-1), (z,), mask)
 
 
 def composed_attention(model, s, enc):
@@ -98,9 +98,9 @@ def composed_step(model, ids, state, enc, emb_keep=None, feat_keep=None):
         state = composed_cell("lstm", x @ cell.W_i + cell.b, state, cell.W_h)
         feats = state[0]
     elif model.arch == "gru":
-        inputs = nm.concat([x, enc.z], axis=-1)
+        inputs = nm.concat([x, enc.state[0]], axis=-1)
         state = composed_cell("gru", inputs @ cell.W_i + cell.b, state, cell.W_h)
-        feats = nm.concat([x, state[0], enc.z], axis=-1)
+        feats = nm.concat([x, state[0], enc.state[0]], axis=-1)
     else:
         w = composed_attention(model, state[0], enc)
         inputs = nm.concat([x, w], axis=-1)
@@ -115,10 +115,6 @@ def composed_logits(model, feats):
     return feats @ model.out.W + model.out.b
 
 
-def initial_state(model, enc):
-    return (enc.z, enc.cell) if model.arch == "lstm" else (enc.z,)
-
-
 def reference_forward(model, batch, tf_ratio=1.0, rng=None):
     """(head features [B, Tt-1, F], logits [B, Tt-1, V]) as Tensors, at every
     position, read or not; `tape_ops.padded_cross_entropy` scores them."""
@@ -126,7 +122,7 @@ def reference_forward(model, batch, tf_ratio=1.0, rng=None):
     targets = batch.target
     B, Tt = targets.shape
     (emb_keep, feat_keep), gold = model.decoder_noise(rng, B, Tt - 1, tf_ratio)
-    state = initial_state(model, enc)
+    state = enc.state
     step_feats, step_logits = [], []
     for t in range(Tt - 1):
         ids = targets[:, t] if gold[t] else step_logits[-1].data.argmax(axis=1)

@@ -446,7 +446,7 @@ def test_criterion_11_checkpoint_round_trip(tmp_path):
         src = np.asarray(ids).reshape(1, -1)
         e1, e2 = m1.encode(src), m2.encode(src)
         ok &= e1.states.data.tobytes() == e2.states.data.tobytes()
-        ok &= e1.z.data.tobytes() == e2.z.data.tobytes()
+        ok &= e1.state[0].data.tobytes() == e2.state[0].data.tobytes()
         ok &= m1.greedy_decode(ids, max_len=10) == m2.greedy_decode(ids, max_len=10)
     # corruption: flip one byte anywhere -> rejected, no partial object
     raw = bytearray(path.read_bytes())

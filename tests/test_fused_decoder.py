@@ -27,8 +27,7 @@ from lrmt.text import PAD, SOS, Batch, ParallelCorpus, build_vocab
 
 from gradcheck import relative_gradient_error
 from tape_ops import padded_cross_entropy
-from reference_forward import (composed_encode, composed_logits, composed_step, initial_state,
-                               reference_forward)
+from reference_forward import composed_encode, composed_logits, composed_step, reference_forward
 
 # with this seed, tf_ratio 0.5 feeds the model's own argmax at some steps
 SEED = 0
@@ -131,7 +130,8 @@ def test_live_rows_match_composed_reference_on_any_padding(float64_mode, arch, p
     rng = np.random.default_rng(SEED)
     enc = model.encode(batch.source, rng=rng)
     ref_enc = composed_encode(model, batch.source, rng=np.random.default_rng(SEED))
-    for got, want in ((enc.states, ref_enc.states), (enc.z, ref_enc.z)):
+    for got, want in zip((enc.states, *enc.state), (ref_enc.states, *ref_enc.state),
+                         strict=True):
         assert np.max(np.abs(got.data - want.data)) < 1e-12
     keep, gold = model.decoder_noise(rng, B, Tt - 1, 0.5)
     feats = model.decoder_features(enc, batch.target[:, :-1], keep, gold, read)
@@ -220,19 +220,16 @@ def test_greedy_steps_match_composed_reference(float64_mode, arch):
     model = _model(arch, dropout=0.0)
     source = _batch().source                    # rows of lengths 7, 4 and 3
     enc = model.encode(source)
-    s, c = enc.z, enc.cell
-    state = initial_state(model, enc)
+    state = ref_state = enc.state
     ids = np.full(source.shape[0], SOS)
     for _ in range(6):
-        s, logits, c = model.decode_step(ids, s, enc, cell_prev=c)
-        state, feats = composed_step(model, ids, state, enc)
+        state, logits = model.decode_step(ids, state, enc)
+        ref_state, feats = composed_step(model, ids, ref_state, enc)
         assert np.max(np.abs(logits.data - composed_logits(model, feats).data)) < 1e-12
-        assert np.max(np.abs(s.data - state[0].data)) < 1e-12
-        if arch == "lstm":
-            assert np.max(np.abs(c.data - state[1].data)) < 1e-12
-        else:
-            assert c is None
-        assert not (s.requires_grad or logits.requires_grad)
+        assert len(state) == len(ref_state) == (2 if arch == "lstm" else 1)
+        for got, want in zip(state, ref_state):
+            assert np.max(np.abs(got.data - want.data)) < 1e-12
+        assert not (any(s.requires_grad for s in state) or logits.requires_grad)
         ids = logits.data.argmax(axis=1)
 
 
@@ -246,5 +243,5 @@ def test_references_share_no_decoder_kernel():
             assert kernel not in source, (name, kernel)
     # the teacher-forced reference runs its own encoder too
     source = (here / "reference_forward.py").read_text(encoding="utf-8")
-    for kernel in ("cell_sequence", "encode_states", ".sequence("):
+    for kernel in ("cell_sequence", ".encode(", ".sequence("):
         assert kernel not in source, kernel

@@ -121,7 +121,7 @@ def test_attention_rows_sum_to_one_with_zero_on_pads(float64_mode):
     model = _tiny_model("abgru", seed=5)
     batch = _tiny_batch(model)
     enc = model.encode(batch.source)
-    _, _, a = _greedy_step(model, enc, np.full(2, SOS), (enc.z,))
+    _, _, a = _greedy_step(model, enc, np.full(2, SOS), enc.state)
     sums = a.sum(axis=-1)
     assert np.max(np.abs(sums - 1.0)) < 1e-12
     pad_positions = enc.mask == 0
@@ -133,7 +133,7 @@ def test_attention_rejects_fully_padded_row(float64_mode):
     model = _tiny_model("abgru")
     enc = model.encode(np.zeros((1, 2), dtype=np.int64))    # pads only
     with pytest.raises(ValueError, match="fully padded"):
-        model.decode_step(np.array([SOS]), enc.z, enc)
+        model.decode_step(np.array([SOS]), enc.state, enc)
 
 
 # -- context reinjection / state handling ---------------------------------------
@@ -142,32 +142,36 @@ def test_gru_decoder_reinjects_identical_context_each_step(float64_mode):
     model = _tiny_model("gru", seed=6)
     batch = _tiny_batch(model, rows=((4, 5, 6, 7),))
     enc = model.encode(batch.source)
-    z_before = enc.z.data.copy()
-    s = enc.z
+    (z,) = enc.state
+    z_before = z.data.copy()
+    state = enc.state
     for step_tok in (SOS, 4, 5):
-        s, logits, _ = model.decode_step(np.array([step_tok]), s, enc)
-        assert np.array_equal(enc.z.data, z_before)  # z is re-used, untouched
+        state, logits = model.decode_step(np.array([step_tok]), state, enc)
+        assert np.array_equal(z.data, z_before)  # z is re-used, untouched
     # logits must actually depend on z: recompute with perturbed z
-    _, base, _ = model.decode_step(np.array([SOS]), Tensor(z_before.copy()), enc)
-    enc.z.data += 0.5
-    _, moved, _ = model.decode_step(np.array([SOS]), Tensor(z_before.copy()), enc)
+    _, base = model.decode_step(np.array([SOS]), (Tensor(z_before.copy()),), enc)
+    z.data += 0.5
+    _, moved = model.decode_step(np.array([SOS]), (Tensor(z_before.copy()),), enc)
     assert not np.allclose(base.data, moved.data)
 
 
-def test_decode_step_rejects_wrong_state_width(float64_mode):
-    model = _tiny_model("gru")
-    batch = _tiny_batch(model)
-    enc = model.encode(batch.source)
-    with pytest.raises(ValueError):
-        model.decode_step(np.array([SOS, SOS]),
-                          Tensor(np.zeros((2, model.hidden_size + 1))), enc)
-
-
-def test_lstm_decode_step_without_cell_prev_is_rejected(float64_mode):
-    model = _tiny_model("lstm")
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_decode_step_rejects_a_state_of_the_wrong_shape(arch, float64_mode):
+    model = _tiny_model(arch)
     enc = model.encode(_tiny_batch(model).source)
-    with pytest.raises(ValueError, match="cell_prev"):
-        model.decode_step(np.array([SOS, SOS]), enc.z, enc)
+    B, H = enc.mask.shape[0], model.hidden_size
+    h = enc.state[0]
+    wide = Tensor(np.zeros((B, H + 1)))
+    if arch == "lstm":
+        # the two cell shapes broadcast inside the step, so only the check stops them
+        bad = [(h,), (wide, enc.state[1]),
+               (h, Tensor(np.zeros((B, 1)))), (h, Tensor(np.zeros((1, H))))]
+    else:
+        bad = [(h, h), (wide,)]
+    for state in bad:
+        with pytest.raises(ValueError, match="decoder state"):
+            model.decode_step(np.full(B, SOS), state, enc)
+    model.decode_step(np.full(B, SOS), enc.state, enc)      # the encoder's own state runs
 
 
 # -- bidirectional state layout ---------------------------------------------------
@@ -198,7 +202,7 @@ def test_bidirectional_states_concatenate_directions(float64_mode):
     # decoder init: z = tanh(g([h_T_fwd; h_1_bwd]))
     final = np.concatenate([fwd[T - 1], bwd[0]], axis=-1)
     want_z = np.tanh(final @ model.enc_init.W.data + model.enc_init.b.data)
-    assert np.max(np.abs(enc.z.data - want_z)) < 1e-12
+    assert np.max(np.abs(enc.state[0].data - want_z)) < 1e-12
 
 
 def test_padded_rows_reuse_last_real_state(float64_mode):
@@ -207,8 +211,8 @@ def test_padded_rows_reuse_last_real_state(float64_mode):
     short = np.asarray(ids).reshape(1, -1)
     padded = np.zeros((1, len(ids) + 3), dtype=np.int64)
     padded[0, :len(ids)] = ids
-    z1 = model.encode(short).z.data
-    z2 = model.encode(padded).z.data
+    z1 = model.encode(short).state[0].data
+    z2 = model.encode(padded).state[0].data
     assert np.array_equal(z1, z2)
 
 

