@@ -148,6 +148,10 @@ def _vocabs(train):
 def cmd_prepare_data(cfg, out):
     corpora = _load_data(cfg)
     seed = resolve_train_config(cfg).seed
+    for ds_id in corpora:
+        if not training.names_a_file(ds_id):
+            raise ConfigError("dataset id %r cannot name its vocabulary files: it holds a "
+                              "path separator or is '.' or '..'" % ds_id)
     summary = {}
     for ds_id, splits in sorted(corpora.items()):
         summary[ds_id] = {"splits": {s: len(c.pairs) for s, c in splits.items()}}
@@ -318,7 +322,7 @@ def cmd_report(cfg, out):
     for p in _get(cfg, "report.analyses"):
         try:
             records = xray.load_analysis(p)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("cannot read analysis records from %s: %s: %s"
                               % (p, type(exc).__name__, exc))
         for label, mass, top_changed in records:

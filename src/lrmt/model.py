@@ -237,12 +237,15 @@ class Seq2SeqModel:
         """One greedy-decoding step on the teacher-forced pass's step
         function, without dropout or a tape, from `state`, the tuple
         `EncodeResult.state` holds.  Returns (new state, logits [B, V]) as
-        Tensors that record nothing."""
+        Tensors that record nothing.  `y_prev_ids` holds one id per row of
+        `enc`, B, and each state array is [B, H]."""
         y_prev_ids = np.asarray(y_prev_ids).reshape(-1)
-        want = [(y_prev_ids.shape[0], self.hidden_size)] * nm.CELLS[self.spec.cell].states
-        if not isinstance(state, tuple) or [s.shape for s in state] != want:
-            raise ValueError("an %s decoder state is a tuple of arrays of shapes %s"
-                             % (self.arch, want))
+        B = enc.mask.shape[0]
+        want = [(B, self.hidden_size)] * nm.CELLS[self.spec.cell].states
+        if (y_prev_ids.shape[0] != B or not isinstance(state, tuple)
+                or [s.shape for s in state] != want):
+            raise ValueError("an %s decoder state is a tuple of arrays of shapes %s, with "
+                             "%d ids, one per row of the encoding" % (self.arch, want, B))
         state, logits, _ = nm.decoder_step(ids=y_prev_ids, state=state,
                                            **self._decoder_wiring(enc))
         return tuple(Tensor(s) for s in state), Tensor(logits)
@@ -256,16 +259,17 @@ class Seq2SeqModel:
         first reads the gold previous token with probability tf_ratio, else
         the model's own argmax (`decoder_noise` draws both).  Without one
         (evaluation) there is no dropout and every step reads the gold token.
-        Every decoder step is one fused op that runs on the rows whose
-        target is not pad; the output head is one GEMM over the N rows.
+        Every decoder step and the output head are one fused op that runs
+        on the rows whose target is not pad; the head is one GEMM over N rows.
         """
         if not 0.0 <= tf_ratio <= 1.0:
             raise ValueError("tf_ratio must be in [0, 1]")
         enc = self.encode(batch.source, rng=rng)
         B, Tt = batch.target.shape
         keep, gold = self.decoder_noise(rng, B, Tt - 1, tf_ratio)
-        return self.out(self.decoder_features(enc, batch.target[:, :-1], keep, gold,
-                                              batch.target[:, 1:] != PAD))
+        return nm.decoder_sequence(tokens=batch.target[:, :-1], gold=gold, state=enc.state,
+                                   keep=keep, mask=batch.target[:, 1:] != PAD,
+                                   **self._decoder_wiring(enc))
 
     def decoder_noise(self, rng, batch_size, steps, tf_ratio):
         """Dropout multipliers and scheduled-sampling coins for one
@@ -286,17 +290,10 @@ class Seq2SeqModel:
         gold[1:] = rng.random(steps - 1) < tf_ratio
         return keep, gold
 
-    def decoder_features(self, enc, inputs, keep, gold, mask):
-        """Head features [N, F] of the positions that `mask` [B, S] marks as
-        read, in its row-major order, from the decoder steps over gold inputs
-        [B, S]: one `numerics.decoder_sequence` op."""
-        return nm.decoder_sequence(tokens=inputs, gold=gold, state=enc.state, keep=keep, mask=mask,
-                                   **self._decoder_wiring(enc))
-
     def _decoder_wiring(self, enc):
-        """The decoder's weights, cell kind, head-feature layout and context
-        (z, or attention over `enc`), as `numerics.decoder_sequence` and
-        `numerics.decoder_step` both read them."""
+        """The decoder's weights, output head, cell kind, head-feature layout
+        and context (z, or attention over `enc`), as `numerics.decoder_sequence`
+        and `numerics.decoder_step` both read them."""
         cell = self.dec_cell
         wiring = dict(cell=cell.kind, emb=self.tgt_emb, W_i=cell.W_i, b=cell.b, W_h=cell.W_h,
                       head=(self.out.W, self.out.b), layout=self.spec.layout)

@@ -25,8 +25,8 @@ read-out, adds c @ W_c to the step's input projection.  ``decoder_sequence``
 loops over it in one tape node, its input ids, embeddings, projections and
 features step-packed over the read positions only: one GEMM projects the
 gold-token inputs, and an own-token step takes the argmax of the previous
-step's logits.  It returns one feature row per read position, in its mask's
-row-major order, for one head GEMM and ``cross_entropy_masked``.
+step's logits.  It ends in the head GEMM and returns one logit row per read
+position, in its mask's row-major order, for ``cross_entropy_masked``.
 ``decoder_step`` runs it once for greedy decoding and records no tape.
 
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
@@ -601,14 +601,13 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     each None for no dropout.  The context is `context` (GRU's z [B, C], fed
     at every step), or the attention read-out when `attention` = (W_e, proj,
     states, mask, v), or absent.  `layout` orders the head features: "x"
-    (input embedding), "c" (context) and "s" (new state).  Returns the head
-    features of the read positions only, [N, F] with dropout applied, in the
-    row-major order of `mask`; backprop through time runs in plain numpy.
+    (input embedding), "c" (context) and "s" (new state).  Returns the logits
+    [N, V] of the read positions only, from their features with dropout
+    applied, in the row-major order of `mask`; backprop runs in plain numpy.
     """
     forward, backward_kernel = CELLS[cell].forward, CELLS[cell].backward
-    emb, W_i, b, W_h = (_to_tensor(t) for t in (emb, W_i, b, W_h))
+    emb, W_i, b, W_h, head_W, head_b = (_to_tensor(t) for t in (emb, W_i, b, W_h, *head))
     state = [_to_tensor(s) for s in state]
-    head_W, head_b = (_to_tensor(t).data for t in head)
     tokens = np.asarray(tokens, dtype=np.int64)
     B, S = tokens.shape
     steps, order, offsets = _live_rows(mask, (B, S))
@@ -623,7 +622,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     E, (H, G) = emb.data.shape[1], W_h.data.shape
     dtype = W_h.data.dtype
     W_x, W_c = W_i.data[:E], W_i.data[E:]
-    parents = [emb, W_i, b, W_h, *state]
+    parents = [emb, W_i, b, W_h, head_W, head_b, *state]
     ctx = arrays = C = None
     if context is not None:
         context = _to_tensor(context)
@@ -655,7 +654,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
         hi = lo + n
         if not fed[t]:
             prev = feats[offsets[t - 1]:offsets[t - 1] + n]             # dropout applied
-            ids[lo:hi] = (prev @ head_W + head_b).argmax(axis=1)
+            ids[lo:hi] = (prev @ head_W.data + head_b.data).argmax(axis=1)
             X[lo:hi] = emb.data[ids[lo:hi]]
             if emb_keep is not None:
                 X[lo:hi] *= emb_keep[lo:hi]
@@ -670,10 +669,15 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             feats[lo:hi] *= feat_keep[lo:hi]
         if C is not None:
             C[lo:hi] = c_t
+    read = feats[at]
 
     def backward(g):
-        packed = np.empty_like(g)
-        packed[at] = g
+        if head_W.requires_grad:
+            head_W._accumulate(read.T @ g)
+        if head_b.requires_grad:
+            head_b._accumulate(g.sum(axis=0))
+        packed = np.empty_like(feats)
+        packed[at] = g @ head_W.data.T
         if feat_keep is not None:
             packed *= feat_keep
         bounds = np.cumsum([widths[k] for k in layout])[:-1]
@@ -739,7 +743,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             if v.requires_grad:
                 v._accumulate(dv[:, None])
 
-    return _make(feats[at], parents, backward)
+    return _make(read @ head_W.data + head_b.data, parents, backward)
 
 
 # -- softmax / loss ----------------------------------------------------------

@@ -94,6 +94,11 @@ class StageSpec:
             raise ValueError("prune_percent: %r is outside [0, 100]" % (self.prune_percent,))
 
 
+def names_a_file(name):
+    """Whether `name` can name a file in a directory: no path separator, not '.' or '..'."""
+    return name not in (".", "..") and "/" not in name and "\\" not in name
+
+
 def check_plan(stages, corpora):
     """The labels of `stages`, stage 0 the copy-pretraining one, after checking that
     there is a stage and each against `corpora`: a known dataset (else KeyError) with train
@@ -112,7 +117,7 @@ def check_plan(stages, corpora):
         if label in labels[:i]:
             raise ValueError("stages %d and %d share the label %r, which names each "
                              "one's checkpoint" % (labels.index(label), i, label))
-        if label in (".", "..") or "/" in label or "\\" in label:
+        if not names_a_file(label):
             raise ValueError("stage %d label %r cannot name a file: it holds a "
                              "path separator or is '.' or '..'" % (i, label))
         if (i and stage.prune_mode != "none"

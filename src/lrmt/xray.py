@@ -2,6 +2,7 @@
 neuron-knowledge pruning, knowledge abstraction, and change-in-mass analysis."""
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -234,13 +235,33 @@ def analysis_export(stage, mass, top_changed=None):
     }
 
 
+def _finite(x):
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+# mass key of an analysis record -> (what each entry must be, its check)
+_MASS_ENTRIES = {
+    "signed_mass": ("a finite number", _finite),
+    "magnitude_mass": ("a finite number >= 0", lambda x: _finite(x) and x >= 0),
+    "max_mass": ("a finite number", _finite),
+    "hit_count": ("an int >= 0", lambda x: type(x) is int and x >= 0),
+}
+
+
 def load_analysis(path):
     """The (stage, mass, top_changed) of each `analysis_export` record in the
     JSON file at `path`, which holds one record or a list of them.  A record
-    whose four mass arrays are not all of its "width" raises ValueError."""
+    raises ValueError unless each mass key holds a list of its `_MASS_ENTRIES`
+    values, all of its "width", and "top_changed", if present, is a list."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     records = []
     for i, rec in enumerate(doc if isinstance(doc, list) else [doc]):
+        for key, (what, ok) in _MASS_ENTRIES.items():
+            if not isinstance(rec[key], list) or not all(map(ok, rec[key])):
+                raise ValueError("%s: record %d: %r must be a list of entries each %s"
+                                 % (path, i, key, what))
+        if not isinstance(rec.get("top_changed", []), list):
+            raise ValueError("%s: record %d: 'top_changed' must be a list" % (path, i))
         mass = MassActivationMatrix(
             signed_mass=np.asarray(rec["signed_mass"], dtype=np.float64),
             magnitude_mass=np.asarray(rec["magnitude_mass"], dtype=np.float64),

@@ -116,19 +116,18 @@ def composed_logits(model, feats):
 
 
 def reference_forward(model, batch, tf_ratio=1.0, rng=None):
-    """(head features [B, Tt-1, F], logits [B, Tt-1, V]) as Tensors, at every
-    position, read or not; `tape_ops.padded_cross_entropy` scores them."""
+    """Logits [B, Tt-1, V] as a Tensor, at every position, read or not;
+    `tape_ops.padded_cross_entropy` scores them."""
     enc = composed_encode(model, batch.source, rng=rng)
     targets = batch.target
     B, Tt = targets.shape
     (emb_keep, feat_keep), gold = model.decoder_noise(rng, B, Tt - 1, tf_ratio)
     state = enc.state
-    step_feats, step_logits = [], []
+    step_logits = []
     for t in range(Tt - 1):
         ids = targets[:, t] if gold[t] else step_logits[-1].data.argmax(axis=1)
         state, feats = composed_step(model, ids, state, enc,
                                      None if emb_keep is None else emb_keep[:, t],
                                      None if feat_keep is None else feat_keep[:, t])
-        step_feats.append(feats)
         step_logits.append(composed_logits(model, feats))
-    return tp.stack(step_feats, axis=1), tp.stack(step_logits, axis=1)
+    return tp.stack(step_logits, axis=1)

@@ -160,6 +160,19 @@ def test_prepare_data_skips_a_dataset_with_no_train_pairs(workspace):
     assert (out / "en-en.src.vocab.json").exists()
 
 
+@pytest.mark.parametrize("ds_id", ["../escape", "sub/dir", "back\\slash", ".."])
+def test_prepare_data_rejects_a_dataset_id_that_cannot_name_a_file(workspace, ds_id):
+    manifest = {"datasets": [{"id": ds_id, "train": "en-en.train.tsv",
+                              "valid": "en-en.valid.tsv"}]}
+    cfg = _config(workspace, **{"data.manifest": _manifest(workspace, manifest)})
+    out = workspace / "run" / "out"
+    code, err = _run(["prepare-data", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("config error: ") and repr(ds_id) in err
+    assert not list(workspace.rglob("*.vocab.json"))
+    assert sorted(p.name for p in (workspace / "run").rglob("*")) == ["out", "run.json"]
+
+
 def test_train_evaluate_prune_xray_round_trip(workspace):
     cfg = _config(workspace, **{"data.dataset": "en-en"})
     out = workspace / "out"
@@ -494,6 +507,38 @@ def test_report_names_the_file_of_a_bad_analysis_record(workspace):
     code, err = _run(["report", "--config", str(rcfg), "--out", str(workspace / "rep")])
     assert code == 2
     assert str(analysis) in err and "magnitude_mass" in err
+
+
+GOOD_RECORD = {"stage": "s", "width": 2, "signed_mass": [1.0, -0.5],
+               "magnitude_mass": [1.0, 0.5], "max_mass": [1.0, 0.0], "hit_count": [1, 0],
+               "top_changed": []}
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("hit_count", [1.7, 0], "'hit_count'"), ("hit_count", [1, -3], "'hit_count'"),
+    ("hit_count", [True, 0], "'hit_count'"), ("signed_mass", [True, 0.5], "'signed_mass'"),
+    ("signed_mass", [float("nan"), 0.5], "'signed_mass'"),
+    ("max_mass", [float("inf"), 0.0], "'max_mass'"),
+    ("magnitude_mass", [1.0, -0.5], "'magnitude_mass'"),
+    ("magnitude_mass", ["1", 0.5], "'magnitude_mass'"),
+    ("top_changed", "junk", "'top_changed'"),
+    # ints JSON holds but float64 or int64 cannot
+    ("signed_mass", [10 ** 400, 0.5], "OverflowError"),
+    ("hit_count", [1, 2 ** 64], "OverflowError")],
+    ids=["hit-float", "hit-negative", "hit-bool", "signed-bool", "signed-nan", "max-inf",
+         "magnitude-negative", "magnitude-str", "top-changed-str", "signed-huge", "hit-huge"])
+def test_report_names_the_file_of_an_analysis_record_of_bad_values(workspace, key, value,
+                                                                   named):
+    analysis = workspace / "analysis.json"
+    rcfg = workspace / "rcfg.json"
+    rcfg.write_text(json.dumps({"report.analyses": [str(analysis)]}), encoding="utf-8")
+    analysis.write_text(json.dumps(GOOD_RECORD), encoding="utf-8")
+    assert main(["report", "--config", str(rcfg), "--out", str(workspace / "good")]) == 0
+    analysis.write_text(json.dumps({**GOOD_RECORD, key: value}), encoding="utf-8")
+    code, err = _run(["report", "--config", str(rcfg), "--out", str(workspace / "rep")])
+    assert code == 2
+    assert str(analysis) in err and named in err
+    assert not (workspace / "rep" / "analysis.json").exists()
 
 
 def _manifest(workspace, doc):

@@ -10,8 +10,8 @@ are compared with the reference's rows at the read positions.  The reference
 loss is `tape_ops.padded_cross_entropy` over every position, pads included.
 Both do the same arithmetic per element, but the fused pass splits the input
 GEMM into its embedding and context rows and sums gradients over all steps
-at once, so the bounds are float64 rounding: 1e-12 on features, logits and
-losses, 1e-10 on gradients.
+at once, so the bounds are float64 rounding: 1e-12 on logits and losses,
+1e-10 on gradients.
 """
 
 from pathlib import Path
@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lrmt.model import Seq2SeqModel
-from lrmt.numerics import cross_entropy_masked
+from lrmt.numerics import cross_entropy_masked, decoder_sequence
 from lrmt.text import PAD, SOS, Batch, ParallelCorpus, build_vocab
 
 from gradcheck import relative_gradient_error
@@ -59,6 +59,13 @@ def _batch():
                  target=_pad(([1, 5, 5, 7, 2], [1, 8, 6, 4, 4, 2], [1, 7, 2])))
 
 
+def _decoder_sequence(model, enc, batch, keep, gold, mask):
+    """The logits of the positions `mask` marks, from the fused op the
+    teacher-forced pass runs, with the model's wiring."""
+    return decoder_sequence(tokens=batch.target[:, :-1], gold=gold, state=enc.state, keep=keep,
+                            mask=mask, **model._decoder_wiring(enc))
+
+
 def _loss(logits, batch):
     return cross_entropy_masked(logits, batch.target[:, 1:])
 
@@ -82,26 +89,26 @@ def test_fused_pass_matches_composed_reference(float64_mode, arch, tf_ratio, dro
     batch = _batch()
     B, Tt = batch.target.shape
     fused = model.forward_teacher_forced(batch, tf_ratio, rng=np.random.default_rng(SEED))
-    ref_feats, ref = reference_forward(model, batch, tf_ratio, rng=np.random.default_rng(SEED))
+    ref = reference_forward(model, batch, tf_ratio, rng=np.random.default_rng(SEED))
 
     rng = np.random.default_rng(SEED)
     enc = model.encode(batch.source, rng=rng)
     keep, gold = model.decoder_noise(rng, B, Tt - 1, tf_ratio)
     assert gold.all() == (tf_ratio == 1.0)
     assert (keep[0] is None) == (dropout == 0.0)
-    F = ref_feats.shape[-1]
+    V = len(model.tgt_vocab)
     every = np.ones((B, Tt - 1), dtype=bool)
-    feats = model.decoder_features(enc, batch.target[:, :-1], keep, gold, every)
+    logits = _decoder_sequence(model, enc, batch, keep, gold, every)
 
-    assert feats.shape == (B * (Tt - 1), F)
-    assert np.max(np.abs(feats.data - ref_feats.data.reshape(-1, F))) < 1e-12
+    assert logits.shape == (B * (Tt - 1), V)
+    assert np.max(np.abs(logits.data - ref.data.reshape(-1, V))) < 1e-12
     # the pass steps only the rows whose target is read and hands on their
-    # features alone, row-major
+    # logits alone, row-major
     read = batch.target[:, 1:] != PAD
-    stepped = model.decoder_features(enc, batch.target[:, :-1], keep, gold, read)
-    assert stepped.shape == (read.sum(), F)
-    assert np.max(np.abs(stepped.data - ref_feats.data[read])) < 1e-12
-    assert fused.shape == (read.sum(), len(model.tgt_vocab))
+    stepped = _decoder_sequence(model, enc, batch, keep, gold, read)
+    assert stepped.shape == (read.sum(), V)
+    assert np.max(np.abs(stepped.data - ref.data[read])) < 1e-12
+    assert fused.shape == (read.sum(), V)
     assert np.max(np.abs(fused.data - ref.data[read])) < 1e-12
     got = _grads(model, _loss(fused, batch))
     want = _grads(model, _reference_loss(ref, batch))
@@ -134,9 +141,9 @@ def test_live_rows_match_composed_reference_on_any_padding(float64_mode, arch, p
                          strict=True):
         assert np.max(np.abs(got.data - want.data)) < 1e-12
     keep, gold = model.decoder_noise(rng, B, Tt - 1, 0.5)
-    feats = model.decoder_features(enc, batch.target[:, :-1], keep, gold, read)
-    ref_feats, ref = reference_forward(model, batch, 0.5, rng=np.random.default_rng(SEED))
-    assert np.max(np.abs(feats.data - ref_feats.data[read])) < 1e-12
+    logits = _decoder_sequence(model, enc, batch, keep, gold, read)
+    ref = reference_forward(model, batch, 0.5, rng=np.random.default_rng(SEED))
+    assert np.max(np.abs(logits.data - ref.data[read])) < 1e-12
 
     fused = model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(SEED))
     assert np.max(np.abs(fused.data - ref.data[read])) < 1e-12
@@ -155,7 +162,7 @@ def test_packed_loss_matches_unpacked_reference(float64_mode, arch):
     fused = _loss(model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(SEED)),
                   batch)
     ref = _reference_loss(reference_forward(model, batch, 0.5,
-                                            rng=np.random.default_rng(SEED))[1], batch)
+                                            rng=np.random.default_rng(SEED)), batch)
     assert abs(fused.item() - ref.item()) < 1e-12
     got, want = _grads(model, fused), _grads(model, ref)
     assert got.keys() == want.keys() == model.named_parameters().keys()
@@ -238,7 +245,7 @@ def test_references_share_no_decoder_kernel():
     here = Path(__file__).parent
     for name in ("reference_forward.py", "reference_decode.py"):
         source = (here / name).read_text(encoding="utf-8")
-        for kernel in ("decoder_sequence", "decoder_features", "decode_step",
+        for kernel in ("decoder_sequence", "forward_teacher_forced", "decode_step",
                        "_gru_forward", "_lstm_forward", "_attend_forward"):
             assert kernel not in source, (name, kernel)
     # the teacher-forced reference runs its own encoder too

@@ -171,6 +171,10 @@ def test_decode_step_rejects_a_state_of_the_wrong_shape(arch, float64_mode):
     for state in bad:
         with pytest.raises(ValueError, match="decoder state"):
             model.decode_step(np.full(B, SOS), state, enc)
+    # ids and state of one row more than the encoding: the batch is the encoding's
+    tall = tuple(Tensor(np.zeros((B + 1, H))) for _ in enc.state)
+    with pytest.raises(ValueError, match="decoder state"):
+        model.decode_step(np.full(B + 1, SOS), tall, enc)
     model.decode_step(np.full(B, SOS), enc.state, enc)      # the encoder's own state runs
 
 
