@@ -1,49 +1,68 @@
-"""Reverse-mode autodiff from the ground up.
+"""Reverse-mode autodiff on lrmt's own ops.
 
-Builds a tiny computation by hand, backpropagates through it, and checks the
-result against central finite differences — the same oracle the test suite
-uses for every layer.
+A training batch of a toy attention model is a tape of three fused ops: the
+encoder, the decoder with its output head, and the loss.  This prints that
+tape, checks one encoder weight's gradient against a central finite
+difference (the oracle the test suite uses for every op) and takes a few
+Adam steps.
 """
 
 import numpy as np
 
-from lrmt import numerics as nm
-from lrmt.numerics import Adam, Parameter, Tensor, set_default_dtype
+from lrmt import synthetic
+from lrmt.model import Seq2SeqModel
+from lrmt.numerics import Adam, cross_entropy_masked, set_default_dtype
+from lrmt.text import build_vocab, encode_pairs, make_batches
 
 set_default_dtype(np.float64)
-
-# A two-layer tanh network on a fixed input, loss = sum of outputs: the
-# [4, 2] output between a row and a column of ones is a [1, 1] scalar node.
-rng = np.random.default_rng(0)
-x = Tensor(rng.normal(size=(4, 3)))
-W1 = Parameter(nm.init_uniform((3, 5), rng), name="W1")
-W2 = Parameter(nm.init_uniform((5, 2), rng), name="W2")
-rows, cols = Tensor(np.ones((1, 4))), Tensor(np.ones((2, 1)))
+corpus = synthetic.copy_task(pairs=8, vocab_size=6, min_len=2, max_len=4, seed=0)
+vocab = build_vocab([corpus], side="source")
+model = Seq2SeqModel("abgru", vocab, vocab, embed_size=4, hidden_size=5, dropout=0.0, seed=0)
+(batch,) = make_batches(encode_pairs(corpus, vocab, vocab), batch_size=8, seed=0)
 
 
 def forward():
-    h = nm.tanh(x @ W1)
-    return rows @ nm.tanh(h @ W2) @ cols
+    return cross_entropy_masked(model.forward_teacher_forced(batch), batch.target[:, 1:])
+
+
+def tape(loss):
+    """Every node with a backward closure, from `loss` back, each once."""
+    seen, nodes, todo = set(), [], [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            nodes.append(node)
+            todo.extend(node._parents)
+    return nodes
 
 
 loss = forward()
 loss.backward()
-print("loss:", loss.item())
+print("loss: %.6f; its tape, from the loss back:" % loss.item())
+for node in tape(loss):
+    op = node._backward.__qualname__.split(".")[0]
+    print("  %-22s %-12s %2d parent(s)" % (op, node.shape, len(node._parents)))
+print("(the encoder op's three outputs hang off its hidden node, the entry with 11 parents)")
 
-# Finite-difference check on one entry of W1.
+# Finite-difference check on the forward encoder's recurrent weight, at its
+# entry of largest gradient: that gradient crosses all three ops.
+W_h = model.named_parameters()["enc_fwd.W_h"]
+i = int(np.abs(W_h.grad).argmax())
 eps = 1e-6
-flat = W1.data.reshape(-1)
-old = flat[0]
-flat[0] = old + eps
+flat = W_h.data.reshape(-1)
+old = flat[i]
+flat[i] = old + eps
 up = forward().item()
-flat[0] = old - eps
+flat[i] = old - eps
 down = forward().item()
-flat[0] = old
+flat[i] = old
 numeric = (up - down) / (2 * eps)
-print("dL/dW1[0,0] analytic %.10f  numeric %.10f" % (W1.grad.reshape(-1)[0], numeric))
+print("dL/d enc_fwd.W_h (flat %d) analytic %.10f  numeric %.10f"
+      % (i, W_h.grad.reshape(-1)[i], numeric))
 
 # A few Adam steps drive the loss down.
-opt = Adam([W1, W2], lr=0.05)
+opt = Adam(model.parameters(), lr=0.05)
 for step in range(20):
     opt.zero_grad()
     loss = forward()

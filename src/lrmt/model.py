@@ -75,9 +75,6 @@ class Linear:
     def parameters(self):
         return [self.W, self.b]
 
-    def __call__(self, x):
-        return (x @ self.W) + self.b
-
 
 @dataclass
 class EncodeResult:
@@ -194,44 +191,21 @@ class Seq2SeqModel:
     # -- forward ---------------------------------------------------------------
 
     def encode(self, source, rng=None):
-        """Run the encoder over a right-padded id matrix [B, T]: an EncodeResult
-        with per-token states, the initial decoder state, the pad mask (source
-        != PAD) and, for an attention decoder, the encoder-side attention
-        projection.  Dropout draws from `rng` when one is given."""
+        """Run the encoder over a right-padded id matrix [B, T] as one
+        `numerics.encoder_sequence` op: an EncodeResult with per-token states,
+        the initial decoder state, the pad mask (source != PAD) and, for an
+        attention decoder, the encoder-side attention projection.  With an
+        `rng`, the embedding-dropout multipliers [B, T, E] draw from it first."""
         source = np.asarray(source)
         if source.ndim != 2 or source.shape[0] == 0:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
-        B, T = source.shape
         mask = (source != PAD).astype(self.dtype)
-        emb = nm.dropout(nm.embedding(self.src_emb, source), self.dropout, rng)
-        seqs = [nm.cell_sequence(cell.kind, emb, cell.W_i, cell.b, cell.W_h, mask, k > 0)
-                for k, cell in enumerate(self.encoders)]
-        # each row's final state: the position each direction visits last
-        finals = [nm.reshape(nm.narrow(seq, T - 1 if k == 0 else 0, 1, axis=1), (B, -1))
-                  for k, seq in enumerate(seqs)]
-        if self.enc_init is not None:
-            states = nm.concat(seqs, axis=-1)
-            state = (nm.tanh(self.enc_init(nm.concat(finals, axis=-1))),)
-        elif nm.CELLS[self.spec.cell].states == 1:
-            states, state = seqs[0], (finals[0],)
-        else:
-            H = self.hidden_size
-            states = nm.narrow(seqs[0], 0, H)
-            state = (nm.narrow(finals[0], 0, H), nm.narrow(finals[0], H, H))
-        proj = None if self.attn_energy is None else self._attention_projection(states)
+        keep = nm.dropout_mask(source.shape + (self.embed_size,), self.dropout, rng, self.dtype)
+        states, state, proj = nm.encoder_sequence(
+            self.spec.cell, source, mask, self.src_emb,
+            [(cell.W_i, cell.b, cell.W_h) for cell in self.encoders], keep,
+            self._walk([self.enc_init]), self._walk([self.attn_energy]))
         return EncodeResult(states, state, mask, proj)
-
-    def _attention_projection(self, enc_states):
-        """Encoder-side part of the additive energy, computed once per pass.
-
-        The energy layer sees [s; h]: its first H weight rows act on the
-        decoder state, the remaining rows on the encoder state.
-        """
-        B, T, D = enc_states.shape
-        flat = nm.reshape(enc_states, (B * T, D))
-        W_enc = nm.narrow(self.attn_energy.W, self.hidden_size, D, axis=0)
-        proj = nm.matmul(flat, W_enc) + self.attn_energy.b
-        return nm.reshape(proj, (B, T, self.hidden_size))
 
     def decode_step(self, y_prev_ids, state, enc):
         """One greedy-decoding step on the teacher-forced pass's step

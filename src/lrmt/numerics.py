@@ -1,16 +1,16 @@
 """Dense tensor math with reverse-mode gradients, Adam, and gradient clipping.
 
-Everything downstream (the recurrent cells, attention, projections) is built
-from the ops in this module.  The graph is a plain tape: each op returns a
-Tensor that remembers its parents and a closure that scatters the incoming
-gradient back to them.
+A training batch's tape is three ops from this module, ``encoder_sequence``,
+``decoder_sequence`` and ``cross_entropy_masked``, with hand-written backward
+passes on numpy arrays.  Each op returns a Tensor that remembers its parents
+and a closure that scatters the incoming gradient back to them.
 
-The GRU and LSTM recurrences are fused ops with hand-written backward passes.
-Their kernels take the projected input ``xp = x @ W_i + b`` and the recurrent
-weight ``W_h``.  ``CELLS`` maps each cell kind to its gate count, its state
-arrays and its pair of step kernels; ``cell_sequence`` projects a padded batch
-with one GEMM and runs it from a zero state in one tape node, keeps the state
-at pad positions, and does backprop through time in plain numpy.
+The GRU and LSTM kernels take the projected input ``xp = x @ W_i + b`` and
+the recurrent weight ``W_h``; ``CELLS`` maps each cell kind to its gate
+count, its state arrays and its pair of step kernels.  ``encoder_sequence``
+embeds a padded batch, projects it with one GEMM per direction, runs each
+direction from a zero state, keeping the state at pad positions, and forms
+the decoder's initial state and the encoder-side attention energy.
 
 Recurrence steps run on live rows only.  Both fused recurrences order a
 right-padded batch's rows longest first once per call, so step t's cell,
@@ -134,14 +134,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 
@@ -189,19 +181,6 @@ def _to_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(grad, shape):
-    """Sum grad down to `shape` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 def _make(data, parents, backward):
     out = Tensor(data)
     if _RECORDING and any(p.requires_grad for p in parents):
@@ -211,104 +190,8 @@ def _make(data, parents, backward):
     return out
 
 
-# -- elementwise / structural ops -------------------------------------------
-
-def add(a, b):
-    a, b = _to_tensor(a), _to_tensor(b)
-    data = a.data + b.data
-
-    def backward(g):
-        for t in (a, b):
-            if t.requires_grad:
-                part = _unbroadcast(g, t.data.shape)
-                # g itself is this node's grad and may go to both operands
-                t._accumulate(part.copy() if part is g else part)
-
-    return _make(data, (a, b), backward)
-
-
-def matmul(a, b):
-    a, b = _to_tensor(a), _to_tensor(b)
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _make(data, (a, b), backward)
-
-
-def concat(tensors, axis=-1):
-    tensors = [_to_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece.copy())                 # a view of g
-
-    return _make(data, tensors, backward)
-
-
-def narrow(a, start, size, axis=-1):
-    """Contiguous slice [start, start+size) along one axis."""
-    a = _to_tensor(a)
-    index = [slice(None)] * a.data.ndim
-    index[axis] = slice(start, start + size)
-    index = tuple(index)
-    data = a.data[index]
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[index] = g
-            a._accumulate(full)
-
-    return _make(data, (a,), backward)
-
-
-def reshape(a, shape):
-    a = _to_tensor(a)
-    old = a.data.shape
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(old).copy())            # a view of g
-
-    return _make(data, (a,), backward)
-
-
 def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
-
-
-def tanh(a):
-    a = _to_tensor(a)
-    data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - data * data))
-
-    return _make(data, (a,), backward)
-
-
-def embedding(table, ids):
-    """Row lookup.  `ids` is an integer ndarray; output shape ids.shape + (E,)."""
-    table = _to_tensor(table)
-    ids = np.asarray(ids)
-    data = table.data[ids]
-
-    def backward(g):
-        if table.requires_grad:
-            _scatter_rows(table, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-
-    return _make(data, (table,), backward)
 
 
 def _scatter_rows(table, ids, rows):
@@ -332,21 +215,6 @@ def dropout_mask(shape, rate, rng, dtype):
         return None
     keep = 1.0 - rate
     return (rng.random(shape) < keep).astype(dtype) / keep
-
-
-def dropout(a, rate, rng):
-    """Inverted dropout with a mask drawn from `rng`; identity when rng is None."""
-    a = _to_tensor(a)
-    mask = dropout_mask(a.data.shape, rate, rng, a.data.dtype)
-    if mask is None:
-        return a
-    data = a.data * mask
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return _make(data, (a,), backward)
 
 
 # -- fused recurrent cells ---------------------------------------------------
@@ -448,64 +316,162 @@ def _restore(a, order):
     return out
 
 
-def cell_sequence(kind, x, W_i, b, W_h, mask, reverse=False):
-    """A `kind` cell over every position of x [B, T, I], starting from a zero
-    state; the input projection x @ W_i + b is one GEMM over all B*T rows.
-
-    Positions where the right-padded {0,1} `mask` [B, T] is 0 keep the
-    previous state, so the state at the last position visited (T-1, or 0
-    when `reverse`) is the state after each row's last real token; the cell
-    runs on live rows only.  Returns the state after every position in input
-    order, its arrays (h, or h and c) packed as [B, T, states*H].
-    """
-    forward, backward_kernel = CELLS[kind].forward, CELLS[kind].backward
-    x, W_i, b, W_h = (_to_tensor(t) for t in (x, W_i, b, W_h))
-    B, T, I = x.data.shape
-    (H, G), S = W_h.data.shape, CELLS[kind].states
-    flat = x.data.reshape(B * T, I)
-    steps, order, offsets = _live_rows(mask, (B, T))
-    visit = range(T - 1, -1, -1) if reverse else range(T)
-    dtype = W_h.data.dtype
-    xs = _take((flat @ W_i.data + b.data).reshape(B, T, G), order)
+def _recurrence(cell, xs, W_h, steps, offsets, visit):
+    """A `CELLS` kind from a zero state over xs [B, T, G], the projected input
+    with rows longest first, at the positions in `visit`; a pad keeps the
+    state.  Returns (the state after every position [B, T, states*H], the
+    state entering each live step, step-packed, each step's cache)."""
+    B, T, _ = xs.shape
+    H, S, dtype = W_h.shape[0], cell.states, W_h.dtype
     out = np.empty((B, T, S * H), dtype=dtype)
-    st_in = np.empty((offsets[-1], S * H), dtype=dtype)     # state entering each live step
+    st_in = np.empty((offsets[-1], S * H), dtype=dtype)
     caches = [None] * T
     prev = np.zeros((B, S * H), dtype=dtype)
     for t in visit:
         n, lo = steps[t], offsets[t]
-        entering = st_in[lo:lo + n]
-        entering[...] = prev[:n]
-        new, caches[t] = forward(xs[:n, t], _split_state(entering, S), W_h.data)
+        st_in[lo:lo + n] = prev[:n]
+        new, caches[t] = cell.forward(xs[:n, t], _split_state(st_in[lo:lo + n], S), W_h)
         for k, s in enumerate(new):
             out[:n, t, k * H:(k + 1) * H] = s
         if n < B:
             out[n:, t] = prev[n:]                       # pad: the state carries
         prev = out[:, t]
-    out = _restore(out, order)
+    return out, st_in, caches
 
-    def backward(g):
-        g = _take(g, order)
-        dxp = np.zeros((B, T, G), dtype=dtype)
-        dhh = np.empty((offsets[-1], G), dtype=dtype)
-        d = np.zeros((B, S * H), dtype=dtype)
-        for t in reversed(visit):
-            n, lo = steps[t], offsets[t]
-            d += g[:, t]
-            dxp[:n, t], dhh[lo:lo + n], d_step = backward_kernel(_split_state(d[:n], S),
-                                                                 caches[t], W_h.data)
-            for k, ds in enumerate(d_step):
-                d[:n, k * H:(k + 1) * H] = ds
-        dxp = _restore(dxp, order).reshape(B * T, G)
-        if x.requires_grad:
-            x._accumulate((dxp @ W_i.data.T).reshape(B, T, I))
-        if W_i.requires_grad:
-            W_i._accumulate(flat.T @ dxp)
-        if b.requires_grad:
-            b._accumulate(dxp.sum(axis=0))
-        if W_h.requires_grad:
-            W_h._accumulate(st_in[:, :H].T @ dhh)
 
-    return _make(out, (x, W_i, b, W_h), backward)
+def _recurrence_backward(cell, g, W_h, steps, offsets, visit, caches):
+    """Backprop through time for `_recurrence` from g, the gradient of its
+    states: (d xp [B, T, G], d(h @ W_h) step-packed)."""
+    B, T, _ = g.shape
+    (H, G), S, dtype = W_h.shape, cell.states, W_h.dtype
+    dxp = np.zeros((B, T, G), dtype=dtype)
+    dhh = np.empty((offsets[-1], G), dtype=dtype)
+    d = np.zeros((B, S * H), dtype=dtype)
+    for t in reversed(visit):
+        n, lo = steps[t], offsets[t]
+        d += g[:, t]
+        dxp[:n, t], dhh[lo:lo + n], d_step = cell.backward(_split_state(d[:n], S), caches[t], W_h)
+        for k, ds in enumerate(d_step):
+            d[:n, k * H:(k + 1) * H] = ds
+    return dxp, dhh
+
+
+def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, energy=None):
+    """The whole encoder pass as one tape op: (states, state, proj).
+
+    `emb` [V, E] embeds the right-padded ids [B, T], times the dropout
+    multipliers `keep` [B, T, E] (None: no dropout).  directions[k] holds the
+    weights (W_i, b, W_h) of one `cell` run over that from a zero state, the
+    first forwards and any further one backwards; a row keeps its state where
+    the {0,1} `mask` is 0.  states [B, T, D] is every direction's h after each
+    position, side by side.  The decoder's initial state is (tanh(F @ W + b),)
+    with `init` = (W [D, H], b), F being every direction's last h side by
+    side, else the first direction's last state arrays.  With `energy` =
+    (W_e [H + D, H], b_e), proj [B, T, H] = states @ W_e[H:] + b_e, else None.
+    The outputs hang off one hidden node, whose closure reads each output's
+    gradient (None: nothing read it) and runs backprop through time only for
+    a direction whose weights, or the embedding, require grad.
+    """
+    kind = CELLS[cell]
+    emb = _to_tensor(emb)
+    directions = [[_to_tensor(w) for w in weights] for weights in directions]
+    init, energy = ([_to_tensor(w) for w in weights or ()] for weights in (init, energy))
+    ids = np.asarray(ids)
+    B, T = ids.shape
+    H, G = directions[0][2].data.shape
+    steps, order, offsets = _live_rows(mask, (B, T))
+    flat = (emb.data[ids] if keep is None else emb.data[ids] * keep).reshape(B * T, -1)
+    runs, hs, finals = [], [], []
+    for k, (W_i, b, W_h) in enumerate(directions):
+        visit = range(T - 1, -1, -1) if k else range(T)
+        xs = _take((flat @ W_i.data + b.data).reshape(B, T, G), order)
+        out, st_in, caches = _recurrence(kind, xs, W_h.data, steps, offsets, visit)
+        out = _restore(out, order)
+        runs.append((visit, st_in, caches))
+        hs.append(out[..., :H])
+        finals.append(out[:, visit[-1]])
+    states = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=-1)
+    if init:
+        F = np.concatenate([f[:, :H] for f in finals], axis=-1)
+        state = (np.tanh(F @ init[0].data + init[1].data),)
+    else:
+        state = tuple(_split_state(finals[0], kind.states))
+    proj = None
+    if energy:
+        flat_states = states.reshape(B * T, -1)
+        proj = (flat_states @ energy[0].data[H:] + energy[1].data).reshape(B, T, H)
+    recurrent = [emb.requires_grad or any(w.requires_grad for w in ws) for ws in directions]
+
+    grads = {}                      # output index -> its gradient, as the output hands it on
+
+    def backward(_):
+        d_states, d_proj, *d_state = (grads.get(i) for i in range(2 + len(state)))
+        if d_proj is not None:
+            W_e, b_e = energy
+            dP = d_proj.reshape(B * T, H)
+            if W_e.requires_grad:
+                dW = np.zeros_like(W_e.data)    # rows :H act on the decoder state
+                dW[H:] = flat_states.T @ dP
+                W_e._accumulate(dW)
+            if b_e.requires_grad:
+                b_e._accumulate(dP.sum(axis=0))
+            if any(recurrent):
+                d_via = (dP @ W_e.data[H:].T).reshape(B, T, -1)
+                d_states = d_via if d_states is None else d_states + d_via
+        dF = dX = None
+        if init and d_state[0] is not None:
+            W, b = init
+            dpre = d_state[0] * (1.0 - state[0] * state[0])
+            if W.requires_grad:
+                W._accumulate(F.T @ dpre)
+            if b.requires_grad:
+                b._accumulate(dpre.sum(axis=0))
+            if any(recurrent):
+                dF = dpre @ W.data.T
+        for k, ((W_i, b, W_h), (visit, st_in, caches)) in enumerate(zip(directions, runs)):
+            if not recurrent[k]:
+                continue
+            g = np.zeros((B, T, kind.states * H), dtype=W_h.data.dtype)
+            # its last state's gradient: through init, else the decoder's own state's
+            d_last = [dF[:, k * H:(k + 1) * H]] if dF is not None else () if init or k else d_state
+            for part, ds in zip(_split_state(g[:, visit[-1]], kind.states), d_last):
+                if ds is not None:
+                    part[...] = ds
+            if d_states is not None:
+                g[..., :H] += d_states[..., k * H:(k + 1) * H]
+            dxp, dhh = _recurrence_backward(kind, _take(g, order), W_h.data, steps, offsets,
+                                            visit, caches)
+            dxp = _restore(dxp, order).reshape(B * T, G)
+            if emb.requires_grad:
+                dX = dxp @ W_i.data.T if dX is None else dX + dxp @ W_i.data.T
+            if W_i.requires_grad:
+                W_i._accumulate(flat.T @ dxp)
+            if b.requires_grad:
+                b._accumulate(dxp.sum(axis=0))
+            if W_h.requires_grad:
+                W_h._accumulate(st_in[:, :H].T @ dhh)
+        if dX is not None:
+            if keep is not None:
+                dX *= keep.reshape(dX.shape)
+            _scatter_rows(emb, ids.reshape(-1), dX)
+
+    encoder = [emb, *(w for weights in directions for w in weights)]
+    hub = _make(np.zeros(()), encoder + init + energy, backward)
+
+    def hand_on(i):                 # an output's closure; holding no output, it makes no cycle
+        def closure(g):
+            grads[i] = g
+            hub.grad = hub.data
+        return closure
+
+    outs = []
+    for i, (data, own) in enumerate(((states, encoder), (proj, encoder + energy),
+                                     *((s, encoder + init) for s in state))):
+        out = None if data is None else Tensor(data)
+        if out is not None and hub.requires_grad and any(p.requires_grad for p in own):
+            out.requires_grad, out._parents, out._backward = True, (hub,), hand_on(i)
+        outs.append(out)
+    return outs[0], tuple(outs[2:]), outs[1]
 
 
 # -- fused decoder ---------------------------------------------------------------

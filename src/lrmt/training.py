@@ -478,8 +478,8 @@ def run_sequential_plan(stages, corpora, config, out_dir=None, metrics_path=None
                 prune_set = xray.select_prune_set(results[-1]["mass"], stage.prune_mode,
                                                   stage.prune_percent)
                 model.prune_encoder_units(sorted(prune_set))
-            if stage.freeze_encoder:
-                model.freeze_encoder()
+            for p in model.encoder_parameters():       # both ways: a stage may unfreeze
+                p.frozen = stage.freeze_encoder
             ckpt = _fine_tune(model, splits, config, metrics_path, label)
         ckpt.provenance["prune_mode"] = stage.prune_mode
         model = ckpt.to_model()

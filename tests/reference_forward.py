@@ -1,13 +1,13 @@
 """The composed, one-step-at-a-time encoder and decoder, kept as the
 reference for the fused kernels that training and greedy decoding run.
 
-Every step is built from the tape's generic ops (`matmul`, `tanh`,
-`narrow`, `concat`, and `mul`, `sigmoid`, `masked_softmax`, `tsum`, `stack`
-from the test-side `tape_ops`), so it shares no kernel with the code it
-checks.  Every row runs at every position: a pad position carries the state
-as a lerp by the {0,1} mask.  The teacher-forced pass consumes the dropout
-masks and scheduled-sampling coins the model draws, so both paths read the
-same draws from the same rng.
+Every step is built from the test-side generic tape ops in `tape_ops`
+(`matmul`, `add`, `tanh`, `narrow`, `concat`, `mul`, `sigmoid`,
+`masked_softmax`, `tsum`, `stack`, ...), so it shares no kernel with the
+code it checks.  Every row runs at every position: a pad position carries
+the state as a lerp by the {0,1} mask.  The teacher-forced pass consumes the
+dropout masks and scheduled-sampling coins the model draws, so both paths
+read the same draws from the same rng.
 """
 
 import numpy as np
@@ -23,54 +23,75 @@ def composed_cell(kind, xp, state, W_h):
     H = W_h.shape[0]
     h = state[0]
     if kind == "gru":
-        hh = h @ W_h
-        r = tp.sigmoid(nm.narrow(xp, 0, H) + nm.narrow(hh, 0, H))
-        z = tp.sigmoid(nm.narrow(xp, H, H) + nm.narrow(hh, H, H))
-        n = nm.tanh(nm.narrow(xp, 2 * H, H) + tp.mul(r, nm.narrow(hh, 2 * H, H)))
-        return (tp.mul(tp.mul(z, -1.0) + 1.0, n) + tp.mul(z, h),)
-    a = xp + h @ W_h
-    i = tp.sigmoid(nm.narrow(a, 0, H))
-    f = tp.sigmoid(nm.narrow(a, H, H))
-    g = nm.tanh(nm.narrow(a, 2 * H, H))
-    o = tp.sigmoid(nm.narrow(a, 3 * H, H))
-    c_new = tp.mul(f, state[1]) + tp.mul(i, g)
-    return tp.mul(o, nm.tanh(c_new)), c_new
+        hh = tp.matmul(h, W_h)
+        r = tp.sigmoid(tp.add(tp.narrow(xp, 0, H), tp.narrow(hh, 0, H)))
+        z = tp.sigmoid(tp.add(tp.narrow(xp, H, H), tp.narrow(hh, H, H)))
+        n = tp.tanh(tp.add(tp.narrow(xp, 2 * H, H), tp.mul(r, tp.narrow(hh, 2 * H, H))))
+        return (tp.add(tp.mul(tp.add(tp.mul(z, -1.0), 1.0), n), tp.mul(z, h)),)
+    a = tp.add(xp, tp.matmul(h, W_h))
+    i = tp.sigmoid(tp.narrow(a, 0, H))
+    f = tp.sigmoid(tp.narrow(a, H, H))
+    g = tp.tanh(tp.narrow(a, 2 * H, H))
+    o = tp.sigmoid(tp.narrow(a, 3 * H, H))
+    c_new = tp.add(tp.mul(f, state[1]), tp.mul(i, g))
+    return tp.mul(o, tp.tanh(c_new)), c_new
 
 
 def composed_sequence(kind, x, W_i, b, W_h, mask, reverse=False):
     """A cell over every position of x [B, T, I] from a zero state: the
-    states after each position, packed [B, T, states*H] as the fused
-    recurrence returns them."""
+    states after each position, packed [B, T, states*H]."""
     B, T, I = x.shape
     H = W_h.shape[0]
-    xp = nm.reshape(nm.reshape(x, (B * T, I)) @ W_i + b, (B, T, -1))
+    xp = tp.reshape(tp.add(tp.matmul(tp.reshape(x, (B * T, I)), W_i), b), (B, T, -1))
     state = [nm.Tensor(np.zeros((B, H), dtype=W_h.dtype))] * (2 if kind == "lstm" else 1)
     per_pos = [None] * T
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
-        new = composed_cell(kind, nm.reshape(nm.narrow(xp, t, 1, axis=1), (B, -1)), state, W_h)
+        new = composed_cell(kind, tp.reshape(tp.narrow(xp, t, 1, axis=1), (B, -1)), state, W_h)
         m = mask[:, t:t + 1]
-        state = [tp.mul(n, m) + tp.mul(s, 1.0 - m) for n, s in zip(new, state)]
-        per_pos[t] = nm.concat(state, axis=-1)
+        state = [tp.add(tp.mul(n, m), tp.mul(s, 1.0 - m)) for n, s in zip(new, state)]
+        per_pos[t] = tp.concat(state, axis=-1)
     return tp.stack(per_pos, axis=1)
+
+
+def composed_encoder(kind, x, directions, mask, init=None):
+    """(states [B, T, D], initial decoder state tuple) of the encoder over the
+    embedded source x [B, T, E], on composed cells: directions[k] = (W_i, b,
+    W_h), the first reading forwards and any further one backwards; with
+    init = (W, b) the state is (tanh(F @ W + b),) over every direction's
+    last h, else the first direction's last state arrays."""
+    B, T, _ = x.shape
+    H = directions[0][2].shape[0]
+    states, finals = [], []
+    for k, (W_i, b, W_h) in enumerate(directions):
+        seq = composed_sequence(kind, x, W_i, b, W_h, mask, reverse=k > 0)
+        states.append(tp.narrow(seq, 0, H))
+        finals.append(tp.reshape(tp.narrow(seq, 0 if k else T - 1, 1, axis=1), (B, -1)))
+    states = states[0] if len(states) == 1 else tp.concat(states, axis=-1)
+    if init is None:
+        return states, tuple(tp.narrow(finals[0], s * H, H)
+                             for s in range(finals[0].shape[1] // H))
+    F = tp.concat([tp.narrow(f, 0, H) for f in finals], axis=-1)
+    return states, (tp.tanh(tp.add(tp.matmul(F, init[0]), init[1])),)
+
+
+def composed_projection(energy, states, H):
+    """The encoder-side attention energy [B, T, H], states @ W_e[H:] + b_e,
+    with energy = (W_e, b_e)."""
+    W_e, b_e = energy
+    B, T, D = states.shape
+    flat = tp.reshape(states, (B * T, D))
+    return tp.reshape(tp.add(tp.matmul(flat, tp.narrow(W_e, H, D, axis=0)), b_e), (B, T, H))
 
 
 def composed_encode(model, source, rng=None):
     """The model's encoder pass without the attention projection, on
     composed cells, drawing the same dropout mask from `rng`."""
-    B, T = source.shape
-    H = model.hidden_size
     mask = (source != PAD).astype(model.dtype)
-    x = nm.dropout(nm.embedding(model.src_emb, source), model.dropout, rng)
-    states, finals = [], []
-    for k, cell in enumerate(model.encoders):
-        seq = composed_sequence(cell.kind, x, cell.W_i, cell.b, cell.W_h, mask, reverse=k > 0)
-        states.append(nm.narrow(seq, 0, H))
-        finals.append(nm.reshape(nm.narrow(seq, 0 if k else T - 1, 1, axis=1), (B, -1)))
-    if model.enc_init is None:
-        state = [nm.narrow(finals[0], k * H, H) for k in range(2 if model.arch == "lstm" else 1)]
-        return EncodeResult(states[0], tuple(state), mask)
-    z = nm.tanh(model.enc_init(nm.concat([nm.narrow(f, 0, H) for f in finals], axis=-1)))
-    return EncodeResult(nm.concat(states, axis=-1), (z,), mask)
+    x = tp.dropout(tp.embedding(model.src_emb, source), model.dropout, rng)
+    init = None if model.enc_init is None else model.enc_init.parameters()
+    states, state = composed_encoder(model.encoders[0].kind, x,
+                                     [(c.W_i, c.b, c.W_h) for c in model.encoders], mask, init)
+    return EncodeResult(states, state, mask)
 
 
 def composed_attention(model, s, enc):
@@ -78,41 +99,39 @@ def composed_attention(model, s, enc):
     with the encoder-side projection formed here."""
     B, T, D = enc.states.shape
     H = model.hidden_size
-    W_e = model.attn_energy.W
-    flat = nm.reshape(enc.states, (B * T, D))
-    proj = nm.reshape(flat @ nm.narrow(W_e, H, D, axis=0) + model.attn_energy.b, (B, T, H))
-    s_proj = nm.reshape(s @ nm.narrow(W_e, 0, H, axis=0), (B, 1, H))
-    energy = nm.reshape(nm.tanh(proj + s_proj), (B * T, H))
-    scores = nm.reshape(energy @ model.attn_v, (B, T))
+    proj = composed_projection(model.attn_energy.parameters(), enc.states, H)
+    s_proj = tp.reshape(tp.matmul(s, tp.narrow(model.attn_energy.W, 0, H, axis=0)), (B, 1, H))
+    energy = tp.reshape(tp.tanh(tp.add(proj, s_proj)), (B * T, H))
+    scores = tp.reshape(tp.matmul(energy, model.attn_v), (B, T))
     a = tp.masked_softmax(scores, enc.mask)
-    return tp.tsum(tp.mul(nm.reshape(a, (B, T, 1)), enc.states), axis=1)
+    return tp.tsum(tp.mul(tp.reshape(a, (B, T, 1)), enc.states), axis=1)
 
 
 def composed_step(model, ids, state, enc, emb_keep=None, feat_keep=None):
     """One decoder step: (new state tuple, head features [B, F])."""
     cell = model.dec_cell
-    x = nm.embedding(model.tgt_emb, ids)
+    x = tp.embedding(model.tgt_emb, ids)
     if emb_keep is not None:
         x = tp.mul(x, emb_keep)
     if model.arch == "lstm":
-        state = composed_cell("lstm", x @ cell.W_i + cell.b, state, cell.W_h)
+        state = composed_cell("lstm", tp.add(tp.matmul(x, cell.W_i), cell.b), state, cell.W_h)
         feats = state[0]
     elif model.arch == "gru":
-        inputs = nm.concat([x, enc.state[0]], axis=-1)
-        state = composed_cell("gru", inputs @ cell.W_i + cell.b, state, cell.W_h)
-        feats = nm.concat([x, state[0], enc.state[0]], axis=-1)
+        inputs = tp.concat([x, enc.state[0]], axis=-1)
+        state = composed_cell("gru", tp.add(tp.matmul(inputs, cell.W_i), cell.b), state, cell.W_h)
+        feats = tp.concat([x, state[0], enc.state[0]], axis=-1)
     else:
         w = composed_attention(model, state[0], enc)
-        inputs = nm.concat([x, w], axis=-1)
-        state = composed_cell("gru", inputs @ cell.W_i + cell.b, state, cell.W_h)
-        feats = nm.concat([x, w, state[0]], axis=-1)
+        inputs = tp.concat([x, w], axis=-1)
+        state = composed_cell("gru", tp.add(tp.matmul(inputs, cell.W_i), cell.b), state, cell.W_h)
+        feats = tp.concat([x, w, state[0]], axis=-1)
     if feat_keep is not None:
         feats = tp.mul(feats, feat_keep)
     return state, feats
 
 
 def composed_logits(model, feats):
-    return feats @ model.out.W + model.out.b
+    return tp.add(tp.matmul(feats, model.out.W), model.out.b)
 
 
 def reference_forward(model, batch, tf_ratio=1.0, rng=None):

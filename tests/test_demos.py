@@ -1,5 +1,7 @@
-"""Every walkthrough in demos/ runs to completion in a fresh interpreter."""
+"""Every walkthrough in demos/ runs to completion in a fresh interpreter, on
+lrmt alone."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,3 +21,20 @@ def test_demo_runs_and_exits_0(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_imports_nothing_from_tests(demo):
+    # the test-side tape ops and oracles are no part of lrmt's API
+    tree = ast.parse(demo.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            assert top not in ("tape_ops", "gradcheck") and not top.startswith("reference_"), \
+                (demo.name, name)

@@ -1,7 +1,7 @@
 """The fused decoder, teacher-forced pass and greedy step, against the
 composed per-step loop.
 
-`reference_forward` builds every step from the tape's small ops, runs every
+`reference_forward` builds every step from the test-side tape ops, runs every
 row at every position, and consumes the same dropout masks and
 scheduled-sampling coins, drawn by the model from an rng of the same seed.
 The fused passes step only the rows still live, longest first, and hand on
@@ -250,5 +250,5 @@ def test_references_share_no_decoder_kernel():
             assert kernel not in source, (name, kernel)
     # the teacher-forced reference runs its own encoder too
     source = (here / "reference_forward.py").read_text(encoding="utf-8")
-    for kernel in ("cell_sequence", ".encode(", ".sequence("):
+    for kernel in ("encoder_sequence", "_recurrence", ".encode(", ".sequence("):
         assert kernel not in source, kernel

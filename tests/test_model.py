@@ -1,5 +1,6 @@
 """Architecture tests: cell math, attention, masking, pruning, gradients."""
 
+import gc
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from lrmt.numerics import Tensor, cross_entropy_masked
 from lrmt.text import EOS, SOS, Batch, ParallelCorpus, build_vocab, encode
 from lrmt.training import TrainConfig, pretrain_copy
 
+import tape_ops as tp
 from gradcheck import relative_gradient_error
 from reference_decode import reference_greedy_decode
 from reference_forward import composed_cell
@@ -22,10 +24,10 @@ def _tiny_vocab(words):
     return build_vocab([c], side="source")
 
 
-def _tiny_model(arch, seed=0, hidden=3, embed=4):
+def _tiny_model(arch, seed=0, hidden=3, embed=4, dropout=0.0):
     v = _tiny_vocab(["a", "b", "c", "d"])
     return Seq2SeqModel(arch, v, v, embed_size=embed, hidden_size=hidden,
-                        dropout=0.0, seed=seed)
+                        dropout=dropout, seed=seed)
 
 
 def _tiny_batch(model, rows=((4, 5, 6), (5, 4))):
@@ -49,15 +51,17 @@ def _sig(v):
 
 def _width_one_run(cell):
     """A width-one cell over the inputs XS from a zero state, through the fused
-    sequence op and through the composed reference cell: each as the flat
-    [h(, c)] after the last input."""
-    fused = nm.cell_sequence(cell.kind, Tensor(np.array(XS).reshape(1, -1, 1)), cell.W_i, cell.b,
-                             cell.W_h, np.ones((1, len(XS))))
-    state = [Tensor(np.zeros((1, 1)))] * nm.CELLS[cell.kind].states
+    encoder op (ids 1, 2, ... embed the inputs) and through the composed
+    reference cell: each as the flat [h(, c)] after the last input."""
+    table = np.array([[0.0], *([x] for x in XS)])
+    _, state, _ = nm.encoder_sequence(cell.kind, np.arange(1, len(XS) + 1)[None, :],
+                                      np.ones((1, len(XS))), table,
+                                      [(cell.W_i, cell.b, cell.W_h)])
+    ref = [Tensor(np.zeros((1, 1)))] * nm.CELLS[cell.kind].states
     for x in XS:
-        state = composed_cell(cell.kind, Tensor(np.array([[x]])) @ cell.W_i + cell.b, state,
-                              cell.W_h)
-    return fused.data[0, -1], nm.concat(list(state), axis=-1).data.reshape(-1)
+        ref = composed_cell(cell.kind, tp.add(tp.matmul(Tensor(np.array([[x]])), cell.W_i),
+                                              cell.b), ref, cell.W_h)
+    return [np.concatenate([s.data for s in st], axis=-1).reshape(-1) for st in (state, ref)]
 
 
 def test_gru_width_one_closed_form(float64_mode):
@@ -193,7 +197,8 @@ def test_bidirectional_states_concatenate_directions(float64_mode):
         h = Tensor(np.zeros((1, H)))
         out = [None] * T
         for t in order:
-            (h,) = composed_cell("gru", Tensor(emb[t:t + 1]) @ cell.W_i + cell.b, (h,), cell.W_h)
+            xp = tp.add(tp.matmul(Tensor(emb[t:t + 1]), cell.W_i), cell.b)
+            (h,) = composed_cell("gru", xp, (h,), cell.W_h)
             out[t] = h.data
         return out
 
@@ -305,3 +310,55 @@ def test_greedy_decode_records_no_tape(float64_mode):
     model.greedy_decode(encode(["a", "b"], model.src_vocab), max_len=4)
     assert steps and not any(logits.requires_grad for logits in steps)
     assert all(p.requires_grad for p in model.parameters())
+
+
+def _tape_ops(loss):
+    """The op whose code holds each backward closure reachable from `loss`,
+    each closure once (an output of the encoder op and its hidden node are
+    two)."""
+    ops, seen, todo = [], set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            todo.extend(node._parents)
+            ops.append(node._backward.__qualname__.split(".")[0])
+    return ops
+
+
+# the encoder outputs the decoder reads, (trainable, frozen): every one, or
+# with a frozen encoder only abgru's attention energy, which stays trainable
+ENCODER_OUTPUTS = {"lstm": (2, 0), "gru": (1, 0), "abgru": (3, 1)}
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_a_training_batch_is_three_ops(arch, frozen):
+    model = _tiny_model(arch, seed=1, dropout=0.5)
+    if frozen:
+        model.freeze_encoder()
+    batch = _tiny_batch(model)
+    logits = model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(0))
+    ops = _tape_ops(cross_entropy_masked(logits, batch.target[:, 1:]))
+    assert set(ops) <= {"encoder_sequence", "decoder_sequence", "cross_entropy_masked"}, ops
+    assert ops.count("decoder_sequence") == ops.count("cross_entropy_masked") == 1
+    outputs = ENCODER_OUTPUTS[arch][frozen]
+    assert ops.count("encoder_sequence") == (outputs + 1 if outputs else 0)
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_a_training_batch_leaves_no_reference_cycle(arch):
+    # the encoder op's outputs and its hidden node free their arrays by
+    # reference counting as soon as the loss goes, as every other op's do
+    model = _tiny_model(arch, seed=1, dropout=0.5)
+    batch = _tiny_batch(model)
+    gc.collect()
+    gc.disable()
+    try:
+        logits = model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(0))
+        loss = cross_entropy_masked(logits, batch.target[:, 1:])
+        loss.backward()
+        del logits, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -252,6 +252,22 @@ def test_sequential_plan_runs_all_stages_and_prunes(tmp_path):
     assert results[1]["bleu"] is not None
 
 
+def test_sequential_stage_that_does_not_freeze_trains_the_encoder_again(tmp_path):
+    # the stage before it froze the encoder; its own flag decides, both ways
+    cfg = TrainConfig(arch="gru", seed=2, **TINY | {"max_epochs": 2})
+    task = synthetic.splits(synthetic.substitution_task, train=30, valid=6, test=6,
+                            vocab_size=10, max_len=5)
+    plan = [StageSpec(dataset_id="en-en", label="en"),
+            StageSpec(dataset_id="en-de", label="de"),
+            StageSpec(dataset_id="en-fr", label="fr", freeze_encoder=False)]
+    results = run_sequential_plan(plan, {"en-en": _data(), "en-de": task, "en-fr": task}, cfg)
+    de, fr = (results[k]["checkpoint"] for k in (1, 2))
+    names = [p.name for p in de.to_model().encoder_parameters()]
+    assert all(de.frozen[n] for n in names)
+    assert not any(fr.frozen[n] for n in names)
+    assert all(fr.tensors[n].tobytes() != de.tensors[n].tobytes() for n in names)
+
+
 def test_sequential_plan_rejects_pruning_after_stage_without_test(monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("trained before rejecting the plan")
@@ -456,7 +472,7 @@ def test_checkpoint_with_an_attention_score_bias_decodes_as_before(float64_mode,
     # the decoder as it was: the bias added to every source position's score
     softmax = tape_ops.masked_softmax
     monkeypatch.setattr(tape_ops, "masked_softmax",
-                        lambda scores, mask: softmax(scores + 1.7, mask))
+                        lambda scores, mask: softmax(tape_ops.add(scores, 1.7), mask))
     assert decoded == [reference_greedy_decode(back, ids, max_len=8) for ids in sources]
 
 
