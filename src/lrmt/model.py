@@ -3,6 +3,7 @@
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,8 +83,15 @@ class EncodeResult:
 
     states: object            # Tensor [B, T, N], N = the model's analysis_width
     state: tuple              # initial decoder state: (z,), or (h, c) for LSTM; Tensors [B, H]
-    mask: np.ndarray          # [B, T] {0,1}; 1 at real tokens
+    mask: np.ndarray          # [B, T] bool; True at real tokens
     attn_proj: object = None  # attention: encoder-side attention energy [B, T, H]
+
+    @cached_property
+    def attention(self):
+        """`numerics.attention_arrays` of this encoding, (proj, states, live):
+        formed, and a fully padded row rejected, once, at the first greedy
+        step that reads them."""
+        return nm.attention_arrays(self.attn_proj, self.states, self.mask)
 
 
 class Seq2SeqModel:
@@ -193,13 +201,13 @@ class Seq2SeqModel:
     def encode(self, source, rng=None):
         """Run the encoder over a right-padded id matrix [B, T] as one
         `numerics.encoder_sequence` op: an EncodeResult with per-token states,
-        the initial decoder state, the pad mask (source != PAD) and, for an
+        the initial decoder state, the bool pad mask (source != PAD) and, for an
         attention decoder, the encoder-side attention projection.  With an
         `rng`, the embedding-dropout multipliers [B, T, E] draw from it first."""
         source = np.asarray(source)
         if source.ndim != 2 or source.shape[0] == 0:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
-        mask = (source != PAD).astype(self.dtype)
+        mask = source != PAD
         keep = nm.dropout_mask(source.shape + (self.embed_size,), self.dropout, rng, self.dtype)
         states, state, proj = nm.encoder_sequence(
             self.spec.cell, source, mask, self.src_emb,
@@ -209,20 +217,30 @@ class Seq2SeqModel:
 
     def decode_step(self, y_prev_ids, state, enc):
         """One greedy-decoding step on the teacher-forced pass's step
-        function, without dropout or a tape, from `state`, the tuple
-        `EncodeResult.state` holds.  Returns (new state, logits [B, V]) as
-        Tensors that record nothing.  `y_prev_ids` holds one id per row of
-        `enc`, B, and each state array is [B, H]."""
-        y_prev_ids = np.asarray(y_prev_ids).reshape(-1)
-        B = enc.mask.shape[0]
-        want = [(B, self.hidden_size)] * nm.CELLS[self.spec.cell].states
-        if (y_prev_ids.shape[0] != B or not isinstance(state, tuple)
-                or [s.shape for s in state] != want):
+        function, `numerics.decoder_step`, without dropout or a tape, from
+        `state`, the tuple of Tensors `EncodeResult.state` holds.  Returns
+        (new state, logits [B, V]) as Tensors that record nothing.
+        `y_prev_ids` holds one id per row of `enc`, B, and each state array
+        is [B, H].  Every step reads the parameters' current arrays; what
+        depends on the encoding alone, `enc.attention`, is formed once."""
+        ids = np.asarray(y_prev_ids).reshape(-1)
+        B, H = enc.mask.shape[0], self.hidden_size
+        states = nm.CELLS[self.spec.cell].states
+        if (ids.shape[0] != B or not isinstance(state, tuple) or len(state) != states
+                or any(s.shape != (B, H) for s in state)):
             raise ValueError("an %s decoder state is a tuple of arrays of shapes %s, with "
-                             "%d ids, one per row of the encoding" % (self.arch, want, B))
-        state, logits, _ = nm.decoder_step(ids=y_prev_ids, state=state,
-                                           **self._decoder_wiring(enc))
-        return tuple(Tensor(s) for s in state), Tensor(logits)
+                             "%d ids, one per row of the encoding"
+                             % (self.arch, [(B, H)] * states, B))
+        cell, context, attention = self.dec_cell, None, None
+        if self.spec.context == "z":
+            context = enc.state[0].data
+        elif self.spec.context == "attention":
+            attention = (self.attn_energy.W.data[:H], *enc.attention, self.attn_v.data)
+        state, logits, _ = nm.decoder_step(
+            cell.kind, self.tgt_emb.data, ids, cell.W_i.data, cell.b.data, cell.W_h.data,
+            [s.data for s in state], (self.out.W.data, self.out.b.data), self.spec.layout,
+            context, attention)
+        return tuple(map(Tensor, state)), Tensor(logits)
 
     def forward_teacher_forced(self, batch, tf_ratio=1.0, rng=None):
         """Teacher-forced decode of a batch.  Returns logits Tensor [N, V],
@@ -267,7 +285,7 @@ class Seq2SeqModel:
     def _decoder_wiring(self, enc):
         """The decoder's weights, output head, cell kind, head-feature layout
         and context (z, or attention over `enc`), as `numerics.decoder_sequence`
-        and `numerics.decoder_step` both read them."""
+        reads them."""
         cell = self.dec_cell
         wiring = dict(cell=cell.kind, emb=self.tgt_emb, W_i=cell.W_i, b=cell.b, W_h=cell.W_h,
                       head=(self.out.W, self.out.b), layout=self.spec.layout)
@@ -284,8 +302,13 @@ class Seq2SeqModel:
         The sources are padded into one [B, T] matrix and encoded once; the
         decoder then steps every row until each has emitted eos or max_len
         steps have run.  Records no tape.  Returns each row's output ids,
-        excluding sos/eos, in input order.
+        excluding sos/eos, in input order: [] for no sources, and empty rows
+        for max_len 0.  A negative max_len is a ValueError.
         """
+        if max_len < 0:
+            raise ValueError("max_len must be at least 0, got %r" % (max_len,))
+        if len(sources) == 0:
+            return []
         with nm.no_grad():
             enc = self.encode(pad_rows(sources))
             state = enc.state

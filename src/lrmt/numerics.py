@@ -27,10 +27,13 @@ features step-packed over the read positions only: one GEMM projects the
 gold-token inputs, and an own-token step takes the argmax of the previous
 step's logits.  It ends in the head GEMM and returns one logit row per read
 position, in its mask's row-major order, for ``cross_entropy_masked``.
-``decoder_step`` runs it once for greedy decoding and records no tape.
+``decoder_step`` runs it once for greedy decoding on plain arrays and
+records no tape; attention's encoder-side arrays, ``attention_arrays``,
+depend on the encoding alone, so a caller forms them once per encoding.
 
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
-and no backward closure, whatever the inputs' ``requires_grad``.
+and no backward closure, whatever the inputs' ``requires_grad``; the encoder
+op then keeps no entering states for backprop either.
 """
 
 from collections import namedtuple
@@ -42,6 +45,7 @@ import numpy as np
 from .text import PAD
 
 _DEFAULT_DTYPE = np.float32
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _RECORDING = True
 
 
@@ -81,7 +85,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(_DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
@@ -316,23 +320,30 @@ def _restore(a, order):
     return out
 
 
-def _recurrence(cell, xs, W_h, steps, offsets, visit):
+def _recurrence(cell, xs, W_h, steps, offsets, visit, record):
     """A `CELLS` kind from a zero state over xs [B, T, G], the projected input
     with rows longest first, at the positions in `visit`; a pad keeps the
     state.  Returns (the state after every position [B, T, states*H], the
-    state entering each live step, step-packed, each step's cache)."""
+    state entering each live step, step-packed, each step's cache); without
+    `record` the entering states, which only backprop reads, are None."""
     B, T, _ = xs.shape
     H, S, dtype = W_h.shape[0], cell.states, W_h.dtype
     out = np.empty((B, T, S * H), dtype=dtype)
-    st_in = np.empty((offsets[-1], S * H), dtype=dtype)
+    st_in = np.empty((offsets[-1], S * H), dtype=dtype) if record else None
     caches = [None] * T
     prev = np.zeros((B, S * H), dtype=dtype)
     for t in visit:
-        n, lo = steps[t], offsets[t]
-        st_in[lo:lo + n] = prev[:n]
-        new, caches[t] = cell.forward(xs[:n, t], _split_state(st_in[lo:lo + n], S), W_h)
-        for k, s in enumerate(new):
-            out[:n, t, k * H:(k + 1) * H] = s
+        n = steps[t]
+        entering = prev[:n]
+        if record:
+            entering = st_in[offsets[t]:offsets[t] + n]
+            entering[...] = prev[:n]
+        new, caches[t] = cell.forward(xs[:n, t], (entering,) if S == 1
+                                      else _split_state(entering, S), W_h)
+        if S == 1:
+            out[:n, t] = new[0]
+        else:
+            out[:n, t, :H], out[:n, t, H:] = new
         if n < B:
             out[n:, t] = prev[n:]                       # pad: the state carries
         prev = out[:, t]
@@ -370,7 +381,10 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
     (W_e [H + D, H], b_e), proj [B, T, H] = states @ W_e[H:] + b_e, else None.
     The outputs hang off one hidden node, whose closure reads each output's
     gradient (None: nothing read it) and runs backprop through time only for
-    a direction whose weights, or the embedding, require grad.
+    a direction whose weights, or the embedding, require grad; only such a
+    direction's recurrence keeps its entering states.  When nothing is
+    recorded (``no_grad``, or no input requires grad) the outputs are plain
+    Tensors.
     """
     kind = CELLS[cell]
     emb = _to_tensor(emb)
@@ -379,13 +393,18 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
     ids = np.asarray(ids)
     B, T = ids.shape
     H, G = directions[0][2].data.shape
+    encoder = [emb, *(w for weights in directions for w in weights)]
+    record = _RECORDING and any(p.requires_grad for p in encoder + init + energy)
+    recurrent = [record and (emb.requires_grad or any(w.requires_grad for w in ws))
+                 for ws in directions]
     steps, order, offsets = _live_rows(mask, (B, T))
     flat = (emb.data[ids] if keep is None else emb.data[ids] * keep).reshape(B * T, -1)
     runs, hs, finals = [], [], []
     for k, (W_i, b, W_h) in enumerate(directions):
         visit = range(T - 1, -1, -1) if k else range(T)
         xs = _take((flat @ W_i.data + b.data).reshape(B, T, G), order)
-        out, st_in, caches = _recurrence(kind, xs, W_h.data, steps, offsets, visit)
+        out, st_in, caches = _recurrence(kind, xs, W_h.data, steps, offsets, visit,
+                                         recurrent[k])
         out = _restore(out, order)
         runs.append((visit, st_in, caches))
         hs.append(out[..., :H])
@@ -400,7 +419,9 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
     if energy:
         flat_states = states.reshape(B * T, -1)
         proj = (flat_states @ energy[0].data[H:] + energy[1].data).reshape(B, T, H)
-    recurrent = [emb.requires_grad or any(w.requires_grad for w in ws) for ws in directions]
+    if not record:
+        return (Tensor(states), tuple(Tensor(s) for s in state),
+                None if proj is None else Tensor(proj))
 
     grads = {}                      # output index -> its gradient, as the output hands it on
 
@@ -455,7 +476,6 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
                 dX *= keep.reshape(dX.shape)
             _scatter_rows(emb, ids.reshape(-1), dX)
 
-    encoder = [emb, *(w for weights in directions for w in weights)]
     hub = _make(np.zeros(()), encoder + init + energy, backward)
 
     def hand_on(i):                 # an output's closure; holding no output, it makes no cycle
@@ -468,7 +488,7 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
     for i, (data, own) in enumerate(((states, encoder), (proj, encoder + energy),
                                      *((s, encoder + init) for s in state))):
         out = None if data is None else Tensor(data)
-        if out is not None and hub.requires_grad and any(p.requires_grad for p in own):
+        if out is not None and any(p.requires_grad for p in own):
             out.requires_grad, out._parents, out._backward = True, (hub,), hand_on(i)
         outs.append(out)
     return outs[0], tuple(outs[2:]), outs[1]
@@ -501,23 +521,22 @@ def _attend_backward(dctx, cache, states, v):
     return denergy, np.tensordot(energy, dscores, ((0, 1), (0, 1)))
 
 
-def _attention_arrays(attention, H):
-    """The attention kernel's arrays (W_s, proj, states, live, v) from
-    attention = (W_e, proj, states, mask, v)."""
-    W_e, proj, states, mask, v = attention
-    live = np.asarray(mask).astype(bool)
+def attention_arrays(proj, states, mask):
+    """The encoding's arrays the attention kernel reads at every step:
+    (proj, states, live), `live` being the {0,1} source `mask` as bool.  A
+    row with no live position is a ValueError."""
+    live = np.asarray(mask, dtype=bool)
     if not live.any(axis=1).all():
         raise ValueError("attention over fully padded sequence")
-    W_e, proj, states, v = (_to_tensor(t).data for t in (W_e, proj, states, v))
-    return W_e[:H], proj, states, live, v
+    return _to_tensor(proj).data, _to_tensor(states).data, live
 
 
 def _decoder_step(forward, x, xp, state, W_h, W_c, layout, context, attention):
     """One decoder step on arrays: (new state, head features [B, F], cache).
 
     x [B, E] is the input embedding and xp its projection x @ W_x + b.  The
-    context is `context` [B, C], or with `attention` (the `_attention_arrays`
-    tuple) the read-out under the entering state, or None; a context adds
+    context is `context` [B, C], or with `attention` = (W_s, proj, states,
+    live, v) the read-out under the entering state, or None; a context adds
     its c @ W_c to xp.  The cache is (context, attention cache or None, cell
     cache).
     """
@@ -533,23 +552,20 @@ def _decoder_step(forward, x, xp, state, W_h, W_c, layout, context, attention):
 
 def decoder_step(cell, emb, ids, W_i, b, W_h, state, head, layout, context=None,
                  attention=None):
-    """One greedy-decoding step: the step `decoder_sequence` loops over,
-    without dropout, recording no tape.
+    """One greedy-decoding step on arrays: the step `decoder_sequence` loops
+    over, without dropout or a tape.
 
-    The arguments are `decoder_sequence`'s, with `ids` [B] the input token
-    of each row and `state` the state entering the step.  Returns (new
-    state arrays, logits [B, V], attention weights [B, Ts] or None).
+    The arguments are `decoder_sequence`'s as numpy arrays, with `ids` [B]
+    the input token of each row, `state` the state arrays entering the step
+    and `attention` = (W_s, proj, states, live, v): the energy weight's first
+    H rows, an encoding's `attention_arrays` and the score vector.  Returns
+    (new state arrays, logits [B, V], attention weights [B, Ts] or None).
     """
-    emb, W_i, b, W_h, head_W, head_b = (_to_tensor(t).data for t in (emb, W_i, b, W_h, *head))
-    state = [_to_tensor(s).data for s in state]
-    W_x, W_c = W_i[:emb.shape[1]], W_i[emb.shape[1]:]
-    context = None if context is None else _to_tensor(context).data
-    if attention is not None:
-        attention = _attention_arrays(attention, W_h.shape[0])
-    x = emb[np.asarray(ids)]
-    new, feats, (_, attn, _) = _decoder_step(CELLS[cell].forward, x, x @ W_x + b, state, W_h,
-                                             W_c, layout, context, attention)
-    return new, feats @ head_W + head_b, None if attn is None else attn[1]
+    E = emb.shape[1]
+    x = emb[ids]
+    new, feats, (_, attn, _) = _decoder_step(CELLS[cell].forward, x, x @ W_i[:E] + b, state, W_h,
+                                             W_i[E:], layout, context, attention)
+    return new, feats @ head[0] + head[1], None if attn is None else attn[1]
 
 
 def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, layout,
@@ -598,8 +614,8 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
         W_e, proj, states, src_mask, v = attention
         W_e, proj, states, v = (_to_tensor(t) for t in (W_e, proj, states, v))
         parents += [W_e, proj, states, v]
-        W_s, *per_row, v_data = _attention_arrays((W_e, proj, states, src_mask, v), H)
-        per_row = [_take(a, order) for a in per_row]               # proj, states, live
+        W_s, v_data = W_e.data[:H], v.data
+        per_row = [_take(a, order) for a in attention_arrays(proj, states, src_mask)]
         A = W_e.data.shape[1]
     if context is not None or attention is not None:
         C = np.empty((N, W_c.shape[0]), dtype=dtype)                # the context of each step

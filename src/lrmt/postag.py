@@ -5,6 +5,8 @@ handle the open classes; everything else is NOUN.  Consistency matters here,
 tagging accuracy does not.
 """
 
+from functools import lru_cache
+
 UPOS_TAGS = [
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
     "PART", "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
@@ -79,8 +81,11 @@ _SUFFIX_RULES = [
 ]
 
 
+@lru_cache(maxsize=1 << 14)
 def tag_token(token):
-    """Tag one token; total and deterministic."""
+    """Tag one token; total and deterministic.  A bounded cache keeps recent
+    tags, so the rules run once per distinct token; `tag_token.__wrapped__`
+    is the rule itself."""
     if not token:
         return "X"
     if all(ch in _PUNCT for ch in token):
@@ -102,4 +107,4 @@ def tag_token(token):
 
 def pos_tag(tokens):
     """Tag a token sequence; one tag per token."""
-    return [tag_token(t) for t in tokens]
+    return list(map(tag_token, tokens))

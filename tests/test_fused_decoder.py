@@ -246,6 +246,7 @@ def test_references_share_no_decoder_kernel():
     for name in ("reference_forward.py", "reference_decode.py"):
         source = (here / name).read_text(encoding="utf-8")
         for kernel in ("decoder_sequence", "forward_teacher_forced", "decode_step",
+                       "decoder_step", "attention_arrays", ".attention",
                        "_gru_forward", "_lstm_forward", "_attend_forward"):
             assert kernel not in source, (name, kernel)
     # the teacher-forced reference runs its own encoder too

@@ -117,8 +117,13 @@ def test_full_forward_gradients(float64_mode, arch):
 # -- attention ------------------------------------------------------------------
 
 def _greedy_step(model, enc, ids, state):
-    """The step function greedy decoding runs, with the model's wiring."""
-    return nm.decoder_step(ids=ids, state=state, **model._decoder_wiring(enc))
+    """The step function an attention model's greedy decoding runs, on its arrays."""
+    cell, H = model.dec_cell, model.hidden_size
+    return nm.decoder_step(cell.kind, model.tgt_emb.data, ids, cell.W_i.data, cell.b.data,
+                           cell.W_h.data, [s.data for s in state],
+                           (model.out.W.data, model.out.b.data), model.spec.layout,
+                           attention=(model.attn_energy.W.data[:H], *enc.attention,
+                                      model.attn_v.data))
 
 
 def test_attention_rows_sum_to_one_with_zero_on_pads(float64_mode):
@@ -294,6 +299,80 @@ def test_batched_decode_equals_each_sentence_alone(float64_mode, arch):
     assert batched == [reference_greedy_decode(model, ids, max_len=9)
                        for ids in sources]
     assert len({len(out) for out in batched}) > 2
+
+
+def test_greedy_decode_of_no_sources_is_empty():
+    assert _tiny_model("abgru").greedy_decode_batch([]) == []
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_negative_max_len_is_rejected(arch):
+    model = _tiny_model(arch)
+    with pytest.raises(ValueError, match="max_len"):
+        model.translate(["a", "b"], max_len=-1)
+    with pytest.raises(ValueError, match="max_len"):
+        model.greedy_decode_batch([], max_len=-1)
+    assert model.translate(["a", "b"], max_len=0) == []
+    sources = [encode(words, model.src_vocab) for words in (["a"], ["b", "c", "d"])]
+    assert model.greedy_decode_batch(sources, max_len=0) == [[], []]
+
+
+def test_attention_arrays_form_once_per_encoding(monkeypatch, float64_mode):
+    model = _tiny_model("abgru", seed=14)
+    model.out.b.data[EOS] = -1e9             # no row stops early: every step runs
+    formed, steps = [], []
+    original_arrays, original_step = nm.attention_arrays, model.decode_step
+
+    def arrays(*args):
+        formed.append(args)
+        return original_arrays(*args)
+
+    def step(*args):
+        steps.append(args)
+        return original_step(*args)
+
+    monkeypatch.setattr(nm, "attention_arrays", arrays)
+    model.decode_step = step
+    sources = [encode(words, model.src_vocab) for words in (["a", "b"], ["c"])]
+    assert [len(row) for row in model.greedy_decode_batch(sources, max_len=12)] == [12, 12]
+    assert len(steps) == 12 and len(formed) == 1
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_decode_step_reads_the_current_weights(arch, float64_mode):
+    # nothing the step reads from a parameter outlives the step
+    model = _tiny_model(arch, seed=3)
+    enc = model.encode(_tiny_batch(model).source)
+    ids = np.full(enc.mask.shape[0], SOS)
+    _, before = model.decode_step(ids, enc.state, enc)
+    model.out.b.data = model.out.b.data + 1.0
+    _, rebound = model.decode_step(ids, enc.state, enc)
+    assert np.allclose(rebound.data, before.data + 1.0, rtol=0, atol=1e-12)
+    model.out.b.data[0] += 2.0
+    _, changed = model.decode_step(ids, enc.state, enc)
+    assert np.allclose(changed.data[:, 0], rebound.data[:, 0] + 2.0, rtol=0, atol=1e-12)
+    assert np.array_equal(changed.data[:, 1:], rebound.data[:, 1:])
+
+
+@pytest.mark.parametrize("rows", [((4, 5, 6),), ((4, 5, 6, 7), (5,), (6, 4))])
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_encoder_under_no_grad_records_nothing_and_matches(arch, rows):
+    model = _tiny_model(arch, seed=8, hidden=5, embed=3)
+    source = _tiny_batch(model, rows).source
+    taped = model.encode(source)
+    with nm.no_grad():
+        plain = model.encode(source)
+
+    def outputs(enc):
+        return [enc.states, *enc.state] + ([enc.attn_proj] if arch == "abgru" else [])
+
+    assert all(t.requires_grad and t._parents for t in outputs(taped))
+    assert len(outputs(plain)) == len(outputs(taped))
+    for got, want in zip(outputs(plain), outputs(taped)):
+        assert not got.requires_grad and got._parents == () and got._backward is None
+        assert got.data.dtype == want.data.dtype and got.shape == want.shape
+        assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(plain.mask, taped.mask)
 
 
 def test_greedy_decode_records_no_tape(float64_mode):

@@ -1,5 +1,8 @@
 """Rule-based POS tagger: lexicon, suffix rules, shape rules."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from lrmt.postag import _LEXICON, UPOS_TAGS, pos_tag, tag_token
 from lrmt.text import preprocess
 
@@ -46,3 +49,10 @@ def test_every_lexicon_entry_survives_preprocessing():
     # tagging runs on preprocessed tokens, so an entry that preprocess
     # rewrites could never be matched
     assert [w for w in _LEXICON if preprocess(w) != w] == []
+
+
+@given(st.lists(st.text(max_size=8) | st.sampled_from(sorted(_LEXICON)), max_size=20))
+def test_cached_tags_equal_the_rule(tokens):
+    # twice over, so the second pass reads every tag back from the cache
+    for _ in range(2):
+        assert pos_tag(tokens) == [tag_token.__wrapped__(t) for t in tokens]
