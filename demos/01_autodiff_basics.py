@@ -4,7 +4,8 @@ A training batch of a toy attention model is a tape of three fused ops: the
 encoder, the decoder with its output head, and the loss.  This prints that
 tape, checks one encoder weight's gradient against a central finite
 difference (the oracle the test suite uses for every op) and takes a few
-Adam steps.
+Adam steps.  backward() walks a tape once and releases it as it goes, so the
+tape is printed before it is walked.
 """
 
 import numpy as np
@@ -38,12 +39,15 @@ def tape(loss):
 
 
 loss = forward()
-loss.backward()
 print("loss: %.6f; its tape, from the loss back:" % loss.item())
-for node in tape(loss):
+nodes = tape(loss)
+for node in nodes:
     op = node._backward.__qualname__.split(".")[0]
     print("  %-22s %-12s %2d parent(s)" % (op, node.shape, len(node._parents)))
 print("(the encoder op's three outputs hang off its hidden node, the entry with 11 parents)")
+loss.backward()
+print("backward() released the tape: %d of its %d nodes keep a parent"
+      % (sum(bool(node._parents) for node in nodes), len(nodes)))
 
 # Finite-difference check on the forward encoder's recurrent weight, at its
 # entry of largest gradient: that gradient crosses all three ops.

@@ -3,7 +3,9 @@
 A training batch's tape is three ops from this module, ``encoder_sequence``,
 ``decoder_sequence`` and ``cross_entropy_masked``, with hand-written backward
 passes on numpy arrays.  Each op returns a Tensor that remembers its parents
-and a closure that scatters the incoming gradient back to them.
+and a closure that scatters the incoming gradient back to them; the closure
+saves only the arrays its backward reads, and ``backward()`` walks a tape
+once, releasing each node as it passes it.
 
 The GRU and LSTM kernels take the projected input ``xp = x @ W_i + b`` and
 the recurrent weight ``W_h``; ``CELLS`` maps each cell kind to its gate
@@ -78,6 +80,11 @@ def no_grad():
         _RECORDING = previous
 
 
+def _released(_):
+    """The closure of a node that backward() has walked: it runs no more."""
+    raise RuntimeError("this tape was already walked")
+
+
 class Tensor:
     """A numpy array plus the bookkeeping needed for backprop."""
 
@@ -113,7 +120,13 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Populate grads of every tensor reachable from this scalar node."""
+        """Populate grads of every tensor reachable from this scalar node.
+
+        The tape is walked once: each recorded node drops its closure and its
+        parents as the walk passes it, so the arrays they hold go step by
+        step, and a later ``backward()`` that reaches one raises
+        RuntimeError before it adds any gradient.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss node")
         if self._backward is None and not self._parents and not self.requires_grad:
@@ -128,6 +141,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                raise RuntimeError("backward() reached a tape that was already walked; "
+                                   "run the forward pass again")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -135,8 +151,11 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            run = node._backward
+            if node._parents:           # released whether or not a gradient reached it
+                node._backward, node._parents = _released, ()
+            if run is not None and node.grad is not None:
+                run(node.grad)
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -325,7 +344,8 @@ def _recurrence(cell, xs, W_h, steps, offsets, visit, record):
     with rows longest first, at the positions in `visit`; a pad keeps the
     state.  Returns (the state after every position [B, T, states*H], the
     state entering each live step, step-packed, each step's cache); without
-    `record` the entering states, which only backprop reads, are None."""
+    `record` the entering states and the caches, which only backprop reads,
+    are None."""
     B, T, _ = xs.shape
     H, S, dtype = W_h.shape[0], cell.states, W_h.dtype
     out = np.empty((B, T, S * H), dtype=dtype)
@@ -338,8 +358,10 @@ def _recurrence(cell, xs, W_h, steps, offsets, visit, record):
         if record:
             entering = st_in[offsets[t]:offsets[t] + n]
             entering[...] = prev[:n]
-        new, caches[t] = cell.forward(xs[:n, t], (entering,) if S == 1
-                                      else _split_state(entering, S), W_h)
+        new, cache = cell.forward(xs[:n, t], (entering,) if S == 1
+                                  else _split_state(entering, S), W_h)
+        if record:
+            caches[t] = cache
         if S == 1:
             out[:n, t] = new[0]
         else:
@@ -352,7 +374,8 @@ def _recurrence(cell, xs, W_h, steps, offsets, visit, record):
 
 def _recurrence_backward(cell, g, W_h, steps, offsets, visit, caches):
     """Backprop through time for `_recurrence` from g, the gradient of its
-    states: (d xp [B, T, G], d(h @ W_h) step-packed)."""
+    states: (d xp [B, T, G], d(h @ W_h) step-packed).  Each step's cache is
+    dropped from `caches` once its kernel has run."""
     B, T, _ = g.shape
     (H, G), S, dtype = W_h.shape, cell.states, W_h.dtype
     dxp = np.zeros((B, T, G), dtype=dtype)
@@ -362,6 +385,7 @@ def _recurrence_backward(cell, g, W_h, steps, offsets, visit, caches):
         n, lo = steps[t], offsets[t]
         d += g[:, t]
         dxp[:n, t], dhh[lo:lo + n], d_step = cell.backward(_split_state(d[:n], S), caches[t], W_h)
+        caches[t] = None
         for k, ds in enumerate(d_step):
             d[:n, k * H:(k + 1) * H] = ds
     return dxp, dhh
@@ -658,7 +682,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             head_W._accumulate(read.T @ g)
         if head_b.requires_grad:
             head_b._accumulate(g.sum(axis=0))
-        packed = np.empty_like(feats)
+        packed = np.empty((N, read.shape[1]), dtype=dtype)
         packed[at] = g @ head_W.data.T
         if feat_keep is not None:
             packed *= feat_keep
@@ -690,6 +714,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
                 dSP[lo:hi] = denergy.sum(axis=1)
                 weights[:n, t] = attn[t][1]
                 d_step = (d_step[0] + dSP[lo:hi] @ W_s.T, *d_step[1:])
+            caches[t] = attn[t] = None
             for dk, ds in zip(d, d_step):
                 dk[:n] = ds
         if W_h.requires_grad:
@@ -771,7 +796,7 @@ def clip_grad_norm(params, max_norm):
         return 1.0
     total = 0.0
     for p in live:
-        total += float((p.grad.astype(np.float64) ** 2).sum())
+        total += float(np.square(p.grad, dtype=np.float64).sum())
     norm = np.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return 1.0

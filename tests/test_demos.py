@@ -21,6 +21,10 @@ def test_demo_runs_and_exits_0(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    if demo.stem == "01_autodiff_basics":
+        # the tape is printed before backward() releases it
+        for op in ("cross_entropy_masked", "decoder_sequence", "encoder_sequence"):
+            assert op in done.stdout, (op, done.stdout[-2000:])
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

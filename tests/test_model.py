@@ -2,13 +2,14 @@
 
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from lrmt import numerics as nm
 from lrmt import synthetic
-from lrmt.model import RecurrentCell, Seq2SeqModel
+from lrmt.model import ARCH_TABLE, RecurrentCell, Seq2SeqModel
 from lrmt.numerics import Tensor, cross_entropy_masked
 from lrmt.text import EOS, SOS, Batch, ParallelCorpus, build_vocab, encode
 from lrmt.training import TrainConfig, pretrain_copy
@@ -391,18 +392,23 @@ def test_greedy_decode_records_no_tape(float64_mode):
     assert all(p.requires_grad for p in model.parameters())
 
 
+def _recorded_nodes(loss):
+    """Every node reachable from `loss` that holds parents, each once."""
+    nodes, seen, todo = [], set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            nodes.append(node)
+            todo.extend(node._parents)
+    return nodes
+
+
 def _tape_ops(loss):
     """The op whose code holds each backward closure reachable from `loss`,
     each closure once (an output of the encoder op and its hidden node are
     two)."""
-    ops, seen, todo = [], set(), [loss]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen and node._backward is not None:
-            seen.add(id(node))
-            todo.extend(node._parents)
-            ops.append(node._backward.__qualname__.split(".")[0])
-    return ops
+    return [node._backward.__qualname__.split(".")[0] for node in _recorded_nodes(loss)]
 
 
 # the encoder outputs the decoder reads, (trainable, frozen): every one, or
@@ -423,6 +429,86 @@ def test_a_training_batch_is_three_ops(arch, frozen):
     assert ops.count("decoder_sequence") == ops.count("cross_entropy_masked") == 1
     outputs = ENCODER_OUTPUTS[arch][frozen]
     assert ops.count("encoder_sequence") == (outputs + 1 if outputs else 0)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_backward_releases_every_node_it_walks(arch, frozen):
+    model = _tiny_model(arch, seed=1, dropout=0.5)
+    if frozen:
+        model.freeze_encoder()
+    batch = _tiny_batch(model)
+    logits = model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(0))
+    loss = cross_entropy_masked(logits, batch.target[:, 1:])
+    nodes = _recorded_nodes(loss)
+    loss.backward()
+    for node in nodes:
+        # its closure, and every array that closure saved, is gone
+        assert node._parents == () and node._backward.__closure__ is None
+    assert all(p.grad is not None for p in model.parameters() if not p.frozen)
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_a_walked_tape_cannot_be_walked_again(arch):
+    model = _tiny_model(arch, seed=1)
+    batch = _tiny_batch(model)
+    logits = model.forward_teacher_forced(batch, 1.0)
+    loss = cross_entropy_masked(logits, batch.target[:, 1:])
+    loss.backward()
+    grads = {name: p.grad.copy() for name, p in model.named_parameters().items()}
+    with pytest.raises(RuntimeError, match="already walked"):
+        loss.backward()
+    # a second loss that reaches the released decoder node, beside a fresh
+    # tape that the walk would reach first
+    fresh = model.forward_teacher_forced(batch, 1.0)
+    with pytest.raises(RuntimeError, match="already walked"):
+        tp.add(cross_entropy_masked(fresh, batch.target[:, 1:]),
+               cross_entropy_masked(logits, batch.target[:, 1:])).backward()
+    for name, p in model.named_parameters().items():     # no gradient was added again
+        assert np.array_equal(p.grad, grads[name]), name
+
+
+def test_a_frozen_encoder_under_a_trainable_energy_keeps_no_recurrence_caches(monkeypatch):
+    model = _tiny_model("abgru", seed=1).freeze_encoder()
+    assert model.named_parameters()["attn_energy.W"].requires_grad
+    recurrence, runs = nm._recurrence, []
+
+    def spy(*args):
+        out = recurrence(*args)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(nm, "_recurrence", spy)
+    batch = _tiny_batch(model)
+    logits = model.forward_teacher_forced(batch, 1.0)
+    assert len(runs) == 2 and logits.requires_grad
+    for _, entering, caches in runs:
+        assert entering is None and caches == [None] * batch.source.shape[1]
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_backprop_frees_each_step_cache_once_its_step_is_done(arch, monkeypatch):
+    # counts the live step caches as each backward step kernel starts: every
+    # step before it in the walk has let its cache go, every one after holds it
+    cell = ARCH_TABLE[arch].cell
+    kind = nm.CELLS[cell]
+    made, live = [], []
+
+    def forward(xp, state, W_h):
+        new, cache = kind.forward(xp, state, W_h)
+        made.append(weakref.ref(cache[-1]))
+        return new, cache
+
+    def backward(d_state, cache, W_h):
+        live.append(sum(ref() is not None for ref in made))
+        return kind.backward(d_state, cache, W_h)
+
+    monkeypatch.setitem(nm.CELLS, cell, kind._replace(forward=forward, backward=backward))
+    model = _tiny_model(arch, seed=1, dropout=0.5)
+    batch = _tiny_batch(model)
+    logits = model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(0))
+    cross_entropy_masked(logits, batch.target[:, 1:]).backward()
+    assert live == list(range(len(made), 0, -1))
 
 
 @pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])

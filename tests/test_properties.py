@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from lrmt import xray
 from lrmt.bleu import bleu4
 from lrmt.model import ARCHITECTURES, Seq2SeqModel
+from lrmt.numerics import Parameter, clip_grad_norm
 from lrmt.text import (CONTRACTIONS, EOS, PAD, SOS, UNK, ParallelCorpus, build_vocab,
                        encode_pairs, make_batches, preprocess, tokenize)
 from lrmt.training import Checkpoint, CheckpointError, TrainConfig, load_checkpoint
@@ -221,3 +222,31 @@ def test_a_corpus_scored_against_itself_is_perfect(corpus):
     score = bleu4(corpus, [list(s) for s in corpus]).score
     # without a 4-gram the pooled 4-gram precision is 0, which scores 0
     assert score == (1.0 if any(len(s) >= 4 for s in corpus) else 0.0)
+
+
+@st.composite
+def gradients(draw):
+    """A float32 or float64 gradient of magnitude about 10**k, k in [-20, 5]."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    unit = draw(arrays(dtype, array_shapes(max_dims=2, max_side=40),
+                       elements=st.floats(-1.0, 1.0, width=np.dtype(dtype).itemsize * 8)))
+    return unit * dtype(10.0 ** draw(st.integers(-20, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(gradients(), min_size=1, max_size=4), st.floats(1e-30, 1e3))
+def test_clip_norm_and_scale_match_the_float64_copy_formula(grads, max_norm):
+    # the squared norm was summed from a float64 copy, then squared in a second
+    # temporary: one float64 square gives the same bits
+    total = sum(float((g.astype(np.float64) ** 2).sum()) for g in grads)
+    norm = np.sqrt(total)
+    expected = 1.0 if norm <= max_norm or norm == 0.0 else max_norm / norm
+    params = []
+    for i, g in enumerate(grads):
+        p = Parameter(np.zeros_like(g), name="p%d" % i)
+        p.grad = g.copy()
+        params.append(p)
+    assert clip_grad_norm(params, max_norm) == expected
+    for p, g in zip(params, grads):
+        want = g if expected == 1.0 else g * g.dtype.type(expected)
+        assert p.grad.dtype == g.dtype and p.grad.tobytes() == want.tobytes()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lrmt import _container, synthetic, training
-from lrmt.model import Seq2SeqModel
+from lrmt.model import ARCHITECTURES, Seq2SeqModel
 from lrmt.numerics import Adam, cross_entropy_masked
 from lrmt.text import ParallelCorpus, build_vocab, encode_pairs, make_batches
 from lrmt.training import (Checkpoint, CheckpointChecksumError,
@@ -167,6 +167,26 @@ def test_frozen_encoder_stays_off_the_tape():
             assert p.grad is None, name
         else:
             assert p.grad is not None, name
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_training_step_holds_one_tape(arch, traced_peak):
+    # backward releases each batch's tape, so a second equal batch trains in
+    # the memory of the first instead of beside the first one's tape
+    corpus = synthetic.copy_task(pairs=64, vocab_size=12, min_len=2, max_len=8, seed=0)
+    cfg = TrainConfig(arch=arch, seed=0, embed_size=16, hidden_size=32, batch_size=64)
+    sv = build_vocab([corpus], side="source")
+    tv = build_vocab([corpus], side="target")
+    (batch,) = make_batches(encode_pairs(corpus, sv, tv), cfg.batch_size, seed=0)
+
+    def peak(batches):
+        model = training.build_model(cfg, sv, tv)
+        opt = Adam(model.parameters(), lr=cfg.lr, l2=cfg.l2)
+        rng = np.random.default_rng(0)
+        return traced_peak(lambda: training.train_epoch(model, batches, cfg, opt, rng))
+
+    one, two = peak([batch]), peak([batch, batch])
+    assert two <= 1.05 * one, (one, two)
 
 
 # -- regimes ---------------------------------------------------------------------------
