@@ -5,14 +5,20 @@ A training batch's tape is three ops from this module, ``encoder_sequence``,
 passes on numpy arrays.  Each op returns a Tensor that remembers its parents
 and a closure that scatters the incoming gradient back to them; the closure
 saves only the arrays its backward reads, and ``backward()`` walks a tape
-once, releasing each node as it passes it.
+once, releasing each node as it passes it.  A recorded step's cache holds
+arrays of its own, not views that pin a larger array, and the decoder's
+backward drops the head's input once the head's weight gradient is formed.
 
 The GRU and LSTM kernels take the projected input ``xp = x @ W_i + b`` and
 the recurrent weight ``W_h``; ``CELLS`` maps each cell kind to its gate
-count, its state arrays and its pair of step kernels.  ``encoder_sequence``
-embeds a padded batch, projects it with one GEMM per direction, runs each
-direction from a zero state, keeping the state at pad positions, and forms
-the decoder's initial state and the encoder-side attention energy.
+count, its state arrays, its pair of step kernels and the cache a recorded
+step keeps.  Both backprop-through-time loops keep d(h @ W_h) only in the
+columns where it differs from d xp, and form W_h's gradient in
+``_w_h_grad``.
+``encoder_sequence`` embeds a padded batch, projects it with one GEMM per
+direction, runs each direction from a zero state, keeping the state at pad
+positions, and forms the decoder's initial state and the encoder-side
+attention energy.
 
 Recurrence steps run on live rows only.  Both fused recurrences order a
 right-padded batch's rows longest first once per call, so step t's cell,
@@ -35,7 +41,8 @@ depend on the encoding alone, so a caller forms them once per encoding.
 
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
 and no backward closure, whatever the inputs' ``requires_grad``; the encoder
-op then keeps no entering states for backprop either.
+and decoder ops then keep nothing for backprop either, no step cache, no
+entering state, no context, and copy nothing to keep.
 """
 
 from collections import namedtuple
@@ -245,8 +252,13 @@ def dropout_mask(shape, rate, rng, dtype):
 # Gate columns of W_i, W_h and b: GRU [r, z, n], LSTM [i, f, g, o].  The bias
 # sits in xp only, so GRU's reset gate scales the whole of h @ W_h's n part.
 # A kernel maps (xp, state arrays, W_h) to (new state arrays, cache); its
-# backward maps (state grads, cache, W_h) to (d xp, d(h @ W_h), d state).
-# state[0] is h in both cells, so W_h's gradient is h.T @ d(h @ W_h).
+# backward maps (state grads, cache, W_h) to (d xp, dhn, d state), dhn being
+# d(h @ W_h) past its leading columns, which equal d xp's: GRU's n third (its
+# r and z columns are d xp's), nothing for LSTM (all of it is d xp).  state[0]
+# is h in both cells, so W_h's gradient is h.T @ d(h @ W_h), `_w_h_grad`.  A
+# cache that outlives its step, one a recorded pass keeps for backprop, goes
+# through the kind's `keep` first, so it holds no view that pins a larger
+# array; a step that keeps nothing copies nothing.
 
 def _gru_forward(xp, state, W_h):
     (h,) = state
@@ -259,6 +271,12 @@ def _gru_forward(xp, state, W_h):
     return ((1.0 - z) * n + z * h,), (h, hn, r, z, n)
 
 
+def _gru_keep(cache):
+    """hn copied out of h @ W_h [n, 3H], all of which its view would pin."""
+    h, hn, r, z, n = cache
+    return h, hn.copy(), r, z, n
+
+
 def _gru_backward(d_state, cache, W_h):
     (dh,) = d_state
     h, hn, r, z, n = cache
@@ -267,7 +285,7 @@ def _gru_backward(d_state, cache, W_h):
     daz = dh * (h - n) * z * (1.0 - z)
     dxp = np.concatenate([dar, daz, dan], axis=1)
     dhh = np.concatenate([dar, daz, dan * r], axis=1)
-    return dxp, dhh, (dh * z + dhh @ W_h.T,)
+    return dxp, dhh[:, 2 * dh.shape[1]:], (dh * z + dhh @ W_h.T,)
 
 
 def _lstm_forward(xp, state, W_h):
@@ -288,13 +306,28 @@ def _lstm_backward(d_state, cache, W_h):
     dc = dc + dh * o * (1.0 - tc * tc)
     da = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
                          dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
-    return da, da, (da @ W_h.T, dc * f)
+    return da, da[:, da.shape[1]:], (da @ W_h.T, dc * f)
 
 
-# kind -> (gate count, state arrays, forward kernel, backward kernel)
-CellKind = namedtuple("CellKind", "gates states forward backward")
-CELLS = {"gru": CellKind(3, 1, _gru_forward, _gru_backward),
-         "lstm": CellKind(4, 2, _lstm_forward, _lstm_backward)}
+def _lstm_keep(cache):
+    """As is: i, f and o are three quarters of the one array they view."""
+    return cache
+
+
+# kind -> (gate count, state arrays, forward kernel, backward kernel, the
+# cache a recorded step keeps)
+CellKind = namedtuple("CellKind", "gates states forward backward keep")
+CELLS = {"gru": CellKind(3, 1, _gru_forward, _gru_backward, _gru_keep),
+         "lstm": CellKind(4, 2, _lstm_forward, _lstm_backward, _lstm_keep)}
+
+
+def _w_h_grad(h_in, dxp, dhn):
+    """W_h's gradient h_in.T @ d(h @ W_h) from the step-packed d xp [N, G]
+    and dhn, d(h @ W_h)'s columns past those it shares with d xp."""
+    own = dxp.shape[1] - dhn.shape[1]
+    dW = np.empty((h_in.shape[1], dxp.shape[1]), dtype=dxp.dtype)
+    dW[:, :own], dW[:, own:] = h_in.T @ dxp[:, :own], h_in.T @ dhn
+    return dW
 
 
 def _split_state(packed, parts):
@@ -330,6 +363,12 @@ def _take(a, order):
     return a if order is None else a[order]
 
 
+def _packed_index(steps, order, B):
+    """(the caller's row, the step) of every step-packed position."""
+    pcol, srow = np.nonzero(np.arange(B) < np.array(steps)[:, None])
+    return _take(np.arange(B), order)[srow], pcol
+
+
 def _restore(a, order):
     """Inverse of `_take`: rows back in the caller's order."""
     if order is None:
@@ -361,7 +400,7 @@ def _recurrence(cell, xs, W_h, steps, offsets, visit, record):
         new, cache = cell.forward(xs[:n, t], (entering,) if S == 1
                                   else _split_state(entering, S), W_h)
         if record:
-            caches[t] = cache
+            caches[t] = cell.keep(cache)
         if S == 1:
             out[:n, t] = new[0]
         else:
@@ -374,21 +413,24 @@ def _recurrence(cell, xs, W_h, steps, offsets, visit, record):
 
 def _recurrence_backward(cell, g, W_h, steps, offsets, visit, caches):
     """Backprop through time for `_recurrence` from g, the gradient of its
-    states: (d xp [B, T, G], d(h @ W_h) step-packed).  Each step's cache is
-    dropped from `caches` once its kernel has run."""
+    states: (d xp, dhn), both step-packed, dhn being the part of d(h @ W_h)
+    the backward kernel returns.  Each step's cache is dropped from `caches`
+    once its kernel has run."""
     B, T, _ = g.shape
     (H, G), S, dtype = W_h.shape, cell.states, W_h.dtype
-    dxp = np.zeros((B, T, G), dtype=dtype)
-    dhh = np.empty((offsets[-1], G), dtype=dtype)
+    dxp, dhn = np.empty((offsets[-1], G), dtype=dtype), None
     d = np.zeros((B, S * H), dtype=dtype)
     for t in reversed(visit):
         n, lo = steps[t], offsets[t]
         d += g[:, t]
-        dxp[:n, t], dhh[lo:lo + n], d_step = cell.backward(_split_state(d[:n], S), caches[t], W_h)
+        dxp[lo:lo + n], dhn_t, d_step = cell.backward(_split_state(d[:n], S), caches[t], W_h)
         caches[t] = None
+        if dhn is None:
+            dhn = np.empty((offsets[-1], dhn_t.shape[1]), dtype=dtype)
+        dhn[lo:lo + n] = dhn_t
         for k, ds in enumerate(d_step):
             d[:n, k * H:(k + 1) * H] = ds
-    return dxp, dhh
+    return dxp, dhn
 
 
 def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, energy=None):
@@ -423,10 +465,13 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
                  for ws in directions]
     steps, order, offsets = _live_rows(mask, (B, T))
     flat = (emb.data[ids] if keep is None else emb.data[ids] * keep).reshape(B * T, -1)
+    # the embedded rows longest first, E wide, so each direction's projection
+    # [B, T, G] comes out in recurrence order; W_i's gradient reads `flat`
+    rows = _take(flat.reshape(B, T, -1), order).reshape(B * T, -1)
     runs, hs, finals = [], [], []
     for k, (W_i, b, W_h) in enumerate(directions):
         visit = range(T - 1, -1, -1) if k else range(T)
-        xs = _take((flat @ W_i.data + b.data).reshape(B, T, G), order)
+        xs = (rows @ W_i.data + b.data).reshape(B, T, G)
         out, st_in, caches = _recurrence(kind, xs, W_h.data, steps, offsets, visit,
                                          recurrent[k])
         out = _restore(out, order)
@@ -473,6 +518,7 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
                 b._accumulate(dpre.sum(axis=0))
             if any(recurrent):
                 dF = dpre @ W.data.T
+        packed = _packed_index(steps, order, B)
         for k, ((W_i, b, W_h), (visit, st_in, caches)) in enumerate(zip(directions, runs)):
             if not recurrent[k]:
                 continue
@@ -484,17 +530,20 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
                     part[...] = ds
             if d_states is not None:
                 g[..., :H] += d_states[..., k * H:(k + 1) * H]
-            dxp, dhh = _recurrence_backward(kind, _take(g, order), W_h.data, steps, offsets,
+            dXP, dHn = _recurrence_backward(kind, _take(g, order), W_h.data, steps, offsets,
                                             visit, caches)
-            dxp = _restore(dxp, order).reshape(B * T, G)
+            if W_h.requires_grad:
+                W_h._accumulate(_w_h_grad(st_in[:, :H], dXP, dHn))
+            dxp = np.zeros((B, T, G), dtype=dXP.dtype)      # zero at pads, in the caller's order
+            dxp[packed] = dXP
+            dXP = dHn = None
+            dxp = dxp.reshape(B * T, G)
             if emb.requires_grad:
                 dX = dxp @ W_i.data.T if dX is None else dX + dxp @ W_i.data.T
             if W_i.requires_grad:
                 W_i._accumulate(flat.T @ dxp)
             if b.requires_grad:
                 b._accumulate(dxp.sum(axis=0))
-            if W_h.requires_grad:
-                W_h._accumulate(st_in[:, :H].T @ dhh)
         if dX is not None:
             if keep is not None:
                 dX *= keep.reshape(dX.shape)
@@ -610,17 +659,17 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     (input embedding), "c" (context) and "s" (new state).  Returns the logits
     [N, V] of the read positions only, from their features with dropout
     applied, in the row-major order of `mask`; backprop runs in plain numpy.
+    A pass that records no tape keeps none of the per-step arrays backprop
+    reads.
     """
-    forward, backward_kernel = CELLS[cell].forward, CELLS[cell].backward
+    kind = CELLS[cell]
     emb, W_i, b, W_h, head_W, head_b = (_to_tensor(t) for t in (emb, W_i, b, W_h, *head))
     state = [_to_tensor(s) for s in state]
     tokens = np.asarray(tokens, dtype=np.int64)
     B, S = tokens.shape
     steps, order, offsets = _live_rows(mask, (B, S))
     N = offsets[-1]
-    # step-packed position -> (step, row longest first), and the caller's row
-    pcol, srow = np.nonzero(np.arange(B) < np.array(steps)[:, None])
-    prow = _take(np.arange(B), order)[srow]
+    prow, pcol = _packed_index(steps, order, B)
     at = np.lexsort((pcol, prow))           # the packed position of each read one, row-major
     ids = tokens[prow, pcol]                # packed; own-token steps overwrite theirs
     fed = np.array(gold, dtype=bool)
@@ -641,9 +690,11 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
         W_s, v_data = W_e.data[:H], v.data
         per_row = [_take(a, order) for a in attention_arrays(proj, states, src_mask)]
         A = W_e.data.shape[1]
-    if context is not None or attention is not None:
+    record = _RECORDING and any(p.requires_grad for p in parents)
+    if record and (context is not None or attention is not None):
         C = np.empty((N, W_c.shape[0]), dtype=dtype)                # the context of each step
     widths = {"x": E, "c": W_c.shape[0], "s": H}
+    F = sum(widths[k] for k in layout)
     emb_keep, feat_keep = (None if k is None else k[prow, pcol] for k in keep)     # packed
     X = emb.data[ids]
     if emb_keep is not None:
@@ -652,8 +703,8 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     XP = np.empty((N, G), dtype=dtype)
     known = fed[pcol]
     XP[known] = X[known] @ W_x + b.data
-    h_in = np.empty((N, H), dtype=dtype)            # state entering each live step
-    feats = np.empty((N, sum(widths[k] for k in layout)), dtype=dtype)
+    h_in = np.empty((N, H), dtype=dtype) if record else None   # state entering each live step
+    feats = np.empty((N, F), dtype=dtype)
     caches, attn = [None] * S, [None] * S
     cur = [_take(s.data, order) for s in state]
     for t, (n, lo) in enumerate(zip(steps, offsets)):
@@ -665,31 +716,39 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             if emb_keep is not None:
                 X[lo:hi] *= emb_keep[lo:hi]
             XP[lo:hi] = X[lo:hi] @ W_x + b.data
-        h_in[lo:hi] = cur[0][:n]
+        if record:
+            h_in[lo:hi] = cur[0][:n]
         if attention is not None:
             arrays = (W_s, *(a[:n] for a in per_row), v_data)
-        cur, feats[lo:hi], (c_t, attn[t], caches[t]) = _decoder_step(
-            forward, X[lo:hi], XP[lo:hi], [c[:n] for c in cur], W_h.data, W_c, layout,
+        cur, feats[lo:hi], (c_t, a_t, cache) = _decoder_step(
+            kind.forward, X[lo:hi], XP[lo:hi], [c[:n] for c in cur], W_h.data, W_c, layout,
             None if ctx is None else ctx[:n], arrays)
         if feat_keep is not None:
             feats[lo:hi] *= feat_keep[lo:hi]
-        if C is not None:
-            C[lo:hi] = c_t
+        if record:
+            attn[t], caches[t] = a_t, kind.keep(cache)
+            if C is not None:
+                C[lo:hi] = c_t
     read = feats[at]
+    logits = read @ head_W.data + head_b.data
+    if not record:
+        return Tensor(logits)
 
     def backward(g):
+        nonlocal read
         if head_W.requires_grad:
             head_W._accumulate(read.T @ g)
+        read = None                 # nothing reads the head's input again
         if head_b.requires_grad:
             head_b._accumulate(g.sum(axis=0))
-        packed = np.empty((N, read.shape[1]), dtype=dtype)
+        packed = np.empty((N, F), dtype=dtype)
         packed[at] = g @ head_W.data.T
         if feat_keep is not None:
             packed *= feat_keep
         bounds = np.cumsum([widths[k] for k in layout])[:-1]
         d_part = dict(zip(layout, np.split(packed, bounds, axis=-1)))
         dXP = np.empty((N, G), dtype=dtype)
-        dHH = np.empty((N, G), dtype=dtype)
+        dHn = None                  # the part of d(h @ W_h) that is not d xp's
         d = [np.zeros((B, H), dtype=dtype) for _ in state]
         if C is not None:
             dC = np.zeros((B, S, C.shape[1]), dtype=dtype)
@@ -703,8 +762,10 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             n, lo = steps[t], offsets[t]
             hi = lo + n
             d[0][:n] += d_part["s"][lo:hi]
-            dXP[lo:hi], dHH[lo:hi], d_step = backward_kernel([dk[:n] for dk in d],
-                                                             caches[t], W_h.data)
+            dXP[lo:hi], dhn_t, d_step = kind.backward([dk[:n] for dk in d], caches[t], W_h.data)
+            if dHn is None:
+                dHn = np.empty((N, dhn_t.shape[1]), dtype=dtype)
+            dHn[lo:hi] = dhn_t
             if C is not None:
                 dC[:n, t] = dXP[lo:hi] @ W_c.T + d_part["c"][lo:hi]
             if attention is not None:
@@ -718,7 +779,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             for dk, ds in zip(d, d_step):
                 dk[:n] = ds
         if W_h.requires_grad:
-            W_h._accumulate(h_in.T @ dHH)
+            W_h._accumulate(_w_h_grad(h_in, dXP, dHn))
         if b.requires_grad:
             b._accumulate(dXP.sum(axis=0))
         if W_i.requires_grad:
@@ -750,7 +811,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             if v.requires_grad:
                 v._accumulate(dv[:, None])
 
-    return _make(read @ head_W.data + head_b.data, parents, backward)
+    return _make(logits, parents, backward)
 
 
 # -- softmax / loss ----------------------------------------------------------
@@ -788,7 +849,11 @@ def cross_entropy_masked(logits, targets):
 # -- optimizer ---------------------------------------------------------------
 
 def clip_grad_norm(params, max_norm):
-    """Scale gradients so the global L2 norm over live params is <= max_norm."""
+    """Scale gradients so the global L2 norm over live params is <= max_norm.
+
+    A norm that is not finite raises FloatingPointError, naming the first
+    parameter whose gradient is not, before any gradient is scaled.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     live = [p for p in params if not p.frozen and p.grad is not None]
@@ -797,6 +862,10 @@ def clip_grad_norm(params, max_norm):
     total = 0.0
     for p in live:
         total += float(np.square(p.grad, dtype=np.float64).sum())
+    if not np.isfinite(total):
+        bad = next((p.name for p in live if not np.isfinite(p.grad).all()), None)
+        raise FloatingPointError("non-finite gradient norm (%r)%s" % (
+            total, "" if bad is None else "; first non-finite gradient: %r" % bad))
     norm = np.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return 1.0

@@ -527,3 +527,111 @@ def test_a_training_batch_leaves_no_reference_cycle(arch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _taped_batch(model, frozen):
+    if frozen:
+        model.freeze_encoder()
+    batch = _tiny_batch(model)
+    logits = model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(0))
+    return batch, logits, cross_entropy_masked(logits, batch.target[:, 1:])
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("arch", ["gru", "abgru"])
+def test_every_recorded_gru_step_cache_owns_its_hn(arch, frozen, monkeypatch):
+    # a view of h @ W_h [n, 3H] would keep all of it alive until the step's
+    # backward; the kept hn is its own [n, H] array
+    cell = ARCH_TABLE[arch].cell
+    kind = nm.CELLS[cell]
+    kept = []
+
+    def backward(d_state, cache, W_h):
+        kept.append(cache[1])
+        return kind.backward(d_state, cache, W_h)
+
+    monkeypatch.setitem(nm.CELLS, cell, kind._replace(backward=backward))
+    model = _tiny_model(arch, seed=1, hidden=5, dropout=0.5)
+    batch, _, loss = _taped_batch(model, frozen)
+    loss.backward()
+    directions = len(model.encoders)
+    steps = batch.target.shape[1] - 1 + (0 if frozen else directions * batch.source.shape[1])
+    assert len(kept) == steps
+    for hn in kept:
+        assert hn.base is None and hn.shape[1] == model.hidden_size
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_greedy_decoding_and_a_no_grad_pass_copy_no_step_cache(arch, monkeypatch):
+    # a kind's `keep` makes the only copy a step cache gets
+    cell = ARCH_TABLE[arch].cell
+    kind, calls = nm.CELLS[cell], []
+
+    def keep(cache):
+        calls.append(cache)
+        return kind.keep(cache)
+
+    monkeypatch.setitem(nm.CELLS, cell, kind._replace(keep=keep))
+    model = _tiny_model(arch, seed=3, hidden=5)
+    batch = _tiny_batch(model)
+    model.greedy_decode_batch([list(row[row != 0]) for row in batch.source], max_len=6)
+    with nm.no_grad():
+        model.encode(batch.source)
+        model.forward_teacher_forced(batch, 0.5, rng=np.random.default_rng(0))
+    assert not calls
+    _taped_batch(model, frozen=False)           # a recorded pass keeps every step's
+    assert calls
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_a_decoder_pass_under_no_grad_keeps_no_step_cache(arch, monkeypatch):
+    # weakrefs on each step's cell cache and attention energy, counted as each
+    # cell kernel starts: only the step before may still hold its two, beside
+    # this step's attention cache
+    cell = ARCH_TABLE[arch].cell
+    kind, attend = nm.CELLS[cell], nm._attend_forward
+    made, live = [], []
+
+    def forward(xp, state, W_h):
+        live.append(sum(ref() is not None for ref in made))
+        new, cache = kind.forward(xp, state, W_h)
+        made.append(weakref.ref(cache[-1]))
+        return new, cache
+
+    def attend_forward(*args):
+        context, cache = attend(*args)
+        made.append(weakref.ref(cache[0]))
+        return context, cache
+
+    monkeypatch.setitem(nm.CELLS, cell, kind._replace(forward=forward))
+    monkeypatch.setattr(nm, "_attend_forward", attend_forward)
+    model = _tiny_model(arch, seed=1, hidden=5)
+    batch = _tiny_batch(model, rows=((4, 5, 6, 7, 4), (5, 4, 6, 7, 5)))
+    with nm.no_grad():
+        logits = model.forward_teacher_forced(batch, 1.0)
+    assert not logits.requires_grad and logits._backward is None
+    assert len(live) > 6 and max(live) <= (1 if model.attn_energy is None else 3), live
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_the_decoder_backward_releases_the_head_input_before_its_own_gradient(arch,
+                                                                              monkeypatch):
+    # `read`, the head's input [N, F], goes once out.W's gradient is formed:
+    # out.b's gradient comes next, before the packed feature gradient exists
+    model = _tiny_model(arch, seed=1, hidden=5, dropout=0.5)
+    _, logits, loss = _taped_batch(model, frozen=False)
+    closure = logits._backward
+    read = weakref.ref(closure.__closure__[closure.__code__.co_freevars.index("read")]
+                       .cell_contents)
+    del closure
+    head_b, accumulate, seen = model.named_parameters()["out.b"], nm.Tensor._accumulate, []
+
+    def spy(self, g):
+        if self is head_b:
+            seen.append(read() is None)
+        accumulate(self, g)
+
+    monkeypatch.setattr(nm.Tensor, "_accumulate", spy)
+    assert read() is not None
+    loss.backward()
+    assert seen == [True]

@@ -126,6 +126,23 @@ def test_clip_rejects_nonpositive_norm():
         clip_grad_norm([], 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_clip_raises_on_a_non_finite_gradient_before_scaling_any(bad):
+    params = [Parameter(np.ones(3, dtype=np.float32), name=n) for n in ("a", "b", "c")]
+    for i, p in enumerate(params):
+        p.grad = np.full(3, 10.0 * (i + 1), dtype=np.float32)
+    params[1].grad[2] = bad
+    params[2].grad[0] = bad
+    opt = Adam(params, lr=0.1)
+    before = [(p.grad.tobytes(), p.data.tobytes()) for p in params]
+    moments = [(m.tobytes(), v.tobytes()) for m, v in zip(opt.m, opt.v)]
+    with pytest.raises(FloatingPointError, match="'b'"):
+        clip_grad_norm(params, 1.0)
+    assert [(p.grad.tobytes(), p.data.tobytes()) for p in params] == before
+    assert [(m.tobytes(), v.tobytes()) for m, v in zip(opt.m, opt.v)] == moments
+    assert opt.t == [0, 0, 0]
+
+
 # -- Adam -----------------------------------------------------------------------
 
 def _adam_oracle(x0, grads, lr, b1, b2, eps, l2=0.0):
@@ -408,3 +425,39 @@ def test_no_gradient_is_a_view_of_another_nodes_gradient():
     assert np.array_equal(a.grad, np.ones((2, 3))) and np.array_equal(b.grad, np.ones(4))
     for x, y in ((a, flat), (flat, joined), (b, joined)):
         assert not np.shares_memory(x.grad, y.grad)
+
+
+# -- bytes the training step's memory layout relies on ----------------------------
+
+@pytest.mark.parametrize("N,H", [(7, 4), (100, 64), (749, 512), (1000, 300)])
+@pytest.mark.parametrize("cell", sorted(nm.CELLS))
+def test_w_h_gradient_from_its_two_column_blocks_is_the_full_product(cell, N, H):
+    # both backprop-through-time loops keep d(h @ W_h) only where it differs
+    # from d xp; the kernel's own dhn sets that width
+    kind = nm.CELLS[cell]
+    G = kind.gates * H
+    rng = np.random.default_rng(N + H)
+    state = [rng.standard_normal((N, H)).astype(np.float32) for _ in range(kind.states)]
+    W_h = (rng.standard_normal((H, G)) / np.sqrt(H)).astype(np.float32)
+    _, cache = kind.forward(rng.standard_normal((N, G)).astype(np.float32), state, W_h)
+    _, dhn, _ = kind.backward(state, cache, W_h)
+    own = G - dhn.shape[1]
+    h_in, dHH = (rng.standard_normal(s).astype(np.float32) for s in ((N, H), (N, G)))
+    dXP = dHH.copy()
+    dXP[:, own:] = rng.standard_normal((N, G - own))
+    split = nm._w_h_grad(h_in, dXP, dHH[:, own:].copy())
+    assert split.tobytes() == (h_in.T @ dHH).tobytes()
+
+
+@pytest.mark.parametrize("B,T,E,G", [(7, 1, 32, 192), (20, 6, 32, 192), (100, 8, 32, 192),
+                                     (40, 30, 300, 1536), (10, 100, 300, 1536)])
+def test_projecting_rows_longest_first_equals_reordering_the_projection(B, T, E, G):
+    # the encoder sorts its E-wide embedded rows, not each direction's projection
+    rng = np.random.default_rng(B * T)
+    flat = rng.standard_normal((B * T, E)).astype(np.float32)
+    W = rng.standard_normal((E, G)).astype(np.float32)
+    b = rng.standard_normal(G).astype(np.float32)
+    order = rng.permutation(B)
+    rows = nm._take(flat.reshape(B, T, E), order).reshape(B * T, E)
+    want = nm._take((flat @ W + b).reshape(B, T, G), order)
+    assert (rows @ W + b).reshape(B, T, G).tobytes() == want.tobytes()
