@@ -84,14 +84,14 @@ class EncodeResult:
     states: object            # Tensor [B, T, N], N = the model's analysis_width
     state: tuple              # initial decoder state: (z,), or (h, c) for LSTM; Tensors [B, H]
     mask: np.ndarray          # [B, T] bool; True at real tokens
-    attn_proj: object = None  # attention: encoder-side attention energy [B, T, H]
+    energy: tuple = ()        # attention: the decoder's energy weight and bias (W_e, b_e)
 
     @cached_property
     def attention(self):
         """`numerics.attention_arrays` of this encoding, (proj, states, live):
-        formed, and a fully padded row rejected, once, at the first greedy
-        step that reads them."""
-        return nm.attention_arrays(self.attn_proj, self.states, self.mask)
+        formed from the energy's current data, and a fully padded row
+        rejected, once, at the first greedy step that reads them."""
+        return nm.attention_arrays(*self.energy, self.states, self.mask)
 
 
 class Seq2SeqModel:
@@ -202,18 +202,18 @@ class Seq2SeqModel:
         """Run the encoder over a right-padded id matrix [B, T] as one
         `numerics.encoder_sequence` op: an EncodeResult with per-token states,
         the initial decoder state, the bool pad mask (source != PAD) and, for an
-        attention decoder, the encoder-side attention projection.  With an
-        `rng`, the embedding-dropout multipliers [B, T, E] draw from it first."""
+        attention decoder, the energy's parameters.  With an `rng`, the
+        embedding-dropout multipliers [B, T, E] draw from it first."""
         source = np.asarray(source)
-        if source.ndim != 2 or source.shape[0] == 0:
+        if source.ndim != 2 or 0 in source.shape:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
         mask = source != PAD
         keep = nm.dropout_mask(source.shape + (self.embed_size,), self.dropout, rng, self.dtype)
-        states, state, proj = nm.encoder_sequence(
+        states, state = nm.encoder_sequence(
             self.spec.cell, source, mask, self.src_emb,
             [(cell.W_i, cell.b, cell.W_h) for cell in self.encoders], keep,
-            self._walk([self.enc_init]), self._walk([self.attn_energy]))
-        return EncodeResult(states, state, mask, proj)
+            self._walk([self.enc_init]))
+        return EncodeResult(states, state, mask, tuple(self._walk([self.attn_energy])))
 
     def decode_step(self, y_prev_ids, state, enc):
         """One greedy-decoding step on the teacher-forced pass's step
@@ -292,7 +292,7 @@ class Seq2SeqModel:
         if self.spec.context == "z":
             wiring["context"] = enc.state[0]
         elif self.spec.context == "attention":
-            wiring["attention"] = (self.attn_energy.W, enc.attn_proj, enc.states, enc.mask,
+            wiring["attention"] = (*self.attn_energy.parameters(), enc.states, enc.mask,
                                    self.attn_v)
         return wiring
 

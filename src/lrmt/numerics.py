@@ -17,8 +17,8 @@ columns where it differs from d xp, and form W_h's gradient in
 ``_w_h_grad``.
 ``encoder_sequence`` embeds a padded batch, projects it with one GEMM per
 direction, runs each direction from a zero state, keeping the state at pad
-positions, and forms the decoder's initial state and the encoder-side
-attention energy.
+positions, and forms the decoder's initial state.  It reads the encoder's
+weights only, so a frozen encoder records no tape node.
 
 Recurrence steps run on live rows only.  Both fused recurrences order a
 right-padded batch's rows longest first once per call, so step t's cell,
@@ -35,9 +35,10 @@ features step-packed over the read positions only: one GEMM projects the
 gold-token inputs, and an own-token step takes the argmax of the previous
 step's logits.  It ends in the head GEMM and returns one logit row per read
 position, in its mask's row-major order, for ``cross_entropy_masked``.
-``decoder_step`` runs it once for greedy decoding on plain arrays and
-records no tape; attention's encoder-side arrays, ``attention_arrays``,
-depend on the encoding alone, so a caller forms them once per encoding.
+The attention energy is the decoder op's alone, its encoder-side part
+included.  ``decoder_step`` runs one step for greedy decoding on plain arrays
+and records no tape; that part, ``attention_arrays``, depends on the encoding
+and the energy's weights alone, so a caller forms it once per encoding.
 
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
 and no backward closure, whatever the inputs' ``requires_grad``; the encoder
@@ -433,8 +434,8 @@ def _recurrence_backward(cell, g, W_h, steps, offsets, visit, caches):
     return dxp, dhn
 
 
-def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, energy=None):
-    """The whole encoder pass as one tape op: (states, state, proj).
+def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None):
+    """The whole encoder pass as one tape op: (states, state).
 
     `emb` [V, E] embeds the right-padded ids [B, T], times the dropout
     multipliers `keep` [B, T, E] (None: no dropout).  directions[k] holds the
@@ -443,24 +444,23 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
     the {0,1} `mask` is 0.  states [B, T, D] is every direction's h after each
     position, side by side.  The decoder's initial state is (tanh(F @ W + b),)
     with `init` = (W [D, H], b), F being every direction's last h side by
-    side, else the first direction's last state arrays.  With `energy` =
-    (W_e [H + D, H], b_e), proj [B, T, H] = states @ W_e[H:] + b_e, else None.
-    The outputs hang off one hidden node, whose closure reads each output's
-    gradient (None: nothing read it) and runs backprop through time only for
-    a direction whose weights, or the embedding, require grad; only such a
-    direction's recurrence keeps its entering states.  When nothing is
-    recorded (``no_grad``, or no input requires grad) the outputs are plain
-    Tensors.
+    side, else the first direction's last state arrays.  The outputs hang off
+    one hidden node, whose closure reads each output's gradient (None: nothing
+    read it) and runs backprop through time only for a direction whose
+    weights, or the embedding, require grad; only such a direction's
+    recurrence keeps its entering states.  When nothing is recorded
+    (``no_grad``, or no input requires grad, as under a frozen encoder) the
+    outputs are plain Tensors.
     """
     kind = CELLS[cell]
     emb = _to_tensor(emb)
     directions = [[_to_tensor(w) for w in weights] for weights in directions]
-    init, energy = ([_to_tensor(w) for w in weights or ()] for weights in (init, energy))
+    init = [_to_tensor(w) for w in init or ()]
     ids = np.asarray(ids)
     B, T = ids.shape
     H, G = directions[0][2].data.shape
     encoder = [emb, *(w for weights in directions for w in weights)]
-    record = _RECORDING and any(p.requires_grad for p in encoder + init + energy)
+    record = _RECORDING and any(p.requires_grad for p in encoder + init)
     recurrent = [record and (emb.requires_grad or any(w.requires_grad for w in ws))
                  for ws in directions]
     steps, order, offsets = _live_rows(mask, (B, T))
@@ -484,30 +484,13 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
         state = (np.tanh(F @ init[0].data + init[1].data),)
     else:
         state = tuple(_split_state(finals[0], kind.states))
-    proj = None
-    if energy:
-        flat_states = states.reshape(B * T, -1)
-        proj = (flat_states @ energy[0].data[H:] + energy[1].data).reshape(B, T, H)
     if not record:
-        return (Tensor(states), tuple(Tensor(s) for s in state),
-                None if proj is None else Tensor(proj))
+        return Tensor(states), tuple(Tensor(s) for s in state)
 
     grads = {}                      # output index -> its gradient, as the output hands it on
 
     def backward(_):
-        d_states, d_proj, *d_state = (grads.get(i) for i in range(2 + len(state)))
-        if d_proj is not None:
-            W_e, b_e = energy
-            dP = d_proj.reshape(B * T, H)
-            if W_e.requires_grad:
-                dW = np.zeros_like(W_e.data)    # rows :H act on the decoder state
-                dW[H:] = flat_states.T @ dP
-                W_e._accumulate(dW)
-            if b_e.requires_grad:
-                b_e._accumulate(dP.sum(axis=0))
-            if any(recurrent):
-                d_via = (dP @ W_e.data[H:].T).reshape(B, T, -1)
-                d_states = d_via if d_states is None else d_states + d_via
+        d_states, *d_state = (grads.get(i) for i in range(1 + len(state)))
         dF = dX = None
         if init and d_state[0] is not None:
             W, b = init
@@ -549,7 +532,7 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
                 dX *= keep.reshape(dX.shape)
             _scatter_rows(emb, ids.reshape(-1), dX)
 
-    hub = _make(np.zeros(()), encoder + init + energy, backward)
+    hub = _make(np.zeros(()), encoder + init, backward)
 
     def hand_on(i):                 # an output's closure; holding no output, it makes no cycle
         def closure(g):
@@ -558,13 +541,12 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
         return closure
 
     outs = []
-    for i, (data, own) in enumerate(((states, encoder), (proj, encoder + energy),
-                                     *((s, encoder + init) for s in state))):
-        out = None if data is None else Tensor(data)
-        if out is not None and any(p.requires_grad for p in own):
+    for i, (data, own) in enumerate(((states, encoder), *((s, encoder + init) for s in state))):
+        out = Tensor(data)
+        if any(p.requires_grad for p in own):
             out.requires_grad, out._parents, out._backward = True, (hub,), hand_on(i)
         outs.append(out)
-    return outs[0], tuple(outs[2:]), outs[1]
+    return outs[0], tuple(outs[1:])
 
 
 # -- fused decoder ---------------------------------------------------------------
@@ -574,8 +556,8 @@ def encoder_sequence(cell, ids, mask, emb, directions, keep=None, init=None, ene
 # or the additive-attention read-out over the encoder states (A-BGRU).  The
 # cell's W_i stacks the rows acting on x (W_x) over those acting on c (W_c).
 # Attention scores source position j as v . tanh(s_{t-1} @ W_s + proj_j),
-# where W_s is the first H rows of the energy weight and proj, the
-# encoder-side part, is an input computed once per pass.
+# where W_s is the first H rows of the energy weight W_e and proj_j =
+# states_j @ W_e[H:] + b_e, the encoder-side part, is formed once per pass.
 
 def _attend_forward(s, W_s, proj, states, live, v):
     energy = np.tanh(proj + (s @ W_s)[:, None, :])                 # [B, Ts, A]
@@ -594,14 +576,19 @@ def _attend_backward(dctx, cache, states, v):
     return denergy, np.tensordot(energy, dscores, ((0, 1), (0, 1)))
 
 
-def attention_arrays(proj, states, mask):
+def attention_arrays(W_e, b_e, states, mask):
     """The encoding's arrays the attention kernel reads at every step:
-    (proj, states, live), `live` being the {0,1} source `mask` as bool.  A
-    row with no live position is a ValueError."""
+    (proj, states, live), proj [B, T, A] = states @ W_e[H:] + b_e, the
+    energy's encoder-side part, formed with one GEMM over B·T rows, and
+    `live` the {0,1} source `mask` as bool.  A row with no live position is
+    a ValueError."""
     live = np.asarray(mask, dtype=bool)
     if not live.any(axis=1).all():
         raise ValueError("attention over fully padded sequence")
-    return _to_tensor(proj).data, _to_tensor(states).data, live
+    W_e, b_e, states = (_to_tensor(t).data for t in (W_e, b_e, states))
+    B, T, D = states.shape
+    proj = states.reshape(B * T, D) @ W_e[-D:] + b_e
+    return proj.reshape(B, T, -1), states, live
 
 
 def _decoder_step(forward, x, xp, state, W_h, W_c, layout, context, attention):
@@ -654,13 +641,14 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     features are read, and a step runs on the rows it reads.  `keep` holds
     the embedding [B, S, E] and head-feature [B, S, F] dropout multipliers,
     each None for no dropout.  The context is `context` (GRU's z [B, C], fed
-    at every step), or the attention read-out when `attention` = (W_e, proj,
-    states, mask, v), or absent.  `layout` orders the head features: "x"
-    (input embedding), "c" (context) and "s" (new state).  Returns the logits
-    [N, V] of the read positions only, from their features with dropout
-    applied, in the row-major order of `mask`; backprop runs in plain numpy.
-    A pass that records no tape keeps none of the per-step arrays backprop
-    reads.
+    at every step), or the attention read-out when `attention` = (W_e, b_e,
+    states, mask, v), or absent; the op forms the energy's encoder-side part
+    with `attention_arrays` and gives W_e and b_e their whole gradients.
+    `layout` orders the head features: "x" (input embedding), "c" (context)
+    and "s" (new state).  Returns the logits [N, V] of the read positions
+    only, from their features with dropout applied, in the row-major order of
+    `mask`; backprop runs in plain numpy.  A pass that records no tape keeps
+    none of the per-step arrays backprop reads.
     """
     kind = CELLS[cell]
     emb, W_i, b, W_h, head_W, head_b = (_to_tensor(t) for t in (emb, W_i, b, W_h, *head))
@@ -684,11 +672,11 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
         parents.append(context)
         ctx = _take(context.data, order)
     if attention is not None:
-        W_e, proj, states, src_mask, v = attention
-        W_e, proj, states, v = (_to_tensor(t) for t in (W_e, proj, states, v))
-        parents += [W_e, proj, states, v]
+        W_e, b_e, states, src_mask, v = attention
+        W_e, b_e, states, v = (_to_tensor(t) for t in (W_e, b_e, states, v))
+        parents += [W_e, b_e, states, v]
         W_s, v_data = W_e.data[:H], v.data
-        per_row = [_take(a, order) for a in attention_arrays(proj, states, src_mask)]
+        per_row = [_take(a, order) for a in attention_arrays(W_e, b_e, states, src_mask)]
         A = W_e.data.shape[1]
     record = _RECORDING and any(p.requires_grad for p in parents)
     if record and (context is not None or attention is not None):
@@ -756,7 +744,7 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             states_s = _take(states.data, order)
             dSP = np.empty((N, A), dtype=dtype)
             weights = np.zeros((B, S, states_s.shape[1]), dtype=dtype)
-            dproj = np.zeros((B,) + proj.data.shape[1:], dtype=dtype)
+            dproj = np.zeros((B, states_s.shape[1], A), dtype=dtype)
             dv = np.zeros(A, dtype=dtype)
         for t in reversed(range(S)):
             n, lo = steps[t], offsets[t]
@@ -800,14 +788,18 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
             if s.requires_grad:
                 s._accumulate(_restore(ds, order))
         if attention is not None:
+            flat = states.data.reshape(-1, states.data.shape[-1])          # [B·Ts, D]
+            dP = _restore(dproj, order).reshape(len(flat), A)   # d proj, the caller's rows
             if W_e.requires_grad:
-                full = np.zeros_like(W_e.data)
-                full[:H] = h_in.T @ dSP
-                W_e._accumulate(full)
-            if proj.requires_grad:
-                proj._accumulate(_restore(dproj, order))
+                dW = np.empty_like(W_e.data)
+                dW[:H], dW[H:] = h_in.T @ dSP, flat.T @ dP
+                W_e._accumulate(dW)
+            if b_e.requires_grad:
+                b_e._accumulate(dP.sum(axis=0))
             if states.requires_grad:
-                states._accumulate(_restore(weights.transpose(0, 2, 1) @ dC, order))
+                d_states = _restore(weights.transpose(0, 2, 1) @ dC, order)
+                d_states += (dP @ W_e.data[H:].T).reshape(d_states.shape)
+                states._accumulate(d_states)
             if v.requires_grad:
                 v._accumulate(dv[:, None])
 

@@ -102,7 +102,8 @@ def names_a_file(name):
 def check_plan(stages, corpora):
     """The labels of `stages`, stage 0 the copy-pretraining one, after checking that
     there is a stage and each against `corpora`: a known dataset (else KeyError) with train
-    pairs, a label of its own that can name a file and, before a pruning stage, a test split."""
+    pairs, a label of its own that can name a file and, before a pruning stage, a test split.
+    Stage 0 trains from scratch and prunes nothing, so a prune mode there is a ValueError."""
     if not stages:
         raise ValueError("plan needs at least one stage")
     labels = [s.label or ("stage%d-%s" % (i, s.dataset_id))
@@ -120,8 +121,10 @@ def check_plan(stages, corpora):
         if not names_a_file(label):
             raise ValueError("stage %d label %r cannot name a file: it holds a "
                              "path separator or is '.' or '..'" % (i, label))
-        if (i and stage.prune_mode != "none"
-                and not corpora[stages[i - 1].dataset_id].get("test")):
+        if not i and stage.prune_mode != "none":
+            raise ValueError("stage 0 (%r) is copy pretraining, which prunes nothing, but "
+                             "names prune mode %r" % (label, stage.prune_mode))
+        if stage.prune_mode != "none" and not corpora[stages[i - 1].dataset_id].get("test"):
             raise ValueError("stage %d (%r) prunes by the test split of stage %d "
                              "(%r, dataset %r), which has none"
                              % (i, label, i - 1, labels[i - 1],

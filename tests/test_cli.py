@@ -697,6 +697,17 @@ def test_sequential_with_a_repeated_stage_label_exits_2_before_training(workspac
     assert not list(workspace.rglob("*.lrmt"))
 
 
+def test_sequential_with_a_prune_mode_on_stage_0_exits_2_before_training(workspace):
+    cfg = _config(workspace, **{"plan.stages": [
+        {"dataset": "en-en", "label": "pre", "prune_mode": "most_n", "prune_percent": 50.0},
+        {"dataset": "en-de", "label": "de"}]})
+    out = workspace / "seq"
+    code, err = _run(["sequential", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert err.startswith("config error: ") and "stage 0 ('pre')" in err and "most_n" in err
+    assert not list(workspace.rglob("*.lrmt"))
+
+
 def test_a_manifest_that_repeats_a_dataset_id_exits_2(workspace):
     doc = {"datasets": [{"id": "en-en", "train": "en-en.train.tsv"},
                         {"id": "en-en", "train": "en-de.train.tsv"}]}

@@ -1,13 +1,15 @@
 """The fused encoder op, `numerics.encoder_sequence`, against the composed
 encoder it replaced.
 
-The reference is `reference_forward`'s `composed_encoder` plus
-`composed_projection`: the embedding lookup and dropout as tape ops, the
-input projection as a tape `matmul` and `add`, the cell maths built from
-`narrow`, `sigmoid`, `tanh`, `add` and `mul` with the pad carry as a lerp by
-the {0,1} mask, one position at a time and every row at every one, then
-`concat`, `matmul`, `add` and `tanh` for the decoder's initial state and
-the attention energy.  The fused op steps only the live rows, longest first,
+The reference is `reference_forward`'s `composed_encoder`: the embedding
+lookup and dropout as tape ops, the input projection as a tape `matmul` and
+`add`, the cell maths built from `narrow`, `sigmoid`, `tanh`, `add` and `mul`
+with the pad carry as a lerp by the {0,1} mask, one position at a time and
+every row at every one, then `concat`, `matmul`, `add` and `tanh` for the
+decoder's initial state.  The op reads the encoder's weights only; the
+attention energy is the decoder op's, and `test_fused_decoder`'s full passes
+and the frozen and partly frozen tests below check its gradients against the
+composed reference.  The fused op steps only the live rows, longest first,
 and does backprop through time on plain arrays.  Fused and composed forms do
 the same arithmetic per element, so outputs agree to float64 rounding
 (1e-12); gradients sum in a different order (one W_h GEMM over all live
@@ -37,8 +39,9 @@ GATES = {"gru": 3, "lstm": 4}
 
 
 def _inputs(kind, reverse, seed):
-    """(emb, directions, init, energy) of one encoder op: one direction, or
-    with `reverse` a second, backwards one and an init projection."""
+    """(emb, directions, init) of one encoder op: one direction, or
+    with `reverse` a second, backwards one and an init projection; `seed`
+    is a seed or a Generator to draw from."""
     rng = np.random.default_rng(seed)
     G, D = GATES[kind] * H, (1 + reverse) * H
 
@@ -48,12 +51,11 @@ def _inputs(kind, reverse, seed):
     directions = [[param("W_i%d" % k, E, G), param("b%d" % k, G), param("W_h%d" % k, H, G)]
                   for k in range(1 + reverse)]
     init = [param("init.W", D, H), param("init.b", H)] if reverse else None
-    return param("emb", V, E), directions, init, [param("energy.W", H + D, H),
-                                                  param("energy.b", H)]
+    return param("emb", V, E), directions, init
 
 
-def _flat(emb, directions, init, energy):
-    return [emb, *(w for ws in directions for w in ws), *(init or ()), *energy]
+def _flat(emb, directions, init):
+    return [emb, *(w for ws in directions for w in ws), *(init or ())]
 
 
 def _ids(lengths, steps, rng):
@@ -64,20 +66,19 @@ def _ids(lengths, steps, rng):
 
 
 def _fused(kind, ids, keep, inputs, mask=None):
-    emb, directions, init, energy = inputs
+    emb, directions, init = inputs
     mask = (ids != PAD).astype(np.float64) if mask is None else mask
-    states, state, proj = nm.encoder_sequence(kind, ids, mask, emb, directions, keep, init,
-                                              energy)
-    return [states, *state, proj]
+    states, state = nm.encoder_sequence(kind, ids, mask, emb, directions, keep, init)
+    return [states, *state]
 
 
 def _reference(kind, ids, keep, inputs):
-    emb, directions, init, energy = inputs
+    emb, directions, init = inputs
     x = tp.embedding(emb, ids)
     if keep is not None:
         x = tp.mul(x, keep)
     states, state = composed_encoder(kind, x, directions, (ids != PAD).astype(np.float64), init)
-    return [states, *state, composed_projection(energy, states, H)]
+    return [states, *state]
 
 
 def _weighted(outputs, weights, squash=False):
@@ -96,7 +97,7 @@ def _grads(loss, params):
 
 
 def _compare(kind, reverse, seed, lengths, steps):
-    """The fused outputs [states, *state, proj], after checking them and
+    """The fused outputs [states, *state], after checking them and
     every parameter gradient against the composed reference."""
     rng = np.random.default_rng(seed)
     inputs = _inputs(kind, reverse, seed)
@@ -104,7 +105,7 @@ def _compare(kind, reverse, seed, lengths, steps):
     keep = nm.dropout_mask(ids.shape + (E,), 0.5, rng, np.float64)
     fused = _fused(kind, ids, keep, inputs)
     ref = _reference(kind, ids, keep, inputs)
-    assert len(fused) == len(ref) == (3 if reverse or kind == "gru" else 4)
+    assert len(fused) == len(ref) == (2 if reverse or kind == "gru" else 3)
     for got, want in zip(fused, ref):
         assert got.shape == want.shape
         assert np.max(np.abs(got.data - want.data)) < 1e-12
@@ -132,16 +133,26 @@ def test_sequence_matches_composed_reference(float64_mode, kind, reverse):
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
 def test_sequence_gradients_finite_difference(float64_mode, kind, reverse):
-    rng = np.random.default_rng(5 + reverse)
-    inputs = _inputs(kind, reverse, 5 + reverse)
+    rng, draws = np.random.default_rng(5 + reverse), np.random.default_rng(5 + reverse)
+    inputs = _inputs(kind, reverse, draws)
+    # the loss reads the states through the attention energy's encoder-side
+    # projection too, as a training batch's does, so that no checked entry's
+    # gradient is small enough for the difference's rounding to set its error
+    energy = [Parameter(draws.normal(scale=0.5, size=shape), name=name) for name, shape
+              in (("energy.W", ((2 + reverse) * H, H)), ("energy.b", (H,)))]
     ids = _ids(LENGTHS, T, rng)
     keep = nm.dropout_mask(ids.shape + (E,), 0.5, rng, np.float64)
-    weights = [rng.normal(size=out.shape) for out in _fused(kind, ids, keep, inputs)]
+
+    def outputs():
+        out = _fused(kind, ids, keep, inputs)
+        return out + [composed_projection(energy, out[0], H)]
+
+    weights = [rng.normal(size=out.shape) for out in outputs()]
 
     def forward():
-        return _weighted(_fused(kind, ids, keep, inputs), weights, squash=True)
+        return _weighted(outputs(), weights, squash=True)
 
-    assert relative_gradient_error(_flat(*inputs), forward) < 1e-6
+    assert relative_gradient_error(_flat(*inputs) + energy, forward) < 1e-6
 
 
 def test_sequence_rejects_mismatched_mask():
@@ -208,16 +219,11 @@ def _check_encode(model, source):
     enc = model.encode(source, rng=np.random.default_rng(0))
     ref = composed_encode(model, source, rng=np.random.default_rng(0))
     got, want = [enc.states, *enc.state], [ref.states, *ref.state]
-    if model.attn_energy is not None:
-        got.append(enc.attn_proj)
-        want.append(composed_projection(model.attn_energy.parameters(), ref.states,
-                                        model.hidden_size))
     for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape and np.max(np.abs(g.data - w.data)) < 1e-12
     rng = np.random.default_rng(1)
     weights = [rng.normal(size=out.shape) for out in got]
-    params = model.encoder_parameters() + (model.attn_energy.parameters()
-                                           if model.attn_energy else [])
+    params = model.encoder_parameters()
     for g, w, p in zip(_grads(_weighted(got, weights), params),
                        _grads(_weighted(want, weights), params), params, strict=True):
         assert np.max(np.abs(g - w)) < 1e-10, p.name

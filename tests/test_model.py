@@ -55,9 +55,8 @@ def _width_one_run(cell):
     encoder op (ids 1, 2, ... embed the inputs) and through the composed
     reference cell: each as the flat [h(, c)] after the last input."""
     table = np.array([[0.0], *([x] for x in XS)])
-    _, state, _ = nm.encoder_sequence(cell.kind, np.arange(1, len(XS) + 1)[None, :],
-                                      np.ones((1, len(XS))), table,
-                                      [(cell.W_i, cell.b, cell.W_h)])
+    _, state = nm.encoder_sequence(cell.kind, np.arange(1, len(XS) + 1)[None, :],
+                                   np.ones((1, len(XS))), table, [(cell.W_i, cell.b, cell.W_h)])
     ref = [Tensor(np.zeros((1, 1)))] * nm.CELLS[cell.kind].states
     for x in XS:
         ref = composed_cell(cell.kind, tp.add(tp.matmul(Tensor(np.array([[x]])), cell.W_i),
@@ -144,6 +143,20 @@ def test_attention_rejects_fully_padded_row(float64_mode):
     enc = model.encode(np.zeros((1, 2), dtype=np.int64))    # pads only
     with pytest.raises(ValueError, match="fully padded"):
         model.decode_step(np.array([SOS]), enc.state, enc)
+
+
+@pytest.mark.parametrize("source", [np.zeros((0, 3), dtype=np.int64),
+                                    np.zeros((1, 0), dtype=np.int64),
+                                    np.ones(3, dtype=np.int64)],
+                         ids=["no-rows", "no-columns", "one-dimensional"])
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_encode_rejects_a_source_that_is_not_a_non_empty_matrix(arch, source):
+    model = _tiny_model(arch)
+    with pytest.raises(ValueError, match=r"non-empty \[B, T\] id matrix"):
+        model.encode(source)
+    if source.shape == (1, 0):                  # what greedy decoding of no id pads to
+        with pytest.raises(ValueError, match=r"non-empty \[B, T\] id matrix"):
+            model.greedy_decode([])
 
 
 # -- context reinjection / state handling ---------------------------------------
@@ -365,7 +378,7 @@ def test_encoder_under_no_grad_records_nothing_and_matches(arch, rows):
         plain = model.encode(source)
 
     def outputs(enc):
-        return [enc.states, *enc.state] + ([enc.attn_proj] if arch == "abgru" else [])
+        return [enc.states, *enc.state]
 
     assert all(t.requires_grad and t._parents for t in outputs(taped))
     assert len(outputs(plain)) == len(outputs(taped))
@@ -412,8 +425,8 @@ def _tape_ops(loss):
 
 
 # the encoder outputs the decoder reads, (trainable, frozen): every one, or
-# with a frozen encoder only abgru's attention energy, which stays trainable
-ENCODER_OUTPUTS = {"lstm": (2, 0), "gru": (1, 0), "abgru": (3, 1)}
+# with a frozen encoder none, the attention energy being the decoder op's own
+ENCODER_OUTPUTS = {"lstm": (2, 0), "gru": (1, 0), "abgru": (2, 0)}
 
 
 @pytest.mark.parametrize("frozen", [False, True])
@@ -468,9 +481,10 @@ def test_a_walked_tape_cannot_be_walked_again(arch):
         assert np.array_equal(p.grad, grads[name]), name
 
 
-def test_a_frozen_encoder_under_a_trainable_energy_keeps_no_recurrence_caches(monkeypatch):
-    model = _tiny_model("abgru", seed=1).freeze_encoder()
-    assert model.named_parameters()["attn_energy.W"].requires_grad
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_a_frozen_encoder_keeps_no_recurrence_caches(monkeypatch, arch):
+    model = _tiny_model(arch, seed=1).freeze_encoder()
+    assert arch != "abgru" or model.named_parameters()["attn_energy.W"].requires_grad
     recurrence, runs = nm._recurrence, []
 
     def spy(*args):
@@ -481,7 +495,7 @@ def test_a_frozen_encoder_under_a_trainable_energy_keeps_no_recurrence_caches(mo
     monkeypatch.setattr(nm, "_recurrence", spy)
     batch = _tiny_batch(model)
     logits = model.forward_teacher_forced(batch, 1.0)
-    assert len(runs) == 2 and logits.requires_grad
+    assert len(runs) == len(model.encoders) and logits.requires_grad
     for _, entering, caches in runs:
         assert entering is None and caches == [None] * batch.source.shape[1]
 

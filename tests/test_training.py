@@ -652,6 +652,22 @@ def test_sequential_plan_rejects_unsafe_label_before_training(monkeypatch, label
         run_sequential_plan(plan, {"en-en": data, "en-de": data}, cfg)
 
 
+def test_sequential_plan_rejects_a_prune_mode_on_stage_0_before_training(monkeypatch):
+    # stage 0 is copy pretraining, which prunes nothing: its mode would only
+    # be written into the checkpoint's provenance
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before rejecting the plan")
+
+    monkeypatch.setattr(training, "pretrain_copy", no_training)
+    data = _data()
+    plan = [StageSpec(dataset_id="en-en", label="pre", prune_mode="most_n",
+                      prune_percent=50.0),
+            StageSpec(dataset_id="en-de", label="de")]
+    with pytest.raises(ValueError, match="stage 0 \\('pre'\\).*prune mode 'most_n'"):
+        run_sequential_plan(plan, {"en-en": data, "en-de": data},
+                            TrainConfig(arch="gru", **TINY))
+
+
 def test_check_plan_rejects_a_repeated_label_naming_both_stages():
     data = _data()
     plan = [StageSpec(dataset_id="en-en", label="pre"), StageSpec(dataset_id="en-de", label="x"),
