@@ -47,8 +47,8 @@ _KEYS = {
     "multitask.datasets": (dict, MISSING,
                            lambda m: m and all(isinstance(d, str) for d in m.values())),
     "ckpt": (str, MISSING, None),
-    "analysis.mode": (str, "dead", lambda mode: mode in xray.PRUNE_MODES),
-    "analysis.percent": (float, 0.0, lambda p: 0 <= p <= 100),
+    "analysis.mode": (str, "dead", None),          # these two are checked as a pair,
+    "analysis.percent": (float, 0.0, None),        # by xray.check_prune_setting
     "analysis.top_k": (int, 5, lambda k: k >= 1),
     "analysis.neuron": (int, None, lambda n: n >= 0),
     "report.analyses": (list, MISSING,
@@ -90,7 +90,7 @@ def resolve_train_config(cfg):
 
 
 def check_config(cfg):
-    """A ConfigError naming the first key of `cfg` that is unknown, ill-typed or out of range."""
+    """A ConfigError naming the first unknown, ill-typed or out-of-range key (or pair) of `cfg`."""
     for key, value in cfg.items():
         if key not in _KEYS:
             raise ConfigError("unknown config key: %r" % key)
@@ -98,6 +98,10 @@ def check_config(cfg):
         check_type(repr(key), value, kind, ConfigError)
         if check is not None and not check(value):
             raise ConfigError("%r: %r is not a valid value" % (key, value))
+    try:
+        xray.check_prune_setting(_get(cfg, "analysis.mode"), _get(cfg, "analysis.percent"))
+    except ValueError as exc:
+        raise ConfigError("'analysis.mode' and 'analysis.percent': %s" % exc)
     resolve_train_config(cfg)
 
 
@@ -275,19 +279,13 @@ def _analysis_corpus(cfg):
 
 
 def cmd_prune(cfg, out):
+    mode, percent = _get(cfg, "analysis.mode"), _get(cfg, "analysis.percent")
     ckpt = _load_ckpt(cfg)
-    mode = _get(cfg, "analysis.mode")
-    percent = _get(cfg, "analysis.percent")
     model = ckpt.to_model()
-    corpus = _analysis_corpus(cfg)
-    acts = xray.capture_activations(model, corpus)
-    mass = xray.mass_matrices(acts)
-    prune_set = xray.select_prune_set(mass, mode, percent)
-    model.prune_encoder_units(sorted(prune_set))
-    training.Checkpoint.from_model(
-        model, ckpt.train_config(),
-        provenance=dict(ckpt.provenance, prune_mode=mode, prune_percent=percent,
-                        pruned=sorted(prune_set))).save(out / "pruned.lrmt")
+    mass = xray.mass_matrices(xray.capture_activations(model, _analysis_corpus(cfg)))
+    provenance = {**ckpt.provenance, **training.prune_encoder(model, mass, mode, percent)}
+    training.Checkpoint.from_model(model, ckpt.train_config(),
+                                   provenance=provenance).save(out / "pruned.lrmt")
     return 0
 
 
@@ -301,6 +299,8 @@ def cmd_xray(cfg, out):
     ckpt = _load_ckpt(cfg)
     model = ckpt.to_model()
     neuron = _get(cfg, "analysis.neuron")
+    if neuron is None and "analysis.top_k" in cfg:
+        raise ConfigError("'analysis.top_k' sizes neuron_<k>.svg, so it needs 'analysis.neuron'")
     if neuron is not None and neuron >= model.analysis_width:
         raise ConfigError("'analysis.neuron': %d >= width %d" % (neuron, model.analysis_width))
     corpus = _analysis_corpus(cfg)

@@ -81,17 +81,15 @@ class TrainConfig:
 class StageSpec:
     dataset_id: str
     freeze_encoder: bool = True
-    prune_mode: str = "none"      # "none" or one of xray.PRUNE_MODES
-    prune_percent: float = 0.0
+    prune_mode: str = "none"      # "none" with prune_percent 0, which prunes nothing,
+    prune_percent: float = 0.0    # or a pair that xray.check_prune_setting takes
     label: str = ""
 
     def __post_init__(self):
         for f in fields(self):
             check_type(f.name, getattr(self, f.name), f.type)
-        if self.prune_mode not in ("none",) + xray.PRUNE_MODES:
-            raise ValueError("prune_mode: unknown prune mode %r" % (self.prune_mode,))
-        if not 0.0 <= self.prune_percent <= 100.0:
-            raise ValueError("prune_percent: %r is outside [0, 100]" % (self.prune_percent,))
+        if self.prune_mode != "none" or self.prune_percent:
+            xray.check_prune_setting(self.prune_mode, self.prune_percent)
 
 
 def names_a_file(name):
@@ -103,7 +101,7 @@ def check_plan(stages, corpora):
     """The labels of `stages`, stage 0 the copy-pretraining one, after checking that
     there is a stage and each against `corpora`: a known dataset (else KeyError) with train
     pairs, a label of its own that can name a file and, before a pruning stage, a test split.
-    Stage 0 trains from scratch and prunes nothing, so a prune mode there is a ValueError."""
+    Stage 0 trains a fresh encoder: a prune mode or freeze_encoder false there is a ValueError."""
     if not stages:
         raise ValueError("plan needs at least one stage")
     labels = [s.label or ("stage%d-%s" % (i, s.dataset_id))
@@ -121,9 +119,10 @@ def check_plan(stages, corpora):
         if not names_a_file(label):
             raise ValueError("stage %d label %r cannot name a file: it holds a "
                              "path separator or is '.' or '..'" % (i, label))
-        if not i and stage.prune_mode != "none":
-            raise ValueError("stage 0 (%r) is copy pretraining, which prunes nothing, but "
-                             "names prune mode %r" % (label, stage.prune_mode))
+        if not i and (stage.prune_mode != "none" or not stage.freeze_encoder):
+            raise ValueError("stage 0 (%r) is copy pretraining, which trains a fresh encoder and "
+                             "prunes nothing, but names prune mode %r and freeze_encoder %r"
+                             % (label, stage.prune_mode, stage.freeze_encoder))
         if stage.prune_mode != "none" and not corpora[stages[i - 1].dataset_id].get("test"):
             raise ValueError("stage %d (%r) prunes by the test split of stage %d "
                              "(%r, dataset %r), which has none"
@@ -449,15 +448,22 @@ def train_multitask_joint(pretrained, corpora, config, metrics_path=None):
     return _fine_tune(model, {"train": combined}, config, metrics_path, "multitask")
 
 
+def prune_encoder(model, mass, mode, percent):
+    """Prune what `xray.select_prune_set` picks; the provenance every prune records."""
+    pruned = sorted(xray.select_prune_set(mass, mode, percent))
+    model.prune_encoder_units(pruned)
+    return {"prune_mode": mode, "prune_percent": percent, "pruned": pruned}
+
+
 def run_sequential_plan(stages, corpora, config, out_dir=None, metrics_path=None):
     """Stage-by-stage transfer: prune -> freeze -> rebind -> fine-tune -> score.
 
     `corpora` maps dataset ids to {"train": ..., "valid":..., "test": ...};
     stage 0's dataset is auto-encoded (targets = sources).  Each stage's best
     model is built once: it is scored and x-rayed on the stage's test split,
-    and the next stage fine-tunes it, pruning by those mass matrices.
-    Returns a list of {stage, label, checkpoint, bleu, mass} records; bleu
-    and mass are None for a stage without test pairs.
+    and the next stage fine-tunes it, pruned by `prune_encoder` on those mass
+    matrices.  Returns a list of {stage, label, checkpoint, bleu, mass} records;
+    bleu and mass are None for a stage without test pairs.
     """
     labels = check_plan(stages, corpora)
     out_dir = Path(out_dir) if out_dir else None
@@ -471,6 +477,7 @@ def run_sequential_plan(stages, corpora, config, out_dir=None, metrics_path=None
     for idx, (stage, label) in enumerate(zip(stages, labels)):
         splits = corpora[stage.dataset_id]
         test = splits.get("test")
+        pruned = {"prune_mode": stage.prune_mode}
         if idx == 0:
             ckpt = pretrain_copy(splits["train"], config, src_vocab=src_vocab,
                                  metrics_path=metrics_path, stage_label=label)
@@ -478,13 +485,12 @@ def run_sequential_plan(stages, corpora, config, out_dir=None, metrics_path=None
                 test = copy_corpus([s for s, _ in test.pairs])
         else:
             if stage.prune_mode != "none":
-                prune_set = xray.select_prune_set(results[-1]["mass"], stage.prune_mode,
-                                                  stage.prune_percent)
-                model.prune_encoder_units(sorted(prune_set))
+                pruned = prune_encoder(model, results[-1]["mass"], stage.prune_mode,
+                                       stage.prune_percent)
             for p in model.encoder_parameters():       # both ways: a stage may unfreeze
                 p.frozen = stage.freeze_encoder
             ckpt = _fine_tune(model, splits, config, metrics_path, label)
-        ckpt.provenance["prune_mode"] = stage.prune_mode
+        ckpt.provenance.update(pruned)
         model = ckpt.to_model()
         bleu = mass = None
         if test:

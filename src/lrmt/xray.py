@@ -114,14 +114,18 @@ def dead_neurons(mass):
 PRUNE_MODES = ("dead", "most_n", "least_n")
 
 
+def check_prune_setting(mode, percent):
+    """The one rule for a (mode, percent) pair; a ValueError for a pair that means nothing."""
+    if mode not in PRUNE_MODES or not 0.0 <= percent <= 100.0 or percent and mode == "dead":
+        raise ValueError("prune_mode %r with prune_percent %r: the mode is one of %s, and the "
+                         "percent is in [0, 100] and 0 under dead" % (mode, percent, PRUNE_MODES))
+
+
 def select_prune_set(mass, mode, percent=0.0):
-    """Pick neurons to prune: dead, or the top/bottom floor(percent% of N)."""
-    if mode not in PRUNE_MODES:
-        raise ValueError("unknown prune mode %r, not one of %s" % (mode, PRUNE_MODES))
+    """Dead neurons or the top/bottom floor(percent% of N); check_prune_setting vets the pair."""
+    check_prune_setting(mode, percent)
     if mode == "dead":
         return dead_neurons(mass)
-    if not 0.0 <= percent <= 100.0:
-        raise ValueError("percent must be in [0, 100]")
     n = int(percent / 100.0 * mass.width)
     # stable sort on (key, index) so ties go to the lower neuron index
     order = np.lexsort((np.arange(mass.width),

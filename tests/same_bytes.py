@@ -5,13 +5,14 @@ checkouts can be shown to write the same bytes.
 
 For each of abgru, gru and lstm, at dropout 0 / tf 1 and at dropout 0.5 /
 tf 0.5, it runs `lrmt sequential` (copy pretraining, then a frozen encoder
-pruned `most_n` 10%, then an unfrozen one pruned `dead`), and `lrmt xray`
-and `lrmt evaluate` on every stage checkpoint, all inside the new directory
-OUT.  It then writes OUT.hashes.json, every file under OUT by its relative
-path, leaving out `metrics.jsonl` and `run.json`, which hold wall-clock
-times.  Run it once per checkout and compare the two JSON files, e.g. with
-`cmp`.  BLAS runs one thread: OpenBLAS's sums depend on its thread count.
-Not a test module; pytest does not collect it.
+pruned `most_n` 10%, then an unfrozen one pruned `dead`), and `lrmt xray`,
+`lrmt evaluate` and `lrmt prune` (`most_n` 25% and `dead`) on every stage
+checkpoint, all inside the new directory OUT.  It then writes
+OUT.hashes.json, every file under OUT by its relative path, leaving out
+`metrics.jsonl` and `run.json`, which hold wall-clock times.  Run it once
+per checkout and compare the two JSON files, e.g. with `cmp`.  BLAS runs one
+thread: OpenBLAS's sums depend on its thread count.  Not a test module;
+pytest does not collect it.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ STAGES = [{"dataset": "en-en", "label": "pretrain"},
            "freeze_encoder": False}]
 CORPORA = {"en-en": (synthetic.copy_task, 1), "en-de": (synthetic.substitution_task, 11),
            "en-fr": (synthetic.substitution_task, 21)}
+PRUNES = {"most25": ("--mode", "most_n", "--percent", "25"), "dead": ("--mode", "dead")}
 LEFT_OUT = {"metrics.jsonl", "run.json"}
 
 
@@ -84,6 +86,9 @@ def main(out):
                 for command in ("xray", "evaluate"):
                     _lrmt(command, analysis, run / ("%s-%s" % (command, stage["label"])),
                           "--ckpt", str(ckpt))
+                for name, flags in PRUNES.items():
+                    _lrmt("prune", analysis, run / ("prune-%s-%s" % (name, stage["label"])),
+                          "--ckpt", str(ckpt), *flags)
     hashes = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
               for p in sorted(out.rglob("*")) if p.is_file() and p.name not in LEFT_OUT}
     target = out.with_name(out.name + ".hashes.json")

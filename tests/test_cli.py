@@ -239,6 +239,27 @@ def test_sequential_plan_and_report(workspace):
         assert zlib.crc32(data) == a["crc32"]
 
 
+def test_a_pruning_stage_records_what_lrmt_prune_records(workspace):
+    # both paths go through one prune step: the stage prunes by stage 0's test split,
+    # the copy of en-en's, and `lrmt prune` by en-en's test file, whose sources it reads
+    cfg = _config(workspace, **{"plan.stages": [
+        {"dataset": "en-en", "label": "pretrain"},
+        {"dataset": "en-de", "label": "stage1", "prune_mode": "most_n", "prune_percent": 25.0}]})
+    seq, pr = workspace / "seq", workspace / "pr"
+    assert main(["sequential", "--config", str(cfg), "--out", str(seq)]) == 0
+    assert main(["prune", "--ckpt", str(seq / "pretrain.lrmt"), "--mode", "most_n",
+                 "--percent", "25", "--test", str(workspace / "data" / "en-en.test.tsv"),
+                 "--out", str(pr)]) == 0
+    keys = ("prune_mode", "prune_percent", "pruned")
+    stage = load_checkpoint(seq / "stage1.lrmt").provenance
+    pruned = load_checkpoint(pr / "pruned.lrmt").provenance
+    assert [stage[k] for k in keys] == [pruned[k] for k in keys]
+    assert stage["prune_mode"] == "most_n" and len(stage["pruned"]) == 2  # floor(25% of 8)
+    # a stage that prunes nothing records its mode only, as before
+    pretrain = load_checkpoint(seq / "pretrain.lrmt").provenance
+    assert pretrain["prune_mode"] == "none" and not {"prune_percent", "pruned"} & set(pretrain)
+
+
 def test_sequential_evaluates_each_stage_once(workspace, monkeypatch):
     from lrmt import xray
     calls = []
@@ -435,8 +456,10 @@ def test_run_record_holds_the_flags(workspace):
 @pytest.mark.parametrize("stage, named", [
     ({"prune_mod": "most_n"}, "prune_mod"),
     ({"prune_mode": "deadd"}, "deadd"),
-    ({"prune_mode": "most_n", "prune_percent": 150}, "150")],
-    ids=["unknown-key", "bad-mode", "bad-percent"])
+    ({"prune_mode": "most_n", "prune_percent": 150}, "150"),
+    ({"prune_mode": "dead", "prune_percent": 50}, "prune_percent 50"),
+    ({"prune_percent": 50}, "prune_percent 50")],
+    ids=["unknown-key", "bad-mode", "bad-percent", "percent-under-dead", "percent-under-none"])
 def test_sequential_bad_stage_exits_2_before_training(workspace, stage, named):
     cfg = _config(workspace, **{
         "plan.stages": [{"dataset": "en-en", "label": "pretrain"},

@@ -200,13 +200,38 @@ def test_flags_take_their_type_from_the_table(space):
     # --percent 25 is the float 25.0, as the table's analysis.percent says
     path = root / "prune.json"
     path.write_text(json.dumps(base["prune"]), encoding="utf-8")
-    assert main(["prune", "--config", str(path), "--percent", "25", "--mode", "dead",
+    assert main(["prune", "--config", str(path), "--percent", "25", "--mode", "most_n",
                  "--out", str(root / "flagged")]) == 0
     run = json.loads((root / "flagged" / "run.json").read_text(encoding="utf-8"))
     assert run["config"]["analysis.percent"] == 25.0
     assert type(run["config"]["analysis.percent"]) is float
     assert main(["prune", "--config", str(path), "--percent", "x",
                  "--out", str(root / "bad")]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--mode", "dead", "--percent", "25"], ["--percent", "10"]],
+                         ids=["dead-25", "default-mode-10"])
+def test_a_percent_that_no_mode_reads_exits_2(space, flags):
+    # dead, the default mode, prunes the neurons never argmax and reads no percent
+    root, base = space
+    path = root / "prune-analysis.json"
+    path.write_text(json.dumps({k: v for k, v in base["prune"].items()
+                                if not k.startswith("analysis.")}), encoding="utf-8")
+    out = root / ("refused-%s" % "-".join(flags))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["prune", "--config", str(path), "--out", str(out), *flags])
+    _assert_rejected(code, err.getvalue(), out, "analysis.percent")
+    assert "'dead'" in err.getvalue() and not (out / "pruned.lrmt").exists()
+
+
+def test_top_k_without_a_neuron_exits_2_before_any_artifact(space):
+    # analysis.top_k only sizes the neuron_<k>.svg that analysis.neuron asks for
+    root, base = space
+    cfg = {k: v for k, v in base["xray"].items() if k != "analysis.neuron"}
+    code, err, out = _run(root, "xray", cfg)
+    _assert_rejected(code, err, out, "analysis.top_k", before_run_record=False)
+    assert [p.name for p in out.iterdir()] == ["run.json"]
 
 
 def test_null_is_ill_typed_like_any_other_type(space):
