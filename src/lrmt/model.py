@@ -9,7 +9,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Parameter, Tensor
-from .text import PAD, SOS, EOS, encode as encode_ids, pad_rows
+from .text import PAD, SOS, EOS, UNK, encode as encode_ids, pad_rows
 
 # arch -> (cell kind in numerics.CELLS, encoder directions (a second one reads
 # the source backwards), the context each decoder step reads besides its input
@@ -216,13 +216,14 @@ class Seq2SeqModel:
         return EncodeResult(states, state, mask, tuple(self._walk([self.attn_energy])))
 
     def decode_step(self, y_prev_ids, state, enc):
-        """One greedy-decoding step on the teacher-forced pass's step
-        function, `numerics.decoder_step`, without dropout or a tape, from
-        `state`, the tuple of Tensors `EncodeResult.state` holds.  Returns
-        (new state, logits [B, V]) as Tensors that record nothing.
-        `y_prev_ids` holds one id per row of `enc`, B, and each state array
-        is [B, H].  Every step reads the parameters' current arrays; what
-        depends on the encoding alone, `enc.attention`, is formed once."""
+        """One decoding step, checked and on Tensors, for callers outside
+        the greedy loop: the teacher-forced pass's step function,
+        `numerics.decoder_step`, without dropout or a tape, from `state`,
+        the tuple of Tensors `EncodeResult.state` holds.  Returns (new state,
+        logits [B, V]) as Tensors that record nothing, the logits over every
+        id.  `y_prev_ids` holds one id per row of `enc`, B, and each state
+        array is [B, H].  Every step reads the parameters' current arrays;
+        what depends on the encoding alone, `enc.attention`, is formed once."""
         ids = np.asarray(y_prev_ids).reshape(-1)
         B, H = enc.mask.shape[0], self.hidden_size
         states = nm.CELLS[self.spec.cell].states
@@ -231,16 +232,23 @@ class Seq2SeqModel:
             raise ValueError("an %s decoder state is a tuple of arrays of shapes %s, with "
                              "%d ids, one per row of the encoding"
                              % (self.arch, [(B, H)] * states, B))
-        cell, context, attention = self.dec_cell, None, None
+        state, logits, _ = nm.decoder_step(ids, [s.data for s in state],
+                                           *self._step_arrays(enc, self.out.b.data))
+        return tuple(map(Tensor, state)), Tensor(logits)
+
+    def _step_arrays(self, enc, head_b):
+        """`numerics.decoder_step`'s arguments after the ids and the state,
+        from the parameters' current arrays: the cell kind, embedding, W_i, b,
+        W_h, head (out.W, `head_b`) and layout, then the context (z) and the
+        attention over `enc`, each None where the architecture has none."""
+        cell, H = self.dec_cell, self.hidden_size
+        context = attention = None
         if self.spec.context == "z":
             context = enc.state[0].data
         elif self.spec.context == "attention":
             attention = (self.attn_energy.W.data[:H], *enc.attention, self.attn_v.data)
-        state, logits, _ = nm.decoder_step(
-            cell.kind, self.tgt_emb.data, ids, cell.W_i.data, cell.b.data, cell.W_h.data,
-            [s.data for s in state], (self.out.W.data, self.out.b.data), self.spec.layout,
-            context, attention)
-        return tuple(map(Tensor, state)), Tensor(logits)
+        return (cell.kind, self.tgt_emb.data, cell.W_i.data, cell.b.data, cell.W_h.data,
+                (self.out.W.data, head_b), self.spec.layout, context, attention)
 
     def forward_teacher_forced(self, batch, tf_ratio=1.0, rng=None):
         """Teacher-forced decode of a batch.  Returns logits Tensor [N, V],
@@ -300,10 +308,12 @@ class Seq2SeqModel:
         """Greedy decode of a list of encoded source sequences (ids with sos/eos).
 
         The sources are padded into one [B, T] matrix and encoded once; the
-        decoder then steps every row until each has emitted eos or max_len
-        steps have run.  Records no tape.  Returns each row's output ids,
-        excluding sos/eos, in input order: [] for no sources, and empty rows
-        for max_len 0.  A negative max_len is a ValueError.
+        decoder then steps every row, `numerics.decoder_step` on plain arrays
+        gathered once, until each has emitted eos or max_len steps have run.
+        No step emits pad, sos or unk, ids that no training target holds: the
+        head's bias is -inf there.  Records no tape.  Returns each row's
+        output ids, excluding sos/eos, in input order: [] for no sources, and
+        empty rows for max_len 0.  A negative max_len is a ValueError.
         """
         if max_len < 0:
             raise ValueError("max_len must be at least 0, got %r" % (max_len,))
@@ -311,18 +321,20 @@ class Seq2SeqModel:
             return []
         with nm.no_grad():
             enc = self.encode(pad_rows(sources))
-            state = enc.state
-            # column max_len stays eos, so every row has an eos to cut at
-            grid = np.full((len(sources), max_len + 1), EOS, dtype=np.int64)
-            prev = np.full(len(sources), SOS, dtype=np.int64)
-            done = np.zeros(len(sources), dtype=bool)
-            for t in range(max_len):
-                state, logits = self.decode_step(prev, state, enc)
-                prev = logits.data.argmax(axis=1)
-                grid[:, t] = prev
-                done |= prev == EOS
-                if done.all():
-                    break
+        head_b = self.out.b.data.copy()
+        head_b[[PAD, SOS, UNK]] = -np.inf
+        arrays = self._step_arrays(enc, head_b)
+        state = [s.data for s in enc.state]
+        # column max_len stays eos, so every row has an eos to cut at
+        grid = np.full((len(sources), max_len + 1), EOS, dtype=np.int64)
+        prev = np.full(len(sources), SOS, dtype=np.int64)
+        done = np.zeros(len(sources), dtype=bool)
+        for t in range(max_len):
+            state, logits, _ = nm.decoder_step(prev, state, *arrays)
+            grid[:, t] = prev = logits.argmax(axis=1)
+            done |= prev == EOS
+            if done.all():
+                break
         return [row[:row.index(EOS)] for row in grid.tolist()]
 
     def greedy_decode(self, source_ids, max_len=50):

@@ -36,9 +36,11 @@ gold-token inputs, and an own-token step takes the argmax of the previous
 step's logits.  It ends in the head GEMM and returns one logit row per read
 position, in its mask's row-major order, for ``cross_entropy_masked``.
 The attention energy is the decoder op's alone, its encoder-side part
-included.  ``decoder_step`` runs one step for greedy decoding on plain arrays
-and records no tape; that part, ``attention_arrays``, depends on the encoding
-and the energy's weights alone, so a caller forms it once per encoding.
+included; that part, ``attention_arrays``, depends on the encoding and the
+energy's weights alone, so a caller forms it once per encoding.
+``decoder_step`` runs one step for greedy decoding on plain arrays, records
+no tape and checks nothing, so a greedy loop gathers its arrays once and
+steps them.
 
 Inside ``with no_grad():`` ops record nothing: their outputs have no parents
 and no backward closure, whatever the inputs' ``requires_grad``; the encoder
@@ -610,15 +612,16 @@ def _decoder_step(forward, x, xp, state, W_h, W_c, layout, context, attention):
     return new, np.concatenate([parts[k] for k in layout], axis=-1), (context, attn, cache)
 
 
-def decoder_step(cell, emb, ids, W_i, b, W_h, state, head, layout, context=None,
+def decoder_step(ids, state, cell, emb, W_i, b, W_h, head, layout, context=None,
                  attention=None):
     """One greedy-decoding step on arrays: the step `decoder_sequence` loops
-    over, without dropout or a tape.
+    over, without dropout or a tape, and without a check of its inputs.
 
-    The arguments are `decoder_sequence`'s as numpy arrays, with `ids` [B]
-    the input token of each row, `state` the state arrays entering the step
-    and `attention` = (W_s, proj, states, live, v): the energy weight's first
-    H rows, an encoding's `attention_arrays` and the score vector.  Returns
+    `ids` [B] holds the input token of each row and `state` the state arrays
+    entering the step; the other arguments are `decoder_sequence`'s as numpy
+    arrays, with `attention` = (W_s, proj, states, live, v): the energy
+    weight's first H rows, an encoding's `attention_arrays` and the score
+    vector.  So a greedy loop gathers them once and passes them on.  Returns
     (new state arrays, logits [B, V], attention weights [B, Ts] or None).
     """
     E = emb.shape[1]

@@ -7,12 +7,15 @@ For each of abgru, gru and lstm, at dropout 0 / tf 1 and at dropout 0.5 /
 tf 0.5, it runs `lrmt sequential` (copy pretraining, then a frozen encoder
 pruned `most_n` 10%, then an unfrozen one pruned `dead`), and `lrmt xray`,
 `lrmt evaluate` and `lrmt prune` (`most_n` 25% and `dead`) on every stage
-checkpoint, all inside the new directory OUT.  It then writes
-OUT.hashes.json, every file under OUT by its relative path, leaving out
-`metrics.jsonl` and `run.json`, which hold wall-clock times.  Run it once
-per checkout and compare the two JSON files, e.g. with `cmp`.  BLAS runs one
-thread: OpenBLAS's sums depend on its thread count.  Not a test module;
-pytest does not collect it.
+checkpoint, all inside the new directory OUT.  Each stage checkpoint also
+translates its test split one sentence at a time, a batch of one each, into
+`translate-<stage>.txt`, so the single-sentence path is hashed beside the
+batched decoding of `lrmt evaluate`.  It then writes OUT.hashes.json, every
+file under OUT by its relative path, leaving out `metrics.jsonl` and
+`run.json`, which hold wall-clock times.  Run it once per checkout and
+compare the two JSON files, e.g. with `cmp`.  BLAS runs one thread:
+OpenBLAS's sums depend on its thread count.  Not a test module; pytest does
+not collect it.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"            # before numpy loads
 
-from lrmt import cli, synthetic                     # noqa: E402
+from lrmt import cli, synthetic, text, training     # noqa: E402
 
 ARCHS = ("abgru", "gru", "lstm")
 NOISE = ((0.0, 1.0), (0.5, 0.5))                    # (dropout, tf_ratio)
@@ -64,6 +67,16 @@ def _lrmt(command, config, out, *flags):
         raise SystemExit("lrmt %s failed" % " ".join(argv))
 
 
+def _translate(ckpt, test, out):
+    """Each sentence of the TSV `test` through `translate` on the checkpoint
+    `ckpt`, at its own max_len, one output line per sentence, into `out`."""
+    checkpoint = training.Checkpoint.load(ckpt)
+    model, max_len = checkpoint.to_model(), checkpoint.train_config().max_len
+    lines = [" ".join(model.translate(src, max_len=max_len)) + "\n"
+             for src, _ in text.load_tsv(test, truncate=True).pairs]
+    out.write_text("".join(lines), encoding="utf-8")
+
+
 def main(out):
     out = Path(out).resolve()
     out.mkdir(parents=True)
@@ -89,6 +102,8 @@ def main(out):
                 for name, flags in PRUNES.items():
                     _lrmt("prune", analysis, run / ("prune-%s-%s" % (name, stage["label"])),
                           "--ckpt", str(ckpt), *flags)
+                _translate(ckpt, Path("data") / ("%s.test.tsv" % stage["dataset"]),
+                           run / ("translate-%s.txt" % stage["label"]))
     hashes = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
               for p in sorted(out.rglob("*")) if p.is_file() and p.name not in LEFT_OUT}
     target = out.with_name(out.name + ".hashes.json")

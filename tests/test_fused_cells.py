@@ -29,7 +29,7 @@ from lrmt.text import PAD, SOS, Batch, ParallelCorpus, build_vocab
 from lrmt.training import Checkpoint
 
 import tape_ops as tp
-from gradcheck import relative_gradient_error
+from gradcheck import directional_gradient_error, relative_gradient_error
 from reference_forward import (composed_encode, composed_encoder, composed_projection,
                                reference_forward)
 
@@ -153,6 +153,7 @@ def test_sequence_gradients_finite_difference(float64_mode, kind, reverse):
         return _weighted(outputs(), weights, squash=True)
 
     assert relative_gradient_error(_flat(*inputs) + energy, forward) < 1e-6
+    assert directional_gradient_error(_flat(*inputs) + energy, forward) < 1e-6
 
 
 def test_sequence_rejects_mismatched_mask():

@@ -25,7 +25,7 @@ from lrmt.model import Seq2SeqModel
 from lrmt.numerics import cross_entropy_masked, decoder_sequence
 from lrmt.text import PAD, SOS, Batch, ParallelCorpus, build_vocab
 
-from gradcheck import relative_gradient_error
+from gradcheck import directional_gradient_error, relative_gradient_error
 from tape_ops import padded_cross_entropy
 from reference_forward import composed_encode, composed_logits, composed_step, reference_forward
 
@@ -212,6 +212,7 @@ def test_fused_pass_gradients_finite_difference(float64_mode, arch):
     err = relative_gradient_error(model.parameters(), forward, max_checks=8,
                                   rng=np.random.default_rng(1))
     assert err < 1e-4
+    assert directional_gradient_error(model.parameters(), forward) < 1e-6
 
 
 def test_attention_over_fully_padded_source_is_rejected(float64_mode):

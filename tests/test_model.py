@@ -11,7 +11,7 @@ from lrmt import numerics as nm
 from lrmt import synthetic
 from lrmt.model import ARCH_TABLE, RecurrentCell, Seq2SeqModel
 from lrmt.numerics import Tensor, cross_entropy_masked
-from lrmt.text import EOS, SOS, Batch, ParallelCorpus, build_vocab, encode
+from lrmt.text import EOS, PAD, SOS, UNK, Batch, ParallelCorpus, build_vocab, encode
 from lrmt.training import TrainConfig, pretrain_copy
 
 import tape_ops as tp
@@ -119,8 +119,8 @@ def test_full_forward_gradients(float64_mode, arch):
 def _greedy_step(model, enc, ids, state):
     """The step function an attention model's greedy decoding runs, on its arrays."""
     cell, H = model.dec_cell, model.hidden_size
-    return nm.decoder_step(cell.kind, model.tgt_emb.data, ids, cell.W_i.data, cell.b.data,
-                           cell.W_h.data, [s.data for s in state],
+    return nm.decoder_step(ids, [s.data for s in state], cell.kind, model.tgt_emb.data,
+                           cell.W_i.data, cell.b.data, cell.W_h.data,
                            (model.out.W.data, model.out.b.data), model.spec.layout,
                            attention=(model.attn_energy.W.data[:H], *enc.attention,
                                       model.attn_v.data))
@@ -335,7 +335,7 @@ def test_attention_arrays_form_once_per_encoding(monkeypatch, float64_mode):
     model = _tiny_model("abgru", seed=14)
     model.out.b.data[EOS] = -1e9             # no row stops early: every step runs
     formed, steps = [], []
-    original_arrays, original_step = nm.attention_arrays, model.decode_step
+    original_arrays, original_step = nm.attention_arrays, nm.decoder_step
 
     def arrays(*args):
         formed.append(args)
@@ -346,7 +346,7 @@ def test_attention_arrays_form_once_per_encoding(monkeypatch, float64_mode):
         return original_step(*args)
 
     monkeypatch.setattr(nm, "attention_arrays", arrays)
-    model.decode_step = step
+    monkeypatch.setattr(nm, "decoder_step", step)
     sources = [encode(words, model.src_vocab) for words in (["a", "b"], ["c"])]
     assert [len(row) for row in model.greedy_decode_batch(sources, max_len=12)] == [12, 12]
     assert len(steps) == 12 and len(formed) == 1
@@ -368,9 +368,17 @@ def test_decode_step_reads_the_current_weights(arch, float64_mode):
     assert np.array_equal(changed.data[:, 1:], rebound.data[:, 1:])
 
 
-@pytest.mark.parametrize("rows", [((4, 5, 6),), ((4, 5, 6, 7), (5,), (6, 4))])
+# one sentence, a padded batch, and an unpadded batch of several rows
+NO_GRAD_ROWS = [((4, 5, 6),), ((4, 5, 6, 7), (5,), (6, 4)), ((4, 5, 6), (6, 5, 4))]
+
+
+@pytest.mark.parametrize("rows, float64", [
+    pytest.param(rows, float64, id="rows%d%s" % (i, "-float64" if float64 else ""))
+    for float64 in (False, True) for i, rows in enumerate(NO_GRAD_ROWS)])
 @pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
-def test_encoder_under_no_grad_records_nothing_and_matches(arch, rows):
+def test_encoder_under_no_grad_records_nothing_and_matches(request, arch, rows, float64):
+    if float64:
+        request.getfixturevalue("float64_mode")
     model = _tiny_model(arch, seed=8, hidden=5, embed=3)
     source = _tiny_batch(model, rows).source
     taped = model.encode(source)
@@ -389,19 +397,34 @@ def test_encoder_under_no_grad_records_nothing_and_matches(arch, rows):
     assert np.array_equal(plain.mask, taped.mask)
 
 
-def test_greedy_decode_records_no_tape(float64_mode):
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_greedy_decoding_never_emits_pad_sos_or_unk(arch):
+    # no training target holds pad, sos or unk, so greedy decoding emits none,
+    # even from a head whose bias favours them
+    model = _tiny_model(arch, seed=9)
+    model.out.b.data[[PAD, SOS, UNK]] = 100.0
+    model.out.b.data[EOS] = -100.0          # every row runs all its steps
+    sources = [encode(words, model.src_vocab) for words in (["a", "b"], ["c"])]
+    decoded = model.greedy_decode_batch(sources, max_len=5)
+    assert [len(row) for row in decoded] == [5, 5]
+    assert all(i > UNK for row in decoded for i in row)
+    assert decoded == [reference_greedy_decode(model, ids, max_len=5) for ids in sources]
+
+
+def test_greedy_decode_records_no_tape(monkeypatch, float64_mode):
     model = _tiny_model("abgru", seed=14)
     steps = []
-    original = model.decode_step
+    original = nm.decoder_step
 
     def spy(*args, **kwargs):
         result = original(*args, **kwargs)
         steps.append(result[1])
         return result
 
-    model.decode_step = spy
+    monkeypatch.setattr(nm, "decoder_step", spy)
     model.greedy_decode(encode(["a", "b"], model.src_vocab), max_len=4)
-    assert steps and not any(logits.requires_grad for logits in steps)
+    # a plain array is no tape node
+    assert steps and all(type(logits) is np.ndarray for logits in steps)
     assert all(p.requires_grad for p in model.parameters())
 
 
