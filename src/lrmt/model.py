@@ -9,7 +9,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Parameter, Tensor
-from .text import PAD, SOS, EOS, UNK, encode as encode_ids, pad_rows
+from .text import PAD, SOS, EOS, encode as encode_ids, length_sorted_chunks, pad_rows
 
 # arch -> (cell kind in numerics.CELLS, encoder directions (a second one reads
 # the source backwards), the context each decoder step reads besides its input
@@ -92,6 +92,28 @@ class EncodeResult:
         formed from the energy's current data, and a fully padded row
         rejected, once, at the first greedy step that reads them."""
         return nm.attention_arrays(*self.energy, self.states, self.mask)
+
+
+@dataclass
+class EncodedRows:
+    """Id rows encoded once by `Seq2SeqModel.encode_all`: `states` [tokens, N]
+    holds every live token's state, sentence by sentence, sentence i's from
+    row starts[i], and `state` the decoder's initial state arrays, one row
+    per sentence."""
+
+    states: np.ndarray
+    starts: np.ndarray
+    state: tuple
+
+    def gather(self, index, source):
+        """The EncodeResult of the sentences `index`, whose right-padded id
+        matrix is `source` [B, T], for a teacher-forced pass: states zero at
+        the pads, Tensors that record nothing, and no attention energy."""
+        mask = source != PAD
+        row, pos = np.nonzero(mask)
+        states = np.zeros(mask.shape + self.states.shape[1:], dtype=self.states.dtype)
+        states[row, pos] = self.states[self.starts[index][row] + pos]
+        return EncodeResult(Tensor(states), tuple(Tensor(s[index]) for s in self.state), mask)
 
 
 class Seq2SeqModel:
@@ -215,6 +237,24 @@ class Seq2SeqModel:
             self._walk([self.enc_init]))
         return EncodeResult(states, state, mask, tuple(self._walk([self.attn_energy])))
 
+    def encode_all(self, sources, dtype=None):
+        """Encode the id lists `sources` once, without a tape, in the padded
+        batches of `text.length_sorted_chunks`, one `encode` each: the live
+        tokens' states and the decoder's initial state rows as `EncodedRows`,
+        the states in `dtype` (default the model's)."""
+        starts = np.cumsum([0] + [len(ids) for ids in sources], dtype=np.int64)
+        states = np.empty((starts[-1], self.analysis_width), dtype=dtype or self.dtype)
+        state = tuple(np.empty((len(sources), self.hidden_size), dtype=self.dtype)
+                      for _ in range(nm.CELLS[self.spec.cell].states))
+        with nm.no_grad():
+            for chunk in length_sorted_chunks(sources):
+                enc = self.encode(pad_rows([sources[i] for i in chunk]))
+                row, pos = np.nonzero(enc.mask)
+                states[starts[chunk][row] + pos] = enc.states.data[row, pos]
+                for rows, s in zip(state, enc.state):
+                    rows[chunk] = s.data
+        return EncodedRows(states, starts, state)
+
     def decode_step(self, y_prev_ids, state, enc):
         """One decoding step, checked and on Tensors, for callers outside
         the greedy loop: the teacher-forced pass's step function,
@@ -257,14 +297,18 @@ class Seq2SeqModel:
 
         With an `rng` (training) dropout is applied and each step after the
         first reads the gold previous token with probability tf_ratio, else
-        the model's own argmax (`decoder_noise` draws both).  Without one
-        (evaluation) there is no dropout and every step reads the gold token.
-        Every decoder step and the output head are one fused op that runs
-        on the rows whose target is not pad; the head is one GEMM over N rows.
+        the model's own argmax over every id but pad, sos and unk
+        (`decoder_noise` draws both).  Without one (evaluation) there is no
+        dropout and every step reads the gold token.  The source is encoded
+        here, with the rng, unless the batch holds its `encoding`: the rows
+        a frozen, dropout-free encoder gave once per fit, for which `encode`
+        would draw nothing.  Every decoder step and the output head are one
+        fused op that runs on the rows whose target is not pad; the head is
+        one GEMM over N rows.
         """
         if not 0.0 <= tf_ratio <= 1.0:
             raise ValueError("tf_ratio must be in [0, 1]")
-        enc = self.encode(batch.source, rng=rng)
+        enc = self.encode(batch.source, rng=rng) if batch.encoding is None else batch.encoding
         B, Tt = batch.target.shape
         keep, gold = self.decoder_noise(rng, B, Tt - 1, tf_ratio)
         return nm.decoder_sequence(tokens=batch.target[:, :-1], gold=gold, state=enc.state,
@@ -321,9 +365,7 @@ class Seq2SeqModel:
             return []
         with nm.no_grad():
             enc = self.encode(pad_rows(sources))
-        head_b = self.out.b.data.copy()
-        head_b[[PAD, SOS, UNK]] = -np.inf
-        arrays = self._step_arrays(enc, head_b)
+        arrays = self._step_arrays(enc, nm.emit_bias(self.out.b.data))
         state = [s.data for s in enc.state]
         # column max_len stays eos, so every row has an eos to cut at
         grid = np.full((len(sources), max_len + 1), EOS, dtype=np.int64)

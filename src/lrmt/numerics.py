@@ -33,8 +33,9 @@ read-out, adds c @ W_c to the step's input projection.  ``decoder_sequence``
 loops over it in one tape node, its input ids, embeddings, projections and
 features step-packed over the read positions only: one GEMM projects the
 gold-token inputs, and an own-token step takes the argmax of the previous
-step's logits.  It ends in the head GEMM and returns one logit row per read
-position, in its mask's row-major order, for ``cross_entropy_masked``.
+step's logits under ``emit_bias``, as greedy decoding does.  It ends in the
+head GEMM and returns one logit row per read position, in its mask's
+row-major order, for ``cross_entropy_masked``.
 The attention energy is the decoder op's alone, its encoder-side part
 included; that part, ``attention_arrays``, depends on the encoding and the
 energy's weights alone, so a caller forms it once per encoding.
@@ -54,7 +55,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .text import PAD
+from .text import PAD, SOS, UNK
 
 _DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -612,6 +613,15 @@ def _decoder_step(forward, x, xp, state, W_h, W_c, layout, context, attention):
     return new, np.concatenate([parts[k] for k in layout], axis=-1), (context, attn, cache)
 
 
+def emit_bias(b):
+    """A copy of the head bias `b` that is -inf at pad, sos and unk, ids that
+    no training target holds: the bias of every argmax that picks a token
+    for the decoder to read next, greedy or own-token."""
+    b = b.copy()
+    b[[PAD, SOS, UNK]] = -np.inf
+    return b
+
+
 def decoder_step(ids, state, cell, emb, W_i, b, W_h, head, layout, context=None,
                  attention=None):
     """One greedy-decoding step on arrays: the step `decoder_sequence` loops
@@ -639,7 +649,8 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     `state` its initial (h,) or (h, c).  `emb` [V, E] embeds the input ids:
     step 0 reads tokens[:, 0]; step t > 0 reads tokens[:, t] where gold[t]
     is true, else the argmax of step t-1's logits under head = (W [F, V],
-    b [V]).  Those logits are formed only at such steps and carry no
+    b [V]), with `emit_bias(b)` for b, so it never reads pad, sos or unk.
+    Those logits are formed only at such steps and carry no
     gradient.  The right-padded {0,1} `mask` [B, S] marks the positions whose
     features are read, and a step runs on the rows it reads.  `keep` holds
     the embedding [B, S, E] and head-feature [B, S, F] dropout multipliers,
@@ -696,13 +707,14 @@ def decoder_sequence(cell, emb, tokens, gold, mask, W_i, b, W_h, state, head, la
     XP[known] = X[known] @ W_x + b.data
     h_in = np.empty((N, H), dtype=dtype) if record else None   # state entering each live step
     feats = np.empty((N, F), dtype=dtype)
+    own_b = None if fed.all() else emit_bias(head_b.data)
     caches, attn = [None] * S, [None] * S
     cur = [_take(s.data, order) for s in state]
     for t, (n, lo) in enumerate(zip(steps, offsets)):
         hi = lo + n
         if not fed[t]:
             prev = feats[offsets[t - 1]:offsets[t - 1] + n]             # dropout applied
-            ids[lo:hi] = (prev @ head_W.data + head_b.data).argmax(axis=1)
+            ids[lo:hi] = (prev @ head_W.data + own_b).argmax(axis=1)
             X[lo:hi] = emb.data[ids[lo:hi]]
             if emb_keep is not None:
                 X[lo:hi] *= emb_keep[lo:hi]

@@ -123,10 +123,18 @@ class ParallelCorpus:
 
 @dataclass
 class Batch:
-    """Right-padded id matrices; pad id is 0 and no row holds it before its end."""
+    """Right-padded id matrices; pad id is 0 and no row holds it before its end.
+
+    `make_batches` records `index`, the rows of its pairs list that the batch
+    holds, in batch order.  `encoding`, when set, is the `EncodeResult` that
+    `forward_teacher_forced` reads in place of encoding `source`: a frozen,
+    dropout-free encoder's rows gathered from one encoding of the whole split
+    (`model.EncodedRows`).  A batch built by hand has neither."""
 
     source: np.ndarray       # [B, Ts] int64
     target: np.ndarray       # [B, Tt] int64
+    index: np.ndarray = None     # [B] int64
+    encoding: object = None
 
 
 def load_tsv(path, max_len=50, truncate=False):
@@ -260,11 +268,12 @@ def encode_pairs(corpus, src_vocab, tgt_vocab):
 
 def make_batches(pairs, batch_size, seed):
     """Seeded shuffle of `encode_pairs` output, padded into batches of at
-    most `batch_size`."""
+    most `batch_size`, each with the `index` of the pairs it holds."""
     order = np.random.default_rng(seed).permutation(len(pairs))
     batches = []
     for start in range(0, len(order), batch_size):
-        chunk = [pairs[i] for i in order[start:start + batch_size]]
+        index = order[start:start + batch_size]
+        chunk = [pairs[i] for i in index]
         batches.append(Batch(source=pad_rows([src for src, _ in chunk]),
-                             target=pad_rows([tgt for _, tgt in chunk])))
+                             target=pad_rows([tgt for _, tgt in chunk]), index=index))
     return batches

@@ -3,7 +3,7 @@ multi-task, sequential transfer plans; early stopping and checkpointing."""
 
 import json
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -304,9 +304,28 @@ def early_stopping_trace(losses, patience):
     return epochs, best_epoch
 
 
+def _encoded(batches, rows):
+    """`batches`, each with the rows of `rows` (`model.EncodedRows`) that its
+    `index` names gathered as its encoding, one batch at a time; `batches`
+    as they are when `rows` is None."""
+    if rows is None:
+        return batches
+    return (replace(batch, encoding=rows.gather(batch.index, batch.source))
+            for batch in batches)
+
+
 def fit_with_early_stopping(model, train, valid, config, metrics_path=None,
                             stage_label=""):
-    """Train with per-epoch validation; keep and return the best checkpoint."""
+    """Train with per-epoch validation; keep and return the best checkpoint.
+
+    When every encoder parameter is frozen and the model's dropout is 0, the
+    encoder is a fixed function of each source sentence, and `encode` draws
+    nothing from the rng.  The fit then encodes the train and validation
+    sentences once, without a tape (`Seq2SeqModel.encode_all`), and each
+    batch reads its rows of that encoding; the encoding, the live tokens by
+    the encoder's width, goes when the fit returns.  Otherwise (a trainable
+    encoder changes every step, and dropout draws a fresh mask per batch)
+    each batch is encoded as it is trained or scored."""
     if not train.pairs:
         raise ValueError("train split is empty")
     if not valid.pairs:
@@ -315,15 +334,20 @@ def fit_with_early_stopping(model, train, valid, config, metrics_path=None,
     optimizer = Adam(model.parameters(), lr=config.lr, l2=config.l2)
     history = []
     train_pairs = encode_pairs(train, model.src_vocab, model.tgt_vocab)
-    vbatches = make_batches(encode_pairs(valid, model.src_vocab, model.tgt_vocab),
-                            config.batch_size, seed=0)
+    valid_pairs = encode_pairs(valid, model.src_vocab, model.tgt_vocab)
+    vbatches = make_batches(valid_pairs, config.batch_size, seed=0)
+    train_rows = valid_rows = None
+    if model.dropout == 0 and all(p.frozen for p in model.encoder_parameters()):
+        train_rows, valid_rows = (model.encode_all([src for src, _ in pairs])
+                                  for pairs in (train_pairs, valid_pairs))
 
     def valid_losses():
         for epoch in range(1, config.max_epochs + 1):
             started = time.monotonic()
             batches = make_batches(train_pairs, config.batch_size, seed=config.seed + epoch)
-            train_loss = train_epoch(model, batches, config, optimizer, rng)
-            valid_loss = evaluate_loss(model, vbatches)
+            train_loss = train_epoch(model, _encoded(batches, train_rows), config, optimizer,
+                                     rng)
+            valid_loss = evaluate_loss(model, _encoded(vbatches, valid_rows))
             if not np.isfinite(valid_loss):
                 raise FloatingPointError(
                     "non-finite validation loss (%r) in stage %r, epoch %d"

@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _container
-from .numerics import no_grad
 from .postag import pos_tag
-from .text import encode, length_sorted_chunks, pad_rows
+from .text import encode
 
 
 @dataclass
@@ -73,17 +72,12 @@ class PosTokenDistribution:
 def capture_activations(model, corpus, provenance=None):
     """Record the encoder's per-token state for every real token (eval mode).
 
-    Sentences are encoded without a tape in padded, length-sorted batches;
-    each batch's live states go to its sentences' rows in one assignment.
+    `Seq2SeqModel.encode_all` encodes the sentences without a tape in padded,
+    length-sorted batches; each batch's live states go to its sentences' rows
+    of the float64 matrix in one assignment.
     """
     sources = [encode(src, model.src_vocab) for src, _ in corpus.pairs]
-    starts = np.cumsum([0] + [len(ids) for ids in sources], dtype=np.int64)
-    matrix = np.empty((starts[-1], model.analysis_width), dtype=np.float64)
-    with no_grad():
-        for chunk in length_sorted_chunks(sources):
-            enc = model.encode(pad_rows([sources[i] for i in chunk]))
-            row, pos = np.nonzero(enc.mask)
-            matrix[starts[chunk][row] + pos] = enc.states.data[row, pos]
+    matrix = model.encode_all(sources, dtype=np.float64).states
     return ActivationDataset(tokens=[["<sos>"] + list(src) + ["<eos>"] for src, _ in corpus.pairs],
                              tags=[["X"] + pos_tag(src) + ["X"] for src, _ in corpus.pairs],
                              matrix=matrix, provenance=provenance or {})

@@ -7,7 +7,8 @@ Every step is built from the test-side generic tape ops in `tape_ops`
 code it checks.  Every row runs at every position: a pad position carries
 the state as a lerp by the {0,1} mask.  The teacher-forced pass consumes the
 dropout masks and scheduled-sampling coins the model draws, so both paths
-read the same draws from the same rng.
+read the same draws from the same rng, and an own-token step reads the
+argmax over every id but pad, sos and unk, as the fused pass does.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 import tape_ops as tp
 from lrmt import numerics as nm
 from lrmt.model import EncodeResult
-from lrmt.text import PAD
+from lrmt.text import PAD, SOS, UNK
 
 
 def composed_cell(kind, xp, state, W_h):
@@ -144,7 +145,12 @@ def reference_forward(model, batch, tf_ratio=1.0, rng=None):
     state = enc.state
     step_logits = []
     for t in range(Tt - 1):
-        ids = targets[:, t] if gold[t] else step_logits[-1].data.argmax(axis=1)
+        if gold[t]:
+            ids = targets[:, t]
+        else:       # the model's own token, never pad, sos or unk
+            own = step_logits[-1].data.copy()
+            own[:, [PAD, SOS, UNK]] = -np.inf
+            ids = own.argmax(axis=1)
         state, feats = composed_step(model, ids, state, enc,
                                      None if emb_keep is None else emb_keep[:, t],
                                      None if feat_keep is None else feat_keep[:, t])

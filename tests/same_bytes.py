@@ -7,10 +7,13 @@ For each of abgru, gru and lstm, at dropout 0 / tf 1 and at dropout 0.5 /
 tf 0.5, it runs `lrmt sequential` (copy pretraining, then a frozen encoder
 pruned `most_n` 10%, then an unfrozen one pruned `dead`), and `lrmt xray`,
 `lrmt evaluate` and `lrmt prune` (`most_n` 25% and `dead`) on every stage
-checkpoint, all inside the new directory OUT.  Each stage checkpoint also
-translates its test split one sentence at a time, a batch of one each, into
-`translate-<stage>.txt`, so the single-sentence path is hashed beside the
-batched decoding of `lrmt evaluate`.  It then writes OUT.hashes.json, every
+checkpoint, all inside the new directory OUT.  From each run's
+`pretrain.lrmt` it also runs `lrmt transfer` (en-de) and `lrmt multitask`
+(de: en-de, fr: en-fr), the 1-hop and joint regimes on a frozen encoder.
+Each stage checkpoint also translates its test split one sentence at a
+time, a batch of one each, into `translate-<stage>.txt`, so the
+single-sentence path is hashed beside the batched decoding of
+`lrmt evaluate`.  It then writes OUT.hashes.json, every
 file under OUT by its relative path, leaving out `metrics.jsonl` and
 `run.json`, which hold wall-clock times.  Run it once per checkout and
 compare the two JSON files, e.g. with `cmp`.  BLAS runs one thread:
@@ -37,6 +40,7 @@ STAGES = [{"dataset": "en-en", "label": "pretrain"},
            "freeze_encoder": False}]
 CORPORA = {"en-en": (synthetic.copy_task, 1), "en-de": (synthetic.substitution_task, 11),
            "en-fr": (synthetic.substitution_task, 21)}
+MULTITASK = {"de": "en-de", "fr": "en-fr"}
 PRUNES = {"most25": ("--mode", "most_n", "--percent", "25"), "dead": ("--mode", "dead")}
 LEFT_OUT = {"metrics.jsonl", "run.json"}
 
@@ -104,6 +108,11 @@ def main(out):
                           "--ckpt", str(ckpt), *flags)
                 _translate(ckpt, Path("data") / ("%s.test.tsv" % stage["dataset"]),
                            run / ("translate-%s.txt" % stage["label"]))
+            pretrain = str(run / "sequential" / "pretrain.lrmt")
+            _lrmt("transfer", dict(config, **{"data.dataset": "en-de"}), run / "transfer",
+                  "--ckpt", pretrain)
+            _lrmt("multitask", dict(config, **{"multitask.datasets": MULTITASK}),
+                  run / "multitask", "--ckpt", pretrain)
     hashes = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
               for p in sorted(out.rglob("*")) if p.is_file() and p.name not in LEFT_OUT}
     target = out.with_name(out.name + ".hashes.json")

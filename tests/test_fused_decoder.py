@@ -14,6 +14,7 @@ at once, so the bounds are float64 rounding: 1e-12 on logits and losses,
 1e-10 on gradients.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lrmt.model import Seq2SeqModel
-from lrmt.numerics import cross_entropy_masked, decoder_sequence
-from lrmt.text import PAD, SOS, Batch, ParallelCorpus, build_vocab
+from lrmt.numerics import Tensor, cross_entropy_masked, decoder_sequence
+from lrmt.text import PAD, SOS, UNK, Batch, ParallelCorpus, build_vocab
 
 from gradcheck import directional_gradient_error, relative_gradient_error
 from tape_ops import padded_cross_entropy
@@ -213,6 +214,52 @@ def test_fused_pass_gradients_finite_difference(float64_mode, arch):
                                   rng=np.random.default_rng(1))
     assert err < 1e-4
     assert directional_gradient_error(model.parameters(), forward) < 1e-6
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_pad_states_reach_no_output_bit(arch):
+    # a frozen encoding read from a cache has zeros at its pads, a fresh one
+    # the carried state: no logit or decoder gradient may tell them apart
+    model = _model(arch, dropout=0.5).freeze_encoder()
+    batch = _batch()
+    B, Tt = batch.target.shape
+    enc = model.encode(batch.source)
+    assert (~enc.mask).any()
+    decoder = model.named_parameters().keys() - {p.name for p in model.encoder_parameters()}
+    runs = []
+    for fill in (0.0, 7.0):
+        states = enc.states.data.copy()
+        states[~enc.mask] = fill
+        keep, gold = model.decoder_noise(np.random.default_rng(SEED), B, Tt - 1, 0.5)
+        assert not gold.all()
+        logits = _decoder_sequence(model, replace(enc, states=Tensor(states)), batch, keep,
+                                   gold, batch.target[:, 1:] != PAD)
+        assert logits.requires_grad
+        for p in model.parameters():
+            p.zero_grad()
+        _loss(logits, batch).backward()
+        grads = {n: p.grad for n, p in model.named_parameters().items() if p.grad is not None}
+        assert grads.keys() == decoder
+        runs.append((logits.data, grads))
+    (logits0, grads0), (logits7, grads7) = runs
+    assert logits0.tobytes() == logits7.tobytes()
+    for name in decoder:
+        assert grads0[name].tobytes() == grads7[name].tobytes(), name
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_own_token_steps_never_read_pad_sos_or_unk(float64_mode, arch):
+    # a head bias that makes pad, sos and unk every step's argmax; the
+    # own-token steps must pick among the other ids, as greedy decoding does
+    model = _model(arch, dropout=0.0)
+    model.out.b.data[[PAD, SOS, UNK]] = 100.0
+    batch = _batch()
+    fused = model.forward_teacher_forced(batch, 0.0, rng=np.random.default_rng(SEED))
+    ref = reference_forward(model, batch, 0.0, rng=np.random.default_rng(SEED))
+    assert np.max(np.abs(fused.data - ref.data[batch.target[:, 1:] != PAD])) < 1e-12
+    _loss(fused, batch).backward()
+    # step 0 reads sos, the gold start; no step reads pad or unk
+    assert not model.tgt_emb.grad[[PAD, UNK]].any()
 
 
 def test_attention_over_fully_padded_source_is_rejected(float64_mode):

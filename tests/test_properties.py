@@ -1,10 +1,11 @@
 """Property-based tests of the invariants: every checkpoint and activation
 dump round-trips, every truncated or altered file of either kind is rejected
-with a CheckpointError, a v1 checkpoint loads like its v2 twin, and every
-batch row is sos ... eos followed only by pad (the encoder's pad mask is
-`source != PAD`), cleaning and tokenizing text a second time changes
-nothing, corpus BLEU does not depend on the order of the pairs, and a
-corpus scored against itself gets 1.0."""
+with a CheckpointError, a v1 checkpoint loads like its v2 twin, every batch
+row is sos ... eos followed only by pad (the encoder's pad mask is
+`source != PAD`), one epoch's batches hold every pair once in the seeded
+order, each row the pair its batch's index names, cleaning and tokenizing
+text a second time changes nothing, corpus BLEU does not depend on the
+order of the pairs, and a corpus scored against itself gets 1.0."""
 
 import json
 import struct
@@ -186,6 +187,27 @@ def test_every_batch_row_is_sos_to_eos_then_only_pad(pairs, batch_size, seed):
             assert set(row[live:]) <= {PAD}
             lengths.append(live)
     assert sorted(lengths) == sorted(len(src) + 2 for src, _ in pairs)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.lists(TOKENS, min_size=1, max_size=7),
+                          st.lists(TOKENS, min_size=1, max_size=7)),
+                min_size=1, max_size=30),
+       st.integers(1, 8), st.integers(0, 2 ** 16))
+def test_batch_rows_partition_the_pairs_in_seeded_order(pairs, batch_size, seed):
+    vocab = build_vocab([ParallelCorpus([(["a", "b"], ["a", "c"])])], side="source")
+    encoded = encode_pairs(ParallelCorpus(pairs), vocab, vocab)
+    batches = make_batches(encoded, batch_size, seed)
+    order = np.concatenate([batch.index for batch in batches])
+    assert order.tolist() == np.random.default_rng(seed).permutation(len(pairs)).tolist()
+    for batch in batches:
+        assert 1 <= len(batch.index) <= batch_size and batch.encoding is None
+        for side, ids in enumerate((batch.source, batch.target)):
+            assert ids.shape[0] == len(batch.index)
+            assert ids.shape[1] == max(len(encoded[i][side]) for i in batch.index)
+            for row, i in zip(ids.tolist(), batch.index):
+                width = len(encoded[i][side])
+                assert row[:width] == encoded[i][side] and set(row[width:]) <= {PAD}
 
 
 # contractions, case, curly quotes, kept and dropped punctuation, digits,

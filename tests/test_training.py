@@ -10,8 +10,8 @@ import pytest
 
 from lrmt import _container, synthetic, training
 from lrmt.model import ARCHITECTURES, Seq2SeqModel
-from lrmt.numerics import Adam, cross_entropy_masked
-from lrmt.text import ParallelCorpus, build_vocab, encode_pairs, make_batches
+from lrmt.numerics import Adam, cross_entropy_masked, no_grad
+from lrmt.text import PAD, ParallelCorpus, build_vocab, encode_pairs, make_batches
 from lrmt.training import (Checkpoint, CheckpointChecksumError,
                            CheckpointFormatError, CheckpointVersionError,
                            StageSpec, TrainConfig,
@@ -620,6 +620,68 @@ def test_fit_encodes_each_split_once_and_batches_validation_once(monkeypatch):
     assert len(ckpt.provenance["history"]) == 3
     # train and valid encoded once; one batching per epoch plus the validation batches
     assert calls == {"encode_pairs": 2, "make_batches": 3 + 1}
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("frozen, dropout, once", [
+    (True, 0.0, True), (False, 0.0, False), (True, 0.5, False),
+], ids=["frozen", "trainable", "frozen-dropout"])
+def test_fit_encodes_each_sentence_once_only_for_a_fixed_encoder(monkeypatch, epochs, frozen,
+                                                                 dropout, once):
+    rows = []
+    encode = Seq2SeqModel.encode
+
+    def counted(self, source, rng=None):
+        rows.append(len(source))
+        return encode(self, source, rng=rng)
+
+    monkeypatch.setattr(Seq2SeqModel, "encode", counted)
+    cfg = TrainConfig(arch="abgru", **dict(TINY, dropout=dropout, max_epochs=epochs,
+                                           patience=epochs))
+    data = _data()
+    sv = build_vocab([data["train"]], side="source")
+    tv = build_vocab([data["train"]], side="target")
+    model = training.build_model(cfg, sv, tv)
+    if frozen:
+        model.freeze_encoder()
+    ckpt = training.fit_with_early_stopping(model, data["train"], data["valid"], cfg)
+    assert len(ckpt.provenance["history"]) == epochs
+    sentences = len(data["train"]) + len(data["valid"])
+    assert sum(rows) == (sentences if once else epochs * sentences)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_cached_batch_encoding_equals_the_batch_encoded(arch):
+    data = synthetic.splits(synthetic.copy_task, train=120, valid=8, test=8, vocab_size=10,
+                            max_len=7, seed=5)
+    cfg = TrainConfig(arch=arch, seed=2, **TINY)
+    sv = build_vocab([data["train"]], side="source")
+    tv = build_vocab([data["train"]], side="target")
+    model = training.build_model(cfg, sv, tv).freeze_encoder()
+    pairs = encode_pairs(data["train"], sv, tv)
+    sources = [src for src, _ in pairs]
+    longest = max(map(len, sources))
+    assert sum(len(s) == longest for s in sources) > 1      # so no chunk steps one row last
+    cached = model.encode_all(sources)
+    exact = 0
+    for batch in make_batches(pairs, 7, seed=1):
+        enc = cached.gather(batch.index, batch.source)
+        with no_grad():
+            want = model.encode(batch.source)
+        assert np.array_equal(enc.mask, want.mask)
+        assert not enc.states.data[~enc.mask].any()             # zero at the pads
+        got = [enc.states.data[enc.mask], *(s.data for s in enc.state)]
+        ref = [want.states.data[want.mask], *(s.data for s in want.state)]
+        lengths = (batch.source != PAD).sum(axis=1)
+        for g, r in zip(got, ref, strict=True):
+            assert g.dtype == r.dtype == model.dtype
+            # a unique longest row runs its last steps as one row, which
+            # numpy multiplies on a matrix-vector path with other rounding
+            if (lengths == lengths.max()).sum() > 1:
+                assert g.tobytes() == r.tobytes()
+            assert np.max(np.abs(g - r)) < 1e-6
+        exact += (lengths == lengths.max()).sum() > 1
+    assert exact
 
 
 def test_evaluate_loss_matches_the_taped_forward_bit_for_bit():
