@@ -46,7 +46,6 @@ from .training import (
     StageSpec,
     TrainConfig,
     VocabMismatchError,
-    early_stopping_trace,
     fit_with_early_stopping,
     load_checkpoint,
     pretrain_copy,

@@ -3,7 +3,6 @@
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -84,14 +83,6 @@ class EncodeResult:
     states: object            # Tensor [B, T, N], N = the model's analysis_width
     state: tuple              # initial decoder state: (z,), or (h, c) for LSTM; Tensors [B, H]
     mask: np.ndarray          # [B, T] bool; True at real tokens
-    energy: tuple = ()        # attention: the decoder's energy weight and bias (W_e, b_e)
-
-    @cached_property
-    def attention(self):
-        """`numerics.attention_arrays` of this encoding, (proj, states, live):
-        formed from the energy's current data, and a fully padded row
-        rejected, once, at the first greedy step that reads them."""
-        return nm.attention_arrays(*self.energy, self.states, self.mask)
 
 
 @dataclass
@@ -107,8 +98,7 @@ class EncodedRows:
 
     def gather(self, index, source):
         """The EncodeResult of the sentences `index`, whose right-padded id
-        matrix is `source` [B, T], for a teacher-forced pass: states zero at
-        the pads, Tensors that record nothing, and no attention energy."""
+        matrix is `source` [B, T]: states zero at the pads, Tensors that record nothing."""
         mask = source != PAD
         row, pos = np.nonzero(mask)
         states = np.zeros(mask.shape + self.states.shape[1:], dtype=self.states.dtype)
@@ -223,9 +213,8 @@ class Seq2SeqModel:
     def encode(self, source, rng=None):
         """Run the encoder over a right-padded id matrix [B, T] as one
         `numerics.encoder_sequence` op: an EncodeResult with per-token states,
-        the initial decoder state, the bool pad mask (source != PAD) and, for an
-        attention decoder, the energy's parameters.  With an `rng`, the
-        embedding-dropout multipliers [B, T, E] draw from it first."""
+        the initial decoder state and the bool pad mask (source != PAD).  With an
+        `rng`, the embedding-dropout multipliers [B, T, E] draw from it first."""
         source = np.asarray(source)
         if source.ndim != 2 or 0 in source.shape:
             raise ValueError("encode expects a non-empty [B, T] id matrix")
@@ -235,7 +224,7 @@ class Seq2SeqModel:
             self.spec.cell, source, mask, self.src_emb,
             [(cell.W_i, cell.b, cell.W_h) for cell in self.encoders], keep,
             self._walk([self.enc_init]))
-        return EncodeResult(states, state, mask, tuple(self._walk([self.attn_energy])))
+        return EncodeResult(states, state, mask)
 
     def encode_all(self, sources, dtype=None):
         """Encode the id lists `sources` once, without a tape, in the padded
@@ -262,8 +251,7 @@ class Seq2SeqModel:
         the tuple of Tensors `EncodeResult.state` holds.  Returns (new state,
         logits [B, V]) as Tensors that record nothing, the logits over every
         id.  `y_prev_ids` holds one id per row of `enc`, B, and each state
-        array is [B, H].  Every step reads the parameters' current arrays;
-        what depends on the encoding alone, `enc.attention`, is formed once."""
+        array is [B, H].  Every step reads the parameters' current arrays."""
         ids = np.asarray(y_prev_ids).reshape(-1)
         B, H = enc.mask.shape[0], self.hidden_size
         states = nm.CELLS[self.spec.cell].states
@@ -280,13 +268,16 @@ class Seq2SeqModel:
         """`numerics.decoder_step`'s arguments after the ids and the state,
         from the parameters' current arrays: the cell kind, embedding, W_i, b,
         W_h, head (out.W, `head_b`) and layout, then the context (z) and the
-        attention over `enc`, each None where the architecture has none."""
+        attention over `enc`, formed here from the current energy, each None
+        where the architecture has none."""
         cell, H = self.dec_cell, self.hidden_size
         context = attention = None
         if self.spec.context == "z":
             context = enc.state[0].data
         elif self.spec.context == "attention":
-            attention = (self.attn_energy.W.data[:H], *enc.attention, self.attn_v.data)
+            W_e, b_e = self.attn_energy.parameters()
+            attention = (W_e.data[:H], *nm.attention_arrays(W_e, b_e, enc.states, enc.mask),
+                         self.attn_v.data)
         return (cell.kind, self.tgt_emb.data, cell.W_i.data, cell.b.data, cell.W_h.data,
                 (self.out.W.data, head_b), self.spec.layout, context, attention)
 

@@ -80,13 +80,15 @@ class Vocabulary:
     """token<->id maps with reserved ids pad=0, sos=1, eos=2, unk=3."""
 
     itos: list
-    stoi: dict = field(default_factory=dict)
+    stoi: dict = field(init=False)
 
     def __post_init__(self):
         if self.itos[:4] != RESERVED:
             raise ValueError("vocabulary must start with the reserved tokens")
-        if not self.stoi:
-            self.stoi = {tok: i for i, tok in enumerate(self.itos)}
+        self.stoi = {tok: i for i, tok in enumerate(self.itos)}
+        if len(self.stoi) < len(self.itos):
+            raise ValueError("vocabulary repeats token %r"
+                             % next(t for i, t in enumerate(self.itos) if self.stoi[t] != i))
 
     def __len__(self):
         return len(self.itos)

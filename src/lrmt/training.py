@@ -232,6 +232,7 @@ class Checkpoint:
                     raise CheckpointFormatError(
                         "%s: %r is not a list of str that starts with the reserved tokens "
                         "and has one entry per %r row" % (path, key, table))
+                Vocabulary(vocab)       # a token listed twice is a ValueError
             if not isinstance(header["provenance"], dict):
                 raise CheckpointFormatError("%s: 'provenance' is not an object" % path)
             return cls(config=config, src_vocab=header["src_vocab"],
@@ -277,33 +278,6 @@ def evaluate_loss(model, batches):
     return float(np.mean(losses)) if losses else 0.0
 
 
-def _stopping_rule(losses, patience):
-    """Improve iff loss < best; stop after `patience` epochs without improving.
-
-    Yields (epoch, loss, improved) and takes no loss past the stop, so a lazy
-    `losses` trains no extra epoch."""
-    best = float("inf")
-    since = 0
-    for epoch, loss in enumerate(losses, start=1):
-        improved = loss < best
-        if improved:
-            best, since = loss, 0
-        else:
-            since += 1
-        yield epoch, loss, improved
-        if since >= patience:
-            return
-
-
-def early_stopping_trace(losses, patience):
-    """The bare stopping rule: returns (epochs run, best 1-based epoch)."""
-    epochs = best_epoch = 0
-    for epochs, _, improved in _stopping_rule(losses, patience):
-        if improved:
-            best_epoch = epochs
-    return epochs, best_epoch
-
-
 def _encoded(batches, rows):
     """`batches`, each with the rows of `rows` (`model.EncodedRows`) that its
     `index` names gathered as its encoding, one batch at a time; `batches`
@@ -317,6 +291,10 @@ def _encoded(batches, rows):
 def fit_with_early_stopping(model, train, valid, config, metrics_path=None,
                             stage_label=""):
     """Train with per-epoch validation; keep and return the best checkpoint.
+
+    An epoch improves iff its validation loss is below the best so far; the
+    loop stops after `patience` epochs in a row without improving, or after
+    `max_epochs`.
 
     When every encoder parameter is frozen and the model's dropout is 0, the
     encoder is a fixed function of each source sentence, and `encode` draws
@@ -341,33 +319,32 @@ def fit_with_early_stopping(model, train, valid, config, metrics_path=None,
         train_rows, valid_rows = (model.encode_all([src for src, _ in pairs])
                                   for pairs in (train_pairs, valid_pairs))
 
-    def valid_losses():
-        for epoch in range(1, config.max_epochs + 1):
-            started = time.monotonic()
-            batches = make_batches(train_pairs, config.batch_size, seed=config.seed + epoch)
-            train_loss = train_epoch(model, _encoded(batches, train_rows), config, optimizer,
-                                     rng)
-            valid_loss = evaluate_loss(model, _encoded(vbatches, valid_rows))
-            if not np.isfinite(valid_loss):
-                raise FloatingPointError(
-                    "non-finite validation loss (%r) in stage %r, epoch %d"
-                    % (valid_loss, stage_label, epoch))
-            history.append({"stage": stage_label, "epoch": epoch,
-                            "train_loss": train_loss, "valid_loss": valid_loss})
-            if metrics_path:
-                # wall time goes to the log only, never into checkpoints,
-                # so identical runs stay byte-identical
-                row = dict(history[-1], seconds=time.monotonic() - started)
-                with open(metrics_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(row) + "\n")
-            yield valid_loss
-
-    for epoch, valid_loss, improved in _stopping_rule(valid_losses(), config.patience):
-        if improved:
+    best, best_epoch = float("inf"), 0
+    for epoch in range(1, config.max_epochs + 1):
+        started = time.monotonic()
+        batches = make_batches(train_pairs, config.batch_size, seed=config.seed + epoch)
+        train_loss = train_epoch(model, _encoded(batches, train_rows), config, optimizer, rng)
+        valid_loss = evaluate_loss(model, _encoded(vbatches, valid_rows))
+        if not np.isfinite(valid_loss):
+            raise FloatingPointError(
+                "non-finite validation loss (%r) in stage %r, epoch %d"
+                % (valid_loss, stage_label, epoch))
+        history.append({"stage": stage_label, "epoch": epoch,
+                        "train_loss": train_loss, "valid_loss": valid_loss})
+        if metrics_path:
+            # wall time goes to the log only, never into checkpoints,
+            # so identical runs stay byte-identical
+            row = dict(history[-1], seconds=time.monotonic() - started)
+            with open(metrics_path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(row) + "\n")
+        if valid_loss < best:
+            best, best_epoch = valid_loss, epoch
             best_ckpt = Checkpoint.from_model(model, config,
                                               provenance={"stage": stage_label,
                                                           "epoch": epoch,
                                                           "valid_loss": valid_loss})
+        elif epoch - best_epoch >= config.patience:
+            break
     best_ckpt.provenance["history"] = history
     return best_ckpt
 

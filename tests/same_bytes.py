@@ -1,7 +1,7 @@
 """Write a fixed set of lrmt artifacts and the SHA-256 of each, so that two
 checkouts can be shown to write the same bytes.
 
-    PYTHONPATH=<checkout>/src python tests/same_bytes.py OUT
+    PYTHONPATH=<checkout>/src python tests/same_bytes.py OUT [OTHER.hashes.json]
 
 For each of abgru, gru and lstm, at dropout 0 / tf 1 and at dropout 0.5 /
 tf 0.5, it runs `lrmt sequential` (copy pretraining, then a frozen encoder
@@ -15,8 +15,10 @@ time, a batch of one each, into `translate-<stage>.txt`, so the
 single-sentence path is hashed beside the batched decoding of
 `lrmt evaluate`.  It then writes OUT.hashes.json, every
 file under OUT by its relative path, leaving out `metrics.jsonl` and
-`run.json`, which hold wall-clock times.  Run it once per checkout and
-compare the two JSON files, e.g. with `cmp`.  BLAS runs one thread:
+`run.json`, which hold wall-clock times.  Run it once per checkout; given
+another checkout's hashes file, it prints each path whose digest differs
+from that file's, or that only one of the two holds, and exits 1 if there
+is any.  BLAS runs one thread:
 OpenBLAS's sums depend on its thread count.  Not a test module; pytest does
 not collect it.
 """
@@ -81,7 +83,8 @@ def _translate(ckpt, test, out):
     out.write_text("".join(lines), encoding="utf-8")
 
 
-def main(out):
+def main(out, other=None):
+    theirs = None if other is None else json.loads(Path(other).read_text(encoding="utf-8"))
     out = Path(out).resolve()
     out.mkdir(parents=True)
     os.chdir(out)                   # relative paths only, so OUT's name is in no file
@@ -118,9 +121,16 @@ def main(out):
     target = out.with_name(out.name + ".hashes.json")
     target.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print("%d files hashed into %s" % (len(hashes), target))
+    if theirs is None:
+        return 0
+    changed = sorted(p for p in hashes.keys() | theirs.keys() if hashes.get(p) != theirs.get(p))
+    for p in changed:
+        print("%s: %s" % ("differs" if p in hashes and p in theirs else "in one file only", p))
+    print("%d of %d files differ from %s" % (len(changed), len(hashes), other))
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         raise SystemExit(__doc__)
-    main(sys.argv[1])
+    sys.exit(main(*sys.argv[1:]))

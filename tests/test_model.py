@@ -122,7 +122,9 @@ def _greedy_step(model, enc, ids, state):
     return nm.decoder_step(ids, [s.data for s in state], cell.kind, model.tgt_emb.data,
                            cell.W_i.data, cell.b.data, cell.W_h.data,
                            (model.out.W.data, model.out.b.data), model.spec.layout,
-                           attention=(model.attn_energy.W.data[:H], *enc.attention,
+                           attention=(model.attn_energy.W.data[:H],
+                                      *nm.attention_arrays(*model.attn_energy.parameters(),
+                                                           enc.states, enc.mask),
                                       model.attn_v.data))
 
 
@@ -366,6 +368,15 @@ def test_decode_step_reads_the_current_weights(arch, float64_mode):
     _, changed = model.decode_step(ids, enc.state, enc)
     assert np.allclose(changed.data[:, 0], rebound.data[:, 0] + 2.0, rtol=0, atol=1e-12)
     assert np.array_equal(changed.data[:, 1:], rebound.data[:, 1:])
+    if arch == "abgru":
+        # the attention energy too: a step on the old encoding equals one on a fresh one
+        model.attn_energy.b.data = model.attn_energy.b.data + 0.5
+        model.attn_energy.W.data[-1] -= 0.75
+        _, moved = model.decode_step(ids, enc.state, enc)
+        fresh = model.encode(_tiny_batch(model).source)
+        _, want = model.decode_step(ids, fresh.state, fresh)
+        assert not np.allclose(moved.data, changed.data, rtol=0, atol=1e-12)
+        assert np.array_equal(moved.data, want.data)
 
 
 # one sentence, a padded batch, and an unpadded batch of several rows

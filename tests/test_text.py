@@ -64,6 +64,18 @@ def test_vocab_json_round_trip(tmp_path):
     assert v2.itos == v.itos and v2.stoi == v.stoi
 
 
+def test_vocab_builds_its_own_map_and_rejects_a_repeated_token():
+    reserved = ["<pad>", "<sos>", "<eos>", "<unk>"]
+    assert Vocabulary(reserved + ["a", "b"]).stoi == {t: i for i, t in
+                                                      enumerate(reserved + ["a", "b"])}
+    with pytest.raises(TypeError):
+        Vocabulary(reserved + ["a"], stoi={"a": 0})
+    with pytest.raises(ValueError, match="repeats token 'a'"):
+        Vocabulary(reserved + ["a", "b", "a"])
+    with pytest.raises(ValueError, match="repeats token '<unk>'"):
+        Vocabulary(reserved + ["<unk>"])
+
+
 def test_encode_adds_sos_eos_and_maps_unknowns():
     c = ParallelCorpus([(["a"], ["x"])])
     v = build_vocab([c], side="source")

@@ -11,12 +11,12 @@ import pytest
 from lrmt import _container, synthetic, training
 from lrmt.model import ARCHITECTURES, Seq2SeqModel
 from lrmt.numerics import Adam, cross_entropy_masked, no_grad
-from lrmt.text import PAD, ParallelCorpus, build_vocab, encode_pairs, make_batches
+from lrmt.text import PAD, SOS, ParallelCorpus, build_vocab, encode_pairs, make_batches
 from lrmt.training import (Checkpoint, CheckpointChecksumError,
                            CheckpointFormatError, CheckpointVersionError,
                            StageSpec, TrainConfig,
                            VocabMismatchError, carve_validation,
-                           early_stopping_trace, fit_with_early_stopping,
+                           fit_with_early_stopping,
                            load_checkpoint, pretrain_copy,
                            run_sequential_plan, train_multitask_joint,
                            transfer_1hop)
@@ -34,18 +34,6 @@ def _data(seed=0, **kw):
 
 
 # -- early stopping ---------------------------------------------------------------
-
-def test_early_stopping_trace_patience_two():
-    assert early_stopping_trace([3.0, 2.0, 2.5, 2.4, 2.6], patience=2) == (4, 2)
-
-
-def test_early_stopping_trace_monotone_runs_to_end():
-    assert early_stopping_trace([3.0, 2.0, 1.0], patience=2) == (3, 3)
-
-
-def test_early_stopping_trace_immediate_plateau():
-    assert early_stopping_trace([1.0, 1.0, 1.0, 1.0], patience=2) == (3, 1)
-
 
 def test_fit_stops_early_and_keeps_best(tmp_path):
     cfg = TrainConfig(arch="gru", seed=1, **TINY | {"max_epochs": 6, "patience": 1})
@@ -65,14 +53,17 @@ def test_fit_stops_early_and_keeps_best(tmp_path):
     ([3.0, 2.5, 2.0, 1.5, 1.0], 3, (5, 5)),                      # improves
     ([3.0, 2.0, 2.0, 2.1, 2.2, 1.0], 3, (5, 2)),                 # plateaus
     ([3.0, 2.0, 2.5, 2.4, 1.5, 1.6, 1.7, 1.8, 1.0], 3, (8, 5)),  # recovers
-], ids=["improves", "plateaus", "recovers"])
+    ([3.0, 2.0, 2.5, 2.4, 2.6], 2, (4, 2)),                      # patience two
+    ([3.0, 2.0, 1.0], 2, (3, 3)),                                # runs to the end
+    ([1.0, 1.0, 1.0, 1.0], 2, (3, 1)),                           # plateau at once
+], ids=["improves", "plateaus", "recovers", "patience-two", "runs-to-the-end",
+        "plateau-at-once"])
 def test_fit_follows_the_stopping_rule(monkeypatch, losses, patience, expected):
     scripted = iter(losses)
     monkeypatch.setattr(training, "evaluate_loss", lambda model, batches: next(scripted))
     cfg = TrainConfig(arch="gru", seed=1, **TINY | {"max_epochs": len(losses),
                                                     "patience": patience})
     ckpt = pretrain_copy(_data()["train"], cfg)
-    assert early_stopping_trace(losses, patience) == expected
     assert (len(ckpt.provenance["history"]), ckpt.provenance["epoch"]) == expected
     assert ckpt.provenance["valid_loss"] == losses[expected[1] - 1]
 
@@ -448,6 +439,18 @@ def test_checkpoint_with_malformed_vocabulary_or_provenance_is_a_format_error(tm
     assert str(path) in str(info.value) and repr(named) in str(info.value)
 
 
+@pytest.mark.parametrize("key", ["src_vocab", "tgt_vocab"])
+def test_checkpoint_whose_vocabulary_repeats_a_token_is_a_format_error(tmp_path, key):
+    ckpt, _ = _small_ckpt(tmp_path)
+    vocab = getattr(ckpt, key)
+    setattr(ckpt, key, vocab[:-1] + [vocab[4]])         # one entry per row still
+    path = tmp_path / "repeats.lrmt"
+    ckpt.save(path)
+    with pytest.raises(CheckpointFormatError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and "repeats token %r" % vocab[4] in str(info.value)
+
+
 def test_checkpoint_config_loads_exactly_as_stored(tmp_path):
     ckpt, _ = _small_ckpt(tmp_path)
     stored = dict(ckpt.config, lr=1, dropout=0)      # ints where floats go
@@ -681,6 +684,10 @@ def test_a_cached_batch_encoding_equals_the_batch_encoded(arch):
                 assert g.tobytes() == r.tobytes()
             assert np.max(np.abs(g - r)) < 1e-6
         exact += (lengths == lengths.max()).sum() > 1
+        # and any decoder path reads it: attention forms its arrays from the rows
+        ids = np.full(len(batch.index), SOS)
+        (_, got), (_, ref) = (model.decode_step(ids, e.state, e) for e in (enc, want))
+        assert np.max(np.abs(got.data - ref.data)) < 1e-6
     assert exact
 
 
