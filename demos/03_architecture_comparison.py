@@ -6,7 +6,6 @@ attention should earn its keep over the plain LSTM/GRU context vector.
 """
 
 from lrmt import bleu, synthetic, training
-from lrmt.text import build_vocab
 
 data = synthetic.splits(synthetic.substitution_task, train=600, valid=60,
                         test=60, vocab_size=24, min_len=2, max_len=6, seed=1)
@@ -16,11 +15,7 @@ for arch in ("lstm", "gru", "abgru"):
                                   max_epochs=15, patience=15, dropout=0.0,
                                   batch_size=50, lr=0.005, tf_ratio=1.0,
                                   seed=0, max_len=20)
-    src_vocab = build_vocab([data["train"]], side="source")
-    tgt_vocab = build_vocab([data["train"]], side="target")
-    model = training.build_model(config, src_vocab, tgt_vocab)
-    ckpt = training.fit_with_early_stopping(model, data["train"], data["valid"],
-                                            config, stage_label=arch)
+    ckpt = training.train_from_scratch(data, config, stage_label=arch)
     report = bleu.evaluate_corpus(ckpt.to_model(), data["test"], max_len=10)
     print("%-6s  BLEU %.4f  (best epoch %d)"
           % (arch, report.score, ckpt.provenance["epoch"]))

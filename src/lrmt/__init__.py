@@ -2,7 +2,7 @@
 
 A numpy-only package covering the whole pipeline: a reverse-mode tensor
 engine, three sequence-to-sequence architectures (LSTM, GRU with context
-reinjection, attention-based bidirectional GRU), text preparation, four
+reinjection, attention-based bidirectional GRU), text preparation, five
 training regimes with early stopping and binary checkpoints, corpus BLEU-4,
 an activation-analysis layer for selective neuron pruning, and deterministic
 SVG reports.
@@ -50,6 +50,7 @@ from .training import (
     load_checkpoint,
     pretrain_copy,
     run_sequential_plan,
+    train_from_scratch,
     train_multitask_joint,
     transfer_1hop,
 )

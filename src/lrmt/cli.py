@@ -143,12 +143,6 @@ def _splits(corpora, dataset, key="data.dataset", split="train"):
 # -- subcommands -------------------------------------------------------------
 
 
-def _vocabs(train):
-    """The source and target vocabularies `lrmt train` builds from what it trains on;
-    the source one reserves the multitask control tokens, as every transfer regime's does."""
-    return training.shared_source_vocab([train]), text.build_vocab([train], side="target")
-
-
 def cmd_prepare_data(cfg, out):
     corpora = _load_data(cfg)
     seed = resolve_train_config(cfg).seed
@@ -161,7 +155,7 @@ def cmd_prepare_data(cfg, out):
         summary[ds_id] = {"splits": {s: len(c.pairs) for s, c in splits.items()}}
         if not splits.get("train"):
             continue        # nothing trains on it, so it has no vocabulary
-        src, tgt = _vocabs(training.fit_splits(splits, seed)[0])
+        src, tgt = training.vocabularies(training.fit_splits(splits, seed)[0])
         src.export_json(out / ("%s.src.vocab.json" % ds_id))
         tgt.export_json(out / ("%s.tgt.vocab.json" % ds_id))
         summary[ds_id].update(source_vocab=len(src.itos), target_vocab=len(tgt.itos))
@@ -192,14 +186,9 @@ def _finalize(ckpt, out, name, test):
 
 
 def cmd_train(cfg, out):
-    corpora = _load_data(cfg)
-    config = resolve_train_config(cfg)
-    splits = _splits(corpora, _get(cfg, "data.dataset"))
-    train, valid = training.fit_splits(splits, config.seed)
-    model = training.build_model(config, *_vocabs(train))
-    ckpt = training.fit_with_early_stopping(
-        model, train, valid, config,
-        metrics_path=_fresh_metrics(out), stage_label="train")
+    splits = _splits(_load_data(cfg), _get(cfg, "data.dataset"))
+    ckpt = training.train_from_scratch(splits, resolve_train_config(cfg),
+                                       metrics_path=_fresh_metrics(out))
     _finalize(ckpt, out, "model", splits.get("test"))
     return 0
 
@@ -210,8 +199,7 @@ def _load_ckpt(cfg):
 
 def _fine_tune_config(cfg, pretrained):
     """The TrainConfig of a run fine-tuning `pretrained`, whose model shape it must keep."""
-    shape = {"train." + k: pretrained.config[k]
-             for k in ("arch", "embed_size", "hidden_size", "dropout")}
+    shape = {"train." + k: pretrained.config[k] for k in training.MODEL_KEYS}
     for key, value in shape.items():
         if cfg.get(key, value) != value:
             raise ConfigError("%r is %r, but the pretrained checkpoint has %r"

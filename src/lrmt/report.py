@@ -92,7 +92,7 @@ def render_pos_distribution(dist, path=None):
             parts.append('<rect x="%s" y="%s" width="%s" height="%s" fill="steelblue"/>'
                          % (_fmt(x + 2), _fmt(140 - h), _fmt(bw - 4), _fmt(h)))
             parts.append('<text x="%s" y="155" font-size="10" '
-                         'font-family="monospace">%s</text>' % (_fmt(x + 2), tag))
+                         'font-family="monospace">%s</text>' % (_fmt(x + 2), _escape(tag)))
     base_y = 260
     parts.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#888"/>'
                  % (margin, base_y, width - margin, base_y))
@@ -104,7 +104,7 @@ def render_pos_distribution(dist, path=None):
         parts.append('<circle cx="%s" cy="%s" r="3" fill="%s"/>'
                      % (_fmt(x), _fmt(y), color))
         parts.append('<text x="%s" y="%s" font-size="10" font-family="monospace">'
-                     '%s/%s</text>' % (_fmt(x + 5), _fmt(y - 4), _escape(tok), tag))
+                     '%s/%s</text>' % (_fmt(x + 5), _fmt(y - 4), _escape(tok), _escape(tag)))
     parts.append("</svg>")
     svg = "\n".join(parts) + "\n"
     if path is not None:

@@ -25,6 +25,8 @@ CHECKPOINT_VERSION = 2      # v1 also held "rng_state" and config "layers"; load
 OLD_CONFIG_KEYS = ("layers", "betas", "eps", "min_freq")
 
 CONTROL_TOKENS = {"de": "<2de>", "fr": "<2fr>", "es": "<2es>", "en": "<2en>"}
+# the TrainConfig fields a model is built from, so a checkpoint's config always rebuilds it
+MODEL_KEYS = ("arch", "embed_size", "hidden_size", "dropout")
 
 
 class VocabMismatchError(ValueError):
@@ -135,7 +137,7 @@ def check_plan(stages, corpora):
 class Checkpoint:
     """A complete, restorable model snapshot."""
 
-    config: dict             # TrainConfig fields; "arch" and the sizes rebuild the model
+    config: dict             # TrainConfig fields; its MODEL_KEYS rebuild the model
     src_vocab: list
     tgt_vocab: list
     tensors: dict            # name -> ndarray
@@ -156,9 +158,7 @@ class Checkpoint:
             frozen[name] = bool(p.frozen)
             pruned[name] = [] if p.pruned is None else p.pruned.tolist()
         cfg = asdict(config) if isinstance(config, TrainConfig) else dict(config)
-        # the model's own shape, so the checkpoint always rebuilds it
-        cfg.update(arch=model.arch, embed_size=model.embed_size,
-                   hidden_size=model.hidden_size, dropout=model.dropout)
+        cfg.update({key: getattr(model, key) for key in MODEL_KEYS})
         return cls(config=cfg, src_vocab=list(model.src_vocab.itos),
                    tgt_vocab=list(model.tgt_vocab.itos),
                    tensors=tensors, frozen=frozen, pruned=pruned,
@@ -392,17 +392,27 @@ def shared_source_vocab(corpora):
     return build_vocab(corpora, side="source", extra_tokens=extra)
 
 
+def vocabularies(train):
+    """The (source, target) vocabularies of a model trained from scratch on `train`."""
+    return shared_source_vocab([train]), build_vocab([train], side="target")
+
+
+def train_from_scratch(splits, config, src_vocab=None, metrics_path=None,
+                       stage_label="train"):
+    """The end-to-end regime, every transfer regime's baseline: a fresh model on the
+    `vocabularies` of `fit_splits`' train split (source: `src_vocab` if given), fit."""
+    train, valid = fit_splits(splits, config.seed)
+    src, tgt = vocabularies(train)
+    model = build_model(config, src if src_vocab is None else src_vocab, tgt)
+    return fit_with_early_stopping(model, train, valid, config,
+                                   metrics_path=metrics_path, stage_label=stage_label)
+
+
 def pretrain_copy(en_corpus, config, src_vocab=None, metrics_path=None,
                   stage_label="pretrain"):
     """Auto-encode English; this checkpoint seeds every transfer regime."""
-    train_full = copy_corpus([s for s, _ in en_corpus.pairs])
-    train, valid = carve_validation(train_full, fraction=0.1, seed=config.seed)
-    if src_vocab is None:
-        src_vocab = shared_source_vocab([train])
-    tgt_vocab = build_vocab([train], side="target")
-    model = build_model(config, src_vocab, tgt_vocab)
-    return fit_with_early_stopping(model, train, valid, config,
-                                   metrics_path=metrics_path, stage_label=stage_label)
+    return train_from_scratch({"train": copy_corpus([s for s, _ in en_corpus.pairs])},
+                              config, src_vocab, metrics_path, stage_label)
 
 
 def _fine_tune(model, splits, config, metrics_path, stage_label):

@@ -208,10 +208,11 @@ def load_activations(path):
             raise _container.CheckpointFormatError("%s: a %s %s matrix under header width %r"
                                                    % (path, acts.matrix.dtype, acts.matrix.shape,
                                                       header["width"]))
-        words = [w for rows in (acts.tokens, acts.tags) for row in rows for w in row]
-        if not all(isinstance(w, str) for w in words) or not isinstance(acts.provenance, dict):
+        rows = [acts.tokens, acts.tags, *acts.tokens, *acts.tags]   # each side, then each sentence
+        if not (all(isinstance(r, list) for r in rows) and isinstance(acts.provenance, dict)
+                and all(isinstance(w, str) for row in rows[2:] for w in row)):
             raise _container.CheckpointFormatError(
-                "%s: tokens and tags must be strings and provenance an object" % path)
+                "%s: tokens and tags must be lists of lists of str, provenance an object" % path)
         return acts
     return _container.read(path, ACTIVATIONS_MAGIC, (ACTIVATIONS_VERSION,), build)
 

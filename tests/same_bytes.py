@@ -3,11 +3,13 @@ checkouts can be shown to write the same bytes.
 
     PYTHONPATH=<checkout>/src python tests/same_bytes.py OUT [OTHER.hashes.json]
 
-For each of abgru, gru and lstm, at dropout 0 / tf 1 and at dropout 0.5 /
-tf 0.5, it runs `lrmt sequential` (copy pretraining, then a frozen encoder
-pruned `most_n` 10%, then an unfrozen one pruned `dead`), and `lrmt xray`,
-`lrmt evaluate` and `lrmt prune` (`most_n` 25% and `dead`) on every stage
-checkpoint, all inside the new directory OUT.  From each run's
+It runs `lrmt prepare-data` once on the manifest.  For each of abgru, gru
+and lstm, at dropout 0 / tf 1 and at dropout 0.5 / tf 0.5, it runs
+`lrmt train` (en-de), `lrmt sequential` (copy pretraining, then a frozen
+encoder pruned `most_n` 10%, then an unfrozen one pruned `dead`), and
+`lrmt xray`, `lrmt evaluate` and `lrmt prune` (`most_n` 25% and `dead`) on
+every stage checkpoint, then `lrmt report` over the three stages' x-ray
+`analysis.json`, all inside the new directory OUT.  From each run's
 `pretrain.lrmt` it also runs `lrmt transfer` (en-de) and `lrmt multitask`
 (de: en-de, fr: en-fr), the 1-hop and joint regimes on a frozen encoder.
 Each stage checkpoint also translates its test split one sentence at a
@@ -89,6 +91,7 @@ def main(out, other=None):
     out.mkdir(parents=True)
     os.chdir(out)                   # relative paths only, so OUT's name is in no file
     _write_data(Path("data"))
+    _lrmt("prepare-data", {"data.manifest": "data/manifest.json"}, Path("prepare-data"))
     for arch in ARCHS:
         for dropout, tf in NOISE:
             run = Path("%s-dropout%g-tf%g" % (arch, dropout, tf))
@@ -98,6 +101,7 @@ def main(out, other=None):
                       "train.tf_ratio": tf, "train.max_epochs": 5, "train.patience": 5,
                       "train.max_len": 12, "train.seed": 3,
                       "data.manifest": "data/manifest.json"}
+            _lrmt("train", dict(config, **{"data.dataset": "en-de"}), run / "train")
             _lrmt("sequential", dict(config, **{"plan.stages": STAGES}), run / "sequential")
             for stage in STAGES:
                 ckpt = run / "sequential" / ("%s.lrmt" % stage["label"])
@@ -111,6 +115,9 @@ def main(out, other=None):
                           "--ckpt", str(ckpt), *flags)
                 _translate(ckpt, Path("data") / ("%s.test.tsv" % stage["dataset"]),
                            run / ("translate-%s.txt" % stage["label"]))
+            _lrmt("report", {"report.analyses": [str(run / ("xray-%s" % stage["label"])
+                                                     / "analysis.json") for stage in STAGES]},
+                  run / "report")
             pretrain = str(run / "sequential" / "pretrain.lrmt")
             _lrmt("transfer", dict(config, **{"data.dataset": "en-de"}), run / "transfer",
                   "--ckpt", pretrain)

@@ -10,9 +10,9 @@ import zlib
 import numpy as np
 import pytest
 
-from lrmt import xray
-from lrmt.cli import main
-from lrmt.text import ParallelCorpus
+from lrmt import training, xray
+from lrmt.cli import main, resolve_train_config
+from lrmt.text import ParallelCorpus, load_manifest
 from lrmt.training import CONTROL_TOKENS, carve_validation, load_checkpoint
 
 WORDS = ["sun", "moon", "star", "tree", "bird", "fish", "stone", "river"]
@@ -110,6 +110,18 @@ def test_prepare_data_exports_the_vocabularies_train_uses(workspace):
     assert "tree" in src and "bird" not in src and "vogel" not in tgt
     ckpt = load_checkpoint(out / "model.lrmt")
     assert (src, tgt) == (ckpt.src_vocab, ckpt.tgt_vocab)
+    train, _ = training.fit_splits(load_manifest(data / "manifest.json")["en-de"], seed=0)
+    assert [src, tgt] == [vocab.itos for vocab in training.vocabularies(train)]
+
+
+def test_train_saves_what_train_from_scratch_saves(workspace):
+    path = _config(workspace, **{"data.dataset": "en-de", "train.dropout": 0.5})
+    out = workspace / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    splits = load_manifest(workspace / "data" / "manifest.json")["en-de"]
+    config = resolve_train_config(json.loads(path.read_text(encoding="utf-8")))
+    training.train_from_scratch(splits, config).save(workspace / "in-process.lrmt")
+    assert (out / "model.lrmt").read_bytes() == (workspace / "in-process.lrmt").read_bytes()
 
 
 def test_prepare_data_carves_validation_as_train_does(workspace):

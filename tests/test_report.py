@@ -101,3 +101,13 @@ def test_knowledge_plot_escapes_stage_labels():
     root = ET.fromstring(render_knowledge_plot(b))
     texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts == ["de<fr & en"]
+
+
+def test_pos_distribution_plot_escapes_tags():
+    import xml.etree.ElementTree as ET
+
+    acts = ActivationDataset(tokens=[["a&b", "c"]], tags=[["<N>", "V&"]],
+                             matrix=np.array([[1.0], [2.0]]))
+    root = ET.fromstring(render_pos_distribution(pos_token_distribution(acts, neuron=0, k=2)))
+    texts = {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"<N>", "V&", "a&b/<N>", "c/V&"} <= texts

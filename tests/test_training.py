@@ -338,6 +338,15 @@ def test_training_is_byte_deterministic():
         assert c1.tensors[name].tobytes() == c2.tensors[name].tobytes(), name
 
 
+def test_pretrain_copy_is_train_from_scratch_on_the_copy_corpus(tmp_path):
+    cfg = TrainConfig(arch="abgru", seed=5, **TINY | {"max_epochs": 2, "dropout": 0.5})
+    corpus = _data()["train"]
+    pretrain_copy(corpus, cfg).save(tmp_path / "pretrain.lrmt")
+    training.train_from_scratch({"train": training.copy_corpus([s for s, _ in corpus.pairs])},
+                                cfg, stage_label="pretrain").save(tmp_path / "scratch.lrmt")
+    assert (tmp_path / "pretrain.lrmt").read_bytes() == (tmp_path / "scratch.lrmt").read_bytes()
+
+
 # -- checkpoint format --------------------------------------------------------------------
 
 def _small_ckpt(tmp_path, seed=0):

@@ -282,10 +282,12 @@ def _write_activations(path, header, matrix):
     ({}, np.zeros((3, 2), dtype=np.int64)),
     ({}, np.zeros((3, 2), dtype=np.float32)),
     ({"tags": [[1, 2], [3]]}, np.zeros((3, 2))),
-    ({"provenance": [1]}, np.zeros((3, 2)))],
+    ({"provenance": [1]}, np.zeros((3, 2))),
+    ({"tokens": "abc", "tags": "XXX"}, np.zeros((3, 2))),
+    ({"tokens": ["ab", "c"], "tags": ["XX", "X"]}, np.zeros((3, 2)))],
     ids=["sentence-counts-differ", "tag-count-differs", "rows-differ-from-tokens",
          "header-width-differs", "int64-matrix", "float32-matrix", "tags-not-strings",
-         "provenance-not-an-object"])
+         "provenance-not-an-object", "tokens-a-string", "sentences-strings"])
 def test_activation_file_with_an_inconsistent_header_is_a_format_error(tmp_path, header, matrix):
     path = tmp_path / "activations.bin"
     _write_activations(path, {}, np.zeros((3, 2)))
