@@ -46,6 +46,7 @@ from .training import (
     StageSpec,
     TrainConfig,
     VocabMismatchError,
+    continue_plan,
     fit_with_early_stopping,
     load_checkpoint,
     pretrain_copy,

@@ -130,13 +130,16 @@ def _load_data(cfg):
     return text.load_manifest(_get(cfg, "data.manifest"), max_len=_get(cfg, "data.max_len"))
 
 
-def _splits(corpora, dataset, key="data.dataset", split="train"):
+def _splits(corpora, dataset, key="data.dataset", split="train", fit=False):
     """The splits of `dataset`, whose `split` split a command reads, so it needs one
-    with pairs."""
+    with pairs; a command that `fit`s on them needs `training.leaves_train_pairs`."""
     if dataset not in corpora:
         raise ConfigError("unknown dataset id in %r: %r" % (key, dataset))
     if not corpora[dataset].get(split):
         raise ConfigError("dataset %r in %r has no %s split with pairs" % (dataset, key, split))
+    if fit and not training.leaves_train_pairs(corpora[dataset]):
+        raise ConfigError("dataset %r in %r has one train pair and no valid split with pairs, "
+                          "and the validation carve takes that pair whole" % (dataset, key))
     return corpora[dataset]
 
 
@@ -186,7 +189,7 @@ def _finalize(ckpt, out, name, test):
 
 
 def cmd_train(cfg, out):
-    splits = _splits(_load_data(cfg), _get(cfg, "data.dataset"))
+    splits = _splits(_load_data(cfg), _get(cfg, "data.dataset"), fit=True)
     ckpt = training.train_from_scratch(splits, resolve_train_config(cfg),
                                        metrics_path=_fresh_metrics(out))
     _finalize(ckpt, out, "model", splits.get("test"))
@@ -211,7 +214,7 @@ def cmd_transfer(cfg, out):
     corpora = _load_data(cfg)
     pretrained = _load_ckpt(cfg)
     config = _fine_tune_config(cfg, pretrained)
-    splits = _splits(corpora, _get(cfg, "data.dataset"))
+    splits = _splits(corpora, _get(cfg, "data.dataset"), fit=True)
     ckpt = training.transfer_1hop(pretrained, splits, config,
                                   metrics_path=_fresh_metrics(out))
     _finalize(ckpt, out, "transfer", splits.get("test"))
@@ -220,7 +223,7 @@ def cmd_transfer(cfg, out):
 
 def cmd_multitask(cfg, out):
     corpora = _load_data(cfg)
-    task_corpora = {lang: _splits(corpora, ds, "multitask.datasets")
+    task_corpora = {lang: _splits(corpora, ds, "multitask.datasets")   # fit as one union
                     for lang, ds in _get(cfg, "multitask.datasets").items()}
     pretrained = _load_ckpt(cfg)
     config = _fine_tune_config(cfg, pretrained)

@@ -101,9 +101,10 @@ def names_a_file(name):
 
 def check_plan(stages, corpora):
     """The labels of `stages`, stage 0 the copy-pretraining one, after checking that
-    there is a stage and each against `corpora`: a known dataset (else KeyError) with train
-    pairs, a label of its own that can name a file and, before a pruning stage, a test split.
-    Stage 0 trains a fresh encoder: a prune mode or freeze_encoder false there is a ValueError."""
+    there is a stage and each against `corpora`: a known dataset (else KeyError) that
+    `leaves_train_pairs` (stage 0's train split alone), a label of its own that can name a
+    file and, before a pruning stage, a test split.  Stage 0 trains a fresh encoder: a prune
+    mode or freeze_encoder false there is a ValueError."""
     if not stages:
         raise ValueError("plan needs at least one stage")
     labels = [s.label or ("stage%d-%s" % (i, s.dataset_id))
@@ -112,9 +113,11 @@ def check_plan(stages, corpora):
         if stage.dataset_id not in corpora:
             raise KeyError("stage %d (%r) names unknown dataset %r"
                            % (i, label, stage.dataset_id))
-        if not corpora[stage.dataset_id].get("train"):
+        splits = corpora[stage.dataset_id]      # stage 0's copy pretraining: train alone
+        if not leaves_train_pairs(splits if i else {"train": splits.get("train")}):
             raise ValueError("stage %d (%r) trains on dataset %r, which has no train split "
-                             "with pairs" % (i, label, stage.dataset_id))
+                             "with pairs, or one pair that the validation carve takes whole"
+                             % (i, label, stage.dataset_id))
         if label in labels[:i]:
             raise ValueError("stages %d and %d share the label %r, which names each "
                              "one's checkpoint" % (labels.index(label), i, label))
@@ -371,6 +374,13 @@ def fit_splits(splits, seed):
     return splits["train"], splits["valid"]
 
 
+def leaves_train_pairs(splits):
+    """Whether `fit_splits(splits, ...)` leaves train pairs: the carve takes at least one
+    pair, so one train pair needs a valid split with pairs beside it."""
+    train = splits.get("train")
+    return bool(train) and (len(train) > 1 or bool(splits.get("valid")))
+
+
 def copy_corpus(sentences):
     """Targets set equal to sources: the auto-encoding pretraining corpus."""
     return ParallelCorpus([(list(s), list(s)) for s in sentences])
@@ -467,22 +477,31 @@ def prune_encoder(model, mass, mode, percent):
 
 
 def run_sequential_plan(stages, corpora, config, out_dir=None, metrics_path=None):
-    """Stage-by-stage transfer: prune -> freeze -> rebind -> fine-tune -> score.
+    """The whole plan: `continue_plan` from a copy pretraining on stage 0's train
+    split, over the source vocabulary of every stage's train split."""
+    labels = check_plan(stages, corpora)
+    src_vocab = shared_source_vocab([corpora[s.dataset_id]["train"] for s in stages])
+    pretrained = pretrain_copy(corpora[stages[0].dataset_id]["train"], config, src_vocab,
+                               metrics_path, labels[0])
+    return continue_plan(pretrained, stages, corpora, config, out_dir, metrics_path)
 
-    `corpora` maps dataset ids to {"train": ..., "valid":..., "test": ...};
-    stage 0's dataset is auto-encoded (targets = sources).  Each stage's best
-    model is built once: it is scored and x-rayed on the stage's test split,
-    and the next stage fine-tunes it, pruned by `prune_encoder` on those mass
-    matrices.  Returns a list of {stage, label, checkpoint, bleu, mass} records;
-    bleu and mass are None for a stage without test pairs.
+
+def continue_plan(pretrained, stages, corpora, config, out_dir=None, metrics_path=None):
+    """Stage-by-stage transfer from `pretrained`, stage 0's copy-pretrained checkpoint:
+    prune -> freeze -> rebind -> fine-tune -> score.
+
+    `corpora` maps dataset ids to {"train": ..., "valid":..., "test": ...}.  Stage 0
+    trains nothing: its checkpoint is `pretrained` with `prune_mode: "none"` added to a
+    copy of its provenance, and every stage reads its source vocabulary.  Each stage's
+    best model is built once: it is scored and x-rayed on the stage's test split (stage
+    0's sources copied), and the next stage fine-tunes it, pruned by `prune_encoder` on
+    those mass matrices.  Returns a list of {stage, label, checkpoint, bleu, mass}
+    records; bleu and mass are None for a stage without test pairs.
     """
     labels = check_plan(stages, corpora)
     out_dir = Path(out_dir) if out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    all_train = [corpora[s.dataset_id]["train"] for s in stages]
-    src_vocab = shared_source_vocab(all_train)
 
     results = []
     for idx, (stage, label) in enumerate(zip(stages, labels)):
@@ -490,8 +509,7 @@ def run_sequential_plan(stages, corpora, config, out_dir=None, metrics_path=None
         test = splits.get("test")
         pruned = {"prune_mode": stage.prune_mode}
         if idx == 0:
-            ckpt = pretrain_copy(splits["train"], config, src_vocab=src_vocab,
-                                 metrics_path=metrics_path, stage_label=label)
+            ckpt = replace(pretrained, provenance=dict(pretrained.provenance))
             if test is not None:
                 test = copy_corpus([s for s, _ in test.pairs])
         else:

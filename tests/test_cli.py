@@ -722,6 +722,41 @@ def test_an_empty_train_split_exits_2_naming_the_dataset(workspace, command, ext
     assert sorted(p.name for p in out.iterdir()) == ["run.json"]
 
 
+ONE_PAIR = {"datasets": [
+    {"id": "en-en", "train": "en-en.train.tsv", "valid": "en-en.valid.tsv",
+     "test": "en-en.test.tsv"},
+    {"id": "en-de", "train": "one.tsv", "test": "en-de.test.tsv"},
+    {"id": "one-en", "train": "one.tsv", "valid": "en-en.valid.tsv"}]}
+
+
+@pytest.mark.parametrize("command, extra, named", [
+    ("train", {"data.dataset": "en-de"}, "'en-de'"),
+    ("transfer", {"data.dataset": "en-de"}, "'en-de'"),
+    ("sequential", {"plan.stages": [{"dataset": "en-en", "label": "pre"},
+                                    {"dataset": "en-de", "label": "de"}]}, "'en-de'"),
+    ("sequential", {"plan.stages": [{"dataset": "one-en", "label": "pre"},
+                                    {"dataset": "en-en", "label": "en"}]}, "'one-en'")],
+    ids=["train", "transfer", "stage-1", "stage-0-with-valid"])
+def test_a_train_split_the_validation_carve_takes_whole_exits_2_before_training(
+        workspace, command, extra, named):
+    # one train pair and no valid split: fit_splits carves that pair as validation;
+    # copy pretraining carves from the train split even beside a valid split
+    (workspace / "data" / "one.tsv").write_text("sun moon\tsonne mond\n", encoding="utf-8")
+    flags = []
+    if command == "transfer":
+        pre = workspace / "pre"
+        assert main(["train", "--config", str(_config(workspace, **{"data.dataset": "en-en"})),
+                     "--out", str(pre)]) == 0
+        flags = ["--ckpt", str(pre / "model.lrmt")]
+    cfg = _config(workspace, name="one.json",
+                  **{"data.manifest": _manifest(workspace, ONE_PAIR)}, **extra)
+    out = workspace / "out"
+    code, err = _run([command, "--config", str(cfg), "--out", str(out), *flags])
+    assert code == 2
+    assert err.startswith("config error: ") and named in err
+    assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
+
 def test_sequential_with_a_repeated_stage_label_exits_2_before_training(workspace):
     cfg = _config(workspace, **{"plan.stages": [{"dataset": "en-en", "label": "x"},
                                                 {"dataset": "en-de", "label": "x"}]})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 import zlib
 
@@ -9,17 +10,19 @@ import numpy as np
 import pytest
 
 from lrmt import _container, synthetic, training
+from lrmt.bleu import evaluate_corpus
 from lrmt.model import ARCHITECTURES, Seq2SeqModel
 from lrmt.numerics import Adam, cross_entropy_masked, no_grad
 from lrmt.text import PAD, SOS, ParallelCorpus, build_vocab, encode_pairs, make_batches
 from lrmt.training import (Checkpoint, CheckpointChecksumError,
                            CheckpointFormatError, CheckpointVersionError,
                            StageSpec, TrainConfig,
-                           VocabMismatchError, carve_validation,
-                           fit_with_early_stopping,
+                           VocabMismatchError, carve_validation, continue_plan,
+                           copy_corpus, fit_with_early_stopping,
                            load_checkpoint, pretrain_copy,
                            run_sequential_plan, train_multitask_joint,
                            transfer_1hop)
+from lrmt.xray import capture_activations, mass_matrices
 
 import tape_ops
 from reference_decode import reference_greedy_decode
@@ -279,11 +282,21 @@ def test_sequential_stage_that_does_not_freeze_trains_the_encoder_again(tmp_path
     assert all(fr.tensors[n].tobytes() != de.tensors[n].tobytes() for n in names)
 
 
-def test_sequential_plan_rejects_pruning_after_stage_without_test(monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained before rejecting the plan")
+def _no_training(*args, **kwargs):
+    raise AssertionError("trained before rejecting the plan")
 
-    monkeypatch.setattr(training, "fit_with_early_stopping", no_training)
+
+def _entry_points(corpora, cfg):
+    """A plan run whole, and continued from an untrained stage-0 checkpoint, on
+    `corpora`: each takes the plan."""
+    model = training.build_model(cfg, *training.vocabularies(corpora["en-en"]["train"]))
+    pretrained = Checkpoint.from_model(model, cfg)
+    return (lambda plan: run_sequential_plan(plan, corpora, cfg),
+            lambda plan: continue_plan(pretrained, plan, corpora, cfg))
+
+
+def test_sequential_plan_rejects_pruning_after_stage_without_test(monkeypatch):
+    monkeypatch.setattr(training, "fit_with_early_stopping", _no_training)
     cfg = TrainConfig(arch="gru", **TINY)
     data = _data()
     corpora = {"en-en": {"train": data["train"], "valid": data["valid"]},
@@ -292,8 +305,9 @@ def test_sequential_plan_rejects_pruning_after_stage_without_test(monkeypatch):
         StageSpec(dataset_id="en-en", label="pretrain"),
         StageSpec(dataset_id="en-de", prune_mode="dead", label="stage1"),
     ]
-    with pytest.raises(ValueError, match="'stage1'.*'pretrain'"):
-        run_sequential_plan(plan, corpora, cfg)
+    for run in _entry_points(corpora, cfg):
+        with pytest.raises(ValueError, match="'stage1'.*'pretrain'"):
+            run(plan)
 
 
 def test_sequential_stage_zero_carries_the_plan_label(tmp_path):
@@ -306,6 +320,59 @@ def test_sequential_stage_zero_carries_the_plan_label(tmp_path):
     assert {row["stage"] for row in provenance["history"]} == {"copy"}
     assert {json.loads(line)["stage"]
             for line in metrics.read_text().splitlines()} == {"copy"}
+
+
+MASS_ARRAYS = ("signed_mass", "magnitude_mass", "max_mass", "hit_count")
+
+
+@pytest.mark.parametrize("dropout, tf_ratio", [(0.0, 1.0), (0.5, 0.5)])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_plan_continued_from_its_stage_0_checkpoint_is_the_plan(tmp_path, arch, dropout,
+                                                                  tf_ratio):
+    cfg = TrainConfig(arch=arch, seed=3, **TINY | {"max_epochs": 2, "dropout": dropout,
+                                                   "tf_ratio": tf_ratio})
+    corpora = {"en-en": _data(), **{ds: synthetic.splits(
+        synthetic.substitution_task, train=30, valid=6, test=6, vocab_size=10, max_len=5,
+        seed=seed) for ds, seed in (("en-de", 1), ("en-fr", 2))}}
+    plan = [StageSpec(dataset_id="en-en", label="pretrain"),
+            StageSpec(dataset_id="en-de", prune_mode="most_n", prune_percent=25.0,
+                      label="most25"),
+            StageSpec(dataset_id="en-fr", prune_mode="dead", freeze_encoder=False,
+                      label="dead")]
+    whole = run_sequential_plan(plan, corpora, cfg, out_dir=tmp_path / "whole")
+    pretrain = (tmp_path / "whole" / "pretrain.lrmt").read_bytes()
+    pretrained = load_checkpoint(tmp_path / "whole" / "pretrain.lrmt")
+    for run in ("once", "twice"):
+        continued = continue_plan(pretrained, plan, corpora, cfg, out_dir=tmp_path / run)
+        assert len(continued) == len(whole) == 3
+        for a, b in zip(whole, continued):
+            name = "%s.lrmt" % a["label"]
+            assert (tmp_path / run / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+            assert b["bleu"].score == a["bleu"].score
+            for key in MASS_ARRAYS:
+                assert np.array_equal(getattr(b["mass"], key), getattr(a["mass"], key)), key
+    pretrained.save(tmp_path / "after.lrmt")
+    assert (tmp_path / "after.lrmt").read_bytes() == pretrain
+
+
+def test_continue_plan_scores_and_xrays_the_given_checkpoint_as_stage_0(tmp_path):
+    cfg = TrainConfig(arch="abgru", seed=6, **TINY | {"max_epochs": 2})
+    data = _data()
+    pretrained = pretrain_copy(data["train"], cfg)
+    provenance = dict(pretrained.provenance)
+    (stage0,) = continue_plan(pretrained, [StageSpec(dataset_id="en-en", label="copy")],
+                              {"en-en": data}, cfg, out_dir=tmp_path)
+    test = copy_corpus([s for s, _ in data["test"].pairs])
+    model = pretrained.to_model()
+    assert stage0["bleu"] == evaluate_corpus(model, test, max_len=cfg.max_len)
+    mass = mass_matrices(capture_activations(model, test))
+    for key in MASS_ARRAYS:
+        assert np.array_equal(getattr(stage0["mass"], key), getattr(mass, key)), key
+    assert stage0["checkpoint"].provenance == dict(provenance, prune_mode="none")
+    assert pretrained.provenance == provenance and "prune_mode" not in provenance
+    saved = load_checkpoint(tmp_path / "copy.lrmt")
+    assert saved.provenance == stage0["checkpoint"].provenance
+    assert all(saved.tensors[n].tobytes() == t.tobytes() for n, t in pretrained.tensors.items())
 
 
 def test_checkpoint_records_the_model_shape_not_the_config():
@@ -718,32 +785,28 @@ def test_evaluate_loss_matches_the_taped_forward_bit_for_bit():
 
 @pytest.mark.parametrize("label", ["de/fr", "de\\fr", ".", ".."])
 def test_sequential_plan_rejects_unsafe_label_before_training(monkeypatch, label):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained before rejecting the plan")
-
-    monkeypatch.setattr(training, "fit_with_early_stopping", no_training)
+    monkeypatch.setattr(training, "fit_with_early_stopping", _no_training)
     cfg = TrainConfig(arch="gru", **TINY)
     data = _data()
     plan = [StageSpec(dataset_id="en-en", label="pretrain"),
             StageSpec(dataset_id="en-de", label=label)]
-    with pytest.raises(ValueError, match="cannot name a file"):
-        run_sequential_plan(plan, {"en-en": data, "en-de": data}, cfg)
+    for run in _entry_points({"en-en": data, "en-de": data}, cfg):
+        with pytest.raises(ValueError, match="cannot name a file"):
+            run(plan)
 
 
 def test_sequential_plan_rejects_a_prune_mode_on_stage_0_before_training(monkeypatch):
     # stage 0 is copy pretraining, which prunes nothing: its mode would only
     # be written into the checkpoint's provenance
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained before rejecting the plan")
-
-    monkeypatch.setattr(training, "pretrain_copy", no_training)
+    monkeypatch.setattr(training, "pretrain_copy", _no_training)
+    monkeypatch.setattr(training, "fit_with_early_stopping", _no_training)
     data = _data()
     plan = [StageSpec(dataset_id="en-en", label="pre", prune_mode="most_n",
                       prune_percent=50.0),
             StageSpec(dataset_id="en-de", label="de")]
-    with pytest.raises(ValueError, match="stage 0 \\('pre'\\).*prune mode 'most_n'"):
-        run_sequential_plan(plan, {"en-en": data, "en-de": data},
-                            TrainConfig(arch="gru", **TINY))
+    for run in _entry_points({"en-en": data, "en-de": data}, TrainConfig(arch="gru", **TINY)):
+        with pytest.raises(ValueError, match="stage 0 \\('pre'\\).*prune mode 'most_n'"):
+            run(plan)
 
 
 def test_check_plan_rejects_a_repeated_label_naming_both_stages():
@@ -760,6 +823,27 @@ def test_check_plan_rejects_an_empty_train_split():
     with pytest.raises(ValueError, match="'en-de', which has no train split with pairs"):
         training.check_plan(plan, {"en-en": data,
                                    "en-de": dict(data, train=ParallelCorpus([]))})
+
+
+@pytest.mark.parametrize("stage, valid, named", [
+    (1, False, "stage 1 ('de') trains on dataset 'en-de'"),
+    (0, True, "stage 0 ('pre') trains on dataset 'en-en'")],
+    ids=["stage-1-without-valid", "stage-0-copy-ignores-valid"])
+def test_check_plan_rejects_a_train_split_the_validation_carve_takes_whole(stage, valid,
+                                                                           named):
+    # fit_splits carves at least one validation pair; stage 0's copy pretraining
+    # carves from its train split even beside a valid split
+    data = _data()
+    one_pair = {"train": ParallelCorpus(data["train"].pairs[:1]), "test": data["test"]}
+    if valid:
+        one_pair["valid"] = data["valid"]
+    corpora = {"en-en": data, "en-de": data, ("en-en", "en-de")[stage]: one_pair}
+    plan = [StageSpec(dataset_id="en-en", label="pre"), StageSpec(dataset_id="en-de", label="de")]
+    with pytest.raises(ValueError, match=re.escape(named) + ".*carve takes whole"):
+        training.check_plan(plan, corpora)
+    corpora["en-de"] = dict(one_pair, valid=data["valid"])      # one pair beside a valid split
+    corpora["en-en"] = {"train": ParallelCorpus(data["train"].pairs[:2])}
+    assert training.check_plan(plan, corpora) == ["pre", "de"]
 
 
 def test_fit_rejects_a_train_split_with_no_pairs():
