@@ -225,6 +225,10 @@ def cmd_multitask(cfg, out):
     corpora = _load_data(cfg)
     task_corpora = {lang: _splits(corpora, ds, "multitask.datasets")   # fit as one union
                     for lang, ds in _get(cfg, "multitask.datasets").items()}
+    union = [p for splits in task_corpora.values() for p in splits["train"].pairs]
+    if not training.leaves_train_pairs({"train": union}):
+        raise ConfigError("the train splits of 'multitask.datasets' hold one pair together, "
+                          "and the validation carve takes that pair whole")
     pretrained = _load_ckpt(cfg)
     config = _fine_tune_config(cfg, pretrained)
     try:

@@ -491,12 +491,12 @@ def continue_plan(pretrained, stages, corpora, config, out_dir=None, metrics_pat
     prune -> freeze -> rebind -> fine-tune -> score.
 
     `corpora` maps dataset ids to {"train": ..., "valid":..., "test": ...}.  Stage 0
-    trains nothing: its checkpoint is `pretrained` with `prune_mode: "none"` added to a
-    copy of its provenance, and every stage reads its source vocabulary.  Each stage's
-    best model is built once: it is scored and x-rayed on the stage's test split (stage
-    0's sources copied), and the next stage fine-tunes it, pruned by `prune_encoder` on
-    those mass matrices.  Returns a list of {stage, label, checkpoint, bleu, mass}
-    records; bleu and mass are None for a stage without test pairs.
+    trains nothing: its checkpoint is `pretrained` with a copy of its provenance, plus
+    `prune_mode: "none"` unless that records a prune, and every stage reads its source
+    vocabulary.  Each stage's best model is built once: it is scored and x-rayed on the
+    stage's test split (stage 0's sources copied), and the next stage fine-tunes it,
+    pruned by `prune_encoder` on those mass matrices.  Returns a list of {stage, label,
+    checkpoint, bleu, mass} records; bleu and mass are None for a stage without test pairs.
     """
     labels = check_plan(stages, corpora)
     out_dir = Path(out_dir) if out_dir else None
@@ -507,19 +507,20 @@ def continue_plan(pretrained, stages, corpora, config, out_dir=None, metrics_pat
     for idx, (stage, label) in enumerate(zip(stages, labels)):
         splits = corpora[stage.dataset_id]
         test = splits.get("test")
-        pruned = {"prune_mode": stage.prune_mode}
         if idx == 0:
             ckpt = replace(pretrained, provenance=dict(pretrained.provenance))
+            ckpt.provenance.setdefault("prune_mode", "none")    # a given prune record stays whole
             if test is not None:
                 test = copy_corpus([s for s, _ in test.pairs])
         else:
+            pruned = {"prune_mode": stage.prune_mode}
             if stage.prune_mode != "none":
                 pruned = prune_encoder(model, results[-1]["mass"], stage.prune_mode,
                                        stage.prune_percent)
             for p in model.encoder_parameters():       # both ways: a stage may unfreeze
                 p.frozen = stage.freeze_encoder
             ckpt = _fine_tune(model, splits, config, metrics_path, label)
-        ckpt.provenance.update(pruned)
+            ckpt.provenance.update(pruned)
         model = ckpt.to_model()
         bleu = mass = None
         if test:

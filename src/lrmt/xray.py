@@ -3,6 +3,7 @@ neuron-knowledge pruning, knowledge abstraction, and change-in-mass analysis."""
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -147,40 +148,28 @@ def change_in_mass(before, after, top_k=5):
 
 
 def pos_token_distribution(acts, neuron, k=5):
-    """Per-unique-token mean activation at one neuron, with POS annotations."""
+    """Per-token-type mean activation at one neuron, with POS annotations.  One
+    token-type index, in first-seen order, gives each type its first row's tag and
+    its mean: its `bincount` sum in row order over its count.  A capture tags a
+    token by the token alone; a dataset with conflicting tags gets the first row's."""
     if not 0 <= neuron < acts.width:
         raise IndexError("neuron id out of range")
     if k < 1:
         raise ValueError("k must be >= 1")
-    sums, counts, tag_votes, first_tag = {}, {}, {}, {}
-    for tok, tag, val in zip(chain.from_iterable(acts.tokens), chain.from_iterable(acts.tags),
-                             acts.matrix[:, neuron].tolist()):
-        sums[tok] = sums.get(tok, 0.0) + val
-        counts[tok] = counts.get(tok, 0) + 1
-        votes = tag_votes.setdefault(tok, {})
-        votes[tag] = votes.get(tag, 0) + 1
+    tokens = list(chain.from_iterable(acts.tokens))
+    first_tag = {}                  # token -> its first row's tag, in first-seen order
+    for tok, tag in zip(tokens, chain.from_iterable(acts.tags)):
         first_tag.setdefault(tok, tag)
-    entries = []
-    for tok in sums:
-        mean = sums[tok] / counts[tok]
-        votes = tag_votes[tok]
-        best = max(votes.values())
-        winners = [t for t, c in votes.items() if c == best]
-        tag = first_tag[tok] if first_tag[tok] in winners else sorted(winners)[0]
-        entries.append((tok, tag, mean))
-    max_abs = max((abs(e[2]) for e in entries), default=0.0)
+    type_id = {tok: i for i, tok in enumerate(first_tag)}
+    ids = np.fromiter(map(type_id.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    means = np.bincount(ids, weights=acts.matrix[:, neuron]) / np.bincount(ids)
+    max_abs = max(np.abs(means).tolist(), default=0.0)
     scale = max_abs if max_abs > 0 else 1.0
-    entries = [(tok, tag, mean, mean / scale) for tok, tag, mean in entries]
-    entries.sort(key=lambda e: (-abs(e[3]), e[0]))
-    top = entries[:k]
-    positive = [e for e in entries if e[2] > 0]
-    density = {}
-    if positive:
-        for _tok, tag, _mean, _norm in positive:
-            density[tag] = density.get(tag, 0) + 1
-        density = {tag: c / len(positive) for tag, c in sorted(density.items())}
-    return PosTokenDistribution(neuron=neuron, entries=entries, top_k=top,
-                                pos_density=density)
+    entries = sorted(zip(first_tag, first_tag.values(), means.tolist(), (means / scale).tolist()),
+                     key=lambda e: (-abs(e[3]), e[0]))
+    positive = Counter(e[1] for e in entries if e[2] > 0)
+    density = {tag: c / positive.total() for tag, c in sorted(positive.items())}
+    return PosTokenDistribution(neuron, entries, entries[:k], density)
 
 
 # -- exchange formats ----------------------------------------------------------

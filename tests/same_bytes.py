@@ -9,9 +9,11 @@ and lstm, at dropout 0 / tf 1 and at dropout 0.5 / tf 0.5, it runs
 encoder pruned `most_n` 10%, then an unfrozen one pruned `dead`), and
 `lrmt xray`, `lrmt evaluate` and `lrmt prune` (`most_n` 25% and `dead`) on
 every stage checkpoint, then `lrmt report` over the three stages' x-ray
-`analysis.json`, all inside the new directory OUT.  From each run's
-`pretrain.lrmt` it also runs `lrmt transfer` (en-de) and `lrmt multitask`
-(de: en-de, fr: en-fr), the 1-hop and joint regimes on a frozen encoder.
+`analysis.json`, all inside the new directory OUT.  Each x-ray's
+`neuron_0.svg` draws every token type, so its hash covers each type's mean,
+norm and tag.  From each run's `pretrain.lrmt` it also runs `lrmt transfer`
+(en-de) and `lrmt multitask` (de: en-de, fr: en-fr), the 1-hop and joint
+regimes on a frozen encoder.
 Each stage checkpoint also translates its test split one sentence at a
 time, a batch of one each, into `translate-<stage>.txt`, so the
 single-sentence path is hashed beside the batched decoding of
@@ -107,9 +109,10 @@ def main(out, other=None):
                 ckpt = run / "sequential" / ("%s.lrmt" % stage["label"])
                 analysis = dict(config, **{"data.dataset": stage["dataset"],
                                            "analysis.neuron": 0})
-                for command in ("xray", "evaluate"):
-                    _lrmt(command, analysis, run / ("%s-%s" % (command, stage["label"])),
-                          "--ckpt", str(ckpt))
+                _lrmt("xray", dict(analysis, **{"analysis.top_k": 1000}),   # draws every token
+                      run / ("xray-%s" % stage["label"]), "--ckpt", str(ckpt))
+                _lrmt("evaluate", analysis, run / ("evaluate-%s" % stage["label"]),
+                      "--ckpt", str(ckpt))
                 for name, flags in PRUNES.items():
                     _lrmt("prune", analysis, run / ("prune-%s-%s" % (name, stage["label"])),
                           "--ckpt", str(ckpt), *flags)

@@ -595,9 +595,11 @@ NO_TRAIN = {"datasets": [
     ("train", NO_TRAIN, {"data.dataset": "en-de"}, "'en-de'"),
     ("sequential", NO_TRAIN,
      {"plan.stages": [{"dataset": "en-en", "label": "pretrain"},
-                      {"dataset": "en-de", "label": "de"}]}, "'en-de'")],
+                      {"dataset": "en-de", "label": "de"}]}, "'en-de'"),
+    ("train", NO_TRAIN, {"data.dataset": "en-xx"},
+     "unknown dataset id in 'data.dataset': 'en-xx'")],
     ids=["no-datasets", "top-level-list", "dataset-without-train",
-         "stage-without-train"])
+         "stage-without-train", "unknown-dataset"])
 def test_bad_manifest_or_dataset_without_train_exits_2(workspace, command, doc,
                                                         extra, named):
     cfg = _config(workspace, **{"data.manifest": _manifest(workspace, doc)}, **extra)
@@ -735,15 +737,17 @@ ONE_PAIR = {"datasets": [
     ("sequential", {"plan.stages": [{"dataset": "en-en", "label": "pre"},
                                     {"dataset": "en-de", "label": "de"}]}, "'en-de'"),
     ("sequential", {"plan.stages": [{"dataset": "one-en", "label": "pre"},
-                                    {"dataset": "en-en", "label": "en"}]}, "'one-en'")],
-    ids=["train", "transfer", "stage-1", "stage-0-with-valid"])
+                                    {"dataset": "en-en", "label": "en"}]}, "'one-en'"),
+    ("multitask", {"multitask.datasets": {"de": "one-en"}}, "'multitask.datasets'")],
+    ids=["train", "transfer", "stage-1", "stage-0-with-valid", "multitask-union"])
 def test_a_train_split_the_validation_carve_takes_whole_exits_2_before_training(
         workspace, command, extra, named):
     # one train pair and no valid split: fit_splits carves that pair as validation;
-    # copy pretraining carves from the train split even beside a valid split
+    # copy pretraining, and multitask's union, carve from the train split even beside
+    # a valid split
     (workspace / "data" / "one.tsv").write_text("sun moon\tsonne mond\n", encoding="utf-8")
     flags = []
-    if command == "transfer":
+    if command in ("transfer", "multitask"):
         pre = workspace / "pre"
         assert main(["train", "--config", str(_config(workspace, **{"data.dataset": "en-en"})),
                      "--out", str(pre)]) == 0

@@ -78,6 +78,15 @@ def test_fit_raises_named_error_on_nan_validation_loss(monkeypatch):
         pretrain_copy(_data()["train"], cfg)
 
 
+def test_fit_raises_named_error_on_a_non_finite_training_loss():
+    cfg = TrainConfig(arch="gru", **TINY)
+    data = _data()
+    model = training.build_model(cfg, *training.vocabularies(data["train"]))
+    model.named_parameters()["src_emb"].data[:] = np.nan
+    with pytest.raises(FloatingPointError, match=re.escape("non-finite training loss (nan)")):
+        fit_with_early_stopping(model, data["train"], data["valid"], cfg)
+
+
 # -- config validation --------------------------------------------------------------
 
 def test_train_config_defaults_are_full_scale():
@@ -375,6 +384,22 @@ def test_continue_plan_scores_and_xrays_the_given_checkpoint_as_stage_0(tmp_path
     assert all(saved.tensors[n].tobytes() == t.tobytes() for n, t in pretrained.tensors.items())
 
 
+def test_continue_plan_from_a_pruned_checkpoint_keeps_its_prune_record(tmp_path):
+    cfg = TrainConfig(arch="gru", seed=6, **TINY | {"max_epochs": 2})
+    data = _data()
+    pretrained = pretrain_copy(data["train"], cfg)
+    model = pretrained.to_model()        # pruned as `lrmt prune` prunes: most_n 25%
+    mass = mass_matrices(capture_activations(model, data["test"]))
+    record = training.prune_encoder(model, mass, "most_n", 25.0)
+    pruned = Checkpoint.from_model(model, cfg, provenance={**pretrained.provenance, **record})
+    assert record["pruned"] and pruned.to_model().pruned_neurons().tolist() == record["pruned"]
+    (stage0,) = continue_plan(pruned, [StageSpec(dataset_id="en-en", label="copy")],
+                              {"en-en": data}, cfg, out_dir=tmp_path)
+    assert stage0["checkpoint"].provenance == pruned.provenance
+    assert load_checkpoint(tmp_path / "copy.lrmt").provenance == dict(
+        pretrained.provenance, prune_mode="most_n", prune_percent=25.0, pruned=record["pruned"])
+
+
 def test_checkpoint_records_the_model_shape_not_the_config():
     data = _data()
     pre = pretrain_copy(data["train"], TrainConfig(arch="gru", seed=1, **TINY))
@@ -525,6 +550,19 @@ def test_checkpoint_whose_vocabulary_repeats_a_token_is_a_format_error(tmp_path,
     with pytest.raises(CheckpointFormatError) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value) and "repeats token %r" % vocab[4] in str(info.value)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda t: t.pop("out.b"), "missing tensor 'out.b'"),
+    (lambda t: t.update({"out.b": t["out.b"][:-1]}), "shape mismatch for 'out.b'")],
+    ids=["missing-tensor", "shape-mismatch"])
+def test_checkpoint_whose_tensors_do_not_fit_the_model_fails_to_build_it(tmp_path, change,
+                                                                          message):
+    ckpt, _ = _small_ckpt(tmp_path)
+    change(ckpt.tensors)
+    ckpt.save(tmp_path / "bad.lrmt")
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+        load_checkpoint(tmp_path / "bad.lrmt").to_model()
 
 
 def test_checkpoint_config_loads_exactly_as_stored(tmp_path):
@@ -858,3 +896,11 @@ def test_fit_rejects_a_train_split_with_no_pairs():
         with pytest.raises(ValueError, match="train split is empty"):
             training.fit_with_early_stopping(training.build_model(cfg, *vocabs), train, valid,
                                              cfg)
+
+
+def test_fit_rejects_a_validation_split_with_no_pairs():
+    cfg = TrainConfig(arch="gru", **TINY)
+    data = _data()
+    model = training.build_model(cfg, *training.vocabularies(data["train"]))
+    with pytest.raises(ValueError, match="validation split is empty"):
+        fit_with_early_stopping(model, data["train"], ParallelCorpus([]), cfg)

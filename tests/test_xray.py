@@ -1,15 +1,21 @@
 """Mass-activation algebra against brute-force oracles, plus pruning selection
 and the POS/token distribution rules."""
 
+from itertools import chain
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lrmt import _container, synthetic, xray
 from lrmt import numerics as nm
 from lrmt._container import CheckpointFormatError
 from lrmt.model import Seq2SeqModel
 from lrmt.numerics import no_grad
-from lrmt.text import INFER_BATCH, build_vocab, encode, length_sorted_chunks, pad_rows
+from lrmt.text import (INFER_BATCH, build_vocab, encode, length_sorted_chunks, load_tsv,
+                       pad_rows)
 from lrmt.xray import (ActivationDataset, change_in_mass, dead_neurons,
                        knowledge_abstraction, mass_matrices, pos_token_distribution,
                        select_prune_set)
@@ -175,7 +181,7 @@ def test_pos_token_distribution_means_normalization_and_topk():
     assert by_tok["runs"][2] == -6.0
     assert by_tok["runs"][3] == -1.0        # normalized by max |mean| = 6
     assert by_tok["cat"][3] == 0.5
-    # tag tie (NOUN vs VERB once each) resolves to the first-seen tag
+    # a token's tag is its first row's
     assert by_tok["cat"][1] == "NOUN"
     assert dist.top_k[0][0] == "runs"
     # only "cat" activates positively -> density concentrates on its tag
@@ -188,6 +194,92 @@ def test_pos_token_distribution_validates_neuron_and_k():
         pos_token_distribution(acts, neuron=3)
     with pytest.raises(ValueError):
         pos_token_distribution(acts, neuron=0, k=0)
+
+
+def test_pos_token_distribution_tags_a_token_by_its_first_row_not_by_a_vote():
+    acts = _dataset([np.ones((3, 1))], tokens=[["a", "a", "a"]], tags=[["X", "N", "N"]])
+    dist = pos_token_distribution(acts, neuron=0)
+    assert dist.entries == [("a", "X", 1.0, 1.0)]
+    assert dist.pos_density == {"X": 1.0}
+
+
+def _distribution_oracle(acts, neuron, k):
+    """Plain Python, one token type at a time, in first-seen order.  A mean adds the
+    type's rows one by one in row order (Python 3.12's `sum` compensates, so it is
+    not used) and divides by their count."""
+    rows = list(zip(chain(*acts.tokens), chain(*acts.tags), acts.matrix[:, neuron].tolist()))
+    entries = []
+    for tok in dict.fromkeys(t for t, _, _ in rows):
+        values = [v for t, _, v in rows if t == tok]
+        total = 0.0
+        for v in values:
+            total += v
+        tag = next(g for t, g, _ in rows if t == tok)
+        entries.append((tok, tag, total / len(values)))
+    max_abs = max([abs(m) for _, _, m in entries], default=0.0)
+    scale = max_abs if max_abs > 0 else 1.0
+    entries = sorted([(tok, tag, m, m / scale) for tok, tag, m in entries],
+                     key=lambda e: (-abs(e[3]), e[0]))
+    positive = [tag for _, tag, m, _ in entries if m > 0]
+    density = {tag: positive.count(tag) / len(positive) for tag in sorted(set(positive))}
+    return xray.PosTokenDistribution(neuron, entries, entries[:k], density)
+
+
+TYPES = ["a", "a\x00", "b", "ü", "日本", "<sos>"]
+
+
+def _tag_of(tok):
+    """A tag that depends on the token alone, as `postag.tag_token`'s does."""
+    return "T%d" % (sum(map(ord, tok)) % 3)
+
+
+def _case(sentences, matrix, neuron, k):
+    return ActivationDataset(tokens=sentences, tags=[list(map(_tag_of, s)) for s in sentences],
+                             matrix=np.asarray(matrix, dtype=np.float64)), neuron, k
+
+
+@st.composite
+def _distribution_cases(draw):
+    sentences = draw(st.lists(st.lists(st.sampled_from(TYPES), min_size=1, max_size=6),
+                              max_size=4))
+    width = draw(st.integers(1, 3))
+    values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, -2.0]) | st.floats(-1e6, 1e6)
+    matrix = draw(arrays(np.float64, (sum(map(len, sentences)), width), elements=values))
+    neuron = draw(st.integers(0, width - 1))
+    if draw(st.booleans()):
+        matrix[:, neuron] = 0.0                 # an all-zero column: scale 1.0
+    return _case(sentences, matrix, neuron, draw(st.integers(1, 8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_distribution_cases())
+@example(case=_case([], np.zeros((0, 2)), 1, 3))
+@example(case=_case([["a", "a\x00", "a"]], [[0.0], [0.0], [-0.0]], 0, 2))
+@example(case=_case([["a", "a\x00", "ü"], ["b"]], [[1.0], [-1.0], [0.5], [-0.5]], 0, 1))
+def test_pos_token_distribution_matches_a_brute_force_oracle_exactly(case):
+    acts, neuron, k = case
+    assert repr(pos_token_distribution(acts, neuron, k)) == repr(
+        _distribution_oracle(acts, neuron, k))
+
+
+@pytest.mark.parametrize("source", ["synthetic", "load_tsv"])
+def test_a_capture_gives_every_token_type_one_tag(tmp_path, source):
+    corpus = synthetic.splits(synthetic.substitution_task, train=2, valid=1, test=40,
+                              vocab_size=30, max_len=8, seed=1)["test"]
+    if source == "load_tsv":     # preprocessing strips `<` and `>`: no loaded word is a marker
+        (tmp_path / "t.tsv").write_text(
+            "The cat sat on the mat.\tx\nI can't see 3 cats, can you?\tx\n"
+            "Running is fun; the cats ran!\tx\n<sos> and sos, 42 $ 42.\tx\n", encoding="utf-8")
+        corpus = load_tsv(tmp_path / "t.tsv")
+    vocab = build_vocab([corpus], side="source")
+    model = Seq2SeqModel("gru", vocab, vocab, embed_size=4, hidden_size=3, dropout=0.0)
+    acts = xray.capture_activations(model, corpus)
+    tags = {}
+    for tok, tag in zip(chain(*acts.tokens), chain(*acts.tags)):
+        tags.setdefault(tok, set()).add(tag)
+    assert len(tags) < acts.total_tokens()          # some type has several rows
+    assert tags["<sos>"] == tags["<eos>"] == {"X"}
+    assert [tok for tok, seen in tags.items() if len(seen) != 1] == []
 
 
 # -- serialization round trips -----------------------------------------------------
