@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import exp, log
 
-from .text import encode, length_sorted_chunks
+from .text import encode
 
 
 @dataclass
@@ -63,16 +63,10 @@ def bleu4(candidates, references):
 
 
 def evaluate_corpus(model, corpus, max_len=50, sample_count=10):
-    """Greedy-decode every source sentence and score against the references.
-
-    Sentences are decoded in length-sorted batches; samples keep corpus order.
-    """
-    sources = [encode(src, model.src_vocab) for src, _ in corpus.pairs]
-    decoded = [None] * len(sources)
-    for chunk in length_sorted_chunks(sources):
-        for i, ids in zip(chunk, model.greedy_decode_batch([sources[i] for i in chunk],
-                                                           max_len=max_len)):
-            decoded[i] = ids
+    """Greedy-decode every source sentence, in one `greedy_decode_batch`
+    call, and score against the references; samples keep corpus order."""
+    decoded = model.greedy_decode_batch([encode(src, model.src_vocab) for src, _ in corpus.pairs],
+                                        max_len=max_len)
     hypotheses = [[model.tgt_vocab.token_of(i) for i in ids] for ids in decoded]
     references = [list(tgt) for _, tgt in corpus.pairs]
     report = bleu4(hypotheses, references)

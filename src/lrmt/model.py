@@ -110,8 +110,8 @@ class Seq2SeqModel:
     """Encoder + optional attention + decoder + head, laid out by the
     architecture's row of `ARCH_TABLE`."""
 
-    def __init__(self, arch, src_vocab, tgt_vocab, embed_size=300, hidden_size=512,
-                 dropout=0.5, seed=0, dtype=None):
+    def __init__(self, arch, src_vocab, tgt_vocab, embed_size, hidden_size, dropout, seed,
+                 dtype=None):
         if arch not in ARCH_TABLE:
             raise ValueError("unknown architecture %r" % arch)
         self.arch = arch
@@ -340,10 +340,10 @@ class Seq2SeqModel:
         return wiring
 
     def greedy_decode_batch(self, sources, max_len=50):
-        """Greedy decode of a list of encoded source sequences (ids with sos/eos).
+        """Greedy decode of any number of encoded source sequences (ids with sos/eos).
 
-        The sources are padded into one [B, T] matrix and encoded once; the
-        decoder then steps every row, `numerics.decoder_step` on plain arrays
+        Each padded batch of `text.length_sorted_chunks` is encoded once; the
+        decoder then steps its rows, `numerics.decoder_step` on plain arrays
         gathered once, until each has emitted eos or max_len steps have run.
         No step emits pad, sos or unk, ids that no training target holds: the
         head's bias is -inf there.  Records no tape.  Returns each row's
@@ -352,23 +352,25 @@ class Seq2SeqModel:
         """
         if max_len < 0:
             raise ValueError("max_len must be at least 0, got %r" % (max_len,))
-        if len(sources) == 0:
-            return []
-        with nm.no_grad():
-            enc = self.encode(pad_rows(sources))
-        arrays = self._step_arrays(enc, nm.emit_bias(self.out.b.data))
-        state = [s.data for s in enc.state]
-        # column max_len stays eos, so every row has an eos to cut at
-        grid = np.full((len(sources), max_len + 1), EOS, dtype=np.int64)
-        prev = np.full(len(sources), SOS, dtype=np.int64)
-        done = np.zeros(len(sources), dtype=bool)
-        for t in range(max_len):
-            state, logits, _ = nm.decoder_step(prev, state, *arrays)
-            grid[:, t] = prev = logits.argmax(axis=1)
-            done |= prev == EOS
-            if done.all():
-                break
-        return [row[:row.index(EOS)] for row in grid.tolist()]
+        decoded = [None] * len(sources)
+        for chunk in length_sorted_chunks(sources):
+            with nm.no_grad():
+                enc = self.encode(pad_rows([sources[i] for i in chunk]))
+            arrays = self._step_arrays(enc, nm.emit_bias(self.out.b.data))
+            state = [s.data for s in enc.state]
+            # column max_len stays eos, so every row has an eos to cut at
+            grid = np.full((len(chunk), max_len + 1), EOS, dtype=np.int64)
+            prev = np.full(len(chunk), SOS, dtype=np.int64)
+            done = np.zeros(len(chunk), dtype=bool)
+            for t in range(max_len):
+                state, logits, _ = nm.decoder_step(prev, state, *arrays)
+                grid[:, t] = prev = logits.argmax(axis=1)
+                done |= prev == EOS
+                if done.all():
+                    break
+            for i, row in zip(chunk, grid.tolist()):
+                decoded[i] = row[:row.index(EOS)]
+        return decoded
 
     def greedy_decode(self, source_ids, max_len=50):
         """Greedy decode of one encoded source sequence: a batch of one."""

@@ -34,6 +34,14 @@ def _svg_header(width, height):
             '<rect width="%d" height="%d" fill="white"/>' % (width, height)]
 
 
+def _svg_close(parts, path):
+    """The SVG of `parts`, closed, written to `path` if one is given."""
+    svg = "\n".join(parts + ["</svg>"]) + "\n"
+    if path is not None:
+        Path(path).write_text(svg, encoding="utf-8")
+    return svg
+
+
 def render_knowledge_plot(stages, path=None):
     """Per-stage panels of signed mass per neuron for a list of StageAnalysis:
     positive part in blue, negative part in red, one mark per neuron."""
@@ -69,11 +77,7 @@ def render_knowledge_plot(stages, path=None):
             if pos == 0 and neg == 0:
                 parts.append('<circle cx="%s" cy="%s" r="0.8" fill="#888"/>'
                              % (_fmt(x), _fmt(mid)))
-    parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    if path is not None:
-        Path(path).write_text(svg, encoding="utf-8")
-    return svg
+    return _svg_close(parts, path)
 
 
 def render_pos_distribution(dist, path=None):
@@ -105,11 +109,7 @@ def render_pos_distribution(dist, path=None):
                      % (_fmt(x), _fmt(y), color))
         parts.append('<text x="%s" y="%s" font-size="10" font-family="monospace">'
                      '%s/%s</text>' % (_fmt(x + 5), _fmt(y - 4), _escape(tok), _escape(tag)))
-    parts.append("</svg>")
-    svg = "\n".join(parts) + "\n"
-    if path is not None:
-        Path(path).write_text(svg, encoding="utf-8")
-    return svg
+    return _svg_close(parts, path)
 
 
 def _escape(text):

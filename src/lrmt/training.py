@@ -168,12 +168,9 @@ class Checkpoint:
                    provenance=provenance or {})
 
     def to_model(self):
-        cfg = self.config
-        model = Seq2SeqModel(self.arch, Vocabulary(list(self.src_vocab)),
-                             Vocabulary(list(self.tgt_vocab)),
-                             embed_size=cfg["embed_size"], hidden_size=cfg["hidden_size"],
-                             dropout=cfg["dropout"], seed=cfg.get("seed", 0),
-                             dtype=self.tensors["src_emb"].dtype.type)
+        model = build_model(self.train_config(), Vocabulary(list(self.src_vocab)),
+                            Vocabulary(list(self.tgt_vocab)),
+                            dtype=self.tensors["src_emb"].dtype.type)
         for name, p in model.named_parameters().items():
             if name not in self.tensors:
                 raise CheckpointFormatError("missing tensor %r" % name)
@@ -386,10 +383,12 @@ def copy_corpus(sentences):
     return ParallelCorpus([(list(s), list(s)) for s in sentences])
 
 
-def build_model(config, src_vocab, tgt_vocab):
+def build_model(config, src_vocab, tgt_vocab, dtype=None):
+    """The one place a `Seq2SeqModel` is built: the TrainConfig's arch, sizes,
+    dropout and seed, in `dtype` (default `numerics.default_dtype()`)."""
     return Seq2SeqModel(config.arch, src_vocab, tgt_vocab,
                         embed_size=config.embed_size, hidden_size=config.hidden_size,
-                        dropout=config.dropout, seed=config.seed)
+                        dropout=config.dropout, seed=config.seed, dtype=dtype)
 
 
 def shared_source_vocab(corpora):

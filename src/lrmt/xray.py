@@ -137,13 +137,14 @@ def knowledge_abstraction(mass):
 
 
 def change_in_mass(before, after, top_k=5):
-    """Elementwise signed-mass delta plus the most/least changed neuron ids."""
+    """Elementwise signed-mass delta plus the top_k most and least changed
+    neuron ids, by |delta|; ties go to the lower neuron index in both."""
     if before.width != after.width:
         raise ValueError("mass matrix width mismatch")
     delta = after.signed_mass - before.signed_mass
-    order = np.lexsort((np.arange(delta.shape[0]), -np.abs(delta)))
-    most = order[:top_k].tolist()
-    least = order[::-1][:top_k].tolist()
+    index = np.arange(delta.shape[0])
+    most = np.lexsort((index, -np.abs(delta)))[:top_k].tolist()
+    least = np.lexsort((index, np.abs(delta)))[:top_k].tolist()
     return delta, most, least
 
 
@@ -206,34 +207,32 @@ def load_activations(path):
     return _container.read(path, ACTIVATIONS_MAGIC, (ACTIVATIONS_VERSION,), build)
 
 
+def _finite(x):
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+# each MassActivationMatrix aggregate, as an analysis record holds it ->
+# (its dtype, what each entry must be, its check)
+_MASS_ENTRIES = {
+    "signed_mass": (np.float64, "a finite number", _finite),
+    "magnitude_mass": (np.float64, "a finite number >= 0", lambda x: _finite(x) and x >= 0),
+    "max_mass": (np.float64, "a finite number", _finite),
+    "hit_count": (np.int64, "an int >= 0", lambda x: type(x) is int and x >= 0),
+}
+
+
 def analysis_export(stage, mass, top_changed=None):
     """The machine-readable analysis record written by the report layer."""
     knowledge = knowledge_abstraction(mass)
     return {
         "stage": stage,
         "width": mass.width,
-        "signed_mass": mass.signed_mass.tolist(),
-        "magnitude_mass": mass.magnitude_mass.tolist(),
-        "max_mass": mass.max_mass.tolist(),
-        "hit_count": mass.hit_count.tolist(),
+        **{key: getattr(mass, key).tolist() for key in _MASS_ENTRIES},
         "knowledge": {"positive": knowledge.positive,
                       "negative": knowledge.negative,
                       "overall": knowledge.overall},
         "top_changed": top_changed or [],
     }
-
-
-def _finite(x):
-    return type(x) in (int, float) and math.isfinite(x)
-
-
-# mass key of an analysis record -> (what each entry must be, its check)
-_MASS_ENTRIES = {
-    "signed_mass": ("a finite number", _finite),
-    "magnitude_mass": ("a finite number >= 0", lambda x: _finite(x) and x >= 0),
-    "max_mass": ("a finite number", _finite),
-    "hit_count": ("an int >= 0", lambda x: type(x) is int and x >= 0),
-}
 
 
 def load_analysis(path):
@@ -244,17 +243,14 @@ def load_analysis(path):
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     records = []
     for i, rec in enumerate(doc if isinstance(doc, list) else [doc]):
-        for key, (what, ok) in _MASS_ENTRIES.items():
+        for key, (_dtype, what, ok) in _MASS_ENTRIES.items():
             if not isinstance(rec[key], list) or not all(map(ok, rec[key])):
                 raise ValueError("%s: record %d: %r must be a list of entries each %s"
                                  % (path, i, key, what))
         if not isinstance(rec.get("top_changed", []), list):
             raise ValueError("%s: record %d: 'top_changed' must be a list" % (path, i))
-        mass = MassActivationMatrix(
-            signed_mass=np.asarray(rec["signed_mass"], dtype=np.float64),
-            magnitude_mass=np.asarray(rec["magnitude_mass"], dtype=np.float64),
-            max_mass=np.asarray(rec["max_mass"], dtype=np.float64),
-            hit_count=np.asarray(rec["hit_count"], dtype=np.int64))
+        mass = MassActivationMatrix(**{key: np.asarray(rec[key], dtype=dtype)
+                                       for key, (dtype, _what, _ok) in _MASS_ENTRIES.items()})
         shapes = [a.shape for a in vars(mass).values()]
         if any(shape != (rec["width"],) for shape in shapes):
             raise ValueError("%s: record %d has width %r but mass arrays of shapes %s"

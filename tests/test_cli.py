@@ -69,6 +69,33 @@ def test_unknown_config_key_exits_2_and_names_key(workspace):
     assert "train.warp_speed" in err.getvalue()
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"), ("{\"train.lr\": ", "config is not valid JSON"),
+    ("[]", "config must be a JSON object of dotted keys")])
+def test_a_config_file_not_read_as_a_json_object_exits_2(workspace, content, message):
+    path = workspace / "cfg.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["train", "--config", str(path), "--out", str(workspace / "out")])
+    assert code == 2
+    assert err.getvalue().startswith("config error: " + message)
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("evaluate", {}, "missing config key: 'ckpt'"),
+    ("train", {"data.max_len": 0}, "'data.max_len': 0 is not a valid value")])
+def test_a_missing_or_out_of_range_key_exits_2_naming_it(workspace, command, cfg, message):
+    path = workspace / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), "--out", str(workspace / "out")])
+    assert code == 2
+    assert err.getvalue() == "config error: %s\n" % message
+
+
 def test_missing_corpus_file_exits_2_before_training(workspace):
     (workspace / "data" / "en-de.train.tsv").unlink()
     path = _config(workspace, **{"data.dataset": "en-de"})

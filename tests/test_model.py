@@ -9,9 +9,11 @@ import pytest
 
 from lrmt import numerics as nm
 from lrmt import synthetic
+from lrmt.bleu import evaluate_corpus
 from lrmt.model import ARCH_TABLE, RecurrentCell, Seq2SeqModel
 from lrmt.numerics import Tensor, cross_entropy_masked
-from lrmt.text import EOS, PAD, SOS, UNK, Batch, ParallelCorpus, build_vocab, encode
+from lrmt.text import (EOS, INFER_BATCH, PAD, SOS, UNK, Batch, ParallelCorpus, build_vocab,
+                       encode, length_sorted_chunks)
 from lrmt.training import TrainConfig, pretrain_copy
 
 import tape_ops as tp
@@ -292,10 +294,16 @@ def test_greedy_decode_stops_at_eos_and_excludes_markers(float64_mode):
     assert SOS not in out and EOS not in out
 
 
+def test_teacher_forcing_rejects_a_ratio_outside_0_1():
+    model = _tiny_model("gru")
+    with pytest.raises(ValueError, match="tf_ratio must be in"):
+        model.forward_teacher_forced(_tiny_batch(model), tf_ratio=1.5)
+
+
 def test_unknown_architecture_rejected():
     v = _tiny_vocab(["a"])
     with pytest.raises(ValueError):
-        Seq2SeqModel("transformer", v, v)
+        Seq2SeqModel("transformer", v, v, embed_size=4, hidden_size=3, dropout=0.0, seed=0)
 
 
 # -- batched greedy decoding ------------------------------------------------------
@@ -315,6 +323,34 @@ def test_batched_decode_equals_each_sentence_alone(float64_mode, arch):
     assert batched == [reference_greedy_decode(model, ids, max_len=9)
                        for ids in sources]
     assert len({len(out) for out in batched}) > 2
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru", "abgru"])
+def test_one_decode_call_batches_a_corpus_as_its_length_sorted_chunks(arch, monkeypatch):
+    corpus = synthetic.copy_task(INFER_BATCH + 6, vocab_size=8, min_len=1, max_len=7, seed=2)
+    vocab = build_vocab([corpus], side="source")
+    model = Seq2SeqModel(arch, vocab, vocab, embed_size=5, hidden_size=4, dropout=0.0, seed=3)
+    rng = np.random.default_rng(4)
+    for p in model.parameters():                   # outputs that differ between sentences
+        p.data[...] = rng.normal(scale=0.7, size=p.shape)
+    sources = [encode(src, vocab) for src, _ in corpus.pairs]
+    per_chunk = [None] * len(sources)
+    for chunk in length_sorted_chunks(sources):
+        for i, ids in zip(chunk, model.greedy_decode_batch([sources[i] for i in chunk],
+                                                           max_len=9)):
+            per_chunk[i] = ids
+    rows, step = [], nm.decoder_step
+
+    def counted(prev, *args):
+        rows.append(len(prev))
+        return step(prev, *args)
+
+    monkeypatch.setattr(nm, "decoder_step", counted)
+    decoded = model.greedy_decode_batch(sources, max_len=9)
+    assert decoded == per_chunk and len({tuple(ids) for ids in decoded}) > 3
+    assert 0 < max(rows) <= INFER_BATCH
+    samples = evaluate_corpus(model, corpus, max_len=9, sample_count=len(sources)).samples
+    assert [hyp for _, _, hyp in samples] == [[vocab.token_of(i) for i in ids] for ids in decoded]
 
 
 def test_greedy_decode_of_no_sources_is_empty():

@@ -351,6 +351,19 @@ def test_backward_requires_scalar():
         t.backward()
 
 
+def test_backward_requires_a_recorded_pass():
+    with pytest.raises(RuntimeError, match="no recorded forward pass"):
+        Tensor(np.array(1.0)).backward()
+
+
+@pytest.mark.parametrize("index", [4, -1])
+def test_add_pruned_rejects_an_index_outside_the_parameter(index):
+    p = Parameter(np.ones(4), name="w")
+    with pytest.raises(IndexError, match="out of range for w"):
+        p.add_pruned([0, index])
+    assert p.pruned is None and p.data.tolist() == [1.0] * 4
+
+
 def test_set_default_dtype_validates():
     with pytest.raises(ValueError):
         nm.set_default_dtype(np.int32)

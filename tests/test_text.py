@@ -76,6 +76,13 @@ def test_vocab_builds_its_own_map_and_rejects_a_repeated_token():
         Vocabulary(reserved + ["<unk>"])
 
 
+def test_vocab_needs_a_corpus_and_the_reserved_prefix():
+    with pytest.raises(ValueError, match="no corpora given"):
+        build_vocab([])
+    with pytest.raises(ValueError, match="must start with the reserved tokens"):
+        Vocabulary(["<pad>", "<sos>", "<unk>", "<eos>", "a"])
+
+
 def test_encode_adds_sos_eos_and_maps_unknowns():
     c = ParallelCorpus([(["a"], ["x"])])
     v = build_vocab([c], side="source")

@@ -104,6 +104,15 @@ def test_train_config_rejects_bad_values():
         TrainConfig(arch="foo")
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("dropout", 1.0, r"outside \[0, 1\)"), ("dropout", -0.1, r"outside \[0, 1\)"),
+    ("tf_ratio", 1.5, r"outside \[0, 1\]"), ("tf_ratio", -0.1, r"outside \[0, 1\]"),
+    ("l2", -1e-6, "negative"), ("seed", -1, "negative")])
+def test_train_config_rejects_a_value_out_of_range(field, value, named):
+    with pytest.raises(ValueError, match="%s: %r is %s" % (field, value, named)):
+        TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field, value", [
     ("hidden_size", True), ("batch_size", 2.5), ("max_len", 1.0), ("seed", False),
     ("lr", True), ("arch", None), ("dropout", "0.1")])
@@ -594,7 +603,8 @@ def test_checkpoint_with_an_attention_score_bias_decodes_as_before(float64_mode,
                                                                     monkeypatch):
     words = ["a", "b", "c", "d", "e", "f"]
     vocab = build_vocab([ParallelCorpus([(words, words)])], side="source")
-    model = Seq2SeqModel("abgru", vocab, vocab, embed_size=5, hidden_size=4, dropout=0.0)
+    model = Seq2SeqModel("abgru", vocab, vocab, embed_size=5, hidden_size=4, dropout=0.0,
+                         seed=0)
     rng = np.random.default_rng(2)
     for p in model.parameters():                   # sharp attention, varied outputs
         p.data[...] = rng.normal(scale=0.7, size=p.shape)
@@ -656,10 +666,11 @@ def test_truncated_checkpoint_rejected(tmp_path):
 
 
 def _rewritten(raw, header=None, trailing=b""):
-    """Checkpoint bytes with a replaced header and/or bytes appended after
-    the last tensor, under a valid CRC."""
+    """Checkpoint bytes with a replaced header (a dict, or the raw bytes
+    themselves) and/or bytes appended after the last tensor, under a valid CRC."""
     hlen = struct.unpack("<Q", raw[8:16])[0]
-    head = raw[16:16 + hlen] if header is None else json.dumps(header).encode("utf-8")
+    head = (raw[16:16 + hlen] if header is None else header if isinstance(header, bytes)
+            else json.dumps(header).encode("utf-8"))
     body = (raw[:8] + struct.pack("<Q", len(head)) + head
             + raw[16 + hlen:-4] + trailing)
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -679,6 +690,26 @@ def test_checkpoint_header_missing_a_key_is_a_format_error(tmp_path):
     bad.write_bytes(_rewritten(raw, header=header))
     with pytest.raises(CheckpointFormatError, match="provenance"):
         load_checkpoint(bad)
+
+
+def _negative_first_dimension(header):
+    header["tensors"][0]["shape"][0] = -1
+    return header
+
+
+@pytest.mark.parametrize("rewrite, named", [
+    (lambda header: b"\xff" + json.dumps(header).encode("utf-8"), "corrupt header"),
+    (lambda header: json.dumps(header).encode("utf-8")[:-1], "corrupt header"),
+    (_negative_first_dimension, "negative dimension")])
+def test_checkpoint_header_that_cannot_describe_the_payload_is_a_format_error(tmp_path, rewrite,
+                                                                              named):
+    _, path = _small_ckpt(tmp_path)
+    raw = path.read_bytes()
+    header = json.loads(raw[16:16 + struct.unpack("<Q", raw[8:16])[0]])
+    bad = _write(tmp_path / "bad.lrmt", _rewritten(raw, header=rewrite(header)))
+    with pytest.raises(CheckpointFormatError, match=named):
+        _container.read(bad, training.CHECKPOINT_MAGIC, (training.CHECKPOINT_VERSION,),
+                        lambda header, arrays: arrays)
 
 
 def test_checkpoint_bytes_after_the_payload_are_a_format_error(tmp_path):

@@ -1,6 +1,7 @@
 """Mass-activation algebra against brute-force oracles, plus pruning selection
 and the POS/token distribution rules."""
 
+import dataclasses
 from itertools import chain
 
 import numpy as np
@@ -156,6 +157,15 @@ def test_change_in_mass_delta_and_antisymmetry():
     assert set(least) == set(order[-2:].tolist())
 
 
+@pytest.mark.parametrize("deltas, most, least", [
+    ([0, 0, 0, 0, 0, 0], [0, 1, 2], [0, 1, 2]),      # a frozen, unpruned stage
+    ([1, 0, -1, 0, 2, 0], [4, 0, 2], [1, 3, 5])])
+def test_change_in_mass_breaks_ties_toward_the_lower_neuron(deltas, most, least):
+    before = mass_matrices(_dataset([np.ones((1, 6))]))
+    after = dataclasses.replace(before, signed_mass=before.signed_mass + deltas)
+    assert change_in_mass(before, after, top_k=3)[1:] == (most, least)
+
+
 def test_change_in_mass_rejects_width_mismatch():
     a = mass_matrices(_dataset([np.ones((1, 3))]))
     b = mass_matrices(_dataset([np.ones((1, 4))]))
@@ -272,7 +282,7 @@ def test_a_capture_gives_every_token_type_one_tag(tmp_path, source):
             "Running is fun; the cats ran!\tx\n<sos> and sos, 42 $ 42.\tx\n", encoding="utf-8")
         corpus = load_tsv(tmp_path / "t.tsv")
     vocab = build_vocab([corpus], side="source")
-    model = Seq2SeqModel("gru", vocab, vocab, embed_size=4, hidden_size=3, dropout=0.0)
+    model = Seq2SeqModel("gru", vocab, vocab, embed_size=4, hidden_size=3, dropout=0.0, seed=0)
     acts = xray.capture_activations(model, corpus)
     tags = {}
     for tok, tag in zip(chain(*acts.tokens), chain(*acts.tags)):
